@@ -170,37 +170,44 @@ class ForwardModel:
     # -- feasibility ----------------------------------------------------------
 
     def feasible_batch(self, X: np.ndarray, y: np.ndarray, atol: float = 0.0) -> np.ndarray:
-        """Vectorized feasibility of each row of X against measurement y.
+        """Vectorized feasibility of each row of X against its measurement.
 
-        ``atol`` widens the acceptance intervals by an absolute amount; the
-        default 0 keeps the predicate exact. A tiny atol absorbs float
-        roundoff when re-checking points produced by ``apply``.
+        ``y`` is one measurement of shape (d2,) shared by every row, or one
+        measurement per row of X, of shape (n, d2). ``atol`` widens the
+        acceptance intervals by an absolute amount; the default 0 keeps the
+        predicate exact. A tiny atol absorbs float roundoff when re-checking
+        points produced by ``apply``.
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64)
         if X.shape[1] != self.d1:
             raise UsageError(f"signal length {X.shape[1]} != d1={self.d1}")
-        if y.shape != (self.d2,):
-            raise UsageError(f"measurement length {y.shape} != d2={self.d2}")
+        if y.shape == (self.d2,):
+            y = y[None, :]
+        elif y.shape != (X.shape[0], self.d2):
+            raise UsageError(
+                f"measurement shape {y.shape} is neither ({self.d2},) "
+                f"nor ({X.shape[0]}, {self.d2})"
+            )
         g = self.noiseless_batch(X)
         kind, ns = self.noise.kind, self.noise
         if kind == "additive":
-            r = np.abs(y[None, :] - g)
+            r = np.abs(y - g)
             if ns.ball == "inf":
                 return r.max(axis=1) <= ns.eps_additive + atol
             return np.sqrt((r * r).sum(axis=1)) <= ns.eps_additive + atol
         if kind == "multiplicative":
             zero = g == 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(zero, 0.0, y[None, :] / np.where(zero, 1.0, g))
-            ok_zero = (np.abs(y[None, :]) <= atol) | ~zero
+                ratio = np.where(zero, 0.0, y / np.where(zero, 1.0, g))
+            ok_zero = (np.abs(y) <= atol) | ~zero
             if ns.ball == "inf":
                 in_ball = np.abs(ratio).max(axis=1) <= ns.eps_multiplicative + atol
             else:
                 in_ball = np.sqrt((ratio * ratio).sum(axis=1)) <= ns.eps_multiplicative + atol
             return in_ball & ok_zero.all(axis=1)
         bound = np.abs(g) * ns.eps_multiplicative + ns.eps_additive + atol
-        return (np.abs(y[None, :] - g) <= bound).all(axis=1)
+        return (np.abs(y - g) <= bound).all(axis=1)
 
     def feasibility(self, x, y, atol: float = 0.0) -> bool:
         """True iff some admissible noise maps x exactly onto y."""

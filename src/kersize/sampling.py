@@ -4,14 +4,13 @@ sampling, and a feasibility-constrained random walk.
 Acceptance uses the forward model's exact closed-form feasibility predicate,
 so a sample is kept iff some admissible noise maps it onto the measurement.
 Sets for distinct measurements are built on independent RNG streams keyed by
-(seed, k), which makes results identical across runs and thread counts.
+(seed, k), which makes results identical across runs. The random walks of
+all sets advance in lockstep, one batched feasibility test per step.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,6 +29,8 @@ from .forward import ForwardModel
 __all__ = ["SamplerSpec", "sample_feasible", "build_feasible_sets", "enforce_uniform"]
 
 _CHUNK = 512
+_BLOCK = 64  # random-walk proposals drawn per chain per RNG call, at most
+_BLOCK_VALUES = 1 << 20  # cap on the buffered proposal values of all chains
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,50 +149,100 @@ def _sample_rejection(model, y, sampler, rng, n_target):
     return np.vstack(accepted)[:n_target]
 
 
-def _sample_random_walk(model, y, sampler, rng, n_target, anchor):
+def _uniform_start(model, y, rng, budget) -> tuple:
+    """First feasible point of a uniform search of the signal box, in chunks;
+    returns (point or None, proposals spent)."""
     b = model.signal_bounds
-    budget = sampler.effective_budget
     spent = 0
-    kept = []
-    if anchor is not None:
-        state = np.asarray(anchor, dtype=np.float64)
-        if not model.feasibility(state, y):
-            raise DataError("random-walk anchor is not feasible for the measurement")
-        n_accepted = 0  # anchor was supplied by the caller, not recorded
+    while spent < budget:
+        n = min(_CHUNK, budget - spent)
+        pts = rng.uniform(b[:, 0], b[:, 1], size=(n, model.d1))
+        hit = np.flatnonzero(model.feasible_batch(pts, y))
+        if hit.size:
+            return pts[hit[0]], spent + int(hit[0]) + 1
+        spent += n
+    return None, spent
+
+
+def _random_walks(model, Y, sampler, rngs, n_target, anchors=None, ids=None) -> list:
+    """Run one feasibility-constrained random walk per row of Y, in lockstep.
+
+    Chain k draws only from ``rngs[k]``, in the order a lone walk would: the
+    uniform search for a start when there is no anchor, then d1 values per
+    proposal. Proposals are drawn in blocks of up to ``_BLOCK`` (fewer when
+    K * d1 is large, to bound memory), which gives the same values as single
+    draws. Each step tests the proposals of all active chains in one
+    ``feasible_batch`` call; a proposal that leaves the signal box counts
+    against the chain's budget. Returns one (n, d1) array per chain.
+    """
+    b = model.signal_bounds
+    lo, hi = b[:, 0], b[:, 1]
+    budget = sampler.effective_budget
+    k_total, d1 = len(rngs), model.d1
+    spent = np.zeros(k_total, dtype=np.int64)
+    n_accepted = np.zeros(k_total, dtype=np.int64)
+    n_kept = np.zeros(k_total, dtype=np.int64)
+    kept = [[] for _ in range(k_total)]
+    if anchors is not None:
+        state = np.array(anchors, dtype=np.float64)
+        bad = np.flatnonzero(~model.feasible_batch(state, Y))
+        if bad.size:
+            which = f" of set {ids[bad[0]]!r}" if ids is not None else ""
+            raise DataError(f"random-walk anchor{which} is not feasible for its measurement")
+        started = np.ones(k_total, dtype=bool)
     else:
-        state = None
-        while spent < budget:
-            n = min(_CHUNK, budget - spent)
-            pts = rng.uniform(b[:, 0], b[:, 1], size=(n, model.d1))
-            ok = model.feasible_batch(pts, y)
-            hit = np.flatnonzero(ok)
-            if hit.size:
-                spent += int(hit[0]) + 1
-                state = pts[hit[0]]
-                break
-            spent += n
-        if state is None:
-            return np.zeros((0, model.d1))
-        n_accepted = 1
-        if n_accepted > sampler.burn_in and (n_accepted - sampler.burn_in) % sampler.thinning == 0:
-            kept.append(state.copy())
+        state = np.zeros((k_total, d1))
+        started = np.zeros(k_total, dtype=bool)
+        for k in range(k_total):
+            point, spent[k] = _uniform_start(model, Y[k], rngs[k], budget)
+            if point is not None:
+                state[k], started[k] = point, True
+
+    def keep(chains):
+        chains = chains[(n_accepted[chains] > sampler.burn_in)
+                        & ((n_accepted[chains] - sampler.burn_in) % sampler.thinning == 0)]
+        for k in chains:
+            kept[k].append(state[k].copy())
+        n_kept[chains] += 1
+
+    if anchors is None:  # a found start is the first accepted state; an anchor is not
+        n_accepted[started] = 1
+        keep(np.flatnonzero(started))
+
     step = sampler.step_scale
     if step is None:
-        step = 0.1 * (b[:, 1] - b[:, 0])
-    half = 0.5 * np.broadcast_to(np.asarray(step, dtype=np.float64), (model.d1,))
-    while spent < budget and len(kept) < n_target:
-        prop = state + rng.uniform(-half, half)
-        spent += 1
-        if np.any(prop < b[:, 0]) or np.any(prop > b[:, 1]):
-            continue  # leaving the signal box counts against the budget
-        if model.feasibility(prop, y):
-            state = prop
-            n_accepted += 1
-            if n_accepted > sampler.burn_in and (n_accepted - sampler.burn_in) % sampler.thinning == 0:
-                kept.append(state.copy())
-    if not kept:
-        return np.zeros((0, model.d1))
-    return np.vstack(kept)
+        step = 0.1 * (hi - lo)
+    half = 0.5 * np.broadcast_to(np.asarray(step, dtype=np.float64), (d1,))
+    # Every active chain spends one proposal per step, so all chains refill
+    # their blocks on the same steps; a block cut short by the budget runs out
+    # exactly when its chain does.
+    block = min(_BLOCK, max(1, _BLOCK_VALUES // (k_total * d1)))
+    deltas = np.empty((k_total, block, d1))
+    active = np.flatnonzero(started & (spent < budget) & (n_kept < n_target))
+    t = 0
+    while active.size:
+        if t % block == 0:
+            for k in active:
+                n = min(block, budget - spent[k])
+                deltas[k, :n] = rngs[k].uniform(-half, half, size=(n, d1))
+        prop = state[active] + deltas[active, t % block]
+        spent[active] += 1
+        inside = ~((prop < lo).any(axis=1) | (prop > hi).any(axis=1))
+        if inside.any():
+            prop, tried = prop[inside], active[inside]
+            ok = model.feasible_batch(prop, Y[tried])
+            moved = tried[ok]
+            state[moved] = prop[ok]
+            n_accepted[moved] += 1
+            keep(moved)
+        active = active[(spent[active] < budget) & (n_kept[active] < n_target)]
+        t += 1
+    return [np.vstack(rows) if rows else np.zeros((0, d1)) for rows in kept]
+
+
+def _warn_if_empty(members, n_target) -> None:
+    if members.shape[0] == 0 and n_target > 0:
+        warnings.warn("sampling budget exhausted with zero feasible points", stacklevel=3)
 
 
 def sample_feasible(model: ForwardModel, y, sampler: SamplerSpec,
@@ -201,7 +252,9 @@ def sample_feasible(model: ForwardModel, y, sampler: SamplerSpec,
 
     Deterministic given (model, y, sampler) including the seed. Returns an
     (n, d1) array, possibly empty; an empty result after exhausting the budget
-    emits a warning (a zero-size feasible set is legal downstream).
+    emits a warning (a zero-size feasible set is legal downstream). The
+    random walk draws its proposals in blocks, so on a caller-supplied
+    ``rng`` it may draw up to one block past its last proposal.
     """
     y = as_vector(y, "measurement")
     if rng is None:
@@ -213,9 +266,9 @@ def sample_feasible(model: ForwardModel, y, sampler: SamplerSpec,
     elif sampler.kind == "rejection":
         out = _sample_rejection(model, y, sampler, rng, n_target)
     else:
-        out = _sample_random_walk(model, y, sampler, rng, n_target, anchor)
-    if out.shape[0] == 0 and n_target > 0:
-        warnings.warn("sampling budget exhausted with zero feasible points", stacklevel=2)
+        anchors = None if anchor is None else as_vector(anchor, "anchor")[None, :]
+        out = _random_walks(model, y[None, :], sampler, [rng], n_target, anchors)[0]
+    _warn_if_empty(out, n_target)
     return out
 
 
@@ -224,26 +277,6 @@ def _entry_rngs(seed: int, k: int) -> tuple:
         np.random.default_rng([seed, k, 0]),  # proposal stream
         np.random.default_rng([seed, k, 1]),  # measurement-generation stream
     )
-
-
-def _build_entry(model, sampler, k: int, ident: str, y, x_true):
-    sample_rng, gen_rng = _entry_rngs(sampler.seed, k)
-    anchor = None
-    generate = y is None
-    if generate:
-        if x_true is None:
-            b = model.signal_bounds
-            x_true = gen_rng.uniform(b[:, 0], b[:, 1], size=model.d1)
-        e = model.noise.sample(gen_rng, model.d2)
-        y = model.apply(x_true, e)
-        anchor = x_true
-    members = sample_feasible(
-        model, y, sampler, rng=sample_rng, anchor=anchor,
-        n_target=sampler.n_max - 1 if generate else sampler.n_max,
-    )
-    if generate:
-        members = np.vstack([x_true[None, :], members]) if members.size else x_true[None, :]
-    return FeasibleSet(id=ident, measurement=y, members=members)
 
 
 def build_feasible_sets(model: ForwardModel, measurements=None, *,
@@ -257,8 +290,8 @@ def build_feasible_sets(model: ForwardModel, measurements=None, *,
     given list of signals; in the latter two modes the noise is drawn
     uniformly from the noise set and each ground truth is inserted as the
     first member of its own feasible set (and anchors the random walk).
-    ``KERSIZE_THREADS`` caps the number of worker threads (sets are
-    independent; results do not depend on scheduling).
+    Random walks for all sets advance together; set k draws only from its
+    own (seed, k) streams, so its members do not depend on the other sets.
     """
     modes = sum(arg is not None for arg in (measurements, generate, ground_truths))
     if modes != 1:
@@ -267,30 +300,53 @@ def build_feasible_sets(model: ForwardModel, measurements=None, *,
     if generate is not None:
         if generate < 1:
             raise UsageError("generate must request at least one measurement")
-        ys = [None] * generate
+        k_total = generate
     elif ground_truths is not None:
         truths = [as_vector(x, f"ground truth {k}") for k, x in enumerate(ground_truths)]
         if len(truths) == 0:
             raise UsageError("need at least one ground truth")
-        ys = [None] * len(truths)
+        k_total = len(truths)
     else:
         ys = [as_vector(y, f"measurement {k}") for k, y in enumerate(measurements)]
         if len(ys) == 0:
             raise UsageError("need at least one measurement")
-    k_total = len(ys)
+        for k, y in enumerate(ys):
+            if y.shape != (model.d2,):
+                raise UsageError(f"measurement {k} has length {y.shape[0]} != d2={model.d2}")
+        k_total = len(ys)
     width = max(2, len(str(k_total - 1)))
     ids = [f"m{k:0{width}d}" for k in range(k_total)]
-    args = [
-        (k, ids[k], ys[k], None if truths is None else truths[k])
-        for k in range(k_total)
-    ]
-    threads = max(1, int(os.environ.get("KERSIZE_THREADS", "1")))
-    if threads > 1 and k_total > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(lambda a: _build_entry(model, sampler, *a), args))
+    sample_rngs, gen_rngs = zip(*(_entry_rngs(sampler.seed, k) for k in range(k_total)))
+    anchors = None
+    if measurements is None:
+        b = model.signal_bounds
+        anchors, ys = [], []
+        for k, gen_rng in enumerate(gen_rngs):
+            x_true = (truths[k] if truths is not None
+                      else gen_rng.uniform(b[:, 0], b[:, 1], size=model.d1))
+            e = model.noise.sample(gen_rng, model.d2)
+            ys.append(model.apply(x_true, e))
+            anchors.append(x_true)
+    n_target = sampler.n_max - 1 if anchors is not None else sampler.n_max
+    if sampler.kind == "random_walk":
+        members = _random_walks(model, np.vstack(ys), sampler, sample_rngs, n_target,
+                                anchors, ids)
+        for m in members:
+            _warn_if_empty(m, n_target)
     else:
-        entries = [_build_entry(model, sampler, *a) for a in args]
-    c = FeasibleSetCollection(d1=model.d1, d2=model.d2, entries=tuple(entries))
+        members = [
+            sample_feasible(model, y, sampler, rng=rng, n_target=n_target)
+            for y, rng in zip(ys, sample_rngs)
+        ]
+    if anchors is not None:
+        members = [
+            np.vstack([x[None, :], m]) if m.size else x[None, :]
+            for x, m in zip(anchors, members)
+        ]
+    entries = tuple(
+        FeasibleSet(id=i, measurement=y, members=m) for i, y, m in zip(ids, ys, members)
+    )
+    c = FeasibleSetCollection(d1=model.d1, d2=model.d2, entries=entries)
     return c, dataset_from_collection(c)
 
 

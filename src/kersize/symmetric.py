@@ -64,7 +64,7 @@ def pseudoinverse(A, tol: float | None = None) -> np.ndarray:
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros(A.T.shape)
-    inv = np.where(s > tol * s[0], np.divide(1.0, s, where=s > 0), 0.0)
+    inv = np.where(s > tol * s[0], np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
     return (vt.T * inv[None, :]) @ u.T
 
 

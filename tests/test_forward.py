@@ -148,6 +148,43 @@ class TestFeasibility:
             y = m.apply(x, e)
             assert m.feasibility(x, y, atol=1e-12)
 
+    @pytest.mark.parametrize("family,kind,ball", [
+        (family, kind, ball)
+        for kind, ball in (("additive", "inf"), ("additive", "l2"), ("multiplicative", "inf"),
+                           ("multiplicative", "l2"), ("mixed", "inf"))
+        for family in ("linear", "downsample", "microscopy")
+        if family != "downsample" or kind == "additive"
+    ])
+    def test_per_row_measurements_match_single_rows(self, family, kind, ball):
+        """Row i of a call with one measurement per row equals the single-row
+        call on that measurement."""
+        spec = NoiseSpec(
+            kind=kind,
+            eps_additive=0.3 if kind in ("additive", "mixed") else 0.0,
+            eps_multiplicative=0.2 if kind in ("multiplicative", "mixed") else 0.0,
+            ball=ball,
+        )
+        rng = np.random.default_rng(9)
+        if family == "linear":
+            m = LinearModel(rng.normal(size=(3, 4)), spec, [[-2, 2]] * 4)
+        elif family == "downsample":
+            m = DownsampleModel(1, 4, 4, 2, 1.0, spec)
+        else:
+            m = MicroscopyModel(pixels=(4, 4), pixel_size=100.0, psf_sigma0=150.0,
+                                psf_z0=400.0, c_max=10.0, h_max=1000.0, exposure=1.0,
+                                volume=[[100, 300], [100, 300], [-100, 100]], noise=spec)
+        b = m.signal_bounds
+        X = rng.uniform(b[:, 0], b[:, 1], size=(40, m.d1))
+        # even rows measure their own signal, odd rows another one
+        sources = np.where(np.arange(40)[:, None] % 2 == 0, X, X[::-1])
+        Y = np.vstack([m.apply(x, spec.sample(rng, m.d2)) for x in sources])
+        got = m.feasible_batch(X, Y)
+        want = np.array([m.feasible_batch(X[i : i + 1], Y[i])[0] for i in range(40)])
+        np.testing.assert_array_equal(got, want)
+        assert got.any() and not got.all()
+        with pytest.raises(UsageError):
+            m.feasible_batch(X, Y[:-1])
+
     def test_additive_monotone_in_radius(self):
         rng = np.random.default_rng(5)
         A = rng.normal(size=(2, 3))

@@ -1,5 +1,7 @@
 """Tests for the pseudoinverse, kernel projections, reflections and SKersize."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,14 @@ class TestPseudoinverse:
         A = np.diag([1.0, 1e-12])
         Ap = pseudoinverse(A, tol=1e-6)
         np.testing.assert_allclose(Ap, np.diag([1.0, 0.0]), atol=1e-14)
+
+
+    def test_rank_deficient_emits_no_warning(self):
+        A = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Ap = pseudoinverse(A)
+        assert max(penrose_residuals(A, Ap)) < 1e-12
 
 
 class TestKernelProjection:
