@@ -16,7 +16,7 @@ across blocks, so reports are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -26,8 +26,8 @@ from .core import (
     FeasibleSetCollection,
     NormSpec,
     UsageError,
-    dataset_from_collection,
-    loss,
+    loss_powers,
+    power_mean,
     vector_norms,
 )
 
@@ -109,8 +109,7 @@ def kersize(c: FeasibleSetCollection, norm: NormSpec) -> tuple:
             v.append(0.0)
         else:
             v.append(2.0 * pair_power_sum(e.members, norm) / (e.count**2))
-    value = (math.fsum(v) / c.k) ** (1.0 / norm.p)
-    return value, v
+    return power_mean([v], norm.p), v
 
 
 def _weiszfeld(points: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> np.ndarray:
@@ -235,13 +234,7 @@ class MeasurementReport:
     losses: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "n_k": self.n_k,
-            "v_k": self.v_k,
-            "half_kersize_single": self.half_kersize_single,
-            "losses": self.losses,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -280,11 +273,6 @@ class BoundReport:
         }
 
 
-def _group_loss(members: np.ndarray, phi: np.ndarray, norm: NormSpec) -> float:
-    powers = vector_norms(members - phi[None, :], norm) ** norm.p
-    return (math.fsum(float(t) for t in powers) / members.shape[0]) ** (1.0 / norm.p)
-
-
 def verify_bounds(c: FeasibleSetCollection, predictions: Mapping[str, Mapping],
                   norm: NormSpec, tol_rel: float = REL_TOL) -> BoundReport:
     """Compute the kernel-size bounds and check them against prediction maps.
@@ -293,23 +281,20 @@ def verify_bounds(c: FeasibleSetCollection, predictions: Mapping[str, Mapping],
     measurement id). The optimal per-set map is always evaluated as 'theta'.
     The lower inequality applies to every map; the theta upper bound is
     certified only for collections with uniformly sized feasible sets.
+    Each map's per-set losses and its aggregate loss (the ``core.loss`` value)
+    come from one array of member p-th powers per set.
     """
+    if not any(c.counts):
+        raise DataError("collection has no members; bounds are vacuous")
     value, v = kersize(c, norm)
     half = value / 2.0
-    dataset = dataset_from_collection(c)
-    if dataset.size == 0:
-        raise DataError("collection has no members; bounds are vacuous")
 
-    theta = {}
-    for e in c.entries:
-        if e.count > 0:
-            theta[e.id] = optimal_map_value(e.members, norm)
-    named: dict = {"theta": theta}
-    for name, preds in predictions.items():
-        if name == "theta":
-            raise UsageError("prediction name 'theta' is reserved")
-        named[name] = preds
+    if "theta" in predictions:
+        raise UsageError("prediction name 'theta' is reserved")
+    theta = {e.id: optimal_map_value(e.members, norm) for e in c.entries if e.count > 0}
+    named = {"theta": theta, **predictions}
 
+    powers = {name: [] for name in named}
     per_meas = []
     for k, e in enumerate(c.entries):
         row = MeasurementReport(
@@ -322,13 +307,12 @@ def verify_bounds(c: FeasibleSetCollection, predictions: Mapping[str, Mapping],
             if e.count == 0:
                 row.losses[name] = None
                 continue
-            if e.id not in preds:
-                raise DataError(f"map {name!r} lacks a prediction for {e.id!r}")
-            phi = np.asarray(preds[e.id], dtype=np.float64)
-            row.losses[name] = _group_loss(e.members, phi, norm)
+            pw = loss_powers(e.members, preds, e.id, norm, name)
+            powers[name].append(pw)
+            row.losses[name] = power_mean([pw], norm.p)
         per_meas.append(row)
 
-    losses = {name: loss(dataset, preds, norm) for name, preds in named.items()}
+    losses = {name: power_mean(pws, norm.p) for name, pws in powers.items()}
     theta_loss = losses.pop("theta")
 
     lower_by_map = {

@@ -23,14 +23,17 @@ The sample config is a JSON document::
       "options": {"generate": 4}
     }
 
-Unknown keys anywhere in the document are rejected. ``paths.input`` may name a
-directory of ``y_<id>.csv`` measurement files instead of ``options.generate``.
-A linear model's "matrix" may be a CSV path relative to the config file.
+Unknown keys anywhere in the document are rejected, and so is any other
+malformed document (exit 2). ``paths.input`` may name a directory of
+``y_<id>.csv`` measurement files instead of ``options.generate``. A linear
+model's "matrix" may be a CSV path relative to the config file.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -43,9 +46,10 @@ from .core import (
     DataError,
     NormSpec,
     UsageError,
-    collection_from_dataset,
+    check_keys,
     dataset_from_collection,
     loss,
+    nullable,
 )
 from .demo import microscopy_demo, superres_demo
 from .forward import DownsampleModel, LinearModel, NoiseSpec, model_from_dict
@@ -59,11 +63,8 @@ EXIT_DATA = 2
 EXIT_VIOLATION = 3
 
 
-class _UsageExit(Exception):
-    def __init__(self, code, message=None):
-        self.code = code
-        self.message = message
-        super().__init__(message)
+class _ParseError(Exception):
+    """A command line argparse rejected; its usage line is already printed."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,91 +72,62 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageExit(EXIT_USAGE, f"{self.prog}: error: {message}")
+        raise _ParseError(f"{self.prog}: error: {message}")
 
 
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise DataError(f"{where}: unknown keys {unknown}")
-
-
-_MODEL_KEYS = {
-    "linear_additive": {"variant", "matrix", "noise", "signal_bounds"},
-    "downsample_additive": {"variant", "bands", "height", "width", "factor", "r_max", "noise"},
-    "microscopy": {
-        "variant", "pixels", "pixel_size", "psf_sigma0", "psf_z0",
-        "c_max", "h_max", "exposure", "volume", "noise",
-    },
-}
-
-
-def _load_model(doc: dict, base: Path):
-    if not isinstance(doc, dict) or "variant" not in doc:
-        raise DataError("model document must be an object with a 'variant'")
-    variant = doc["variant"]
-    if variant not in _MODEL_KEYS:
-        raise DataError(f"unknown model variant {variant!r}")
-    _check_keys(doc, _MODEL_KEYS[variant], "model")
-    if "noise" in doc:
-        _check_keys(doc["noise"], {"kind", "eps_additive", "eps_multiplicative", "ball"}, "model.noise")
-    if variant == "linear_additive" and isinstance(doc.get("matrix"), str):
-        doc = dict(doc)
-        doc["matrix"] = io.read_vectors_csv(base / doc["matrix"]).tolist()
+def _load_model(doc, base: Path):
+    """``model_from_dict``, after reading a linear model's "matrix" from the
+    CSV file it names (relative to ``base``), if it names one."""
+    if (isinstance(doc, dict) and doc.get("variant") == "linear_additive"
+            and isinstance(doc.get("matrix"), str)):
+        doc = {**doc, "matrix": io.read_vectors_csv(base / doc["matrix"])}
     return model_from_dict(doc)
 
 
+def _mask_indices(text: str) -> list:
+    try:
+        return [int(tok) for tok in text.split(",") if tok != ""]
+    except ValueError:  # argparse turns this into a usage error
+        raise argparse.ArgumentTypeError(f"expected comma-separated indices, got {text!r}")
+
+
 def _norm_from_flags(args, default: NormSpec, d1: int) -> NormSpec:
-    p = default.p if args.p is None else args.p
-    q = default.q if args.q is None else (np.inf if args.q == "inf" else float(args.q))
     mask = default.mask
     if args.mask is not None:
-        idx = [int(tok) for tok in args.mask.split(",") if tok != ""]
-        m = np.zeros(d1, dtype=int)
-        for i in idx:
+        for i in args.mask:
             if not 0 <= i < d1:
                 raise UsageError(f"--mask index {i} out of range for d1={d1}")
-            m[i] = 1
-        mask = m
-    return NormSpec(p=p, q=q, mask=None if mask is None else np.asarray(mask))
+        mask = np.zeros(d1, dtype=int)
+        mask[args.mask] = 1
+    return NormSpec(
+        p=default.p if args.p is None else args.p,
+        q=default.q if args.q is None else args.q,
+        mask=mask,
+    )
 
 
 def _add_norm_flags(sub) -> None:
     sub.add_argument("--p", type=float, default=None, help="loss exponent")
-    sub.add_argument("--q", default=None, help="inner norm exponent (1, 2 or inf)")
-    sub.add_argument("--mask", default=None, help="comma-separated coordinate indices to keep")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="accepted on every command; this one is deterministic")
+    sub.add_argument("--q", type=float, default=None, help="inner norm exponent (1, 2 or inf)")
+    sub.add_argument("--mask", type=_mask_indices, default=None,
+                     help="comma-separated coordinate indices to keep")
 
 
 def _cmd_sample(args) -> int:
     config_path = Path(args.config)
-    doc = io.read_json(config_path)
-    _check_keys(doc, {"model", "sampler", "norm", "paths", "options"}, "config")
-    if "model" not in doc or "sampler" not in doc:
-        raise DataError("config needs 'model' and 'sampler'")
+    doc = check_keys(io.read_json(config_path), ("model", "sampler", "norm", "paths", "options"),
+                     "config", required=("model", "sampler"))
     base = config_path.parent
     model = _load_model(doc["model"], base)
-    _check_keys(
-        doc["sampler"],
-        {"kind", "n_max", "seed", "budget", "step_scale", "grid_resolution", "burn_in", "thinning"},
-        "sampler",
+    flags = {key: getattr(args, key) for key in ("seed", "n_max")}
+    sampler = dataclasses.replace(
+        SamplerSpec.from_dict(doc["sampler"]), **{k: v for k, v in flags.items() if v is not None}
     )
-    sampler = SamplerSpec.from_dict(doc["sampler"])
-    if args.seed is not None or args.n_max is not None:
-        d = sampler.to_dict()
-        if args.seed is not None:
-            d["seed"] = args.seed
-        if args.n_max is not None:
-            d["n_max"] = args.n_max
-        sampler = SamplerSpec.from_dict(d)
-    norm_doc = doc.get("norm", {})
-    _check_keys(norm_doc, {"p", "q", "mask"}, "norm")
-    norm = NormSpec.from_dict(norm_doc)
-    paths = doc.get("paths", {})
-    _check_keys(paths, {"input", "output"}, "paths")
-    options = doc.get("options", {})
-    _check_keys(options, {"generate"}, "options")
+    norm = NormSpec.from_dict(doc.get("norm", {}))
+    paths = check_keys(doc.get("paths", {}), ("input", "output"), "paths",
+                       {"input": nullable(os.fspath), "output": nullable(os.fspath)})
+    options = check_keys(doc.get("options", {}), ("generate",), "options",
+                         {"generate": nullable(int)})
 
     out = Path(args.out) if args.out else Path(paths.get("output") or "")
     if str(out) in ("", "."):
@@ -163,7 +135,7 @@ def _cmd_sample(args) -> int:
 
     if options.get("generate") is not None:
         collection, _ = build_feasible_sets(
-            model, generate=int(options["generate"]), sampler=sampler
+            model, generate=options["generate"], sampler=sampler
         )
     elif paths.get("input"):
         in_dir = base / paths["input"]
@@ -183,23 +155,27 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _inputs(args) -> tuple:
+    """Collection, norm (the manifest's, overridden by the norm flags) and
+    output directory of a command on a collection."""
+    collection, norm = io.read_collection(args.collection)
+    norm = _norm_from_flags(args, norm, collection.d1)
+    return collection, norm, Path(args.out or args.collection)
+
+
+def _bounds_json(out: Path) -> dict:
+    """The bounds.json payload already in ``out`` ({} if none)."""
+    out.mkdir(parents=True, exist_ok=True)
+    return io.read_json(out / "bounds.json") if (out / "bounds.json").exists() else {}
+
+
 def _cmd_kersize(args) -> int:
-    collection, norm0 = io.read_collection(args.collection)
-    norm = _norm_from_flags(args, norm0, collection.d1)
+    collection, norm, out = _inputs(args)
     value, v = compute_kersize(collection, norm)
     half = value / 2.0
-    out = Path(args.out) if args.out else Path(args.collection)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = io.read_json(out / "bounds.json") if (out / "bounds.json").exists() else {}
-    payload.update(
-        {
-            "kersize": value,
-            "half_kersize": half,
-            "p": norm.p,
-            "q": "inf" if norm.q == np.inf else norm.q,
-            "uniform": collection.uniform,
-        }
-    )
+    payload = _bounds_json(out)
+    payload.update(kersize=value, half_kersize=half, p=norm.p, q=norm.to_dict()["q"],
+                   uniform=collection.uniform)
     io.write_json(out / "bounds.json", payload)
     rows = [
         [e.id, e.count, 0.5 * v[k] ** (1.0 / norm.p)]
@@ -211,16 +187,12 @@ def _cmd_kersize(args) -> int:
 
 
 def _cmd_loss(args) -> int:
-    collection, norm0 = io.read_collection(args.collection)
-    norm = _norm_from_flags(args, norm0, collection.d1)
-    dataset = dataset_from_collection(collection)
-    needed = [collection.ids[k] for k in sorted(set(int(g) for g in dataset.group))]
-    preds = io.read_predictions_dir(args.predictions, needed)
-    value = loss(dataset, preds, norm)
+    collection, norm, out = _inputs(args)
+    present = [e.id for e in collection.entries if e.count > 0]
+    preds = io.read_predictions_dir(args.predictions, present)
+    value = loss(dataset_from_collection(collection), preds, norm)
     name = args.name or Path(args.predictions).name
-    out = Path(args.out) if args.out else Path(args.collection)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = io.read_json(out / "bounds.json") if (out / "bounds.json").exists() else {}
+    payload = _bounds_json(out)
     payload.setdefault("losses", {})[name] = value
     io.write_json(out / "bounds.json", payload)
     print(f"loss[{name}]={value:.8f}")
@@ -228,8 +200,7 @@ def _cmd_loss(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    collection, norm0 = io.read_collection(args.collection)
-    norm = _norm_from_flags(args, norm0, collection.d1)
+    collection, norm, out = _inputs(args)
     maps = {"median": median_map(collection), "zero": zero_map(collection)}
     present = [e.id for e in collection.entries if e.count > 0]
     for pred_dir in args.predictions:
@@ -238,17 +209,7 @@ def _cmd_validate(args) -> int:
             name = f"{name}_ext"
         maps[name] = io.read_predictions_dir(pred_dir, present)
     report = verify_bounds(collection, maps, norm)
-    out = Path(args.out) if args.out else Path(args.collection)
-    out.mkdir(parents=True, exist_ok=True)
-    io.write_json(out / "bounds.json", report.to_dict())
-    names = list(report.per_measurement[0].losses) if report.per_measurement else []
-    rows = [
-        [m.id, m.half_kersize_single] + [m.losses[n] for n in names]
-        for m in report.per_measurement
-    ]
-    io.write_table_csv(
-        out / "scatter.csv", ["id", "half_kersize_single"] + [f"{n}_loss" for n in names], rows
-    )
+    io.write_bound_report(out, report)
     print(
         f"kersize={report.kersize:.8f} half_kersize={report.half_kersize:.8f} "
         f"theta_loss={report.theta_loss:.8f} lower_ok={report.lower_ok} "
@@ -261,30 +222,20 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_skersize(args) -> int:
-    collection, norm0 = io.read_collection(args.collection)
-    norm = _norm_from_flags(args, norm0, collection.d1)
-    pairs = dataset_from_collection(collection)
+    collection, norm, out = _inputs(args)
     if args.model:
         model = _load_model(io.read_json(args.model), Path(args.model).parent)
-        if isinstance(model, (DownsampleModel, LinearModel)):
-            operator = model
-        else:
+        if not isinstance(model, (DownsampleModel, LinearModel)):
             raise UsageError("skersize needs a linear or downsampling model")
-        noise = model.noise
+        operator, noise = model, model.noise
     else:
         operator = io.read_vectors_csv(args.matrix)
         noise = NoiseSpec(kind="additive", eps_additive=args.eps_additive)
     mode = "signal_only" if args.mode == "signal" else "joint"
-    result = compute_skersize(pairs, operator, noise, norm, mode=mode)
-    out = Path(args.out) if args.out else Path(args.collection)
-    out.mkdir(parents=True, exist_ok=True)
+    result = compute_skersize(dataset_from_collection(collection), operator, noise, norm,
+                              mode=mode)
+    io.write_symmetric_report(out, result, norm)
     io.write_json(out / "skersize.json", result.to_dict())
-    io.write_table_csv(
-        out / "v_norms.csv",
-        ["id", "v_norm"],
-        [[i, float(v)] for i, v in enumerate(result.v_norms)],
-    )
-    io.write_collection(out / "symmetrized", collection_from_dataset(result.symmetrized), norm)
     print(f"skersize={result.skersize:.8f} half_skersize={0.5 * result.skersize:.8f}")
     if result.noise_violations:
         print(
@@ -297,7 +248,7 @@ def _cmd_skersize(args) -> int:
 def _cmd_demo(args) -> int:
     out = Path(args.out) if args.out else Path(f"demo_{args.name}")
     if args.name == "microscopy":
-        result = microscopy_demo(out_dir=out, k=args.k, n_max=args.n_max, seed=args.seed or 1)
+        result = microscopy_demo(out_dir=out, k=args.k, n_max=args.n_max, seed=args.seed)
         for s in result["setups"]:
             r = s["report"]
             print(
@@ -306,7 +257,7 @@ def _cmd_demo(args) -> int:
                 f"lower_ok={r.lower_ok}"
             )
     elif args.name == "superres":
-        result = superres_demo(out_dir=out, seed=args.seed or 1)
+        result = superres_demo(out_dir=out, seed=args.seed)
         sk = result["result"].skersize
         print(f"skersize={sk:.6f} half_skersize={0.5 * sk:.6f}")
         for name, value in result["losses_symmetrized"].items():
@@ -367,7 +318,7 @@ def build_parser() -> _Parser:
     s = sub.add_parser("demo", help="run a full pipeline demo")
     s.add_argument("name", help="microscopy or superres")
     s.add_argument("--out", default=None)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=int, default=1)
     s.add_argument("--k", type=int, default=10)
     s.add_argument("--n-max", type=int, default=200, dest="n_max")
     s.set_defaults(func=_cmd_demo)
@@ -380,10 +331,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageExit as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
-        return exc.code
+    except _ParseError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

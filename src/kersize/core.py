@@ -9,7 +9,7 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,6 +23,10 @@ __all__ = [
     "PairedDataset",
     "as_vector",
     "p_dist",
+    "check_keys",
+    "nullable",
+    "loss_powers",
+    "power_mean",
     "loss",
     "dataset_from_collection",
     "collection_from_dataset",
@@ -108,10 +112,43 @@ class NormSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "NormSpec":
+        d = check_keys(d, [f.name for f in fields(cls)], "norm", {"p": float})
         q = d.get("q", 2)
         if q in ("inf", "Inf", "infinity"):
             q = np.inf
-        return cls(p=float(d.get("p", 2)), q=q, mask=d.get("mask"))
+        return cls(p=d.get("p", 2.0), q=q, mask=d.get("mask"))
+
+
+def check_keys(doc, allowed, where: str, convert: Mapping | None = None,
+               required=()) -> dict:
+    """Copy of the JSON object ``doc`` with ``convert[key]`` applied to its values.
+
+    A non-object, a key outside ``allowed``, a missing ``required`` key or a
+    value its converter rejects raises DataError. Converters are plain type
+    coercions (``int``, ``float``, ``np.asarray``), so what is caught here is
+    never a constructor's UsageError.
+    """
+    if not isinstance(doc, Mapping):
+        raise DataError(f"{where} must be an object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise DataError(f"{where}: unknown keys {unknown}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise DataError(f"{where} lacks {missing}")
+    out = dict(doc)
+    for key, fn in (convert or {}).items():
+        if key in out:
+            try:
+                out[key] = fn(out[key])
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{where}.{key}: {exc}") from None
+    return out
+
+
+def nullable(convert):
+    """A ``check_keys`` converter that passes null (None) through."""
+    return lambda value: None if value is None else convert(value)
 
 
 def vector_norms(diffs: np.ndarray, norm: NormSpec) -> np.ndarray:
@@ -299,26 +336,42 @@ def collection_from_dataset(c: PairedDataset) -> FeasibleSetCollection:
     return FeasibleSetCollection(d1=c.x.shape[1], d2=c.y.shape[1], entries=tuple(entries))
 
 
+def loss_powers(members: np.ndarray, predictions: Mapping[str, Sequence], set_id: str,
+                norm: NormSpec, name: str | None = None) -> np.ndarray:
+    """``‖x - φ‖^p`` for each member x of set ``set_id``, φ its prediction.
+
+    A missing prediction raises DataError and one of the wrong length
+    UsageError; ``name`` labels the map in those messages.
+    """
+    of_map = "" if name is None else f" from map {name!r}"
+    if set_id not in predictions:
+        raise DataError(f"missing prediction for measurement {set_id!r}{of_map}")
+    phi = np.asarray(predictions[set_id], dtype=np.float64)
+    if phi.shape != (members.shape[1],):
+        raise UsageError(
+            f"prediction for {set_id!r}{of_map} has shape {phi.shape}, "
+            f"expected ({members.shape[1]},)"
+        )
+    return vector_norms(members - phi[None, :], norm) ** norm.p
+
+
+def power_mean(powers: Sequence[np.ndarray], p: float) -> float:
+    """``((1/n) Σ t)^(1/p)`` over the n p-th powers t in the arrays ``powers``,
+    summed exactly (fsum), so the result does not depend on their order."""
+    n = sum(len(a) for a in powers)
+    return (math.fsum(t for a in powers for t in a) / n) ** (1.0 / p)
+
+
 def loss(dataset: PairedDataset, predictions: Mapping[str, Sequence], norm: NormSpec) -> float:
     """Empirical reconstruction loss ``((1/M) Σ ‖x_m - φ(y_m)‖^p)^(1/p)``.
 
     ``predictions`` assigns one signal estimate per measurement id present in
     the dataset. For p = 2 with the Euclidean norm this is the RMSE.
     """
-    m_total = dataset.size
-    if m_total == 0:
+    if dataset.size == 0:
         raise DataError("loss is undefined on an empty dataset")
-    powers = []
-    for k, rows in _group_rows(dataset.group):
-        gid = dataset.group_ids[k]
-        if gid not in predictions:
-            raise DataError(f"missing prediction for measurement {gid!r}")
-        phi = np.asarray(predictions[gid], dtype=np.float64)
-        if phi.shape != (dataset.d1,):
-            raise UsageError(
-                f"prediction for {gid!r} has shape {phi.shape}, expected ({dataset.d1},)"
-            )
-        res = dataset.x[rows] - phi[None, :]
-        powers.append(vector_norms(res, norm) ** norm.p)
-    total = math.fsum(float(v) for arr in powers for v in arr)
-    return (total / m_total) ** (1.0 / norm.p)
+    powers = [
+        loss_powers(dataset.x[rows], predictions, dataset.group_ids[k], norm)
+        for k, rows in _group_rows(dataset.group)
+    ]
+    return power_mean(powers, norm.p)

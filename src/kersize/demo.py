@@ -21,7 +21,7 @@ from scipy import ndimage
 
 from . import io
 from .bounds import verify_bounds
-from .core import NormSpec, PairedDataset, collection_from_dataset, loss, vector_norms
+from .core import NormSpec, PairedDataset, collection_from_dataset, loss, loss_powers, power_mean
 from .forward import DownsampleModel, MicroscopyModel, NoiseSpec
 from .predictors import mean_map, median_map, upscale, zero_map
 from .sampling import SamplerSpec, build_feasible_sets
@@ -142,16 +142,6 @@ def microscopy_demo(out_dir=None, k: int = 10, n_max: int = 200, seed: int = 1) 
     return result
 
 
-def _scatter_rows(report):
-    names = list(next(iter(report.per_measurement)).losses)
-    header = ["id", "half_kersize_single"] + [f"{n}_loss" for n in names]
-    rows = [
-        [m.id, m.half_kersize_single] + [m.losses[n] for n in names]
-        for m in report.per_measurement
-    ]
-    return header, rows
-
-
 def _write_microscopy_outputs(out: Path, result: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     io.write_json(out / "model.json", result["model"].to_dict())
@@ -160,9 +150,7 @@ def _write_microscopy_outputs(out: Path, result: dict) -> None:
     for s in result["setups"]:
         sub = out / s["name"]
         io.write_collection(sub, s["collection"], result["norm"])
-        io.write_json(sub / "bounds.json", s["report"].to_dict())
-        header, rows = _scatter_rows(s["report"])
-        io.write_table_csv(sub / "scatter.csv", header, rows)
+        io.write_bound_report(sub, s["report"])
     header = ["method"]
     for s in result["setups"]:
         header += [f"{s['name']}_truth", f"{s['name']}_sampled"]
@@ -214,8 +202,7 @@ def superres_demo(out_dir=None, n_images: int = 12, size: int = 32, bands: int =
     pairs = PairedDataset(x=x, y=y, group=np.arange(n_images), group_ids=ids)
 
     result = skersize(pairs, model, model.noise, norm, mode="signal_only")
-    sym = result.symmetrized
-    sym_collection = collection_from_dataset(sym)
+    sym_collection = collection_from_dataset(result.symmetrized)
 
     maps = {
         "bilinear": {ids[i]: upscale(model, y[i], order=1) for i in range(n_images)},
@@ -223,7 +210,13 @@ def superres_demo(out_dir=None, n_images: int = 12, size: int = 32, bands: int =
         "zero": zero_map(sym_collection),
         "mean": mean_map(sym_collection),
     }
-    losses_sym = {name: loss(sym, preds, norm) for name, preds in maps.items()}
+    # per map, one array of p-th powers per image gives both the per-image
+    # and the aggregate losses on the symmetrized dataset
+    powers = {
+        name: [loss_powers(e.members, preds, e.id, norm, name) for e in sym_collection.entries]
+        for name, preds in maps.items()
+    }
+    losses_sym = {name: power_mean(pws, norm.p) for name, pws in powers.items()}
     losses_orig = {name: loss(pairs, preds, norm) for name, preds in maps.items()}
 
     upscaler_losses = [losses_sym["bilinear"], losses_sym["bicubic"]]
@@ -235,13 +228,9 @@ def superres_demo(out_dir=None, n_images: int = 12, size: int = 32, bands: int =
 
     per_image = []
     for i, ident in enumerate(ids):
-        rows = np.flatnonzero(sym.group == i)
         row = {"id": ident, "skersize_single": float(result.v_norms[i])}
-        for name, preds in maps.items():
-            res = sym.x[rows] - np.asarray(preds[ident])[None, :]
-            row[f"{name}_loss"] = float(
-                (np.mean(vector_norms(res, norm) ** norm.p)) ** (1.0 / norm.p)
-            )
+        for name, pws in powers.items():
+            row[f"{name}_loss"] = power_mean([pws[i]], norm.p)
         per_image.append(row)
 
     out = {
@@ -263,14 +252,7 @@ def superres_demo(out_dir=None, n_images: int = 12, size: int = 32, bands: int =
 def _write_superres_outputs(out_path: Path, data: dict) -> None:
     out_path.mkdir(parents=True, exist_ok=True)
     io.write_json(out_path / "model.json", data["model"].to_dict())
-    io.write_collection(
-        out_path / "symmetrized", collection_from_dataset(data["result"].symmetrized), data["norm"]
-    )
-    io.write_table_csv(
-        out_path / "v_norms.csv",
-        ["id", "v_norm"],
-        [[i, float(v)] for i, v in enumerate(data["result"].v_norms)],
-    )
+    io.write_symmetric_report(out_path, data["result"], data["norm"])
     method_names = list(data["losses_symmetrized"])
     io.write_table_csv(
         out_path / "table2.csv",

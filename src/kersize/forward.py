@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping
 
 import numpy as np
 from scipy.special import erf
 
-from .core import DataError, UsageError, as_vector
+from .core import DataError, UsageError, as_vector, check_keys
 
 __all__ = [
     "NoiseSpec",
@@ -105,21 +105,16 @@ class NoiseSpec:
         return direction * (radius / nrm)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "eps_additive": self.eps_additive,
-            "eps_multiplicative": self.eps_multiplicative,
-            "ball": self.ball,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "NoiseSpec":
-        return cls(
-            kind=d.get("kind", "additive"),
-            eps_additive=float(d.get("eps_additive", 0.0)),
-            eps_multiplicative=float(d.get("eps_multiplicative", 0.0)),
-            ball=d.get("ball", "inf"),
+        """Noise set from its document; every field is optional."""
+        d = check_keys(
+            d, [f.name for f in fields(cls)], "model.noise",
+            {"eps_additive": float, "eps_multiplicative": float},
         )
+        return cls(**d)
 
 
 class ForwardModel:
@@ -460,27 +455,41 @@ class MicroscopyModel(ForwardModel):
         }
 
 
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
+
+
+def _pixels(value) -> tuple:
+    npx, npy = value
+    return int(npx), int(npy)
+
+
+# Per variant: the model class and the type of each required field of its
+# document. The constructors check the values; "noise" is optional.
+_MODEL_FIELDS = {
+    "linear_additive": (LinearModel, {"matrix": _floats, "signal_bounds": _floats}),
+    "downsample_additive": (DownsampleModel, {
+        "bands": int, "height": int, "width": int, "factor": int, "r_max": float,
+    }),
+    "microscopy": (MicroscopyModel, {
+        "pixels": _pixels, "pixel_size": float, "psf_sigma0": float, "psf_z0": float,
+        "c_max": float, "h_max": float, "exposure": float, "volume": _floats,
+    }),
+}
+
+
 def model_from_dict(d: Mapping) -> ForwardModel:
-    """Build a forward model from its JSON document form."""
-    try:
-        variant = d["variant"]
-    except KeyError:
-        raise DataError("model document lacks a 'variant' field") from None
-    noise = NoiseSpec.from_dict(d.get("noise", {}))
-    if variant == "linear_additive":
-        if "matrix" not in d or "signal_bounds" not in d:
-            raise DataError("linear model needs 'matrix' and 'signal_bounds'")
-        return LinearModel(d["matrix"], noise, d["signal_bounds"])
-    if variant == "downsample_additive":
-        return DownsampleModel(
-            bands=int(d["bands"]), height=int(d["height"]), width=int(d["width"]),
-            factor=int(d["factor"]), r_max=float(d["r_max"]), noise=noise,
-        )
-    if variant == "microscopy":
-        return MicroscopyModel(
-            pixels=d["pixels"], pixel_size=float(d["pixel_size"]),
-            psf_sigma0=float(d["psf_sigma0"]), psf_z0=float(d["psf_z0"]),
-            c_max=float(d["c_max"]), h_max=float(d["h_max"]),
-            exposure=float(d["exposure"]), volume=d["volume"], noise=noise,
-        )
-    raise DataError(f"unknown model variant {variant!r}")
+    """Build a forward model from its JSON document form.
+
+    A malformed document (not an object, an unknown variant, an unknown or
+    missing field, a value of the wrong type) raises DataError; a well-typed
+    value out of range raises the model's UsageError.
+    """
+    variant = d.get("variant") if isinstance(d, Mapping) else None
+    if not isinstance(variant, str) or variant not in _MODEL_FIELDS:
+        raise DataError(f"model document needs a known 'variant', got {variant!r}")
+    model_cls, types = _MODEL_FIELDS[variant]
+    doc = check_keys(d, {"variant", "noise", *types}, "model", types, required=types)
+    del doc["variant"]
+    doc["noise"] = NoiseSpec.from_dict(doc.get("noise", {}))
+    return model_cls(**doc)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataError, FeasibleSet, FeasibleSetCollection, NormSpec
+from .core import DataError, FeasibleSet, FeasibleSetCollection, NormSpec, collection_from_dataset
 
 __all__ = [
     "write_vectors_csv",
@@ -26,6 +26,8 @@ __all__ = [
     "write_collection",
     "read_collection",
     "write_table_csv",
+    "write_bound_report",
+    "write_symmetric_report",
 ]
 
 MANIFEST_VERSION = 1
@@ -157,6 +159,28 @@ def read_collection(directory) -> tuple:
             )
         entries.append(FeasibleSet(id=rec["id"], measurement=y[0], members=members))
     return FeasibleSetCollection(d1=d1, d2=d2, entries=tuple(entries)), norm
+
+
+def write_bound_report(directory, report) -> None:
+    """Write ``bounds.json`` and ``scatter.csv`` of a ``bounds.BoundReport``."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    write_json(directory / "bounds.json", report.to_dict())
+    names = list(report.per_measurement[0].losses)
+    write_table_csv(
+        directory / "scatter.csv",
+        ["id", "half_kersize_single"] + [f"{n}_loss" for n in names],
+        [[m.id, m.half_kersize_single] + [m.losses[n] for n in names]
+         for m in report.per_measurement],
+    )
+
+
+def write_symmetric_report(directory, result, norm: NormSpec) -> None:
+    """Write ``v_norms.csv`` and ``symmetrized/`` of a ``symmetric.SkersizeResult``."""
+    directory = Path(directory)
+    write_collection(directory / "symmetrized", collection_from_dataset(result.symmetrized), norm)
+    rows = [[i, float(v)] for i, v in enumerate(result.v_norms)]
+    write_table_csv(directory / "v_norms.csv", ["id", "v_norm"], rows)
 
 
 def read_predictions_dir(directory, ids) -> dict:

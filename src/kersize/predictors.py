@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from .bounds import optimal_map_value
-from .core import FeasibleSetCollection, NormSpec, UsageError
+from .core import FeasibleSetCollection, UsageError
 from .forward import DownsampleModel
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "zero_map",
     "constant_map",
     "first_member_map",
-    "theta_map",
     "upscale",
     "upscaler_map",
 ]
@@ -55,11 +53,6 @@ def constant_map(c: FeasibleSetCollection, value) -> dict:
 def first_member_map(c: FeasibleSetCollection) -> dict:
     """Each set's first member; in generated collections that is the ground truth."""
     return {e.id: e.members[0] for e in _nonempty(c)}
-
-
-def theta_map(c: FeasibleSetCollection, norm: NormSpec) -> dict:
-    """The per-measurement minimizer of the mean p-th-power distance."""
-    return {e.id: optimal_map_value(e.members, norm) for e in _nonempty(c)}
 
 
 def upscale(model: DownsampleModel, y, order: int = 1) -> np.ndarray:

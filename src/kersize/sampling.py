@@ -11,7 +11,7 @@ all sets advance in lockstep, one batched feasibility test per step.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +22,9 @@ from .core import (
     FeasibleSetCollection,
     UsageError,
     as_vector,
+    check_keys,
     dataset_from_collection,
+    nullable,
 )
 from .forward import ForwardModel
 
@@ -57,6 +59,8 @@ class SamplerSpec:
             raise UsageError(f"unknown sampler kind {self.kind!r}")
         if self.n_max < 1:
             raise UsageError("n_max must be >= 1")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
         if self.budget is not None and self.budget < self.n_max:
             raise UsageError("budget must be >= n_max")
         if self.burn_in < 0 or self.thinning < 1:
@@ -88,16 +92,15 @@ class SamplerSpec:
 
     @classmethod
     def from_dict(cls, d) -> "SamplerSpec":
-        return cls(
-            kind=d.get("kind", "rejection"),
-            n_max=int(d.get("n_max", 100)),
-            seed=int(d.get("seed", 0)),
-            budget=None if d.get("budget") is None else int(d["budget"]),
-            step_scale=d.get("step_scale"),
-            grid_resolution=d.get("grid_resolution"),
-            burn_in=int(d.get("burn_in", 0)),
-            thinning=int(d.get("thinning", 1)),
-        )
+        """Sampler from its document; every field is optional."""
+        return cls(**check_keys(d, [f.name for f in fields(cls)], "sampler", _SAMPLER_TYPES))
+
+
+_SAMPLER_TYPES = {
+    "n_max": int, "seed": int, "budget": nullable(int), "burn_in": int, "thinning": int,
+    "step_scale": nullable(lambda v: np.asarray(v, dtype=np.float64).tolist()),
+    "grid_resolution": nullable(lambda v: np.asarray(v, dtype=np.int64).tolist()),
+}
 
 
 def _grid_points(model: ForwardModel, resolution) -> tuple:

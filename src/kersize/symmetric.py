@@ -19,7 +19,6 @@ noise escaping the noise set is flagged, not rejected.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +28,7 @@ from .core import (
     NormSpec,
     PairedDataset,
     UsageError,
+    power_mean,
     vector_norms,
 )
 from .forward import DownsampleModel, LinearModel, NoiseSpec
@@ -320,7 +320,7 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
         noise_violations = [int(i) for i in np.flatnonzero(viol)]
 
     v_norms = vector_norms(v, norm)
-    value = (math.fsum(float(t) for t in v_norms**norm.p) / m_total) ** (1.0 / norm.p)
+    value = power_mean([v_norms**norm.p], norm.p)
 
     bounds_violations: list = []
     if box is not None:

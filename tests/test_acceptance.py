@@ -6,6 +6,7 @@ summary lines. Criterion tolerances are fixed here, not tuned elsewhere.
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -84,7 +85,12 @@ def uniform_corpus():
         k = int(rng.integers(1, 21))
         n = int(rng.integers(2, 13))
         sampler = SamplerSpec(kind="rejection", n_max=n, seed=trial, budget=budget)
-        c, _ = build_feasible_sets(model, generate=k, sampler=sampler)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # count repeats from the same line too
+            c, _ = build_feasible_sets(model, generate=k, sampler=sampler)
+        # a set whose search found nothing keeps only its anchor, with one warning
+        assert all("budget exhausted" in str(w.message) for w in caught)
+        assert len(caught) == sum(count == 1 for count in c.counts)
         c = enforce_uniform(c, min(c.counts))
         maps = {
             "median": median_map(c),

@@ -271,6 +271,32 @@ class TestVerifyBounds:
         report = verify_bounds(c, {}, norm)
         assert not report.lower_ok  # theta is perfect on the 100-point set
 
+    @pytest.mark.parametrize("q", [1.0, 2.0, np.inf])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_losses_match_core_loss_bitwise(self, monkeypatch, p, q):
+        """Per-set and aggregate losses come from one set of p-th powers and
+        equal ``core.loss`` on the whole dataset and on each set alone, bit
+        for bit, on mixed set sizes (an empty one included) under a mask."""
+        # theta's value is irrelevant here; the member mean skips the slow
+        # general-norm solver
+        monkeypatch.setattr("kersize.bounds.optimal_map_value",
+                            lambda members, norm: members.mean(axis=0))
+        rng = np.random.default_rng([31, int(p), int(min(q, 3))])
+        members = [rng.normal(size=(n, 4)) * 3 for n in (3, 1, 0, 7, 2)]
+        c = make_collection(members, d1=4)
+        norm = NormSpec(p=p, q=q, mask=[1, 0, 1, 1])
+        maps = {"zero": zero_map(c), "median": median_map(c),
+                "const": constant_map(c, rng.normal(size=4))}
+        report = verify_bounds(c, maps, norm)
+        for name, preds in maps.items():
+            assert report.losses[name] == loss(dataset_from_collection(c), preds, norm)
+            for e, row in zip(c.entries, report.per_measurement):
+                if e.count == 0:
+                    assert row.losses[name] is None
+                    continue
+                alone = FeasibleSetCollection(d1=4, d2=1, entries=(e,))
+                assert row.losses[name] == loss(dataset_from_collection(alone), preds, norm)
+
     def test_per_measurement_rows(self):
         c = make_collection([[[0, 0], [0, 2]], [[1, 1]]])
         report = verify_bounds(c, {"zero": zero_map(c)}, EUCLID)

@@ -129,6 +129,39 @@ class TestCliSample:
         path.write_text(json.dumps(cfg))
         assert main(["sample", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cfg: cfg.update(model={"variant": "downsample_additive", "height": 4,
+                                          "width": 4, "factor": 2, "r_max": 1.0}),
+            lambda cfg: cfg.update(model={
+                "variant": "microscopy", "pixels": [2, 2], "pixel_size": "abc",
+                "psf_sigma0": 150.0, "psf_z0": 400.0, "c_max": 10.0, "h_max": 400.0,
+                "exposure": 1.0, "volume": [[100, 300], [100, 300], [-50, 50]],
+            }),
+            lambda cfg: cfg["model"]["noise"].update(eps_additive="x"),
+            lambda cfg: cfg["model"].update(noise=3),
+            lambda cfg: cfg["model"].update(matrix=[[0.5, 0.5], [1.0]]),
+            lambda cfg: cfg["sampler"].update(n_max="x"),
+            lambda cfg: cfg.update(sampler=5),
+        ],
+        ids=["missing_bands", "pixel_size_abc", "eps_additive_x", "noise_3",
+             "ragged_matrix", "n_max_x", "sampler_5"],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, edit):
+        cfg = json.loads(sample_config(tmp_path).read_text())
+        edit(cfg)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sample", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        cfg = sample_config(tmp_path)
+        assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                     "--seed", "-1"]) == 1
+
     def test_singleton_warning_printed(self, tmp_path, capsys):
         cfg = json.loads(sample_config(tmp_path).read_text())
         cfg["model"]["matrix"] = [[1.0, 0.0], [0.0, 1.0]]
@@ -241,6 +274,16 @@ class TestCliValidate:
         payload = json.loads((d / "bounds.json").read_text())
         assert "ext" in payload["losses"]
 
+    def test_wrong_width_prediction_exit_1(self, tmp_path, capsys):
+        """A prediction of the wrong length is a usage error, as in ``loss``."""
+        d = two_point_collection_dir(tmp_path)
+        pred = tmp_path / "wide"
+        pred.mkdir()
+        (pred / "pred_m0.csv").write_text("0.0,1.0,2.0\n")
+        assert main(["loss", str(d), str(pred)]) == 1
+        assert main(["validate", str(d), str(pred)]) == 1
+        assert "has shape (3,)" in capsys.readouterr().err
+
     def test_strict_violation_exit_3(self, tmp_path):
         """Unequal set sizes let a per-set-optimal map undercut the aggregate
         half kernel size; --strict must flag it."""
@@ -345,6 +388,16 @@ class TestCliDemo:
     def test_unknown_demo_exit_1(self):
         assert main(["demo", "nosuch"]) == 1
 
+    @pytest.mark.parametrize("argv, seed", [([], 1), (["--seed", "0"], 0), (["--seed", "4"], 4)])
+    def test_seed_passed_through(self, monkeypatch, tmp_path, argv, seed):
+        calls = []
+        monkeypatch.setattr(
+            "kersize.cli.microscopy_demo",
+            lambda **kw: calls.append(kw) or {"setups": []},
+        )
+        assert main(["demo", "microscopy", "--out", str(tmp_path), *argv]) == 0
+        assert calls[0]["seed"] == seed
+
 
 class TestExitCodes:
     def test_missing_subcommand_is_usage(self, capsys):
@@ -354,3 +407,20 @@ class TestExitCodes:
     def test_usage_error_from_flags(self, tmp_path):
         d = two_point_collection_dir(tmp_path)
         assert main(["kersize", str(d), "--mask", "7"]) == 1
+
+    @pytest.mark.parametrize("flags", [["--q", "abc"], ["--mask", "a,b"]])
+    def test_unparsable_norm_flag_is_usage(self, tmp_path, capsys, flags):
+        d = two_point_collection_dir(tmp_path)
+        assert main(["kersize", str(d), *flags]) == 1
+        assert f"argument {flags[0]}" in capsys.readouterr().err
+
+    def test_q_flag_reads_inf(self, tmp_path, capsys):
+        d = two_point_collection_dir(tmp_path)
+        assert main(["kersize", str(d), "--q", "inf"]) == 0
+        assert json.loads((d / "bounds.json").read_text())["q"] == "inf"
+
+    @pytest.mark.parametrize("command", ["kersize", "loss", "validate", "skersize"])
+    def test_seed_flag_only_on_sample_and_demo(self, tmp_path, command):
+        d = str(two_point_collection_dir(tmp_path))
+        extra = {"loss": [d], "skersize": ["--matrix", "A.csv"]}.get(command, [])
+        assert main([command, d, *extra, "--seed", "3"]) == 1
