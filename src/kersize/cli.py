@@ -124,6 +124,7 @@ def _cmd_sample(args) -> int:
         SamplerSpec.from_dict(doc["sampler"]), **{k: v for k, v in flags.items() if v is not None}
     )
     norm = NormSpec.from_dict(doc.get("norm", {}))
+    norm.check_dim(model.d1)
     paths = check_keys(doc.get("paths", {}), ("input", "output"), "paths",
                        {"input": nullable(os.fspath), "output": nullable(os.fspath)})
     options = check_keys(doc.get("options", {}), ("generate",), "options",

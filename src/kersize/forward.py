@@ -73,20 +73,23 @@ class NoiseSpec:
         """Noise dimension d3 for a measurement dimension d2."""
         return 2 * d2 if self.kind == "mixed" else d2
 
+    def row_norms(self, E: np.ndarray) -> np.ndarray:
+        """Ball norm of each row of the (n, d) array E: max |e| for the inf
+        ball, the square root of the sum of squares for the l2 ball."""
+        if self.ball == "inf":
+            return np.abs(E).max(axis=1, initial=0.0)
+        return np.sqrt((E * E).sum(axis=1))
+
     def contains(self, e: np.ndarray, d2: int) -> bool:
         """Exact membership of a noise vector in the noise set."""
         e = np.asarray(e, dtype=np.float64)
         if e.shape != (self.dim(d2),):
             raise UsageError(f"noise vector must have length {self.dim(d2)}")
-        if self.kind == "mixed":
-            return bool(
-                np.max(np.abs(e[:d2]), initial=0.0) <= self.eps_multiplicative
-                and np.max(np.abs(e[d2:]), initial=0.0) <= self.eps_additive
-            )
+        if self.kind == "mixed":  # the product of two inf balls
+            return bool(np.all(self.row_norms(e.reshape(2, d2))
+                               <= (self.eps_multiplicative, self.eps_additive)))
         eps = self.eps_additive if self.kind == "additive" else self.eps_multiplicative
-        if self.ball == "inf":
-            return bool(np.max(np.abs(e), initial=0.0) <= eps)
-        return bool(np.linalg.norm(e) <= eps)
+        return bool(self.row_norms(e[None, :])[0] <= eps)
 
     def sample(self, rng: np.random.Generator, d2: int) -> np.ndarray:
         """One noise vector drawn uniformly from the noise set."""
@@ -142,7 +145,7 @@ class ForwardModel:
         x = as_vector(x, "signal")
         if x.shape[0] != self.d1:
             raise UsageError(f"signal length {x.shape[0]} != d1={self.d1}")
-        if not self.within_bounds(x):
+        if not self.within_bounds(x[None, :])[0]:
             warnings.warn("signal lies outside signal_bounds", stacklevel=2)
         return self.noiseless_batch(x[None, :])[0]
 
@@ -187,20 +190,13 @@ class ForwardModel:
         g = self.noiseless_batch(X)
         kind, ns = self.noise.kind, self.noise
         if kind == "additive":
-            r = np.abs(y - g)
-            if ns.ball == "inf":
-                return r.max(axis=1) <= ns.eps_additive + atol
-            return np.sqrt((r * r).sum(axis=1)) <= ns.eps_additive + atol
+            return ns.row_norms(y - g) <= ns.eps_additive + atol
         if kind == "multiplicative":
             zero = g == 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(zero, 0.0, y / np.where(zero, 1.0, g))
             ok_zero = (np.abs(y) <= atol) | ~zero
-            if ns.ball == "inf":
-                in_ball = np.abs(ratio).max(axis=1) <= ns.eps_multiplicative + atol
-            else:
-                in_ball = np.sqrt((ratio * ratio).sum(axis=1)) <= ns.eps_multiplicative + atol
-            return in_ball & ok_zero.all(axis=1)
+            return (ns.row_norms(ratio) <= ns.eps_multiplicative + atol) & ok_zero.all(axis=1)
         bound = np.abs(g) * ns.eps_multiplicative + ns.eps_additive + atol
         return (np.abs(y - g) <= bound).all(axis=1)
 
@@ -217,9 +213,10 @@ class ForwardModel:
     def signal_bounds(self) -> np.ndarray:
         raise NotImplementedError
 
-    def within_bounds(self, x: np.ndarray) -> bool:
+    def within_bounds(self, X: np.ndarray) -> np.ndarray:
+        """True for each row of the (n, d1) array X that lies in the signal box."""
         b = self.signal_bounds
-        return bool(np.all(x >= b[:, 0]) and np.all(x <= b[:, 1]))
+        return ((X >= b[:, 0]) & (X <= b[:, 1])).all(axis=1)
 
     def to_dict(self) -> dict:
         raise NotImplementedError

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataError, FeasibleSet, FeasibleSetCollection, NormSpec, collection_from_dataset
+from .core import (DataError, FeasibleSet, FeasibleSetCollection, NormSpec, check_keys,
+                   collection_from_dataset)
 
 __all__ = [
     "write_vectors_csv",
@@ -132,28 +133,32 @@ def write_collection(directory, c: FeasibleSetCollection, norm: NormSpec) -> Non
 
 
 def read_collection(directory) -> tuple:
-    """Read a collection directory; returns (collection, norm)."""
+    """Read a collection directory; returns (collection, norm).
+
+    A malformed manifest (a missing or unknown key, a non-integer d1, d2 or
+    count, entries that are not a list of objects) raises DataError.
+    """
     directory = Path(directory)
-    manifest = read_json(directory / "manifest.json")
-    for key in ("version", "d1", "d2", "norm", "entries"):
-        if key not in manifest:
-            raise DataError(f"manifest lacks required key {key!r}")
+    keys = ("version", "d1", "d2", "norm", "entries")
+    manifest = check_keys(read_json(directory / "manifest.json"), keys, "manifest",
+                          {"d1": int, "d2": int, "entries": list}, required=keys)
     if manifest["version"] != MANIFEST_VERSION:
         raise DataError(f"unsupported manifest version {manifest['version']!r}")
     norm = NormSpec.from_dict(manifest["norm"])
-    d1, d2 = int(manifest["d1"]), int(manifest["d2"])
+    d1, d2 = manifest["d1"], manifest["d2"]
+    entry_keys = ("id", "measurement", "feasible", "count")
     entries = []
-    for rec in manifest["entries"]:
-        for key in ("id", "measurement", "feasible", "count"):
-            if key not in rec:
-                raise DataError(f"manifest entry lacks key {key!r}")
+    for i, rec in enumerate(manifest["entries"]):
+        rec = check_keys(rec, entry_keys, f"manifest.entries[{i}]",
+                         {"measurement": os.fspath, "feasible": os.fspath, "count": int},
+                         required=entry_keys)
         y = read_vectors_csv(directory / rec["measurement"])
         if y.shape[0] != 1:
             raise DataError(f"{rec['measurement']}: expected exactly one measurement row")
         members = read_vectors_csv(directory / rec["feasible"])
         if members.shape == (0, 0):
             members = np.zeros((0, d1))
-        if members.shape[0] != int(rec["count"]):
+        if members.shape[0] != rec["count"]:
             raise DataError(
                 f"{rec['feasible']}: {members.shape[0]} rows but manifest count {rec['count']}"
             )

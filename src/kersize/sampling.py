@@ -178,10 +178,16 @@ def _random_walks(model, Y, sampler, rngs, n_target, anchors=None, ids=None) -> 
     ``feasible_batch`` call; a proposal that leaves the signal box counts
     against the chain's budget. Returns one (n, d1) array per chain.
     """
-    b = model.signal_bounds
-    lo, hi = b[:, 0], b[:, 1]
     budget = sampler.effective_budget
     k_total, d1 = len(rngs), model.d1
+    step = sampler.step_scale
+    if step is None:
+        b = model.signal_bounds
+        step = 0.1 * (b[:, 1] - b[:, 0])
+    try:
+        half = 0.5 * np.broadcast_to(np.asarray(step, dtype=np.float64), (d1,))
+    except ValueError:
+        raise UsageError(f"step_scale must be one number or d1={d1} numbers") from None
     spent = np.zeros(k_total, dtype=np.int64)
     n_accepted = np.zeros(k_total, dtype=np.int64)
     n_kept = np.zeros(k_total, dtype=np.int64)
@@ -212,10 +218,6 @@ def _random_walks(model, Y, sampler, rngs, n_target, anchors=None, ids=None) -> 
         n_accepted[started] = 1
         keep(np.flatnonzero(started))
 
-    step = sampler.step_scale
-    if step is None:
-        step = 0.1 * (hi - lo)
-    half = 0.5 * np.broadcast_to(np.asarray(step, dtype=np.float64), (d1,))
     # Every active chain spends one proposal per step, so all chains refill
     # their blocks on the same steps; a block cut short by the budget runs out
     # exactly when its chain does.
@@ -230,7 +232,7 @@ def _random_walks(model, Y, sampler, rngs, n_target, anchors=None, ids=None) -> 
                 deltas[k, :n] = rngs[k].uniform(-half, half, size=(n, d1))
         prop = state[active] + deltas[active, t % block]
         spent[active] += 1
-        inside = ~((prop < lo).any(axis=1) | (prop > hi).any(axis=1))
+        inside = model.within_bounds(prop)
         if inside.any():
             prop, tried = prop[inside], active[inside]
             ok = model.feasible_batch(prop, Y[tried])

@@ -14,7 +14,8 @@ bound.
 Two projection readings are supported: ``signal_only`` projects the signal
 space (the reflected pair keeps its noise admissible by construction), and
 ``joint`` projects (signal, noise) jointly through B = [A | I]; reflected
-noise escaping the noise set is flagged, not rejected.
+noise escaping the noise set is flagged, not rejected. The operator is a raw
+matrix A, a ``LinearModel`` or a ``DownsampleModel``.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ class KernelProjector:
 
     matrix: np.ndarray
     source: str
-    svd_tol: float
     d_signal: int
 
     def __post_init__(self):
@@ -124,7 +124,7 @@ def kernel_projection(A, mode: str = "signal_only", tol: float | None = None) ->
         B = A
     P = np.eye(B.shape[1]) - pseudoinverse(B, tol) @ B
     P = 0.5 * (P + P.T)
-    proj = KernelProjector(matrix=P, source=mode, svd_tol=tol, d_signal=d1)
+    proj = KernelProjector(matrix=P, source=mode, d_signal=d1)
     proj.check(operator=B)
     return proj
 
@@ -204,43 +204,6 @@ class SkersizeResult:
         }
 
 
-class _BandSignalProjector:
-    """Applies a per-band kernel projector to flattened multi-band signals."""
-
-    def __init__(self, model: DownsampleModel, tol):
-        self.block = band_projector(model, tol)
-        self.bands = model.bands
-        self.band_dim = model.height * model.width
-        self.source = "signal_only"
-
-    def project_signals(self, X: np.ndarray) -> np.ndarray:
-        n = X.shape[0]
-        stacked = X.reshape(n, self.bands, self.band_dim)
-        out = np.einsum("ij,nbj->nbi", self.block.matrix, stacked)
-        return out.reshape(n, -1)
-
-
-class _DenseSignalProjector:
-    def __init__(self, proj: KernelProjector):
-        self.proj = proj
-        self.source = proj.source
-
-    def project_signals(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.proj.matrix.T
-
-
-def _resolve_operator(operator):
-    """Accept a raw matrix, a LinearModel, or a DownsampleModel.
-
-    Returns (model, matrix, signal_bounds); bounds are None for raw matrices.
-    """
-    if isinstance(operator, DownsampleModel):
-        return operator, None, operator.signal_bounds
-    if isinstance(operator, LinearModel):
-        return None, operator.matrix, operator.signal_bounds
-    return None, np.asarray(operator, dtype=np.float64), None
-
-
 def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
              norm: NormSpec, mode: str = "signal_only",
              tol: float | None = None, feas_atol: float | None = None) -> SkersizeResult:
@@ -253,8 +216,11 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
 
     with v_m = P x_m (signal_only) or the signal part of P (x_m, e_m) (joint),
     together with the dataset extended by the reflected pairs (x'_m, y_m).
-    ``feas_atol`` widens the noise-membership check; the default absorbs float
-    roundoff from re-deriving e_m (1e-9 relative to the measurement scale).
+    A downsampling model's signal_only projection applies its one-band
+    projector to each band; every other projection is dense. Only a model
+    has a signal box to flag reflections against. ``feas_atol`` widens the
+    noise-membership check; the default absorbs float roundoff from
+    re-deriving e_m (1e-9 relative to the measurement scale).
 
     Runs in O(M') at fixed dimensions: one projector factorization plus one
     matrix product per pair.
@@ -263,72 +229,55 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
         raise UsageError("the symmetric bound requires additive noise (y = A x + e)")
     if mode not in ("signal_only", "joint"):
         raise UsageError(f"unknown projection mode {mode!r}")
-    model, A, box = _resolve_operator(operator)
-    m_total = pairs.size
-    if m_total == 0:
+    if pairs.size == 0:
         raise DataError("empty dataset")
-
-    if model is not None:
-        g = model.noiseless_batch(pairs.x)
-        if mode == "signal_only":
-            projector = _BandSignalProjector(model, tol)
-            joint_proj = None
-        else:
-            A = model.matrix()
-            joint_proj = kernel_projection(A, mode="joint", tol=tol)
-            projector = None
+    if isinstance(operator, LinearModel):
+        model, A = operator, operator.matrix
+    elif isinstance(operator, DownsampleModel):
+        model, A = operator, None  # its dense matrix is large: built in joint mode only
     else:
-        if A.shape[1] != pairs.d1:
-            raise UsageError(f"operator has {A.shape[1]} columns, pairs have d1={pairs.d1}")
-        g = pairs.x @ A.T
-        if mode == "signal_only":
-            projector = _DenseSignalProjector(kernel_projection(A, mode="signal_only", tol=tol))
-            joint_proj = None
-        else:
-            joint_proj = kernel_projection(A, mode="joint", tol=tol)
-            projector = None
+        model, A = None, np.asarray(operator, dtype=np.float64)
+    d1 = A.shape[1] if A is not None else model.d1
+    if d1 != pairs.d1:
+        raise UsageError(f"operator has {d1} columns, pairs have d1={pairs.d1}")
 
-    e = pairs.y - g
+    x = pairs.x
+    e = pairs.y - (model.noiseless_batch(x) if model is not None else x @ A.T)
     if feas_atol is None:
         feas_atol = 1e-9 * max(1.0, float(np.abs(pairs.y).max(initial=0.0)))
-    if noise.ball == "inf":
-        bad = np.abs(e).max(axis=1) > noise.eps_additive + feas_atol
-    else:
-        bad = np.linalg.norm(e, axis=1) > noise.eps_additive + feas_atol
-    if bad.any():
-        m = int(np.flatnonzero(bad)[0])
+    e_norms = noise.row_norms(e)
+    bad = np.flatnonzero(e_norms > noise.eps_additive + feas_atol)
+    if bad.size:
+        m = int(bad[0])
         raise DataError(
             f"pair {m} is infeasible: recovered noise leaves the noise set "
-            f"(|e|={float(np.abs(e[m]).max()):.3g} > eps={noise.eps_additive:.3g})"
+            f"(|e|={float(e_norms[m]):.3g} > eps={noise.eps_additive:.3g})"
         )
 
     noise_violations: list = []
-    if mode == "signal_only":
-        v = projector.project_signals(pairs.x)
-        x_refl = pairs.x - 2.0 * v
-    else:
-        joint = np.hstack([pairs.x, e])
-        pj = joint @ joint_proj.matrix.T
-        v = pj[:, : pairs.d1]
+    if mode == "joint":
+        P = kernel_projection(A if A is not None else model.matrix(), mode="joint", tol=tol)
+        joint = np.hstack([x, e])
+        pj = joint @ P.matrix.T
+        v = pj[:, :d1]
         refl = joint - 2.0 * pj
-        x_refl = refl[:, : pairs.d1]
-        e_refl = refl[:, pairs.d1 :]
-        if noise.ball == "inf":
-            viol = np.abs(e_refl).max(axis=1) > noise.eps_additive + feas_atol
-        else:
-            viol = np.linalg.norm(e_refl, axis=1) > noise.eps_additive + feas_atol
+        x_refl = refl[:, :d1]
+        viol = noise.row_norms(refl[:, d1:]) > noise.eps_additive + feas_atol
         noise_violations = [int(i) for i in np.flatnonzero(viol)]
+    else:
+        if A is None:  # a DownsampleModel: its one-band projector on every band
+            bands = x.reshape(pairs.size, model.bands, -1)
+            v = np.einsum("ij,nbj->nbi", band_projector(model, tol).matrix, bands)
+            v = v.reshape(pairs.size, -1)
+        else:
+            v = x @ kernel_projection(A, mode="signal_only", tol=tol).matrix.T
+        x_refl = x - 2.0 * v
 
     v_norms = vector_norms(v, norm)
     value = power_mean([v_norms**norm.p], norm.p)
-
-    bounds_violations: list = []
-    if box is not None:
-        outside = (x_refl < box[None, :, 0]).any(axis=1) | (x_refl > box[None, :, 1]).any(axis=1)
-        bounds_violations = [int(i) for i in np.flatnonzero(outside)]
-
+    outside = [] if model is None else np.flatnonzero(~model.within_bounds(x_refl))
     symmetrized = PairedDataset(
-        x=np.vstack([pairs.x, x_refl]),
+        x=np.vstack([x, x_refl]),
         y=np.vstack([pairs.y, pairs.y]),
         group=np.concatenate([pairs.group, pairs.group]),
         group_ids=pairs.group_ids,
@@ -338,6 +287,6 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
         v_norms=v_norms,
         symmetrized=symmetrized,
         noise_violations=noise_violations,
-        bounds_violations=bounds_violations,
+        bounds_violations=[int(i) for i in outside],
         mode=mode,
     )

@@ -59,6 +59,18 @@ class TestNoiseSpec:
             for _ in range(50):
                 assert spec.contains(spec.sample(rng, 4), 4)
 
+    @pytest.mark.parametrize("ball", ["inf", "l2"])
+    def test_row_norms_agree_with_contains(self, ball):
+        spec = NoiseSpec(kind="additive", eps_additive=0.3, ball=ball)
+        rng = np.random.default_rng(9)
+        E = rng.uniform(-0.4, 0.4, size=(200, 4))
+        norms = spec.row_norms(E)
+        expected = np.abs(E).max(axis=1) if ball == "inf" else np.linalg.norm(E, axis=1)
+        np.testing.assert_array_equal(norms, expected)
+        inside = [spec.contains(e, 4) for e in E]
+        assert 0 < sum(inside) < len(E)
+        np.testing.assert_array_equal(norms <= 0.3, inside)
+
 
 class TestNoiseless:
     def test_averaging_row(self):

@@ -157,6 +157,24 @@ class TestCliSample:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cfg: cfg["norm"].update(mask=[1]),
+            lambda cfg: cfg["sampler"].update(kind="random_walk", step_scale=[0.1, 0.1, 0.1]),
+        ],
+        ids=["mask_length", "step_scale_length"],
+    )
+    def test_config_dimension_mismatch_exits_1(self, tmp_path, capsys, edit):
+        cfg = json.loads(sample_config(tmp_path).read_text())
+        edit(cfg)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sample", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "x" / "manifest.json").exists()
+
     def test_negative_seed_is_usage_error(self, tmp_path):
         cfg = sample_config(tmp_path)
         assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "x"),
@@ -202,6 +220,24 @@ class TestCliKersize:
         assert main(["kersize", str(d), "--p", "1"]) == 0
         out = capsys.readouterr().out
         assert "kersize=0.50000000" in out and "half_kersize=0.25000000" in out
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m.update(d1="x"),
+            lambda m: m["entries"][0].update(count="x"),
+            lambda m: m.update(entries=5),
+        ],
+        ids=["d1_x", "count_x", "entries_5"],
+    )
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, edit):
+        d = two_point_collection_dir(tmp_path)
+        manifest = json.loads((d / "manifest.json").read_text())
+        edit(manifest)
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["kersize", str(d)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_malformed_collection_exit_2(self, tmp_path):
         d = tmp_path / "nope"
@@ -357,6 +393,17 @@ class TestCliSkersize:
             reflected = e_entry.members[1]
             resid = model.noiseless_batch(reflected[None, :])[0] + e[i] - y[i]
             assert np.max(np.abs(resid)) < 1e-8
+
+    def test_model_of_wrong_size_exits_1(self, tmp_path, capsys):
+        from kersize.forward import DownsampleModel, NoiseSpec
+
+        model = DownsampleModel(bands=1, height=4, width=4, factor=2, r_max=1.0,
+                                noise=NoiseSpec(kind="additive"))
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model.to_dict()))
+        assert main(["skersize", str(two_point_collection_dir(tmp_path)),
+                     "--model", str(model_path)]) == 1
+        assert "error: operator has 16 columns" in capsys.readouterr().err
 
 
 class TestCliDemo:

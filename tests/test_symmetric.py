@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kersize.core import DataError, NormSpec, PairedDataset, UsageError, loss
-from kersize.forward import DownsampleModel, NoiseSpec
+from kersize.forward import DownsampleModel, LinearModel, NoiseSpec
 from kersize.symmetric import (
     band_projector,
     kernel_projection,
@@ -225,20 +225,53 @@ class TestSkersize:
             if m not in res.noise_violations:
                 assert np.max(np.abs(e_refl[m])) <= 0.05 + 1e-9
 
+    @pytest.mark.parametrize("mode", ["signal_only", "joint"])
+    def test_linear_model_matches_raw_matrix_bitwise(self, mode):
+        rng = np.random.default_rng(21)
+        A = rng.normal(size=(3, 6))
+        model = LinearModel(A, NoiseSpec(kind="additive", eps_additive=0.1),
+                            np.tile([-1.0, 1.0], (6, 1)))
+        x = rng.uniform(-0.5, 0.5, size=(5, 6))
+        y = x @ A.T + rng.uniform(-0.1, 0.1, size=(5, 3))
+        pairs = PairedDataset(x=x, y=y, group=np.arange(5),
+                              group_ids=tuple(f"m{i}" for i in range(5)))
+        via_model = skersize(pairs, model, model.noise, EUCLID, mode=mode)
+        via_matrix = skersize(pairs, A, model.noise, EUCLID, mode=mode)
+        np.testing.assert_array_equal(via_model.v_norms, via_matrix.v_norms)
+        np.testing.assert_array_equal(via_model.symmetrized.x, via_matrix.symmetrized.x)
+        assert via_model.skersize == via_matrix.skersize
+
+    @pytest.mark.parametrize("operator", ["matrix", "linear", "downsample"])
+    def test_signal_length_mismatch_is_usage_error(self, operator):
+        noise = NoiseSpec(kind="additive", eps_additive=0.05)
+        model = DownsampleModel(bands=1, height=4, width=4, factor=2, r_max=1.0, noise=noise)
+        op = {
+            "matrix": model.matrix(),
+            "linear": LinearModel(model.matrix(), noise, np.tile([0.0, 1.0], (16, 1))),
+            "downsample": model,
+        }[operator]
+        pairs = PairedDataset(x=np.full((2, 15), 0.5), y=np.full((2, 4), 0.5),
+                              group=[0, 1], group_ids=("a", "b"))
+        with pytest.raises(UsageError, match="16 columns, pairs have d1=15"):
+            skersize(pairs, op, noise, EUCLID)
+
     def test_downsample_band_projector_matches_dense(self):
-        model = DownsampleModel(bands=2, height=8, width=8, factor=2, r_max=1.0,
-                                noise=NoiseSpec(kind="additive", eps_additive=0.05))
         rng = np.random.default_rng(19)
-        x = rng.uniform(0.2, 0.8, size=(3, model.d1))
-        e = rng.uniform(-0.05, 0.05, size=(3, model.d2))
-        y = model.noiseless_batch(x) + e
-        ids = ("a", "b", "c")
-        pairs = PairedDataset(x=x, y=y, group=np.arange(3), group_ids=ids)
-        via_model = skersize(pairs, model, model.noise, EUCLID)
-        via_dense = skersize(pairs, model.matrix(), model.noise, EUCLID)
-        assert via_model.skersize == pytest.approx(via_dense.skersize, rel=1e-10)
-        np.testing.assert_allclose(via_model.symmetrized.x, via_dense.symmetrized.x,
-                                   atol=1e-9)
+        for bands, height, width, factor in [(2, 8, 8, 2), (3, 8, 12, 4)]:
+            model = DownsampleModel(bands=bands, height=height, width=width, factor=factor,
+                                    r_max=1.0,
+                                    noise=NoiseSpec(kind="additive", eps_additive=0.05))
+            x = rng.uniform(0.2, 0.8, size=(3, model.d1))
+            e = rng.uniform(-0.05, 0.05, size=(3, model.d2))
+            y = model.noiseless_batch(x) + e
+            ids = ("a", "b", "c")
+            pairs = PairedDataset(x=x, y=y, group=np.arange(3), group_ids=ids)
+            via_model = skersize(pairs, model, model.noise, EUCLID)
+            via_dense = skersize(pairs, model.matrix(), model.noise, EUCLID)
+            assert via_model.skersize == pytest.approx(via_dense.skersize, rel=1e-10)
+            np.testing.assert_allclose(via_model.v_norms, via_dense.v_norms, rtol=1e-10)
+            np.testing.assert_allclose(via_model.symmetrized.x, via_dense.symmetrized.x,
+                                       atol=1e-9)
 
     def test_band_projector_invariants(self):
         model = DownsampleModel(bands=3, height=16, width=16, factor=4, r_max=1.0,
