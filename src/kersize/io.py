@@ -132,16 +132,31 @@ def write_collection(directory, c: FeasibleSetCollection, norm: NormSpec) -> Non
     write_json(directory / "manifest.json", manifest)
 
 
+def _size(value) -> int:
+    """A ``check_keys`` converter for a dimension or a count."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
+
+
+def _name(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
 def read_collection(directory) -> tuple:
     """Read a collection directory; returns (collection, norm).
 
-    A malformed manifest (a missing or unknown key, a non-integer d1, d2 or
-    count, entries that are not a list of objects) raises DataError.
+    A malformed manifest (a missing or unknown key, a d1, d2 or count that is
+    not a non-negative integer, an id that is not a string, entries that are
+    not a list of objects) raises DataError.
     """
     directory = Path(directory)
     keys = ("version", "d1", "d2", "norm", "entries")
     manifest = check_keys(read_json(directory / "manifest.json"), keys, "manifest",
-                          {"d1": int, "d2": int, "entries": list}, required=keys)
+                          {"d1": _size, "d2": _size, "entries": list}, required=keys)
     if manifest["version"] != MANIFEST_VERSION:
         raise DataError(f"unsupported manifest version {manifest['version']!r}")
     norm = NormSpec.from_dict(manifest["norm"])
@@ -150,7 +165,8 @@ def read_collection(directory) -> tuple:
     entries = []
     for i, rec in enumerate(manifest["entries"]):
         rec = check_keys(rec, entry_keys, f"manifest.entries[{i}]",
-                         {"measurement": os.fspath, "feasible": os.fspath, "count": int},
+                         {"id": _name, "measurement": os.fspath, "feasible": os.fspath,
+                          "count": _size},
                          required=entry_keys)
         y = read_vectors_csv(directory / rec["measurement"])
         if y.shape[0] != 1:

@@ -14,8 +14,9 @@ from kersize.core import (
     dataset_from_collection,
     loss,
     p_dist,
+    vector_norms,
 )
-from kersize.bounds import kersize, optimal_map_value, verify_bounds
+from kersize.bounds import _dual_gap, kersize, optimal_map_value, verify_bounds
 from kersize.forward import LinearModel, NoiseSpec
 from kersize.predictors import (
     constant_map,
@@ -213,19 +214,110 @@ class TestOptimalMapValue:
         assert z[1] == pytest.approx(20.0)  # unmasked coordinate: member mean
         assert z[0] == pytest.approx(0.0, abs=1e-8)
 
-    def test_general_exponents_via_subgradient(self):
+    # f(θ) of the projected-subgradient solver this interior-point method
+    # replaced, on rng(2024).normal(size=(6, 3)): θ must be no worse
+    PARENT_OBJECTIVES = {
+        (1, np.inf): 1.4061927763718032,
+        (1.5, 1): 3.8190430695761535,
+        (1.5, 2): 2.318691067902979,
+        (1.5, np.inf): 1.6711371981595617,
+        (2, 1): 6.314023259174038,
+        (2, np.inf): 1.9886330964089318,
+        (3, 1): 17.83519682488834,
+        (3, 2): 5.605913827697265,
+        (3, np.inf): 2.827855627708318,
+    }
+
+    def test_general_exponents_certified(self):
+        members = np.random.default_rng(2024).normal(size=(6, 3))
         rng = np.random.default_rng(23)
-        members = rng.normal(size=(5, 3))
-        for p, q in ((3, 2), (2, 1), (2, np.inf), (1.5, 1)):
+        for (p, q), parent in self.PARENT_OBJECTIVES.items():
             norm = NormSpec(p=p, q=q)
-            z = optimal_map_value(members, norm)
-            obj = lambda pt: np.mean(
-                [p_dist(x, pt, norm) ** p for x in members]
-            )
+            obj = lambda pt: float(np.mean(vector_norms(members - pt, norm) ** p))
+            z, cert = optimal_map_value(members, norm, certificate=True)
+            assert cert.objective == obj(z)
+            # rounding-level slack: where the old solver was already optimal
+            # the two agree to the last bit or two
+            assert cert.objective <= parent * (1 + 1e-12), (p, q)
+            assert 0.0 <= cert.gap <= 1e-9 * cert.objective
+            assert cert.iterations > 0
             assert obj(z) <= obj(members.mean(axis=0)) + 1e-9
-            for _ in range(50):  # no random point does better
+            lower = cert.objective - cert.gap
+            for _ in range(50):  # no random point does better, or beats the dual bound
                 trial = members.mean(axis=0) + rng.normal(size=3)
                 assert obj(z) <= obj(trial) + 1e-6
+                assert lower <= obj(trial)
+            for x in members:
+                assert lower <= obj(x)
+
+    @pytest.mark.parametrize("q", [1, 2, np.inf])
+    @pytest.mark.parametrize("p", [1, 1.5, 3])
+    def test_certificate_on_random_sets(self, p, q):
+        """The certified gap holds against perturbations of θ and, for the
+        interior-point method, stays within 1e-9 of the objective on sets with
+        ties (integer data) and with a large offset. Weiszfeld (p = 1, q = 2)
+        stops on a step tolerance, so only its gap's validity is checked."""
+        rng = np.random.default_rng([41, int(2 * p), int(min(q, 3))])
+        norm = NormSpec(p=p, q=q)
+        for members in (rng.normal(size=(9, 4)), np.round(rng.normal(size=(7, 5)) * 3),
+                        1e6 + rng.normal(size=(5, 2)) * 1e-3):
+            z, cert = optimal_map_value(members, norm, certificate=True)
+            obj = lambda pt: float(np.mean(vector_norms(members - pt, norm) ** p))
+            assert cert.gap >= 0.0
+            if (p, q) != (1, 2):
+                assert cert.gap <= 1e-9 * cert.objective
+            spread = np.abs(members - members.mean(axis=0)).max()
+            for _ in range(30):
+                trial = z + rng.normal(size=z.shape) * spread * 10.0 ** rng.uniform(-9, 0)
+                assert cert.objective - cert.gap <= obj(trial) * (1 + 1e-14)
+
+    @pytest.mark.parametrize("q", [1, 2, np.inf])
+    @pytest.mark.parametrize("p", [1, 1.5, 3])
+    def test_dual_bound_holds_for_any_dual_points(self, p, q):
+        """The Fenchel bound behind theta_gap is valid at any point z and for
+        any dual points, not only near the optimum: it never exceeds min f."""
+        rng = np.random.default_rng([7, int(2 * p), int(min(q, 3))])
+        members = rng.normal(size=(8, 3))
+        norm = NormSpec(p=p, q=q)
+        obj = lambda pt: float(np.mean(vector_norms(members - pt, norm) ** p))
+        best = obj(optimal_map_value(members, norm))
+        for _ in range(40):
+            z = members.mean(axis=0) + rng.normal(size=3) * 3
+            R = members - z
+            # dual points that do not sum to zero: a shared pull towards the
+            # mean residual plus noise
+            Y = R.mean(axis=0) * rng.uniform(0.2, 2) + rng.normal(size=R.shape) * 0.3
+            lower = obj(z) - _dual_gap(R, Y, float(p), float(q))
+            assert lower <= best * (1 + 1e-12)
+
+    def test_coordinatewise_median_for_p1_q1(self):
+        members = np.array([[0.0, 5.0], [1.0, -1.0], [7.0, 2.0], [3.0, 2.5]])
+        norm = NormSpec(p=1, q=1)
+        z, cert = optimal_map_value(members, norm, certificate=True)
+        np.testing.assert_array_equal(z, [2.0, 2.25])
+        assert cert.gap == 0.0 and cert.iterations == 0
+        obj = lambda pt: float(np.mean(vector_norms(members - pt, norm)))
+        assert cert.objective == obj(z)
+        for pt in ([1.0, 2.0], [3.0, 2.5], [2.0, 2.0]):  # the median interval is flat
+            assert obj(z) <= obj(np.array(pt)) + 1e-15
+
+    @pytest.mark.parametrize("p,q", [(2, 1), (3, np.inf), (1.5, 2), (1, 1), (1, 2), (2, 2)])
+    def test_identical_members_certified_exactly(self, p, q):
+        members = np.tile([[1.5, -2.0, 0.25]], (4, 1))
+        z, cert = optimal_map_value(members, NormSpec(p=p, q=q), certificate=True)
+        np.testing.assert_array_equal(z, members[0])
+        assert cert.objective == 0.0 and cert.gap == 0.0
+
+    def test_masked_general_norm_keeps_mean_coordinates(self):
+        rng = np.random.default_rng(5)
+        members = rng.normal(size=(6, 4))
+        norm = NormSpec(p=3, q=np.inf, mask=[1, 0, 1, 0])
+        z, cert = optimal_map_value(members, norm, certificate=True)
+        np.testing.assert_array_equal(z[[1, 3]], members.mean(axis=0)[[1, 3]])
+        z2, cert2 = optimal_map_value(members[:, [0, 2]], NormSpec(p=3, q=np.inf),
+                                      certificate=True)
+        np.testing.assert_array_equal(z[[0, 2]], z2)
+        assert cert == cert2
 
 
 class TestVerifyBounds:
@@ -273,14 +365,10 @@ class TestVerifyBounds:
 
     @pytest.mark.parametrize("q", [1.0, 2.0, np.inf])
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-    def test_losses_match_core_loss_bitwise(self, monkeypatch, p, q):
+    def test_losses_match_core_loss_bitwise(self, p, q):
         """Per-set and aggregate losses come from one set of p-th powers and
         equal ``core.loss`` on the whole dataset and on each set alone, bit
         for bit, on mixed set sizes (an empty one included) under a mask."""
-        # theta's value is irrelevant here; the member mean skips the slow
-        # general-norm solver
-        monkeypatch.setattr("kersize.bounds.optimal_map_value",
-                            lambda members, norm: members.mean(axis=0))
         rng = np.random.default_rng([31, int(p), int(min(q, 3))])
         members = [rng.normal(size=(n, 4)) * 3 for n in (3, 1, 0, 7, 2)]
         c = make_collection(members, d1=4)
@@ -288,14 +376,24 @@ class TestVerifyBounds:
         maps = {"zero": zero_map(c), "median": median_map(c),
                 "const": constant_map(c, rng.normal(size=4))}
         report = verify_bounds(c, maps, norm)
-        for name, preds in maps.items():
-            assert report.losses[name] == loss(dataset_from_collection(c), preds, norm)
+        theta = {e.id: optimal_map_value(e.members, norm) for e in c.entries if e.count}
+        assert report.theta_loss == loss(dataset_from_collection(c), theta, norm)
+        for name, preds in {**maps, "theta": theta}.items():
+            if name != "theta":
+                assert report.losses[name] == loss(dataset_from_collection(c), preds, norm)
             for e, row in zip(c.entries, report.per_measurement):
                 if e.count == 0:
                     assert row.losses[name] is None
                     continue
                 alone = FeasibleSetCollection(d1=4, d2=1, entries=(e,))
                 assert row.losses[name] == loss(dataset_from_collection(alone), preds, norm)
+        for e, row in zip(c.entries, report.per_measurement):
+            if e.count == 0:
+                assert row.theta_objective is row.theta_gap is row.theta_iterations is None
+                continue
+            assert row.theta_objective == pytest.approx(row.losses["theta"] ** p, rel=1e-12)
+            assert 0.0 <= row.theta_gap <= 1e-9 * max(row.theta_objective, 1e-300) or (
+                e.count == 1 and row.theta_gap == 0.0)
 
     def test_per_measurement_rows(self):
         c = make_collection([[[0, 0], [0, 2]], [[1, 1]]])

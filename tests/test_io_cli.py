@@ -1,6 +1,9 @@
 """Tests for file formats and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -227,11 +230,15 @@ class TestCliKersize:
             lambda m: m.update(d1="x"),
             lambda m: m["entries"][0].update(count="x"),
             lambda m: m.update(entries=5),
+            lambda m: (m.update(d1=-1),
+                       m["entries"][0].update(count=0, feasible="fs_empty.csv")),
+            lambda m: m["entries"][0].update(id=["a"]),
         ],
-        ids=["d1_x", "count_x", "entries_5"],
+        ids=["d1_x", "count_x", "entries_5", "d1_negative_empty_set", "id_list"],
     )
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, edit):
         d = two_point_collection_dir(tmp_path)
+        (d / "fs_empty.csv").write_text("")
         manifest = json.loads((d / "manifest.json").read_text())
         edit(manifest)
         (d / "manifest.json").write_text(json.dumps(manifest))
@@ -319,6 +326,34 @@ class TestCliValidate:
         assert main(["loss", str(d), str(pred)]) == 1
         assert main(["validate", str(d), str(pred)]) == 1
         assert "has shape (3,)" in capsys.readouterr().err
+
+    def test_general_norm_theta_certificate_without_scipy_optimize(self, tmp_path):
+        """``validate --p 2 --q 1`` runs the interior-point theta solver,
+        writes its certificate to bounds.json and never imports
+        scipy.optimize (whose import alone adds about 23 MB of resident
+        memory). Run in a fresh interpreter so other tests' imports do not
+        count."""
+        rng = np.random.default_rng(3)
+        c = FeasibleSetCollection(
+            d1=3, d2=1,
+            entries=tuple(FeasibleSet(id=f"m{k}", measurement=[float(k)],
+                                      members=rng.normal(size=(5, 3))) for k in range(2)),
+        )
+        d = tmp_path / "l1"
+        write_collection(d, c, NormSpec())
+        script = ("import sys; from kersize import cli; "
+                  f"code = cli.main(['validate', {str(d)!r}, '--p', '2', '--q', '1']); "
+                  "print(code, 'scipy.optimize' in sys.modules)")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[-2:] == ["0", "False"]
+        for row in json.loads((d / "bounds.json").read_text())["per_measurement"]:
+            assert row["theta_iterations"] > 0
+            assert 0.0 <= row["theta_gap"] <= 1e-9 * row["theta_objective"]
 
     def test_strict_violation_exit_3(self, tmp_path):
         """Unequal set sizes let a per-set-optimal map undercut the aggregate
