@@ -18,7 +18,6 @@ from kersize import (
     kersize,
     loss,
     optimal_map_value,
-    reflect,
     skersize,
     verify_bounds,
 )
@@ -58,11 +57,10 @@ proj = kernel_projection(A)
 print("Kernel projector P = I - A^+ A :")
 print(np.round(proj.matrix, 12))
 
-reflected = reflect(np.array([1.0, 3.0]), np.zeros(1), proj)
-print(f"Reflection of (1, 3)           : {np.round(reflected.x, 12)}   (same measurement)")
-
 pairs = PairedDataset(x=[[1.0, 3.0]], y=[[2.0]], group=[0], group_ids=("y2",))
 res = skersize(pairs, A, NoiseSpec(kind="additive"), norm)
+x_refl = res.symmetrized.x[1]
+print(f"Reflection of (1, 3)           : {np.round(x_refl, 12)}   (same measurement)")
 print(f"Symmetric kernel size          : {res.skersize:.8f}")
 mean_loss = loss(res.symmetrized, {"y2": np.array([2.0, 2.0])}, norm)
 print(f"Loss of the mean map on the symmetrized dataset: {mean_loss:.8f}")

@@ -34,7 +34,6 @@ from .symmetric import (
     SkersizeResult,
     kernel_projection,
     pseudoinverse,
-    reflect,
     skersize,
 )
 
@@ -67,7 +66,6 @@ __all__ = [
     "optimal_map_value",
     "p_dist",
     "pseudoinverse",
-    "reflect",
     "sample_feasible",
     "skersize",
     "verify_bounds",

@@ -80,17 +80,6 @@ class NoiseSpec:
             return np.abs(E).max(axis=1, initial=0.0)
         return np.sqrt((E * E).sum(axis=1))
 
-    def contains(self, e: np.ndarray, d2: int) -> bool:
-        """Exact membership of a noise vector in the noise set."""
-        e = np.asarray(e, dtype=np.float64)
-        if e.shape != (self.dim(d2),):
-            raise UsageError(f"noise vector must have length {self.dim(d2)}")
-        if self.kind == "mixed":  # the product of two inf balls
-            return bool(np.all(self.row_norms(e.reshape(2, d2))
-                               <= (self.eps_multiplicative, self.eps_additive)))
-        eps = self.eps_additive if self.kind == "additive" else self.eps_multiplicative
-        return bool(self.row_norms(e[None, :])[0] <= eps)
-
     def sample(self, rng: np.random.Generator, d2: int) -> np.ndarray:
         """One noise vector drawn uniformly from the noise set."""
         if self.kind == "mixed":
@@ -155,13 +144,18 @@ class ForwardModel:
         """Apply the forward model with an explicit admissible noise vector."""
         x = as_vector(x, "signal")
         e = as_vector(e, "noise")
-        if not self.noise.contains(e, self.d2):
+        if e.shape[0] != self.d3:
+            raise UsageError(f"noise vector must have length {self.d3}")
+        ns = self.noise
+        # one ball per row of e; mixed noise is the product of two inf balls
+        radii = {"additive": [ns.eps_additive], "multiplicative": [ns.eps_multiplicative],
+                 "mixed": [ns.eps_multiplicative, ns.eps_additive]}[ns.kind]
+        if not np.all(ns.row_norms(e.reshape(len(radii), self.d2)) <= radii):
             raise DataError("noise vector lies outside the noise set")
         g = self.noiseless(x)
-        kind = self.noise.kind
-        if kind == "additive":
+        if ns.kind == "additive":
             return g + e
-        if kind == "multiplicative":
+        if ns.kind == "multiplicative":
             return g * e
         return g * (1.0 + e[: self.d2]) + e[self.d2 :]
 
@@ -199,13 +193,6 @@ class ForwardModel:
             return (ns.row_norms(ratio) <= ns.eps_multiplicative + atol) & ok_zero.all(axis=1)
         bound = np.abs(g) * ns.eps_multiplicative + ns.eps_additive + atol
         return (np.abs(y - g) <= bound).all(axis=1)
-
-    def feasibility(self, x, y, atol: float = 0.0) -> bool:
-        """True iff some admissible noise maps x exactly onto y."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise UsageError("feasibility expects a single signal vector")
-        return bool(self.feasible_batch(x[None, :], np.asarray(y, dtype=np.float64), atol)[0])
 
     # -- signal bounds ---------------------------------------------------------
 

@@ -38,8 +38,6 @@ __all__ = [
     "pseudoinverse",
     "kernel_projection",
     "KernelProjector",
-    "reflect",
-    "ReflectResult",
     "skersize",
     "SkersizeResult",
     "band_projector",
@@ -73,27 +71,17 @@ def pseudoinverse(A, tol: float | None = None) -> np.ndarray:
 class KernelProjector:
     """Orthogonal projection onto the kernel of a linear forward map.
 
-    ``source`` records whether the kernel is that of A alone (n = d1) or of
-    the joint map B = [A | I] on (signal, noise) pairs (n = d1 + d2);
-    ``d_signal`` is the signal dimension used to split joint vectors.
+    ``matrix`` is the read-only projector P: n x n, with n = d1 for the
+    kernel of A alone, or n = d1 + d2 for the joint map B = [A | I] on
+    (signal, noise) pairs.
     """
 
     matrix: np.ndarray
-    source: str
-    d_signal: int
 
     def __post_init__(self):
         P = np.asarray(self.matrix, dtype=np.float64).copy()
         P.setflags(write=False)
         object.__setattr__(self, "matrix", P)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        return v @ self.matrix.T if v.ndim == 2 else self.matrix @ v
 
     def check(self, operator: np.ndarray | None = None,
               sym_tol: float = 1e-10, idem_tol: float = 1e-8) -> None:
@@ -115,16 +103,15 @@ def kernel_projection(A, mode: str = "signal_only", tol: float | None = None) ->
         raise UsageError("kernel_projection expects a matrix")
     if mode not in ("signal_only", "joint"):
         raise UsageError(f"unknown projection mode {mode!r}")
-    d2, d1 = A.shape
     if tol is None:
         tol = max(A.shape) * np.finfo(np.float64).eps
     if mode == "joint":
-        B = np.hstack([A, np.eye(d2)])
+        B = np.hstack([A, np.eye(A.shape[0])])
     else:
         B = A
     P = np.eye(B.shape[1]) - pseudoinverse(B, tol) @ B
     P = 0.5 * (P + P.T)
-    proj = KernelProjector(matrix=P, source=mode, d_signal=d1)
+    proj = KernelProjector(matrix=P)
     proj.check(operator=B)
     return proj
 
@@ -136,44 +123,6 @@ def band_projector(model: DownsampleModel, tol: float | None = None) -> KernelPr
     block repeated; per-pair work then stays at single-band size.
     """
     return kernel_projection(model.band_matrix(), mode="signal_only", tol=tol)
-
-
-@dataclass(frozen=True)
-class ReflectResult:
-    """A reflected (signal, noise) pair; ``noise_violation`` flags reflected
-    noise that left the noise set (possible in joint mode only)."""
-
-    x: np.ndarray
-    e: np.ndarray
-    noise_violation: bool = False
-
-
-def reflect(x, e, proj: KernelProjector, noise: NoiseSpec | None = None) -> ReflectResult:
-    """Reflect a pair through the orthogonal complement of the kernel.
-
-    In signal_only mode x' = x - 2 P x and the noise is untouched, so
-    A x' = A x exactly and the pair keeps its measurement. In joint mode the
-    concatenated (x, e) is reflected and split back. The reflection is an
-    involution.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    if proj.source == "signal_only":
-        if x.shape[0] != proj.dim:
-            raise UsageError(f"signal length {x.shape[0]} != projector dim {proj.dim}")
-        x_r, e_r = x - 2.0 * proj.apply(x), e.copy()
-    else:
-        v = np.concatenate([x, e])
-        if v.shape[0] != proj.dim:
-            raise UsageError(
-                f"joint vector length {v.shape[0]} != projector dim {proj.dim}"
-            )
-        w = v - 2.0 * proj.apply(v)
-        x_r, e_r = w[: proj.d_signal], w[proj.d_signal :]
-    violation = False
-    if noise is not None and proj.source == "joint":
-        violation = not noise.contains(e_r, e_r.shape[0])
-    return ReflectResult(x=x_r, e=e_r, noise_violation=violation)
 
 
 @dataclass
@@ -216,6 +165,14 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
 
     with v_m = P x_m (signal_only) or the signal part of P (x_m, e_m) (joint),
     together with the dataset extended by the reflected pairs (x'_m, y_m).
+
+    The reflection through the orthogonal complement of the kernel is
+    x' = x - 2 P x. In signal_only mode the noise is untouched, so
+    A x' = A x exactly and each pair keeps its measurement. In joint mode the
+    concatenated (x, e) is reflected and split back into its first d1 and
+    last d2 coordinates, so A x' + e' = A x + e. Either way the reflection
+    is an involution: reflecting (x', y) gives back (x, y).
+
     A downsampling model's signal_only projection applies its one-band
     projector to each band; every other projection is dense. Only a model
     has a signal box to flag reflections against. ``feas_atol`` widens the

@@ -56,8 +56,9 @@ class TestNoiseSpec:
             NoiseSpec(kind="multiplicative", eps_multiplicative=0.2),
             NoiseSpec(kind="mixed", eps_multiplicative=0.1, eps_additive=0.5),
         ):
+            m = LinearModel(np.eye(4), spec, [[-1, 1]] * 4)
             for _ in range(50):
-                assert spec.contains(spec.sample(rng, 4), 4)
+                m.apply(np.zeros(4), spec.sample(rng, 4))  # DataError if outside the set
 
     @pytest.mark.parametrize("ball", ["inf", "l2"])
     def test_row_norms_agree_with_contains(self, ball):
@@ -67,7 +68,14 @@ class TestNoiseSpec:
         norms = spec.row_norms(E)
         expected = np.abs(E).max(axis=1) if ball == "inf" else np.linalg.norm(E, axis=1)
         np.testing.assert_array_equal(norms, expected)
-        inside = [spec.contains(e, 4) for e in E]
+        m = LinearModel(np.eye(4), spec, [[-1, 1]] * 4)
+        inside = []
+        for e in E:
+            try:
+                m.apply(np.zeros(4), e)
+                inside.append(True)
+            except DataError:
+                inside.append(False)
         assert 0 < sum(inside) < len(E)
         np.testing.assert_array_equal(norms <= 0.3, inside)
 
@@ -114,33 +122,46 @@ class TestApply:
         with pytest.raises(DataError):
             m.apply([1, 3], [0.6])
 
+    def test_noise_of_wrong_length_is_usage_error(self):
+        m = averaging_model(eps=0.5)  # d2 = 1
+        for e in ([], [0.1, 0.1]):
+            with pytest.raises(UsageError, match="must have length 1"):
+                m.apply([1, 3], e)
+        mixed = LinearModel([[1.0], [2.0]], NoiseSpec(kind="mixed", eps_multiplicative=0.2,
+                                                      eps_additive=1.0), [[0, 20]])
+        for e in ([0.1, -0.5], [0.1, 0.0, -0.5], [0.1, 0.0, -0.5, 0.5, 0.0]):
+            with pytest.raises(UsageError, match="must have length 4"):  # 2 * d2
+                mixed.apply([10.0], e)
+        # e = (e1, e2) of length 2 * d2: mu (1 + e1) + e2 with mu = (10, 20)
+        np.testing.assert_allclose(mixed.apply([10.0], [0.1, 0.0, -0.5, 0.5]), [10.5, 20.5])
+
 
 class TestFeasibility:
     def test_noiseless_measurement_always_feasible(self):
         m = averaging_model(eps=0.0)
-        assert m.feasibility([1.0, 3.0], [2.0])
-        assert averaging_model(eps=0.3).feasibility([1.0, 3.0], [2.0])
+        assert m.feasible_batch([[1.0, 3.0]], [2.0])[0]
+        assert averaging_model(eps=0.3).feasible_batch([[1.0, 3.0]], [2.0])[0]
 
     def test_additive_gap_exceeds_radius(self):
         m = averaging_model(eps=0.1)
-        assert not m.feasibility([1.0, 3.0], [2.15])
-        assert m.feasibility([1.0, 3.0], [2.05])
+        assert not m.feasible_batch([[1.0, 3.0]], [2.15])[0]
+        assert m.feasible_batch([[1.0, 3.0]], [2.05])[0]
 
     def test_mixed_bound(self):
         # |y - mu| = 1.4 <= mu*eps1 + eps2 = 10*0.05 + 1 = 1.5
         m = LinearModel([[1.0]], NoiseSpec(kind="mixed", eps_multiplicative=0.05,
                                            eps_additive=1.0), [[0, 20]])
-        assert m.feasibility([10.0], [11.4])
-        assert not m.feasibility([10.0], [11.6])
+        assert m.feasible_batch([[10.0]], [11.4])[0]
+        assert not m.feasible_batch([[10.0]], [11.6])[0]
 
     def test_multiplicative_zero_component(self):
         m = LinearModel([[1.0, 0.0], [0.0, 0.0]],
                         NoiseSpec(kind="multiplicative", eps_multiplicative=0.5),
                         [[-5, 5], [-5, 5]])
         # second row of G is identically 0, so y2 must be 0
-        assert m.feasibility([2.0, 0.0], [1.0, 0.0])
-        assert not m.feasibility([2.0, 0.0], [1.0, 0.1])
-        assert not m.feasibility([2.0, 0.0], [1.1, 0.0])
+        assert m.feasible_batch([[2.0, 0.0]], [1.0, 0.0])[0]
+        assert not m.feasible_batch([[2.0, 0.0]], [1.0, 0.1])[0]
+        assert not m.feasible_batch([[2.0, 0.0]], [1.1, 0.0])[0]
 
     @pytest.mark.parametrize("kind,ball", [("additive", "inf"), ("additive", "l2"),
                                            ("multiplicative", "inf"), ("mixed", "inf")])
@@ -158,7 +179,7 @@ class TestFeasibility:
             x = rng.uniform(-2, 2, 4)
             e = spec.sample(rng, 3)
             y = m.apply(x, e)
-            assert m.feasibility(x, y, atol=1e-12)
+            assert m.feasible_batch(x[None, :], y, atol=1e-12)[0]
 
     @pytest.mark.parametrize("family,kind,ball", [
         (family, kind, ball)
@@ -206,8 +227,8 @@ class TestFeasibility:
             y = rng.normal(size=2)
             small = LinearModel(A, NoiseSpec(kind="additive", eps_additive=0.2), bounds)
             large = LinearModel(A, NoiseSpec(kind="additive", eps_additive=0.5), bounds)
-            if small.feasibility(x, y):
-                assert large.feasibility(x, y)
+            if small.feasible_batch(x[None, :], y)[0]:
+                assert large.feasible_batch(x[None, :], y)[0]
 
 
 class TestLinearity:

@@ -178,10 +178,11 @@ class TestCliSample:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "x" / "manifest.json").exists()
 
-    def test_negative_seed_is_usage_error(self, tmp_path):
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         cfg = sample_config(tmp_path)
         assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "x"),
                      "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
 
     def test_singleton_warning_printed(self, tmp_path, capsys):
         cfg = json.loads(sample_config(tmp_path).read_text())
@@ -466,6 +467,13 @@ class TestCliDemo:
             assert main(["demo", "microscopy", "--out", str(out), "--seed", "5",
                          "--k", "2", "--n-max", "20"]) == 0
         assert dir_bytes(out1) == dir_bytes(out2)
+
+    @pytest.mark.parametrize("name", ["microscopy", "superres"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, name):
+        out = tmp_path / "x"
+        assert main(["demo", name, "--out", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not out.exists()
 
     def test_unknown_demo_exit_1(self):
         assert main(["demo", "nosuch"]) == 1

@@ -53,7 +53,7 @@ def reference_walk(model, y, sampler, rng, n_target, anchor=None):
     while spent < budget and len(kept) < n_target:
         prop = state + rng.uniform(-half, half)
         spent += 1
-        if np.all(prop >= lo) and np.all(prop <= hi) and model.feasibility(prop, y):
+        if np.all(prop >= lo) and np.all(prop <= hi) and model.feasible_batch(prop[None, :], y)[0]:
             state, n_accepted = prop, n_accepted + 1
             record()
     return np.vstack(kept) if kept else np.zeros((0, model.d1))
@@ -120,7 +120,7 @@ class TestSampleFeasible:
         y = np.zeros(3)
         out = sample_feasible(m, y, s)
         assert out.shape[0] > 0
-        assert all(m.feasibility(x, y) for x in out)
+        assert m.feasible_batch(out, y).all()
 
     def test_random_walk_infeasible_anchor(self):
         m = identity_model(eps=0.1)
@@ -155,7 +155,7 @@ class TestSampleFeasible:
         out_thin = sample_feasible(m, [0.0], thin)
         # thinned chain visits the same states, keeping every third after burn-in
         assert out_thin.shape[0] <= out_base.shape[0]
-        assert all(m.feasibility(x, [0.0]) for x in out_thin)
+        assert m.feasible_batch(out_thin, [0.0]).all()
 
 
 class TestBuildFeasibleSets:
@@ -173,9 +173,9 @@ class TestBuildFeasibleSets:
         s = SamplerSpec(kind="rejection", n_max=8, seed=7, budget=5000)
         c, _ = build_feasible_sets(m, generate=4, sampler=s)
         for e in c.entries:
-            assert all(m.feasibility(x, e.measurement, atol=1e-12) for x in e.members)
+            assert m.feasible_batch(e.members, e.measurement, atol=1e-12).all()
             # ground truth reproduces its own measurement with some noise
-            assert m.feasibility(e.members[0], e.measurement, atol=1e-12)
+            assert m.feasible_batch(e.members[:1], e.measurement, atol=1e-12)[0]
 
     def test_generator_determinism(self):
         m = LinearModel([[0.5, 0.5]], NoiseSpec(kind="additive", eps_additive=0.2),

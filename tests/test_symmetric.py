@@ -11,7 +11,6 @@ from kersize.symmetric import (
     band_projector,
     kernel_projection,
     pseudoinverse,
-    reflect,
     skersize,
 )
 
@@ -26,6 +25,13 @@ def penrose_residuals(A, Ap):
         np.max(np.abs((A @ Ap).T - A @ Ap), initial=0.0),
         np.max(np.abs((Ap @ A).T - Ap @ A), initial=0.0),
     )
+
+
+def pairs_of(x, y):
+    """One feasible set per (signal, measurement) row."""
+    n = len(x)
+    return PairedDataset(x=x, y=y, group=np.arange(n),
+                         group_ids=tuple(f"m{i}" for i in range(n)))
 
 
 def random_rank_matrix(rng, m, n, r, scale=1.0):
@@ -98,53 +104,61 @@ class TestKernelProjection:
         rng = np.random.default_rng(7)
         A = rng.normal(size=(2, 4))
         proj = kernel_projection(A, mode="joint")
-        assert proj.dim == 6 and proj.d_signal == 4
+        assert proj.matrix.shape == (6, 6)
         B = np.hstack([A, np.eye(2)])
         proj.check(operator=B)
 
 
 class TestReflect:
+    """The reflection of each pair, read from the symmetrized dataset."""
+
+    WIDE = NoiseSpec(kind="additive", eps_additive=1e3)  # admits any joint noise here
+
     def test_row_space_signal_is_fixed_point(self):
-        proj = kernel_projection(AVG)
-        x = np.array([2.0, 2.0])  # multiple of A^T
-        r = reflect(x, np.zeros(1), proj)
-        np.testing.assert_allclose(r.x, x, atol=1e-12)
+        x = np.array([[2.0, 2.0]])  # multiple of A^T
+        res = skersize(pairs_of(x, x @ AVG.T), AVG, NoiseSpec(kind="additive"), EUCLID)
+        np.testing.assert_allclose(res.symmetrized.x[1], x[0], atol=1e-12)
 
     def test_worked_example(self):
-        proj = kernel_projection(AVG)
-        r = reflect(np.array([1.0, 3.0]), np.zeros(1), proj)
-        np.testing.assert_allclose(r.x, [3.0, 1.0], atol=1e-10)
+        res = skersize(pairs_of([[1.0, 3.0]], [[2.0]]), AVG, NoiseSpec(kind="additive"),
+                       EUCLID)
+        x_refl = res.symmetrized.x[1]
+        np.testing.assert_allclose(x_refl, [3.0, 1.0], atol=1e-10)
         # same measurement: A x' = A x = 2
-        np.testing.assert_allclose(AVG @ r.x, [2.0], atol=1e-12)
+        np.testing.assert_allclose(AVG @ x_refl, [2.0], atol=1e-12)
 
     def test_involution(self):
         rng = np.random.default_rng(12)
         A = rng.normal(size=(2, 5))
         for mode in ("signal_only", "joint"):
-            proj = kernel_projection(A, mode=mode)
-            x, e = rng.normal(size=5), rng.normal(size=2)
-            once = reflect(x, e, proj)
-            twice = reflect(once.x, once.e, proj)
-            np.testing.assert_allclose(twice.x, x, atol=1e-10)
-            np.testing.assert_allclose(twice.e, e, atol=1e-10)
+            x, e = rng.normal(size=(4, 5)), rng.normal(size=(4, 2))
+            y = x @ A.T + e
+            once = skersize(pairs_of(x, y), A, self.WIDE, EUCLID, mode=mode)
+            twice = skersize(pairs_of(once.symmetrized.x[4:], y), A, self.WIDE, EUCLID,
+                             mode=mode)
+            x_twice = twice.symmetrized.x[4:]
+            np.testing.assert_allclose(x_twice, x, atol=1e-10)
+            np.testing.assert_allclose(y - x_twice @ A.T, e, atol=1e-10)
 
     def test_joint_preserves_measurement(self):
         rng = np.random.default_rng(13)
         A = rng.normal(size=(3, 6))
-        proj = kernel_projection(A, mode="joint")
         x, e = rng.normal(size=6), rng.normal(size=3)
-        r = reflect(x, e, proj)
-        np.testing.assert_allclose(A @ r.x + r.e, A @ x + e, atol=1e-10)
+        res = skersize(pairs_of([x], [A @ x + e]), A, self.WIDE, EUCLID, mode="joint")
+        # the reflected noise e' is the noise half of (x, e) - 2 P (x, e)
+        v = np.concatenate([x, e])
+        w = v - 2.0 * kernel_projection(A, mode="joint").matrix @ v
+        np.testing.assert_allclose(res.symmetrized.x[1], w[:6], atol=1e-12)
+        np.testing.assert_allclose(A @ res.symmetrized.x[1] + w[6:], A @ x + e, atol=1e-10)
 
     def test_noise_violation_flag(self):
         rng = np.random.default_rng(14)
         A = rng.normal(size=(2, 4))
-        proj = kernel_projection(A, mode="joint")
         tight = NoiseSpec(kind="additive", eps_additive=1e-12)
-        x, e = rng.normal(size=4) * 5, np.zeros(2)
-        r = reflect(x, e, proj, noise=tight)
+        x = rng.normal(size=(1, 4)) * 5  # noise-free: e = 0
+        res = skersize(pairs_of(x, x @ A.T), A, tight, EUCLID, mode="joint")
         # the reflected noise is generically nonzero, far beyond the tiny ball
-        assert r.noise_violation
+        assert res.noise_violations == [0]
 
 
 class TestSkersize:
