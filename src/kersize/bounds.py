@@ -9,8 +9,22 @@ contribute zero. Half of it lower-bounds the loss of every reconstruction map
 on the derived dataset; the per-set minimizer θ of the mean p-th-power
 distance attains the infimum, giving the upper half of the sandwich.
 
-Pairwise sums are evaluated in fixed-size blocks with exact (fsum) reduction
-across blocks, so reports are reproducible bit for bit.
+At p = q the distance splits by coordinate, and two exponents give the
+unordered-pair sum in closed form, dropping no term, from the members
+a_n = x_n − c centred on their computed mean c. Each costs O(N·d), plus one
+sort per coordinate at p = q = 1:
+
+    p = q = 2:  N Σ_n ‖a_n‖² − ‖Σ_n a_n‖²
+    p = q = 1:  Σ_j Σ_i (2i − N + 1) a_(i),j    (a_(i),j the i-th smallest
+                                                 of coordinate j, i from 0)
+
+Both identities hold for any c; the second term at p = q = 2 removes what
+rounding of the mean leaves behind. Centring is what keeps them accurate:
+on a set at 1e6 with spread 1e-3 the uncentred weighted sum at p = q = 1
+loses eight digits to cancellation, while centring costs at most one
+rounding per value. Every other norm sums the pairs in fixed-size blocks.
+Each final reduction is an exact fsum over terms computed in a fixed order,
+so reports are reproducible bit for bit.
 
 θ is exact where a closed form exists (the mean at p = q = 2, the
 coordinatewise median at p = q = 1) and Weiszfeld's geometric median at
@@ -67,8 +81,6 @@ def _pair_powers(diff: np.ndarray, p: float, q) -> np.ndarray:
     """
     if q == 2:
         sq = np.einsum("ijk,ijk->ij", diff, diff)
-        if p == 2.0:
-            return sq
         if p == 1.0:
             return np.sqrt(sq)
         return sq ** (p / 2.0)
@@ -82,7 +94,8 @@ def _pair_powers(diff: np.ndarray, p: float, q) -> np.ndarray:
 
 
 def pair_power_sum(members: np.ndarray, norm: NormSpec) -> float:
-    """Sum of ‖x_n - x_n'‖^p over unordered member pairs."""
+    """Sum of ‖x_n - x_n'‖^p over unordered member pairs: in closed form at
+    p = q in {1, 2}, pair by pair otherwise (see the module docstring)."""
     X = np.asarray(members, dtype=np.float64)
     n = X.shape[0]
     if n < 2:
@@ -90,6 +103,15 @@ def pair_power_sum(members: np.ndarray, norm: NormSpec) -> float:
     if norm.mask is not None:
         norm.check_dim(X.shape[1])
         X = X[:, norm.mask]
+    if norm.p == norm.q and norm.p in (1.0, 2.0):
+        C = X - X.mean(axis=0)
+        if norm.p == 2.0:
+            # exact for any centre; the second term is what rounding of the
+            # mean leaves behind
+            s = C.sum(axis=0)
+            return n * math.fsum(np.einsum("ij,ij->i", C, C).tolist()) - math.fsum(s * s)
+        w = 2.0 * np.arange(n) - (n - 1)
+        return math.fsum((np.sort(C, axis=0) * w[:, None]).ravel().tolist())
     bs = _block_size(n, X.shape[1])
     partial = []
     for i0 in range(0, n, bs):

@@ -249,6 +249,8 @@ def _cmd_skersize(args) -> int:
 def _cmd_demo(args) -> int:
     if args.seed < 0:
         raise UsageError("seed must be >= 0")
+    if args.k < 1:
+        raise UsageError("k must be >= 1")
     out = Path(args.out) if args.out else Path(f"demo_{args.name}")
     if args.name == "microscopy":
         result = microscopy_demo(out_dir=out, k=args.k, n_max=args.n_max, seed=args.seed)

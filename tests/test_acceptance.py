@@ -151,8 +151,9 @@ def _kersize_triple_loop(c, norm):
 
 
 def test_criterion_3_oracle_equivalence():
-    """Blocked pairwise evaluation matches the literal triple loop to 1e-12
-    relative on 100 random small collections."""
+    """Closed-form (p = q in {1, 2}) and blocked pairwise evaluation match
+    the literal triple loop to 1e-12 relative on 100 random small
+    collections."""
     rng = np.random.default_rng(33)
     worst = 0.0
     for trial in range(100):
@@ -352,9 +353,9 @@ def test_criterion_8_microscopy_trend():
 
 
 def test_criterion_9_complexity_signatures():
-    """skersize scales linearly in the number of pairs (10x data < 15x time)
-    while the pairwise kernel size is quadratic (10x members > 40x time),
-    measured at a 2000-pair base."""
+    """skersize and the closed-form kernel size (p = q = 2) scale linearly
+    (10x data < 15x time) while the pairwise kernel size (p = 2, q = 1) is
+    quadratic (10x members > 40x time), measured at a 2000-pair base."""
     rng = np.random.default_rng(99)
     d1, d2 = 32, 8
     A = rng.normal(size=(d2, d1))
@@ -375,7 +376,7 @@ def test_criterion_9_complexity_signatures():
             best = min(best, time.perf_counter() - t0)
         return best
 
-    def time_kersize(n, reps):
+    def time_kersize(n, reps, kernel_norm):
         members = rng.normal(size=(n, 4))
         c = FeasibleSetCollection(
             d1=4, d2=1,
@@ -384,7 +385,7 @@ def test_criterion_9_complexity_signatures():
         best = math.inf
         for _ in range(reps):
             t0 = time.perf_counter()
-            kersize(c, norm)
+            kersize(c, kernel_norm)
             best = min(best, time.perf_counter() - t0)
         return best
 
@@ -393,9 +394,17 @@ def test_criterion_9_complexity_signatures():
     lin_ratio = t_lin_big / t_lin_small
     assert lin_ratio < 15.0, f"skersize 10x ratio {lin_ratio:.1f}"
 
-    t_quad_small = time_kersize(2000, reps=3)
-    t_quad_big = time_kersize(20000, reps=1)
+    t_closed_small = time_kersize(2000, reps=20, kernel_norm=norm)
+    t_closed_big = time_kersize(20000, reps=5, kernel_norm=norm)
+    closed_ratio = t_closed_big / t_closed_small
+    assert closed_ratio < 15.0, f"kersize p=q=2 10x ratio {closed_ratio:.1f}"
+
+    # p = 2, q = 1 has no closed form, so it sums every pair
+    pairwise = NormSpec(p=2.0, q=1.0)
+    t_quad_small = time_kersize(2000, reps=3, kernel_norm=pairwise)
+    t_quad_big = time_kersize(20000, reps=1, kernel_norm=pairwise)
     quad_ratio = t_quad_big / t_quad_small
-    assert quad_ratio > 40.0, f"kersize 10x ratio {quad_ratio:.1f}"
+    assert quad_ratio > 40.0, f"kersize p=2 q=1 10x ratio {quad_ratio:.1f}"
     print(f"\n[criterion 9] PASS - skersize 10x data -> {lin_ratio:.1f}x time; "
-          f"kersize 10x members -> {quad_ratio:.1f}x time")
+          f"kersize p=q=2 10x members -> {closed_ratio:.1f}x time; "
+          f"kersize p=2 q=1 10x members -> {quad_ratio:.1f}x time")

@@ -16,7 +16,14 @@ from kersize.core import (
     p_dist,
     vector_norms,
 )
-from kersize.bounds import _dual_gap, kersize, optimal_map_value, verify_bounds
+from kersize.bounds import (
+    _dual_gap,
+    _pair_powers,
+    kersize,
+    optimal_map_value,
+    pair_power_sum,
+    verify_bounds,
+)
 from kersize.forward import LinearModel, NoiseSpec
 from kersize.predictors import (
     constant_map,
@@ -106,11 +113,56 @@ class TestKersize:
             want = kersize_oracle(c, norm)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
-    def test_blocked_sum_matches_oracle_on_large_set(self):
+    @pytest.mark.parametrize("p, q", [(2, 2), (2, 1), (1, np.inf), (1.5, 2)])
+    def test_blocked_sum_matches_oracle_on_large_set(self, p, q):
         rng = np.random.default_rng(3)
         c = make_collection([rng.normal(size=(70, 3))], d1=3)
-        got, _ = kersize(c, EUCLID)
-        assert got == pytest.approx(kersize_oracle(c, EUCLID), rel=1e-12)
+        norm = NormSpec(p=p, q=q)
+        got, _ = kersize(c, norm)
+        assert got == pytest.approx(kersize_oracle(c, norm), rel=1e-12)
+
+    @pytest.mark.parametrize("p, q, pairwise", [
+        (2, 2, False), (1, 1, False),
+        (1, 2, True), (1, np.inf, True), (2, 1, True), (2, np.inf, True),
+        (1.5, 1, True), (1.5, 2, True), (3, np.inf, True),
+    ])
+    def test_only_norms_without_closed_form_sum_pairs(self, monkeypatch, p, q, pairwise):
+        calls = []
+        monkeypatch.setattr("kersize.bounds._pair_powers",
+                            lambda *args: calls.append(args) or _pair_powers(*args))
+        rng = np.random.default_rng(4)
+        kersize(make_collection([rng.normal(size=(20, 2)), rng.normal(size=(3, 2))]),
+                NormSpec(p=p, q=q))
+        assert (len(calls) > 0) == pairwise
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_closed_forms_match_literal_pair_sum(self, p):
+        """p = q splits the pair sum by coordinate; the closed forms must stay
+        exact on sets far from the origin relative to their spread."""
+        rng = np.random.default_rng(21)
+        sets = [
+            1e6 + 1e-3 * rng.normal(size=(40, 3)),
+            1e6 + 1e-6 * rng.normal(size=(40, 3)),
+            1.0 + 1e-9 * rng.normal(size=(40, 3)),
+            1e-9 * rng.normal(size=(40, 3)),
+            -3e7 + rng.exponential(size=(40, 3)),
+            np.repeat(rng.normal(size=(5, 3)), [1, 4, 2, 7, 3], axis=0),
+            np.full((6, 3), 2.5),
+            np.zeros((0, 3)),
+            rng.normal(size=(1, 3)),
+            1e6 + rng.normal(size=(2, 3)),
+        ]
+        for mask in (None, [1, 0, 1], [0, 1, 0]):
+            norm = NormSpec(p=p, q=p, mask=mask)
+            for X in sets:
+                Xm = X if mask is None else X[:, np.asarray(mask, dtype=bool)]
+                want = math.fsum(
+                    abs(a - b) ** p
+                    for i in range(len(Xm)) for j in range(i + 1, len(Xm))
+                    for a, b in zip(Xm[i], Xm[j])
+                )
+                got = pair_power_sum(X, norm)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)

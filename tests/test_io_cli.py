@@ -475,6 +475,13 @@ class TestCliDemo:
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_nonpositive_k_is_usage_error(self, tmp_path, capsys, k):
+        out = tmp_path / "x"
+        assert main(["demo", "microscopy", "--out", str(out), "--k", k]) == 1
+        assert capsys.readouterr().err == "error: k must be >= 1\n"
+        assert not out.exists()
+
     def test_unknown_demo_exit_1(self):
         assert main(["demo", "nosuch"]) == 1
 
