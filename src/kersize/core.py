@@ -8,6 +8,7 @@ threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
@@ -359,7 +360,9 @@ def power_mean(powers: Sequence[np.ndarray], p: float) -> float:
     """``((1/n) Σ t)^(1/p)`` over the n p-th powers t in the arrays ``powers``,
     summed exactly (fsum), so the result does not depend on their order."""
     n = sum(len(a) for a in powers)
-    return (math.fsum(t for a in powers for t in a) / n) ** (1.0 / p)
+    # fsum reads Python floats much faster than numpy scalars
+    values = itertools.chain.from_iterable(np.asarray(a, dtype=np.float64).tolist() for a in powers)
+    return (math.fsum(values) / n) ** (1.0 / p)
 
 
 def loss(dataset: PairedDataset, predictions: Mapping[str, Sequence], norm: NormSpec) -> float:

@@ -2,15 +2,22 @@
 
 Vector CSV: one vector per row, comma separated, '.' decimal, no header, LF
 line endings, floats in shortest round-trip form (so writing is byte-stable
-across runs). A collection directory holds ``manifest.json`` plus one
-``y_<id>.csv`` (the measurement) and one ``fs_<id>.csv`` (the feasible-set
-members) per measurement. All writes go through a temp file and rename.
+across runs). The reader also accepts blank and whitespace-only lines (skipped),
+CRLF or CR line endings and whitespace around each value. A file that is
+missing, is a directory, is not UTF-8, has rows of different lengths or holds
+a value that is not a decimal float raises ``DataError`` naming the file (and,
+for a bad row, its 1-based line), which the CLI reports with exit code 2.
+
+A collection directory holds ``manifest.json`` plus one ``y_<id>.csv`` (the
+measurement) and one ``fs_<id>.csv`` (the feasible-set members) per
+measurement. All writes go through a temp file and rename.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -54,31 +61,45 @@ def _fmt(v: float) -> str:
 def write_vectors_csv(path, rows) -> None:
     """Write vectors (one per row) in the standard CSV form."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    lines = [",".join(_fmt(v) for v in row) for row in rows] if rows.size else []
-    _atomic_write(Path(path), "".join(line + "\n" for line in lines))
+    # tolist() gives Python floats, whose repr is the shortest round-trip text
+    text = "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()) if rows.size else ""
+    _atomic_write(Path(path), text)
+
+
+def _read_text(path: Path) -> str:
+    """The text of an existing UTF-8 file; DataError if it cannot be read."""
+    if not path.exists():
+        raise DataError(f"missing file {path}")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def read_vectors_csv(path) -> np.ndarray:
     """Read a vector CSV into a 2-D float array ((0, 0) for an empty file)."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing file {path}")
-    rows = []
-    with open(path, "r", newline="") as handle:
-        for ln, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise DataError(f"{path}:{ln}: {exc}") from None
+    lines = _read_text(path).split("\n")
+    rows = list(filter(str.strip, lines))
     if not rows:
         return np.zeros((0, 0))
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise DataError(f"{path}: rows have inconsistent lengths")
-    return np.asarray(rows, dtype=np.float64)
+    try:
+        return np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        # loadtxt ends its message with the failing row: " at row N; ..." (1-based)
+        # when the number of columns changes, " at row N, column C." (0-based)
+        # for a value it cannot convert
+        msg = str(exc)
+        head, _, tail = msg.rpartition(" at row ")
+        found = re.match(r"(\d+)([;,])", tail)
+        if not head or found is None:
+            raise DataError(f"{path}: {msg}") from None
+        row = int(found[1]) - (found[2] == ";")
+        file_lines = [ln for ln, line in enumerate(lines, 1) if line.strip()]
+        raise DataError(f"{path}:{file_lines[row]}: {head}") from None
 
 
 def write_table_csv(path, header, rows) -> None:
@@ -100,11 +121,9 @@ def write_json(path, payload) -> None:
 
 def read_json(path):
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing file {path}")
+    text = _read_text(path)
     try:
-        with open(path) as handle:
-            return json.load(handle)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
 

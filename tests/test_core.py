@@ -1,5 +1,7 @@
 """Tests for the evaluation pseudo-norm, empirical loss, and containers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from kersize.core import (
     dataset_from_collection,
     loss,
     p_dist,
+    power_mean,
 )
 
 EUCLID = NormSpec(p=2, q=2)
@@ -140,6 +143,19 @@ class TestLoss:
         for p in (0.5, 1, 2, 3):
             n = NormSpec(p=p, q=2)
             assert loss(base, preds, n) == pytest.approx(loss(shuffled, preds, n), rel=1e-12)
+
+    def test_power_mean_is_fsum_over_elements(self):
+        """Bit-equal to fsum over the numpy scalars taken one by one, on arrays
+        of mixed lengths (empty and 1-element ones included) and on a list."""
+        rng = np.random.default_rng(5)
+        powers = [rng.exponential(size=n) * 10.0 ** rng.integers(-12, 13, size=n)
+                  for n in (0, 1, 7, 1, 300, 0, 64)]
+        powers.insert(0, np.array([1e16] + [1.0] * 10))  # a naive sum drops every 1
+        powers.append([0.25, 1e-300])
+        n = sum(len(a) for a in powers)
+        total = math.fsum([t for a in powers for t in a])
+        for p in (0.5, 1.0, 1.5, 2.0, 3.0):
+            assert power_mean(powers, p) == (total / n) ** (1.0 / p)
 
     def test_nearby_maps_have_nearby_losses(self):
         """|loss(phi) - loss(phi')| <= delta when every prediction moves by

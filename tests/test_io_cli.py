@@ -2,15 +2,17 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kersize.cli import main
-from kersize.core import FeasibleSet, FeasibleSetCollection, NormSpec
+from kersize.core import DataError, FeasibleSet, FeasibleSetCollection, NormSpec
 from kersize.io import (
     read_collection,
     read_vectors_csv,
@@ -55,6 +57,9 @@ def dir_bytes(root):
     }
 
 
+EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 1e22, 0.1]
+
+
 class TestVectorCsv:
     def test_roundtrip_exact(self, tmp_path):
         rows = np.array([[0.1, -2.5e-17, 3.0], [1 / 3, np.pi, -0.0]])
@@ -75,10 +80,60 @@ class TestVectorCsv:
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("1,2\n3\n")
-        from kersize.core import DataError
+        path.write_text("1,2\n\n3\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: the number of columns changed"):
+            read_vectors_csv(path)
 
-        with pytest.raises(DataError):
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [EDGE_VALUES, EDGE_VALUES[::-1]],
+            np.random.default_rng(1).normal(size=(3000, 6))
+            * 10.0 ** np.random.default_rng(2).integers(-20, 21, size=(3000, 6)),
+            np.random.default_rng(3).normal(size=(1, 2304)),
+        ],
+        ids=["edge_values", "tall_3000x6", "wide_1x2304"],
+    )
+    def test_bytes_match_per_value_repr(self, tmp_path, rows):
+        path = tmp_path / "v.csv"
+        write_vectors_csv(path, rows)
+        expected = "".join(",".join(repr(float(v)) for v in row) + "\n"
+                           for row in np.asarray(rows, dtype=np.float64))
+        assert path.read_bytes() == expected.encode()
+
+    def test_reads_bitwise_like_float(self, tmp_path):
+        """Every token parses to the bits float() gives; every value other
+        than NaN (written as 'nan') round-trips bit for bit."""
+        bits = np.random.default_rng(4).integers(0, 2**64, size=9_989, dtype=np.uint64)
+        values = np.concatenate([bits.view(np.float64), EDGE_VALUES, [-5e-324, 2.2e-308]])
+        rows = values.reshape(-1, 8)
+        path = tmp_path / "v.csv"
+        write_vectors_csv(path, rows)
+        got = read_vectors_csv(path)
+        oracle = np.array([[float(tok) for tok in line.split(",")]
+                           for line in path.read_text().splitlines()])
+        np.testing.assert_array_equal(got.view(np.uint64), oracle.view(np.uint64))
+        finite = ~np.isnan(rows)
+        np.testing.assert_array_equal(got.view(np.uint64)[finite], rows.view(np.uint64)[finite])
+        assert np.isnan(got[~finite]).all()
+
+    def test_blank_lines_crlf_and_spaces_accepted(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_bytes(b"\n1.5, 2\r\n  \r\n\t-3 ,4.25 \r\n\n\n")
+        np.testing.assert_array_equal(read_vectors_csv(path), [[1.5, 2.0], [-3.0, 4.25]])
+
+    @pytest.mark.parametrize("content", [b"", b"\n \n\r\n\t\n"], ids=["empty", "blank_only"])
+    def test_no_rows_is_empty_without_warning(self, tmp_path, content):
+        path = tmp_path / "v.csv"
+        path.write_bytes(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_vectors_csv(path).shape == (0, 0)
+
+    def test_bad_token_names_file_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("1,2\n\n  \n3,abc\n5,6\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:4: could not convert string 'abc'"):
             read_vectors_csv(path)
 
 
@@ -102,8 +157,6 @@ class TestCollectionRoundtrip:
         d = tmp_path / "c"
         d.mkdir()
         (d / "manifest.json").write_text("{\"version\": 1}")
-        from kersize.core import DataError
-
         with pytest.raises(DataError):
             read_collection(d)
 
@@ -521,3 +574,38 @@ class TestExitCodes:
         d = str(two_point_collection_dir(tmp_path))
         extra = {"loss": [d], "skersize": ["--matrix", "A.csv"]}.get(command, [])
         assert main([command, d, *extra, "--seed", "3"]) == 1
+
+    @pytest.mark.parametrize(
+        "target, content, command",
+        [
+            ("twopoint/fs_m0.csv", b"0.0,0.0\n\xff,2.0\n", "kersize"),
+            ("twopoint/fs_m0.csv", None, "kersize"),
+            ("twopoint/manifest.json", b"{\"version\": \"\xff\"}", "kersize"),
+            ("twopoint/manifest.json", None, "kersize"),
+            ("run.json", b"{\"model\": \"\xff\"}", "sample"),
+            ("pred/pred_m0.csv", b"\xff,1.0\n", "validate"),
+        ],
+        ids=["csv_undecodable", "csv_is_directory", "manifest_undecodable",
+             "manifest_is_directory", "config_undecodable", "prediction_undecodable"],
+    )
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, target, content, command):
+        """A file that is not UTF-8 text, or is a directory, is a data error
+        reported on one line, not a traceback."""
+        d = two_point_collection_dir(tmp_path)
+        cfg = sample_config(tmp_path)
+        (tmp_path / "pred").mkdir()
+        (tmp_path / "pred" / "pred_m0.csv").write_text("0.0,1.0\n")
+        path = tmp_path / target
+        path.unlink()
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        argv = {
+            "kersize": ["kersize", str(d)],
+            "sample": ["sample", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            "validate": ["validate", str(d), str(tmp_path / "pred")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
