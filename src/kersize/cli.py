@@ -51,7 +51,6 @@ from .core import (
     loss,
     nullable,
 )
-from .demo import microscopy_demo, superres_demo
 from .forward import DownsampleModel, LinearModel, NoiseSpec, model_from_dict
 from .predictors import median_map, zero_map
 from .sampling import SamplerSpec, build_feasible_sets
@@ -143,7 +142,7 @@ def _cmd_sample(args) -> int:
         files = sorted(in_dir.glob("y_*.csv"))
         if not files:
             raise DataError(f"no y_*.csv measurement files in {in_dir}")
-        ys = [io.read_vectors_csv(f)[0] for f in files]
+        ys = [io.read_row_csv(f, "measurement") for f in files]
         collection, _ = build_feasible_sets(model, measurements=ys, sampler=sampler)
     else:
         raise DataError("config needs options.generate or paths.input")
@@ -247,6 +246,8 @@ def _cmd_skersize(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from .demo import microscopy_demo, superres_demo  # scipy, which no other command needs
+
     if args.seed < 0:
         raise UsageError("seed must be >= 0")
     if args.k < 1:

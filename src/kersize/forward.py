@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, fields
 from typing import Mapping
 
 import numpy as np
-from scipy.special import erf
 
 from .core import DataError, UsageError, as_vector, check_keys
 
@@ -401,7 +400,10 @@ class MicroscopyModel(ForwardModel):
 
     def _axis_mass(self, edges: np.ndarray, pos: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         # Gaussian mass per pixel via erf differences; erf is odd bitwise, so a
-        # centred emitter yields an exactly symmetric image.
+        # centred emitter yields an exactly symmetric image. scipy is imported
+        # here, its only use, so that the other models never load it.
+        from scipy.special import erf
+
         a = (edges[None, :] - pos[:, None]) / (sigma[:, None] * _SQRT2)
         e = erf(a)
         return 0.5 * (e[:, 1:] - e[:, :-1])

@@ -29,6 +29,7 @@ from .core import (DataError, FeasibleSet, FeasibleSetCollection, NormSpec, chec
 __all__ = [
     "write_vectors_csv",
     "read_vectors_csv",
+    "read_row_csv",
     "write_json",
     "read_json",
     "write_collection",
@@ -100,6 +101,14 @@ def read_vectors_csv(path) -> np.ndarray:
         row = int(found[1]) - (found[2] == ";")
         file_lines = [ln for ln, line in enumerate(lines, 1) if line.strip()]
         raise DataError(f"{path}:{file_lines[row]}: {head}") from None
+
+
+def read_row_csv(path, what: str) -> np.ndarray:
+    """Read a vector CSV that must hold exactly one row; return that row."""
+    rows = read_vectors_csv(path)
+    if rows.shape[0] != 1:
+        raise DataError(f"{path}: expected exactly one {what} row")
+    return rows[0]
 
 
 def write_table_csv(path, header, rows) -> None:
@@ -187,9 +196,7 @@ def read_collection(directory) -> tuple:
                          {"id": _name, "measurement": os.fspath, "feasible": os.fspath,
                           "count": _size},
                          required=entry_keys)
-        y = read_vectors_csv(directory / rec["measurement"])
-        if y.shape[0] != 1:
-            raise DataError(f"{rec['measurement']}: expected exactly one measurement row")
+        y = read_row_csv(directory / rec["measurement"], "measurement")
         members = read_vectors_csv(directory / rec["feasible"])
         if members.shape == (0, 0):
             members = np.zeros((0, d1))
@@ -197,7 +204,7 @@ def read_collection(directory) -> tuple:
             raise DataError(
                 f"{rec['feasible']}: {members.shape[0]} rows but manifest count {rec['count']}"
             )
-        entries.append(FeasibleSet(id=rec["id"], measurement=y[0], members=members))
+        entries.append(FeasibleSet(id=rec["id"], measurement=y, members=members))
     return FeasibleSetCollection(d1=d1, d2=d2, entries=tuple(entries)), norm
 
 
@@ -231,10 +238,7 @@ def read_predictions_dir(directory, ids) -> dict:
         path = directory / f"pred_{ident}.csv"
         if not path.exists():
             raise DataError(f"missing prediction file {path}")
-        rows = read_vectors_csv(path)
-        if rows.shape[0] != 1:
-            raise DataError(f"{path}: expected exactly one prediction row")
-        preds[ident] = rows[0]
+        preds[ident] = read_row_csv(path, "prediction")
     return preds
 
 

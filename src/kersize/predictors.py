@@ -10,7 +10,6 @@ bounds hold for arbitrary maps, these are just the standard baselines.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .core import FeasibleSetCollection, UsageError
 from .forward import DownsampleModel
@@ -60,6 +59,8 @@ def upscale(model: DownsampleModel, y, order: int = 1) -> np.ndarray:
 
     order 1 is bilinear, order 3 bicubic (spline interpolation per band).
     """
+    from scipy import ndimage
+
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (model.d2,):
         raise UsageError(f"measurement length {y.shape} != d2={model.d2}")

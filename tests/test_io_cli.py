@@ -49,6 +49,16 @@ def two_point_collection_dir(tmp_path):
     return d
 
 
+def run_fresh(*args):
+    """Run ``python *args`` in a fresh interpreter with this checkout's src on
+    the path, so that imports made by other tests do not count."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
 def dir_bytes(root):
     return {
         p.relative_to(root).as_posix(): p.read_bytes()
@@ -237,6 +247,20 @@ class TestCliSample:
                      "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
 
+    @pytest.mark.parametrize("content", ["", "0.1\n0.2\n"], ids=["empty", "two_rows"])
+    def test_input_measurement_needs_one_row(self, tmp_path, capsys, content):
+        cfg = json.loads(sample_config(tmp_path).read_text())
+        cfg["paths"]["input"] = "meas"
+        cfg["options"]["generate"] = None
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(cfg))
+        (tmp_path / "meas").mkdir()
+        y = tmp_path / "meas" / "y_a.csv"
+        y.write_text(content)
+        assert main(["sample", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {y}: expected exactly one measurement row"]
+
     def test_singleton_warning_printed(self, tmp_path, capsys):
         cfg = json.loads(sample_config(tmp_path).read_text())
         cfg["model"]["matrix"] = [[1.0, 0.0], [0.0, 1.0]]
@@ -398,11 +422,7 @@ class TestCliValidate:
         script = ("import sys; from kersize import cli; "
                   f"code = cli.main(['validate', {str(d)!r}, '--p', '2', '--q', '1']); "
                   "print(code, 'scipy.optimize' in sys.modules)")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env, timeout=120)
+        done = run_fresh("-c", script)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split()[-2:] == ["0", "False"]
         for row in json.loads((d / "bounds.json").read_text())["per_measurement"]:
@@ -542,7 +562,7 @@ class TestCliDemo:
     def test_seed_passed_through(self, monkeypatch, tmp_path, argv, seed):
         calls = []
         monkeypatch.setattr(
-            "kersize.cli.microscopy_demo",
+            "kersize.demo.microscopy_demo",
             lambda **kw: calls.append(kw) or {"setups": []},
         )
         assert main(["demo", "microscopy", "--out", str(tmp_path), *argv]) == 0
@@ -609,3 +629,41 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+
+
+class TestFreshInterpreter:
+    def test_non_demo_commands_never_import_scipy(self, tmp_path):
+        """Importing kersize and kersize.cli, then running sample (from
+        measurement files), validate, kersize, loss and skersize --model on a
+        linear model loads numpy only: scipy, about 0.3 s of start-up per
+        process, is left to the microscopy model, predictors.upscale and the
+        demos."""
+        cfg = json.loads(sample_config(tmp_path, out="coll", generate=None).read_text())
+        cfg["paths"]["input"] = "meas"
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        (tmp_path / "model.json").write_text(json.dumps(cfg["model"]))
+        (tmp_path / "meas").mkdir()
+        (tmp_path / "pred").mkdir()
+        for i, y in enumerate([0.1, -0.3]):
+            write_vectors_csv(tmp_path / "meas" / f"y_{'ab'[i]}.csv", [[y]])
+            write_vectors_csv(tmp_path / "pred" / f"pred_m0{i}.csv", [[y, y]])
+        d = str(tmp_path)
+        script = (
+            "import sys, kersize, kersize.cli; from kersize import cli; "
+            f"d = {d!r}; "
+            "codes = [cli.main(argv) for argv in ("
+            "['sample', '--config', d + '/run.json', '--out', d + '/coll'], "
+            "['validate', d + '/coll'], ['kersize', d + '/coll'], "
+            "['loss', d + '/coll', d + '/pred'], "
+            "['skersize', d + '/coll', '--model', d + '/model.json'])]; "
+            "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        done = run_fresh("-W", "error", "-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+        assert "K=2" in done.stdout and "loss[pred]=" in done.stdout and "skersize=" in done.stdout
+
+    def test_python_m_kersize_runs_the_cli(self, tmp_path):
+        done = run_fresh("-m", "kersize", "kersize", str(two_point_collection_dir(tmp_path)))
+        assert done.returncode == 0, done.stderr
+        assert "kersize=" in done.stdout
