@@ -59,8 +59,10 @@ class NoiseSpec:
             raise UsageError(f"unknown noise kind {self.kind!r}")
         if self.ball not in ("inf", "l2"):
             raise UsageError(f"unknown noise ball {self.ball!r}")
-        if self.eps_additive < 0 or self.eps_multiplicative < 0:
-            raise UsageError("noise radii must be nonnegative")
+        for name in ("eps_additive", "eps_multiplicative"):
+            eps = getattr(self, name)
+            if not (math.isfinite(eps) and eps >= 0):  # NaN fails both
+                raise UsageError(f"{name} must be finite and nonnegative, got {eps!r}")
         if self.kind == "additive" and self.eps_multiplicative != 0:
             raise UsageError("additive noise must have eps_multiplicative = 0")
         if self.kind == "multiplicative" and self.eps_additive != 0:

@@ -44,6 +44,13 @@ class TestNoiseSpec:
         with pytest.raises(UsageError):
             NoiseSpec(kind="multiplicative", eps_additive=0.1, eps_multiplicative=0.1)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, -0.1])
+    @pytest.mark.parametrize("kind, field", [("additive", "eps_additive"),
+                                             ("multiplicative", "eps_multiplicative")])
+    def test_radius_must_be_finite_and_nonnegative(self, kind, field, eps):
+        with pytest.raises(UsageError, match=f"{field} must be finite and nonnegative"):
+            NoiseSpec(kind=kind, **{field: eps})
+
     def test_mixed_requires_inf_ball(self):
         with pytest.raises(UsageError):
             NoiseSpec(kind="mixed", eps_additive=0.1, eps_multiplicative=0.1, ball="l2")

@@ -241,6 +241,26 @@ class TestCliSample:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "x" / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            {"kind": "additive", "eps_additive": float("nan")},
+            {"kind": "additive", "eps_additive": float("inf")},
+            {"kind": "multiplicative", "eps_multiplicative": float("nan")},
+            {"kind": "multiplicative", "eps_multiplicative": float("inf")},
+        ],
+        ids=["additive_nan", "additive_inf", "multiplicative_nan", "multiplicative_inf"],
+    )
+    def test_non_finite_noise_radius_exits_1(self, tmp_path, capsys, noise):
+        cfg = json.loads(sample_config(tmp_path).read_text())
+        cfg["model"]["noise"] = noise
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))  # NaN / Infinity literals
+        assert main(["sample", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: eps_")
+        assert "must be finite and nonnegative" in err[0]
+
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         cfg = sample_config(tmp_path)
         assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "x"),
@@ -502,6 +522,24 @@ class TestCliSkersize:
             reflected = e_entry.members[1]
             resid = model.noiseless_batch(reflected[None, :])[0] + e[i] - y[i]
             assert np.max(np.abs(resid)) < 1e-8
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_additive_exits_1(self, tmp_path, capsys, eps):
+        mat = tmp_path / "A.csv"
+        mat.write_text("0.5,0.5\n")
+        assert main(["skersize", str(two_point_collection_dir(tmp_path)), "--matrix", str(mat),
+                     "--eps-additive", eps]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: eps_additive must be finite and nonnegative, got {eps}"]
+
+    def test_tiny_matrix_exits_2(self, tmp_path, capsys):
+        """1/sigma overflows: one error line naming the operator, no warning."""
+        mat = tmp_path / "A.csv"
+        mat.write_text("1e-320,0.0\n")
+        assert main(["skersize", str(two_point_collection_dir(tmp_path)), "--matrix", str(mat),
+                     "--eps-additive", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: operator is too small to invert")
 
     def test_model_of_wrong_size_exits_1(self, tmp_path, capsys):
         from kersize.forward import DownsampleModel, NoiseSpec

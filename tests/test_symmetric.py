@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kersize import symmetric
 from kersize.core import DataError, NormSpec, PairedDataset, UsageError, loss
 from kersize.forward import DownsampleModel, LinearModel, NoiseSpec
 from kersize.symmetric import (
@@ -25,6 +26,14 @@ def penrose_residuals(A, Ap):
         np.max(np.abs((A @ Ap).T - A @ Ap), initial=0.0),
         np.max(np.abs((Ap @ A).T - Ap @ A), initial=0.0),
     )
+
+
+def assert_projector(P, operator):
+    """Dense oracle for the projector invariants kernel_projection verifies:
+    symmetric to 1e-10, idempotent (P @ P) and annihilated to 1e-8."""
+    assert np.max(np.abs(P - P.T), initial=0.0) <= 1e-10
+    assert np.max(np.abs(P @ P - P), initial=0.0) <= 1e-8
+    assert np.max(np.abs(operator @ P), initial=0.0) <= 1e-8
 
 
 def pairs_of(x, y):
@@ -70,6 +79,11 @@ class TestPseudoinverse:
         Ap = pseudoinverse(A, tol=1e-6)
         np.testing.assert_allclose(Ap, np.diag([1.0, 0.0]), atol=1e-14)
 
+    def test_overflowing_inverse_is_data_error(self):
+        # 1/1e-320 overflows float64; no RuntimeWarning may leak either
+        with pytest.raises(DataError, match="operator is too small to invert"):
+            pseudoinverse([[1e-320, 0.0]])
+
 
     def test_rank_deficient_emits_no_warning(self):
         A = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
@@ -97,8 +111,7 @@ class TestKernelProjection:
         for _ in range(20):
             m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
             A = random_rank_matrix(rng, m, n, int(rng.integers(0, min(m, n) + 1)))
-            proj = kernel_projection(A)
-            proj.check(operator=A)  # symmetric, idempotent, annihilating
+            assert_projector(kernel_projection(A).matrix, A)
 
     def test_joint_mode(self):
         rng = np.random.default_rng(7)
@@ -106,7 +119,84 @@ class TestKernelProjection:
         proj = kernel_projection(A, mode="joint")
         assert proj.matrix.shape == (6, 6)
         B = np.hstack([A, np.eye(2)])
-        proj.check(operator=B)
+        assert_projector(proj.matrix, B)
+
+    @pytest.mark.parametrize("mode", ["signal_only", "joint"])
+    def test_projector_bits_pinned(self, mode):
+        """The projector is I - B^+ B symmetrized, bit for bit: the superres
+        collection's digest depends on every bit of the band projector."""
+        if mode == "joint":
+            A = np.random.default_rng(8).normal(size=(40, 150))  # n = 190: ragged blocks
+            B = np.hstack([A, np.eye(40)])
+        else:
+            A = B = DownsampleModel(bands=3, height=16, width=16, factor=4, r_max=1.0,
+                                    noise=NoiseSpec(kind="additive")).band_matrix()
+        P0 = np.eye(B.shape[1]) - pseudoinverse(B) @ B
+        expected = 0.5 * (P0 + P0.T)
+        P = kernel_projection(A, mode=mode).matrix
+        np.testing.assert_array_equal(P.view(np.uint64), expected.view(np.uint64))
+
+    def test_tiny_operator_is_data_error(self):
+        # 1/sigma overflows float64: an error naming the operator, no warning
+        with pytest.raises(DataError, match="operator"):
+            kernel_projection([[1e-320, 0.0]])
+
+
+def factored_and_dense(B, L):
+    """Idempotency residual of P = ½(P0 + P0ᵀ), P0 = I - L B: from the factors
+    as kernel_projection computes it, and densely from P @ P."""
+    P0 = np.eye(B.shape[1]) - L @ B
+    P = 0.5 * (P0 + P0.T)
+    factored = symmetric._idempotency_residual(P, L, B, B @ P)
+    return factored, np.max(np.abs(P @ P - P), initial=0.0)
+
+
+class TestProjectorVerification:
+    """Each check of kernel_projection's verifier, reached through a corrupted
+    pseudoinverse."""
+
+    B = np.array([[1.0, 2.0, 0.0, -1.0], [0.0, 1.0, 3.0, 0.5]])
+
+    def corrupt(self, monkeypatch, fn):
+        real = symmetric.pseudoinverse
+        monkeypatch.setattr(symmetric, "pseudoinverse", lambda B, tol=None: fn(real(B, tol)))
+
+    def test_not_symmetric(self, monkeypatch):
+        self.corrupt(monkeypatch, lambda L: np.full_like(L, np.nan))
+        with pytest.raises(DataError, match="projector is not symmetric"):
+            kernel_projection(self.B)
+
+    def test_not_idempotent(self, monkeypatch):
+        self.corrupt(monkeypatch, lambda L: 0.5 * L)
+        with pytest.raises(DataError, match="projector is not idempotent"):
+            kernel_projection(self.B)
+
+    def test_does_not_annihilate(self, monkeypatch):
+        self.corrupt(monkeypatch, np.zeros_like)  # P = I: a projector, not onto the kernel
+        with pytest.raises(DataError, match="projector does not annihilate the operator"):
+            kernel_projection(self.B)
+
+    def test_factored_residual_equals_dense_when_large(self):
+        rng = np.random.default_rng(30)
+        for _ in range(10):
+            m, n = int(rng.integers(1, 8)), int(rng.integers(2, 12))
+            B = rng.normal(size=(m, n))
+            for L in (0.5 * pseudoinverse(B), rng.normal(size=(n, m))):
+                factored, dense = factored_and_dense(B, L)
+                assert dense > 1e-3
+                assert factored == pytest.approx(dense, rel=1e-12)
+
+    def test_factored_residual_small_on_true_projectors(self):
+        rng = np.random.default_rng(31)
+        operators = [np.zeros((0, 5)), np.zeros((3, 5))]
+        for _ in range(10):
+            m, n = int(rng.integers(1, 10)), int(rng.integers(1, 40))
+            A = random_rank_matrix(rng, m, n, int(rng.integers(0, min(m, n) + 1)))
+            operators += [A, np.hstack([A, np.eye(m)])]  # signal_only and joint
+        for B in operators:
+            factored, dense = factored_and_dense(B, pseudoinverse(B))
+            assert factored <= 1e-13
+            assert abs(factored - dense) <= 1e-13
 
 
 class TestReflect:
@@ -290,8 +380,7 @@ class TestSkersize:
     def test_band_projector_invariants(self):
         model = DownsampleModel(bands=3, height=16, width=16, factor=4, r_max=1.0,
                                 noise=NoiseSpec(kind="additive", eps_additive=0.05))
-        proj = band_projector(model)
-        proj.check(operator=model.band_matrix())
+        assert_projector(band_projector(model).matrix, model.band_matrix())
 
     def test_joint_mode_with_downsample_model(self):
         model = DownsampleModel(bands=1, height=4, width=4, factor=2, r_max=1.0,
