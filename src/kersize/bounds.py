@@ -30,9 +30,13 @@ so reports are reproducible bit for bit.
 coordinatewise median at p = q = 1) and Weiszfeld's geometric median at
 p = 1, q = 2. Every other p ≥ 1 goes to a numpy-only log-barrier
 interior-point method on the epigraph form of the objective, which stops at a
-relative duality gap of 1e-10. Each θ comes with a certificate: its
-objective, an upper bound on its distance to the minimum (from a Fenchel dual
-point built from the barrier multipliers) and the iteration count.
+relative duality gap of 1e-10. ``verify_bounds`` hands all sets to one call of
+it, which steps every set in lockstep: each set keeps its own barrier weight,
+step length and stopping test, comes out bit for bit as if solved alone, and
+drops out when it converges or its Newton system breaks down, without
+affecting the others. Each θ comes with a certificate: its objective, an
+upper bound on its distance to the minimum (from a Fenchel dual point built
+from the barrier multipliers) and the set's own iteration count.
 """
 
 from __future__ import annotations
@@ -169,17 +173,26 @@ def _weiszfeld(points: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -
     k = int(np.argmin(dist))
     Y[k] = 0.0
     Y[k] = -Y.sum(axis=0)
-    return z, float(np.mean(dist)) - _dual_gap(R, Y, 1.0, 2.0), it
+    return z, float(np.mean(dist)) - float(_dual_gap(R, Y, 1.0, 2.0)[0]), it
 
 
 # -- the interior-point solver for theta ----------------------------------------
+#
+# One call solves every set of one (p, q) at once. The members of all sets are
+# stacked into one (M, d) array in which set k owns a run of consecutive rows;
+# per-set sums are np.add.reduceat over those rows, and every set keeps its own
+# barrier weight, step length and stopping state. Each per-set quantity is
+# computed from that set's rows alone, so a set gets the same θ, bit for bit,
+# whatever other sets share the call.
 
 THETA_TOL = 1e-10  # relative duality gap at which the solver stops
 _MU = 20.0  # growth of the barrier weight per centring
 _CENTRED = 1e-14  # half the squared Newton decrement of a centred point
 _MAX_NEWTON = 50  # Newton steps one centring may take before the solver gives up
 _MAX_STEPS = 600  # Newton steps in all
+_GRAM_BLOCK = 1 << 22  # doubles in one temporary of _gram
 _DUAL_Q = {1.0: np.inf, 2.0: 2.0, np.inf: 1.0}
+_Q_NORMS = {q: NormSpec(q=q) for q in _DUAL_Q}
 
 
 @dataclass(frozen=True)
@@ -195,60 +208,113 @@ class ThetaCertificate:
     iterations: int
 
 
+class _Sets:
+    """Row layout of sets stacked into one array: set k owns the ``n[k]`` rows
+    from ``starts[k]`` on (every set has at least one row), and ``sid`` maps
+    each row to its set."""
+
+    def __init__(self, sizes):
+        self.n = np.asarray(sizes, dtype=np.intp)
+        stops = np.cumsum(self.n)
+        self.starts = stops - self.n
+        self.sid = np.repeat(np.arange(self.n.size), self.n)
+        self._bounds = list(zip(self.starts.tolist(), stops.tolist()))
+
+    def sums(self, A: np.ndarray) -> np.ndarray:
+        """Per-set sums of the rows of A."""
+        return np.add.reduceat(A, self.starts, axis=0)
+
+    def fsums(self, A: np.ndarray, which: np.ndarray | None = None) -> np.ndarray:
+        """Exact sum (math.fsum) of every entry of each set's rows of A, for
+        the sets chosen by the mask ``which`` (all by default): +inf where it
+        overflows, NaN where it is undefined or not chosen."""
+        w = A[0].size
+        values = A.ravel().tolist()
+        out = [math.nan] * self.n.size
+        for k in range(self.n.size) if which is None else np.flatnonzero(which).tolist():
+            a, b = self._bounds[k]
+            try:
+                out[k] = math.fsum(values[a * w : b * w])
+            except OverflowError:
+                out[k] = math.inf
+            except ValueError:  # inf - inf
+                pass
+        return np.array(out)
+
+
 def _q_norms(rows: np.ndarray, q: float) -> np.ndarray:
-    return vector_norms(rows, NormSpec(q=q))
+    return vector_norms(rows, _Q_NORMS[q])
 
 
-def _dual_gap(R: np.ndarray, Y: np.ndarray, p: float, q: float) -> float:
-    """Upper bound on f(z) - min f from dual points ``Y``, one per member.
+def _gram(U: np.ndarray, V: np.ndarray, sets: _Sets) -> np.ndarray:
+    """Σ_n u_n v_nᵀ over each set's rows, shape (K, d, d), from temporaries of
+    at most ``_GRAM_BLOCK`` doubles. Splitting by row index i of the product
+    leaves every entry's sum, and so its rounding, unchanged."""
+    m, d = U.shape
+    step = max(1, _GRAM_BLOCK // max(1, m * d))
+    if step >= d:
+        return sets.sums(U[:, :, None] * V[:, None, :])
+    out = np.empty((sets.n.size, d, d))
+    for i in range(0, d, step):
+        out[:, i : i + step] = sets.sums(U[:, i : i + step, None] * V[:, None, :])
+    return out
+
+
+def _dual_gap(R: np.ndarray, Y: np.ndarray, p: float, q: float,
+              sets: _Sets | None = None) -> np.ndarray:
+    """Upper bound on f(z) - min f for each set, from dual points ``Y``, one per
+    member; ``R`` and ``Y`` are stacked as ``sets`` (one set by default).
 
     With h = ‖·‖_q^p, any y_n summing to zero give the Fenchel lower bound
     (1/N) Σ_n (⟨y_n, x_n⟩ - h*(y_n)) ≤ min f, where
     h*(y) = (p-1) (‖y‖_q*/p)^(p/(p-1)) and, at p = 1, h* is the indicator of
-    the dual-norm unit ball. ``Y`` is centred to sum to zero (and at p = 1
-    scaled into that ball); the bound's distance to f(z) is then the mean
-    Fenchel-Young residual h(r_n) + h*(y_n) - ⟨y_n, r_n⟩ over the residuals
-    R = x_n - z, a sum of nonnegative terms.
+    the dual-norm unit ball. ``Y`` is centred to sum to zero over each set
+    (and at p = 1 scaled into that ball); the bound's distance to f(z) is then
+    the mean Fenchel-Young residual h(r_n) + h*(y_n) - ⟨y_n, r_n⟩ over the
+    residuals R = x_n - z, a sum of nonnegative terms.
     """
-    Y = Y - Y.mean(axis=0)
+    if sets is None:
+        sets = _Sets([R.shape[0]])
+    Y = Y - (sets.sums(Y) / sets.n[:, None])[sets.sid]
     dual = _q_norms(Y, _DUAL_Q[q])
     if p == 1.0:
-        Y = Y / max(1.0, float(dual.max()))
+        Y = Y / np.maximum(1.0, np.maximum.reduceat(dual, sets.starts))[sets.sid, None]
         conj = 0.0
     else:
         with np.errstate(over="ignore"):  # far from the centre: a useless, infinite gap
             conj = (p - 1.0) * (dual / p) ** (p / (p - 1.0))
     terms = _q_norms(R, q) ** p + conj - np.einsum("ij,ij->i", Y, R)
-    return max(0.0, math.fsum(terms) / R.shape[0])
+    return np.maximum(0.0, sets.fsums(terms) / sets.n)
 
 
 def _solve_psd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for the symmetric positive semidefinite Schur complement
-    ``A`` by Cholesky, dropping pivots lost to rounding.
+    """Solve A_k x_k = b_k for each set's symmetric positive semidefinite Schur
+    complement (``A`` of shape (K, d, d), ``b`` of shape (K, d)) by Cholesky,
+    dropping pivots lost to rounding.
 
-    A pivot below d·eps of the largest diagonal entry marks a direction
-    whose curvature rounding has erased; it gets no step (x_j = 0) instead
-    of a huge or indefinite one (Wright, "Modified Cholesky factorizations in
-    interior-point algorithms for linear programming", 1999). Plain numpy,
-    no LAPACK call.
+    A pivot below d·eps of its set's largest diagonal entry marks a direction
+    whose curvature rounding has erased; it gets no step (x_j = 0) instead of
+    a huge or indefinite one (Wright, "Modified Cholesky factorizations in
+    interior-point algorithms for linear programming", 1999). Its column of L
+    is zero and its root infinite, so the substitutions skip it. ``b`` is
+    factored along as row d, which leaves the forward substitution in L's
+    last row. Plain numpy, no LAPACK call.
     """
-    d = A.shape[0]
-    L = np.zeros_like(A)
-    tiny = d * np.finfo(float).eps * float(A.diagonal().max())
-    keep = np.zeros(d, dtype=bool)
+    d = b.shape[1]
+    L = np.concatenate([A, b[:, None, :]], axis=1)  # factored in place, right-looking
+    root = np.full_like(b, np.inf)
+    tiny = d * np.finfo(float).eps * A.diagonal(axis1=1, axis2=2).max(axis=1)
     for j in range(d):
-        pivot = A[j, j] - L[j, :j] @ L[j, :j]
-        if pivot > tiny:
-            keep[j] = True
-            L[j, j] = math.sqrt(pivot)
-            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    y = np.zeros(d)
-    for j in np.flatnonzero(keep):
-        y[j] = (b[j] - L[j, :j] @ y[:j]) / L[j, j]
-    x = np.zeros(d)
-    for j in np.flatnonzero(keep)[::-1]:
-        x[j] = (y[j] - L[j + 1 :, j] @ x[j + 1 :]) / L[j, j]
-    return x
+        pivot = L[:, j, j]
+        np.sqrt(pivot, out=root[:, j], where=pivot > tiny)
+        col = L[:, j:, j]
+        col /= root[:, j, None]
+        L[:, j + 1 :, j + 1 :] -= col[:, 1:, None] * col[:, None, 1 : d - j]
+    y = L[:, d]  # the forward substitution, L y = b
+    for j in range(d - 1, -1, -1):  # back substitution, column by column
+        y[:, j] /= root[:, j]
+        y[:, :j] -= y[:, j, None] * L[:, j, :j]
+    return y
 
 
 def _exclusive_sums(A: np.ndarray) -> np.ndarray:
@@ -260,18 +326,28 @@ def _exclusive_sums(A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rowdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", A, B)
+
+
+def _diagonal(A: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonals of a C-contiguous (K, d, d) stack."""
+    return A.reshape(A.shape[0], -1)[:, :: A.shape[1] + 1]
+
+
 # Each Newton step below takes the residuals R = x_n - z, the member bounds t,
-# the slacks S and the first and second derivatives (grad, curv) of the
-# weighted objective (τ/N) t_n^p. It eliminates each member's own variables
-# (t_n, and u_n at q = 1, which only the slacks need) in closed form, solves
-# the d×d system for dz, and returns (dz, dt, change, dual, lam2): change(α)
-# is the relative change of every slack along the step, dual = ∂φ/∂r (φ the
-# member barriers), lam2 the squared Newton decrement. Curvatures are formed
+# the slacks S, the first and second derivatives (grad, curv) of the weighted
+# objective (τ/N) t_n^p and the row layout of the sets. It eliminates each
+# member's own variables (t_n, and u_n at q = 1, which only the slacks need)
+# in closed form, solves each set's d×d system for dz, and returns
+# (dz, dt, change, dual, lam2): change(α) is the relative change of every
+# slack along the step, α given per row, dual = ∂φ/∂r (φ the member
+# barriers), lam2 each set's squared Newton decrement. Curvatures are formed
 # from slack ratios (4ab/(a+b), not (a+b) - (a-b)²/(a+b)), so the nearly
 # active slacks of a well-centred point do not cancel each other.
 
 
-def _step_max(R, t, S, grad, curv):
+def _step_max(R, t, S, grad, curv, sets):
     """q = ∞: slacks s⁺ = t - r_i and s⁻ = t + r_i."""
     d = R.shape[1]
     ip, im = 1.0 / S[:, :d], 1.0 / S[:, d:]
@@ -279,54 +355,62 @@ def _step_max(R, t, S, grad, curv):
     sig, c = a + b, a - b
     W = sig.sum(axis=1) + curv
     diag = (sig * (_exclusive_sums(sig) + curv[:, None]) + 4.0 * a * b) / W[:, None]
-    schur = -(c / W[:, None]).T @ c
-    schur[np.diag_indices(d)] = diag.sum(axis=0)
+    cw = c / W[:, None]
+    schur = -_gram(cw, c, sets)
+    _diagonal(schur)[:] = sets.sums(diag)
     g_t = grad - (ip + im).sum(axis=1)
-    g_z = (im - ip).sum(axis=0)
-    dz = _solve_psd(schur, (c * (g_t / W)[:, None]).sum(axis=0) - g_z)
-    dt = -(g_t + c @ dz) / W
-    ratio = np.concatenate([(dt[:, None] + dz) * ip, (dt[:, None] - dz) * im], axis=1)
-    return dz, dt, lambda alpha: alpha * ratio, ip - im, -(g_t @ dt + g_z @ dz)
+    g_z = sets.sums(im - ip)
+    dz = _solve_psd(schur, sets.sums(cw * g_t[:, None]) - g_z)
+    dzr = dz[sets.sid]
+    dt = -(g_t + _rowdot(c, dzr)) / W
+    ratio = np.concatenate([(dt[:, None] + dzr) * ip, (dt[:, None] - dzr) * im], axis=1)
+    lam2 = -(sets.sums(g_t * dt) + _rowdot(g_z, dz))
+    return dz, dt, lambda alpha: alpha[:, None] * ratio, ip - im, lam2
 
 
-def _step_sum(R, t, S, grad, curv):
+def _step_sum(R, t, S, grad, curv, sets):
     """q = 1: slacks s⁺ = u_i - r_i, s⁻ = u_i + r_i and s0 = t - Σ_i u_i."""
     d = R.shape[1]
     sp, sm, s0 = S[:, :d], S[:, d : 2 * d], S[:, 2 * d]
     sp2, sm2 = sp * sp, sm * sm
-    harm = 4.0 / (sp2 + sm2)  # 4ab/(a+b), a = 1/s⁺², b = 1/s⁻²
-    rho = (sm2 - sp2) / (sp2 + sm2)  # (a-b)/(a+b)
-    inv_sig = sp2 * sm2 / (sp2 + sm2)
+    hsum = sp2 + sm2
+    harm = 4.0 / hsum  # 4ab/(a+b), a = 1/s⁺², b = 1/s⁻²
+    rho = (sm2 - sp2) / hsum  # (a-b)/(a+b)
+    inv_sig = sp2 * sm2 / hsum
     # t enters only through s0 and the objective; eliminating it leaves the
     # weight c0' on (Σ du)² and the shifted linear term eta on each u_i
-    c0p = curv / (1.0 + curv * s0 * s0)
-    eta = (curv * s0 + grad) / (1.0 + curv * s0 * s0)
-    gam = (eta[:, None] * sp2 * sm2 - sp * sm * (sp + sm)) / (sp2 + sm2)  # (g_u + β)/σ
+    q0 = 1.0 + curv * s0 * s0
+    c0p = curv / q0
+    eta = (curv * s0 + grad) / q0
+    gam = (eta[:, None] * sp2 * sm2 - sp * sm * (sp + sm)) / hsum  # (g_u + β)/σ
     den = 1.0 + c0p * inv_sig.sum(axis=1)
     kap = c0p / den
     g_sum = gam.sum(axis=1)
-    schur = (rho * kap[:, None]).T @ rho
-    schur[np.diag_indices(d)] += harm.sum(axis=0)
+    schur = _gram(rho * kap[:, None], rho, sets)
+    _diagonal(schur)[:] += sets.sums(harm)
     r = 0.5 * (sm - sp)
-    rhs = -(harm * r - rho * eta[:, None] + (kap * g_sum)[:, None] * rho).sum(axis=0)
+    rhs = -sets.sums(harm * r - rho * eta[:, None] + (kap * g_sum)[:, None] * rho)
     dz = _solve_psd(schur, rhs)
-    du_sum = -(g_sum + rho @ dz) / den
-    du = -gam - (c0p * du_sum)[:, None] * inv_sig - rho * dz
-    g_t = grad - 1.0 / s0
-    dt = (du_sum - g_t * s0 * s0) / (1.0 + curv * s0 * s0)
+    dzr = dz[sets.sid]
+    du_sum = -(g_sum + _rowdot(rho, dzr)) / den
+    du = -gam - (c0p * du_sum)[:, None] * inv_sig - rho * dzr
+    inv_s0 = 1.0 / s0
+    g_t = grad - inv_s0
+    dt = (du_sum - g_t * s0 * s0) / q0
     ip, im = 1.0 / sp, 1.0 / sm
-    g_u = 1.0 / s0[:, None] - ip - im
-    lam2 = -(g_t @ dt + float(np.sum(g_u * du)) + (im - ip).sum(axis=0) @ dz)
-    ratio = np.concatenate([(du + dz) * ip, (du - dz) * im,
+    dual = ip - im
+    g_u = inv_s0[:, None] - ip - im
+    lam2 = -sets.sums(g_t * dt + _rowdot(g_u, du) - _rowdot(dual, dzr))
+    ratio = np.concatenate([(du + dzr) * ip, (du - dzr) * im,
                             ((dt - du.sum(axis=1)) / s0)[:, None]], axis=1)
-    return dz, dt, lambda alpha: alpha * ratio, ip - im, lam2
+    return dz, dt, lambda alpha: alpha[:, None] * ratio, dual, lam2
 
 
-def _step_euclid(R, t, S, grad, curv):
+def _step_euclid(R, t, S, grad, curv, sets):
     """q = 2: the cone slack s = t² - ‖r‖², barrier -log s."""
     d = R.shape[1]
     s = S[:, 0]
-    nr2 = np.einsum("ij,ij->i", R, R)
+    nr2 = _rowdot(R, R)
     nr = np.sqrt(nr2)
     rhat = np.divide(R, nr[:, None], out=np.zeros_like(R), where=nr[:, None] > 0)
     den = 2.0 * t * t + 2.0 * nr2 + curv * s * s
@@ -334,63 +418,87 @@ def _step_euclid(R, t, S, grad, curv):
     h_tz = 4.0 * t[:, None] * R / (s * s)[:, None]
     # 2I/s + 4rrᵀ/s² - h_tz h_tzᵀ/h_tt, written as 2(I - r̂r̂ᵀ)/s + λ_r r̂r̂ᵀ
     lam_r = (4.0 + 2.0 * curv * s + 4.0 * curv * nr2) / den
-    schur = (rhat * (lam_r - 2.0 / s)[:, None]).T @ rhat
-    schur[np.diag_indices(d)] += (2.0 / s).sum()
+    schur = _gram(rhat * (lam_r - 2.0 / s)[:, None], rhat, sets)
+    _diagonal(schur)[:] += sets.sums(2.0 / s)[:, None]
     g_t = grad - 2.0 * t / s
-    g_z = -2.0 * (R / s[:, None]).sum(axis=0)
-    dz = _solve_psd(schur, (h_tz * (g_t / h_tt)[:, None]).sum(axis=0) - g_z)
-    dt = -(g_t + h_tz @ dz) / h_tt
-    lin = 2.0 * (t * dt + R @ dz) / s
-    quad = (dt * dt - dz @ dz) / s
+    g_z = -2.0 * sets.sums(R / s[:, None])
+    dz = _solve_psd(schur, sets.sums(h_tz * (g_t / h_tt)[:, None]) - g_z)
+    dzr = dz[sets.sid]
+    dt = -(g_t + _rowdot(h_tz, dzr)) / h_tt
+    lin = 2.0 * (t * dt + _rowdot(R, dzr)) / s
+    quad = (dt * dt - _rowdot(dzr, dzr)) / s
     change = lambda alpha: (alpha * lin + alpha * alpha * quad)[:, None]  # noqa: E731
-    return dz, dt, change, 2.0 * R / s[:, None], -(g_t @ dt + g_z @ dz)
+    lam2 = -(sets.sums(g_t * dt) + _rowdot(g_z, dz))
+    return dz, dt, change, 2.0 * R / s[:, None], lam2
 
 
-def _line_search(change, t, dt, weight, p, lam2):
-    """Backtracking from the full step until every slack stays positive and the
-    barrier function falls enough; returns (α, relative slack change) or None.
+def _line_search(change, t, dt, weight, p, lam2, sets, search):
+    """Backtracking from the full step, set by set, until every slack of the
+    set stays positive and its barrier function falls enough; returns each
+    set's α (0 for a set outside ``search`` or where 60 halvings found no
+    step) and the relative slack change at those α (0 where α = 0).
+    ``weight`` is the objective's weight τ/N of each row's set.
 
-    The change in the barrier function is summed from log1p of the slack
+    The change in a set's barrier function is one fsum over log1p of its slack
     ratios and expm1/log1p of t^p, so a tiny decrease is not lost to
     cancellation between two large function values.
     """
-    alpha = 1.0
+    alpha, taken, rel_taken = np.ones(sets.n.size), np.zeros(sets.n.size), 0.0
+    tp = weight * t**p
     for _ in range(60):
-        rel, tr = change(alpha), alpha * dt / t
-        if rel.min() > -1.0 and tr.min() > -1.0:
-            gain = weight * math.fsum(t**p * np.expm1(p * np.log1p(tr)))
-            if gain - math.fsum(np.log1p(rel).ravel()) <= -0.25 * alpha * lam2:
-                return alpha, rel
-        alpha *= 0.5
-    return None
+        if not search.any():
+            break
+        ar = alpha[sets.sid]
+        rel, tr = change(ar), ar * dt / t
+        ok = search & (np.minimum.reduceat(np.minimum(rel.min(axis=1), tr), sets.starts) > -1.0)
+        if ok.any():
+            terms = np.concatenate([(tp * np.expm1(p * np.log1p(tr)))[:, None],
+                                    -np.log1p(rel)], axis=1)
+            accept = ok & (sets.fsums(terms, ok) <= -0.25 * alpha * lam2)
+            taken = np.where(accept, alpha, taken)
+            rel_taken = np.where(accept[sets.sid, None], rel, rel_taken)
+            search = search & ~accept
+        alpha = 0.5 * alpha
+    return taken, rel_taken
 
 
-def _interior_point(P: np.ndarray, p: float, q: float) -> tuple:
+def _interior_point(P: np.ndarray, sizes, p: float, q: float) -> tuple:
     """Barrier method (Boyd & Vandenberghe 2004, ch. 11) for
-    min_z (1/N) Σ_n ‖x_n - z‖_q^p, p ≥ 1, in epigraph form:
+    min_z (1/N) Σ_n ‖x_n - z‖_q^p, p ≥ 1, on every set at once, in epigraph
+    form:
 
         min (1/N) Σ_n t_n^p  s.t.  t_n ≥ ±(x_ni - z_i)              (q = ∞)
                                    u_ni ≥ ±(x_ni - z_i), t_n ≥ Σ_i u_ni  (q = 1)
                                    t_n ≥ ‖x_n - z‖₂                 (q = 2)
 
+    ``P`` stacks the members of the sets, ``sizes[k]`` rows for set k in turn.
     Every member has the same constraint rows, so each Newton step eliminates
     the members' own variables (t_n, u_n) in closed form and solves one d×d
-    system for z: O(N d²) per step, with no loop over members. Slacks are
-    tracked multiplicatively, keeping their relative precision when they are
-    far smaller than the data.
+    system per set for z: O(M d²) per joint step for M members in all, with
+    no loop over members or sets. Each set is centred and scaled on its own,
+    and its slacks are tracked multiplicatively, keeping their relative
+    precision when they are far smaller than the data.
 
-    Stops when the Fenchel bound of ``_dual_gap``, built from the barrier
-    multipliers, is within ``THETA_TOL`` of the objective, or when raising the
-    barrier weight no longer shrinks it. Returns the best point found, the best
-    lower bound on min f and the number of Newton steps.
+    A set stops when the Fenchel bound of ``_dual_gap``, built from the
+    barrier multipliers, is within ``THETA_TOL`` of its objective, when
+    raising its barrier weight no longer shrinks it, or when its Newton
+    system breaks down (a step or decrement that is not finite); it then
+    drops out of the joint steps without affecting the other sets. Returns
+    each set's best point found (K, d), best lower bound on min f (K,) and
+    number of Newton steps (K,).
     """
-    n, d = P.shape
-    centre = P.mean(axis=0)
-    scale = float(np.abs(P - centre).max())
-    if scale == 0.0:
-        return P[0].copy(), 0.0, 0
-    X = (P - centre) / scale
-    z = np.zeros(d)
+    sets = _Sets(sizes)
+    K, d = sets.n.size, P.shape[1]
+    centre = sets.sums(P) / sets.n[:, None]
+    scale = np.maximum.reduceat(np.abs(P - centre[sets.sid]).max(axis=1), sets.starts)
+    theta, lower_out, steps_out = P[sets.starts].copy(), np.zeros(K), np.zeros(K, dtype=int)
+    live = scale != 0.0  # a set of identical members is solved: θ is that member
+    ids = np.flatnonzero(live)
+    if ids.size == 0:
+        return theta, lower_out, steps_out
+    rows = live[sets.sid]
+    sets = _Sets(sets.n[ids])
+    X = (P[rows] - centre[ids][sets.sid]) / scale[ids][sets.sid, None]
     if q == np.inf:
         step, t = _step_max, np.abs(X).max(axis=1) + 0.5
         S = np.concatenate([t[:, None] - X, t[:, None] + X], axis=1)
@@ -399,72 +507,97 @@ def _interior_point(P: np.ndarray, p: float, q: float) -> tuple:
         t = u.sum(axis=1) + 0.5
         S = np.concatenate([u - X, u + X, (t - u.sum(axis=1))[:, None]], axis=1)
     else:
-        step, t = _step_euclid, np.sqrt(np.einsum("ij,ij->i", X, X)) + 0.5
-        S = (t * t - np.einsum("ij,ij->i", X, X))[:, None]
-    degree = S.size if q != 2 else 2 * n  # the cone barrier has degree 2
-    tau = degree / float(np.mean(t**p))
-    best_f, best_z, lower = math.inf, z, -math.inf
-    steps, last_gap, idle = 0, math.inf, 0
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            while steps < _MAX_STEPS and idle < 2:
-                for _ in range(_MAX_NEWTON):
-                    steps += 1
-                    R = X - z
-                    grad = tau * p * t ** (p - 1.0) / n
-                    curv = tau * p * (p - 1.0) * t ** (p - 2.0) / n
-                    dz, dt, change, dual, lam2 = step(R, t, S, grad, curv)
-                    f = float(np.mean(_q_norms(R, q) ** p))
-                    gap = _dual_gap(R, (n / tau) * dual, p, q)
-                    if f < best_f:
-                        best_f, best_z = f, z
-                    lower = max(lower, f - gap)
-                    if best_f - lower <= THETA_TOL * best_f or lam2 <= 2.0 * _CENTRED:
-                        break
-                    found = _line_search(change, t, dt, tau / n, p, lam2)
-                    if found is None:  # as centred as rounding allows
-                        break
-                    alpha, rel = found
-                    z, t, S = z + alpha * dz, t + alpha * dt, S * (1.0 + rel)
-                else:
-                    break  # centring did not converge: stop at this weight
-                if best_f - lower <= THETA_TOL * best_f:
-                    break
-                if gap < 0.5 * last_gap:
-                    last_gap, idle = gap, 0
-                else:
-                    idle += 1
-                tau *= _MU
-    except (FloatingPointError, np.linalg.LinAlgError):
-        pass  # the Newton system broke down; keep the best certified point
-    return centre + scale * best_z, lower * scale**p, steps
+        step, t = _step_euclid, np.sqrt(_rowdot(X, X)) + 0.5
+        S = (t * t - _rowdot(X, X))[:, None]
+    degree = (S.shape[1] if q != 2 else 2) * sets.n  # the cone barrier has degree 2
+    k = ids.size
+    tau = degree / (sets.sums(t**p) / sets.n)
+    z, best_z = np.zeros((k, d)), np.zeros((k, d))
+    best_f, lower, last_gap = np.full(k, math.inf), np.full(k, -math.inf), np.full(k, math.inf)
+    steps, idle, newton = np.zeros(k, dtype=int), np.zeros(k, dtype=int), np.zeros(k, dtype=int)
+    with np.errstate(all="ignore"):  # a breakdown shows as a non-finite step
+        while ids.size:
+            steps += 1
+            newton += 1
+            R = X - z[sets.sid]
+            wr = (tau / sets.n)[sets.sid]  # the objective's weight, per row
+            grad = wr * p * t ** (p - 1.0)
+            curv = wr * p * (p - 1.0) * t ** (p - 2.0)
+            dz, dt, change, dual, lam2 = step(R, t, S, grad, curv, sets)
+            f = sets.sums(_q_norms(R, q) ** p) / sets.n
+            gap = _dual_gap(R, dual / wr[:, None], p, q, sets)
+            better = f < best_f
+            best_f = np.where(better, f, best_f)
+            best_z = np.where(better[:, None], z, best_z)
+            lower = np.fmax(lower, f - gap)
+            conv = best_f - lower <= THETA_TOL * best_f
+            broken = ~(np.isfinite(lam2) & np.isfinite(dz).all(axis=1))
+            centred = lam2 <= 2.0 * _CENTRED
+            search = ~(conv | broken | centred)
+            alpha, rel = _line_search(change, t, dt, wr, p, lam2, sets, search)
+            stepped = alpha > 0.0
+            # α = 0 leaves a set's point as it is (a broken set's is dropped)
+            z, t, S = z + alpha[:, None] * dz, t + alpha[sets.sid] * dt, S * (1.0 + rel)
+            done = conv | broken | (stepped & (newton >= _MAX_NEWTON))
+            # a centring ends once the point is centred or no step helps:
+            # raise the weight, unless the gap has stopped shrinking
+            ended = ~(conv | broken | stepped)
+            if ended.any():
+                shrank = gap < 0.5 * last_gap
+                last_gap = np.where(ended & shrank, gap, last_gap)
+                idle = np.where(ended, np.where(shrank, 0, idle + 1), idle)
+                tau = np.where(ended, tau * _MU, tau)
+                newton = np.where(ended, 0, newton)
+                done |= ended & ((steps >= _MAX_STEPS) | (idle >= 2))
+            if done.any():
+                out = ids[done]
+                theta[out] = centre[out] + scale[out, None] * best_z[done]
+                lower_out[out] = lower[done] * scale[out] ** p
+                steps_out[out] = steps[done]
+                keep = ~done
+                rows = keep[sets.sid]
+                X, t, S = X[rows], t[rows], S[rows]
+                ids, z, best_z, best_f, lower, tau, last_gap, steps, idle, newton = (
+                    a[keep] for a in (ids, z, best_z, best_f, lower, tau, last_gap, steps,
+                                      idle, newton))
+                sets = _Sets(sets.n[keep])
+    return theta, lower_out, steps_out
 
 
-def _theta(X: np.ndarray, norm: NormSpec) -> tuple:
-    """(θ, lower bound on min f or None when θ is exact, iterations) for a set
-    of at least two members."""
-    if norm.p < 1:
-        raise UsageError(
-            "optimal map for p < 1 is unsupported (objective is non-convex)"
-        )
-    mean = X.mean(axis=0)
-    if norm.mask is not None:
-        norm.check_dim(X.shape[1])
-    if norm.p == 2 and norm.q == 2:
-        return mean, None, 0
-    P = X if norm.mask is None else X[:, norm.mask]
-    lower, iterations = None, 0
-    if norm.p == 1 and norm.q == 1:
-        z = np.median(P, axis=0)
-    elif norm.p == 1 and norm.q == 2:
-        z, lower, iterations = _weiszfeld(P)
-    else:
-        z, lower, iterations = _interior_point(P, norm.p, norm.q)
-    if norm.mask is not None:
-        full = mean.copy()
-        full[norm.mask] = z
-        z = full
-    return z, lower, iterations
+def _optimal_maps(sets, norm: NormSpec) -> list:
+    """(θ, ThetaCertificate) for each member array of ``sets`` (each with at
+    least one member); every set the interior-point method serves goes into
+    one call of it."""
+    sets = [np.atleast_2d(np.asarray(X, dtype=np.float64)) for X in sets]
+    thetas = [X[0].copy() if X.shape[0] == 1 else X.mean(axis=0) for X in sets]
+    lowers, iterations = [None] * len(sets), [0] * len(sets)
+    multi = [k for k, X in enumerate(sets) if X.shape[0] > 1]
+    if multi and norm.p < 1:
+        raise UsageError("optimal map for p < 1 is unsupported (objective is non-convex)")
+    for k in multi:
+        norm.check_dim(sets[k].shape[1])
+    if multi and not (norm.p == 2 and norm.q == 2):
+        P = [sets[k] if norm.mask is None else sets[k][:, norm.mask] for k in multi]
+        if norm.p == 1 and norm.q == 1:
+            found = [(np.median(x, axis=0), None, 0) for x in P]
+        elif norm.p == 1 and norm.q == 2:
+            found = [_weiszfeld(x) for x in P]
+        else:
+            Z, low, its = _interior_point(np.concatenate(P), [x.shape[0] for x in P],
+                                          norm.p, norm.q)
+            found = zip(Z, low.tolist(), its.tolist())
+        for k, (z, lower, its) in zip(multi, found):
+            lowers[k], iterations[k] = lower, its
+            if norm.mask is None:
+                thetas[k] = z
+            else:
+                thetas[k][norm.mask] = z
+    out = []
+    for X, z, lower, its in zip(sets, thetas, lowers, iterations):
+        objective = float(np.mean(vector_norms(X - z, norm) ** norm.p))
+        gap = 0.0 if lower is None else max(0.0, objective - lower)
+        out.append((z, ThetaCertificate(objective, gap, its)))
+    return out
 
 
 def optimal_map_value(members, norm: NormSpec, certificate: bool = False):
@@ -478,6 +611,12 @@ def optimal_map_value(members, norm: NormSpec, certificate: bool = False):
     * any other p ≥ 1: the interior-point method of ``_interior_point``, to a
       relative duality gap of ``THETA_TOL``.
 
+    ``verify_bounds`` solves all sets of a collection in lockstep, in one
+    call of the same solver that runs here on one set. A set's θ and
+    certificate do not depend on the other sets in that call: the iteration
+    count is the set's own Newton steps, and a set whose Newton system breaks
+    down stops at its best certified point without affecting the others.
+
     Coordinates outside the norm's mask are copied from the member mean. With
     ``certificate=True`` returns ``(θ, ThetaCertificate)``: f(θ), an upper
     bound on f(θ) - min f (0 for the exact forms and a single member) and
@@ -486,12 +625,8 @@ def optimal_map_value(members, norm: NormSpec, certificate: bool = False):
     X = np.atleast_2d(np.asarray(members, dtype=np.float64))
     if X.shape[0] == 0:
         raise UsageError("optimal_map_value needs at least one member")
-    z, lower, iterations = _theta(X, norm) if X.shape[0] > 1 else (X[0].copy(), None, 0)
-    if not certificate:
-        return z
-    objective = float(np.mean(vector_norms(X - z, norm) ** norm.p))
-    gap = 0.0 if lower is None else max(0.0, objective - lower)
-    return z, ThetaCertificate(objective, gap, iterations)
+    z, cert = _optimal_maps([X], norm)[0]
+    return (z, cert) if certificate else z
 
 
 @dataclass
@@ -567,10 +702,10 @@ def verify_bounds(c: FeasibleSetCollection, predictions: Mapping[str, Mapping],
 
     if "theta" in predictions:
         raise UsageError("prediction name 'theta' is reserved")
-    theta, certificates = {}, {}
-    for e in c.entries:
-        if e.count > 0:
-            theta[e.id], certificates[e.id] = optimal_map_value(e.members, norm, certificate=True)
+    filled = [e for e in c.entries if e.count > 0]
+    solved = _optimal_maps([e.members for e in filled], norm)
+    theta = {e.id: z for e, (z, _) in zip(filled, solved)}
+    certificates = {e.id: cert for e, (_, cert) in zip(filled, solved)}
     named = {"theta": theta, **predictions}
 
     powers = {name: [] for name in named}

@@ -79,10 +79,26 @@ class NoiseSpec:
         ball, the square root of the sum of squares for the l2 ball."""
         if self.ball == "inf":
             return np.abs(E).max(axis=1, initial=0.0)
-        return np.sqrt((E * E).sum(axis=1))
+        with np.errstate(over="ignore"):
+            norms = np.sqrt((E * E).sum(axis=1))
+            big = np.isinf(norms)
+            if big.any():  # squares beyond the float range: scale those rows first
+                big &= np.isfinite(E).all(axis=1)
+                top = np.abs(E[big]).max(axis=1)
+                norms[big] = top * np.sqrt(((E[big] / top[:, None]) ** 2).sum(axis=1))
+        return norms
 
     def sample(self, rng: np.random.Generator, d2: int) -> np.ndarray:
-        """One noise vector drawn uniformly from the noise set."""
+        """One noise vector drawn uniformly from the noise set.
+
+        A radius above half the largest float is refused: the width 2·eps of
+        its interval [-eps, eps] is not a float.
+        """
+        for name in ("eps_additive", "eps_multiplicative"):
+            eps = getattr(self, name)
+            if not math.isfinite(2.0 * eps):
+                raise UsageError(f"{name} = {eps!r} is too large to sample from: "
+                                 f"the width of [-{name}, {name}] exceeds the float range")
         if self.kind == "mixed":
             e1 = rng.uniform(-self.eps_multiplicative, self.eps_multiplicative, d2)
             e2 = rng.uniform(-self.eps_additive, self.eps_additive, d2)

@@ -240,10 +240,3 @@ def read_predictions_dir(directory, ids) -> dict:
             raise DataError(f"missing prediction file {path}")
         preds[ident] = read_row_csv(path, "prediction")
     return preds
-
-
-def write_predictions_dir(directory, preds) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for ident, vec in preds.items():
-        write_vectors_csv(directory / f"pred_{ident}.csv", np.asarray(vec)[None, :])

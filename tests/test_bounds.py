@@ -16,6 +16,7 @@ from kersize.core import (
     p_dist,
     vector_norms,
 )
+from kersize import bounds
 from kersize.bounds import (
     _dual_gap,
     _pair_powers,
@@ -339,7 +340,7 @@ class TestOptimalMapValue:
             # dual points that do not sum to zero: a shared pull towards the
             # mean residual plus noise
             Y = R.mean(axis=0) * rng.uniform(0.2, 2) + rng.normal(size=R.shape) * 0.3
-            lower = obj(z) - _dual_gap(R, Y, float(p), float(q))
+            lower = obj(z) - _dual_gap(R, Y, float(p), float(q))[0]
             assert lower <= best * (1 + 1e-12)
 
     def test_coordinatewise_median_for_p1_q1(self):
@@ -454,6 +455,86 @@ class TestVerifyBounds:
         assert row.id == "m0" and row.n_k == 2
         assert row.half_kersize_single == pytest.approx(np.sqrt(2) / 2, rel=1e-12)
         assert report.per_measurement[1].half_kersize_single == 0.0
+
+
+class TestBatchedTheta:
+    """``verify_bounds`` solves θ for every set of a collection in one call of
+    the interior-point method; each set must come out as if solved alone."""
+
+    @staticmethod
+    def _members():
+        rng = np.random.default_rng(2026)
+        return [
+            rng.normal(size=(1, 3)),
+            rng.normal(size=(2, 3)),
+            rng.normal(size=(6, 3)) * 2,
+            rng.normal(size=(40, 3)),
+            np.tile([[0.5, -1.0, 2.0]], (5, 1)),  # all identical: scale 0
+            np.round(rng.normal(size=(8, 3)) * 2),  # integer data with ties
+            1e6 + 1e-3 * rng.normal(size=(5, 3)),
+        ]
+
+    @pytest.mark.parametrize("p,q", [(2, 1), (3, np.inf), (1.5, 2)])
+    def test_each_set_matches_its_lone_solve(self, p, q):
+        members = self._members()
+        norm = NormSpec(p=p, q=q)
+        report = verify_bounds(make_collection(members, d1=3), {}, norm)
+        iterations = []
+        for X, row in zip(members, report.per_measurement):
+            z, cert = optimal_map_value(X, norm, certificate=True)
+            assert row.theta_objective == pytest.approx(cert.objective, rel=1e-12, abs=0.0)
+            assert row.theta_iterations == cert.iterations
+            assert 0.0 <= row.theta_gap <= 1e-9 * row.theta_objective
+            iterations.append(row.theta_iterations)
+        assert iterations[0] == iterations[4] == 0  # a single member; identical members
+        assert min(iterations[1:4] + iterations[5:]) > 0
+        assert len(set(iterations)) > 2  # counted per set, not per joint step
+
+    def test_gram_in_blocks_changes_no_bit(self, monkeypatch):
+        """The Schur matrices built one row of the product at a time (the
+        memory cap for wide signals) give the same θ, bit for bit."""
+        c = make_collection(self._members(), d1=3)
+        for norm in (NormSpec(p=2, q=1), NormSpec(p=3, q=np.inf), NormSpec(p=1.5, q=2)):
+            whole = verify_bounds(c, {}, norm)
+            monkeypatch.setattr(bounds, "_GRAM_BLOCK", 1)
+            blocked = verify_bounds(c, {}, norm)
+            monkeypatch.undo()
+            assert blocked.to_dict() == whole.to_dict()
+
+    def test_breakdown_of_one_set_leaves_the_others(self, monkeypatch):
+        """A Newton system that yields NaN for one set stops that set at its
+        best certified point; every other set's θ and certificate are
+        unchanged, bit for bit."""
+        members = self._members()
+        c = make_collection(members, d1=3)
+        norm = NormSpec(p=2, q=1)
+        clean = verify_bounds(c, {}, norm)
+        solve = bounds._solve_psd
+        calls = []
+
+        def poisoned(A, b):
+            x = solve(A, b)
+            if not calls:
+                # the first call holds every set with two or more distinct
+                # members, in order: the second of them is the 6-member set
+                x[1] = np.nan
+            calls.append(x.shape[0])
+            return x
+
+        monkeypatch.setattr(bounds, "_solve_psd", poisoned)
+        broken = verify_bounds(c, {}, norm)
+        assert calls[0] == 5
+        for k, (a, b) in enumerate(zip(clean.per_measurement, broken.per_measurement)):
+            if k == 2:
+                continue
+            assert (a.theta_objective, a.theta_gap, a.theta_iterations) == (
+                b.theta_objective, b.theta_gap, b.theta_iterations)
+            assert a.losses["theta"] == b.losses["theta"]
+        row, best = broken.per_measurement[2], clean.per_measurement[2]
+        assert row.theta_iterations == 1
+        assert best.theta_objective < row.theta_objective
+        assert 0.0 <= row.theta_gap
+        assert row.theta_objective - row.theta_gap <= best.theta_objective
 
 
 class TestBoundGuarantees:

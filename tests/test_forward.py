@@ -67,6 +67,28 @@ class TestNoiseSpec:
             for _ in range(50):
                 m.apply(np.zeros(4), spec.sample(rng, 4))  # DataError if outside the set
 
+    @pytest.mark.parametrize("spec", [
+        NoiseSpec(kind="additive", eps_additive=1e308),
+        NoiseSpec(kind="additive", eps_additive=1e308, ball="l2"),
+        NoiseSpec(kind="multiplicative", eps_multiplicative=9e307),
+        NoiseSpec(kind="mixed", eps_multiplicative=0.1, eps_additive=1.7e308),
+    ], ids=["inf", "l2", "multiplicative", "mixed"])
+    def test_sample_refuses_radius_beyond_half_the_float_range(self, spec):
+        with pytest.raises(UsageError, match="too large to sample from"):
+            spec.sample(np.random.default_rng(0), 3)
+
+    def test_sample_at_half_the_float_range(self):
+        eps = np.finfo(float).max / 2
+        e = NoiseSpec(kind="additive", eps_additive=eps).sample(np.random.default_rng(0), 3)
+        assert np.all(np.abs(e) <= eps)
+
+    def test_l2_row_norms_past_overflowing_squares(self):
+        spec = NoiseSpec(kind="additive", eps_additive=1.0, ball="l2")
+        E = np.array([[3e200, -4e200], [1e308, 1e308], [3.0, 4.0], [np.inf, 1.0], [0.0, 0.0]])
+        norms = spec.row_norms(E)  # no overflow warning
+        np.testing.assert_allclose(norms[:2], [5e200, np.sqrt(2) * 1e308], rtol=1e-15)
+        np.testing.assert_array_equal(norms[2:], [5.0, np.inf, 0.0])
+
     @pytest.mark.parametrize("ball", ["inf", "l2"])
     def test_row_norms_agree_with_contains(self, ball):
         spec = NoiseSpec(kind="additive", eps_additive=0.3, ball=ball)

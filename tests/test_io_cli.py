@@ -261,6 +261,30 @@ class TestCliSample:
         assert len(err) == 1 and err[0].startswith("error: eps_")
         assert "must be finite and nonnegative" in err[0]
 
+    @pytest.mark.parametrize("ball", ["inf", "l2"])
+    def test_noise_radius_beyond_half_the_float_range_exits_1(self, tmp_path, capsys, ball):
+        """[-eps, eps] is wider than the largest float: one error line, no
+        traceback or overflow warning, nothing written."""
+        cfg = json.loads(sample_config(tmp_path).read_text())
+        cfg["model"]["noise"] = {"kind": "additive", "eps_additive": 1e308, "ball": ball}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sample", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: eps_additive = 1e+308 is too large")
+        assert not (tmp_path / "x" / "manifest.json").exists()
+
+    def test_l2_noise_radius_with_overflowing_squares_samples(self, tmp_path, capsys):
+        """At eps = 1e200 the squared l2 norm of a draw overflows; the norm
+        itself does not, so every draw lies in the noise set."""
+        cfg = json.loads(sample_config(tmp_path).read_text())
+        cfg["model"]["noise"] = {"kind": "additive", "eps_additive": 1e200, "ball": "l2"}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sample", "--config", str(path), "--out", str(tmp_path / "x")]) == 0
+        c, _ = read_collection(tmp_path / "x")
+        assert c.counts == (8,) * 4
+
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         cfg = sample_config(tmp_path)
         assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "x"),
