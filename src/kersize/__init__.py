@@ -28,7 +28,13 @@ from .forward import (
     downsample_matrix_1d,
     model_from_dict,
 )
-from .sampling import SamplerSpec, build_feasible_sets, enforce_uniform, sample_feasible
+from .sampling import (
+    SamplerSpec,
+    build_feasible_sets,
+    build_feasible_sets_many,
+    enforce_uniform,
+    sample_feasible,
+)
 from .symmetric import (
     KernelProjector,
     SkersizeResult,
@@ -55,6 +61,7 @@ __all__ = [
     "SkersizeResult",
     "UsageError",
     "build_feasible_sets",
+    "build_feasible_sets_many",
     "collection_from_dataset",
     "dataset_from_collection",
     "downsample_matrix_1d",

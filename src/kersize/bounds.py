@@ -42,7 +42,7 @@ from the barrier multipliers) and the set's own iteration count.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -645,7 +645,9 @@ class MeasurementReport:
     theta_iterations: int | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["losses"] = dict(self.losses)
+        return d
 
 
 @dataclass

@@ -5,12 +5,17 @@ Acceptance uses the forward model's exact closed-form feasibility predicate,
 so a sample is kept iff some admissible noise maps it onto the measurement.
 Sets for distinct measurements are built on independent RNG streams keyed by
 (seed, k), which makes results identical across runs. The random walks of
-all sets advance in lockstep, one batched feasibility test per step.
+all sets advance in lockstep, one batched feasibility test per step; with
+``build_feasible_sets_many`` that one lockstep spans the sets of several
+jobs (samplers and measurement lists) on the same model, and each job's sets
+are bit for bit those of its lone ``build_feasible_sets`` call.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -28,7 +33,13 @@ from .core import (
 )
 from .forward import ForwardModel
 
-__all__ = ["SamplerSpec", "sample_feasible", "build_feasible_sets", "enforce_uniform"]
+__all__ = [
+    "SamplerSpec",
+    "sample_feasible",
+    "build_feasible_sets",
+    "build_feasible_sets_many",
+    "enforce_uniform",
+]
 
 _CHUNK = 512
 _BLOCK = 64  # random-walk proposals drawn per chain per RNG call, at most
@@ -167,56 +178,65 @@ def _uniform_start(model, y, rng, budget) -> tuple:
     return None, spent
 
 
-def _random_walks(model, Y, sampler, rngs, n_target, anchors=None, ids=None) -> list:
-    """Run one feasibility-constrained random walk per row of Y, in lockstep.
-
-    Chain k draws only from ``rngs[k]``, in the order a lone walk would: the
-    uniform search for a start when there is no anchor, then d1 values per
-    proposal. Proposals are drawn in blocks of up to ``_BLOCK`` (fewer when
-    K * d1 is large, to bound memory), which gives the same values as single
-    draws. Each step tests the proposals of all active chains in one
-    ``feasible_batch`` call; a proposal that leaves the signal box counts
-    against the chain's budget. Returns one (n, d1) array per chain.
-    """
-    budget = sampler.effective_budget
-    k_total, d1 = len(rngs), model.d1
+def _half_step(model, sampler) -> np.ndarray:
+    """Per-coordinate half-width of the random walk's uniform proposals."""
     step = sampler.step_scale
     if step is None:
         b = model.signal_bounds
         step = 0.1 * (b[:, 1] - b[:, 0])
     try:
-        half = 0.5 * np.broadcast_to(np.asarray(step, dtype=np.float64), (d1,))
+        return 0.5 * np.broadcast_to(np.asarray(step, dtype=np.float64), (model.d1,))
     except ValueError:
-        raise UsageError(f"step_scale must be one number or d1={d1} numbers") from None
+        raise UsageError(f"step_scale must be one number or d1={model.d1} numbers") from None
+
+
+def _random_walks(model, Y, rngs, anchors, half, budget, n_target, burn_in, thinning,
+                  labels=None) -> list:
+    """Run one feasibility-constrained random walk per row of Y, in lockstep.
+
+    Chain k starts at ``anchors[k]``, or, where that is None, at the first
+    feasible point of a uniform search of the signal box. Its proposal
+    half-widths are ``half[k]`` and its limits ``budget[k]``, ``n_target[k]``,
+    ``burn_in[k]`` and ``thinning[k]``, so chains of different samplers share
+    one lockstep. Chain k draws only from ``rngs[k]``, in the order a lone
+    walk would: the uniform search when there is no anchor, then d1 values
+    per proposal. Proposals are drawn in blocks of up to ``_BLOCK`` (fewer
+    when K * d1 is large, to bound memory), which gives the same values as
+    single draws. Each step tests the proposals of all active chains in one
+    ``feasible_batch`` call; a proposal that leaves the signal box counts
+    against the chain's budget. Returns one (n, d1) array per chain.
+    """
+    k_total, d1 = len(rngs), model.d1
     spent = np.zeros(k_total, dtype=np.int64)
     n_accepted = np.zeros(k_total, dtype=np.int64)
     n_kept = np.zeros(k_total, dtype=np.int64)
     kept = [[] for _ in range(k_total)]
-    if anchors is not None:
-        state = np.array(anchors, dtype=np.float64)
-        bad = np.flatnonzero(~model.feasible_batch(state, Y))
+    state = np.zeros((k_total, d1))
+    anchored = np.array([a is not None for a in anchors], dtype=bool)
+    if anchored.any():
+        at = np.flatnonzero(anchored)
+        start = np.array([anchors[k] for k in at], dtype=np.float64)
+        bad = at[~model.feasible_batch(start, Y[at])]
         if bad.size:
-            which = f" of set {ids[bad[0]]!r}" if ids is not None else ""
+            which = f" of set {labels[bad[0]]}" if labels is not None else ""
             raise DataError(f"random-walk anchor{which} is not feasible for its measurement")
-        started = np.ones(k_total, dtype=bool)
-    else:
-        state = np.zeros((k_total, d1))
-        started = np.zeros(k_total, dtype=bool)
-        for k in range(k_total):
-            point, spent[k] = _uniform_start(model, Y[k], rngs[k], budget)
-            if point is not None:
-                state[k], started[k] = point, True
+        state[at] = start
+    started = anchored.copy()
+    for k in np.flatnonzero(~anchored):
+        point, spent[k] = _uniform_start(model, Y[k], rngs[k], budget[k])
+        if point is not None:
+            state[k], started[k] = point, True
 
     def keep(chains):
-        chains = chains[(n_accepted[chains] > sampler.burn_in)
-                        & ((n_accepted[chains] - sampler.burn_in) % sampler.thinning == 0)]
+        after = n_accepted[chains] - burn_in[chains]
+        chains = chains[(after > 0) & (after % thinning[chains] == 0)]
         for k in chains:
             kept[k].append(state[k].copy())
         n_kept[chains] += 1
 
-    if anchors is None:  # a found start is the first accepted state; an anchor is not
-        n_accepted[started] = 1
-        keep(np.flatnonzero(started))
+    found = np.flatnonzero(started & ~anchored)  # a found start is accepted; an anchor is not
+    n_accepted[found] = 1
+    keep(found)
 
     # Every active chain spends one proposal per step, so all chains refill
     # their blocks on the same steps; a block cut short by the budget runs out
@@ -228,8 +248,8 @@ def _random_walks(model, Y, sampler, rngs, n_target, anchors=None, ids=None) -> 
     while active.size:
         if t % block == 0:
             for k in active:
-                n = min(block, budget - spent[k])
-                deltas[k, :n] = rngs[k].uniform(-half, half, size=(n, d1))
+                n = min(block, budget[k] - spent[k])
+                deltas[k, :n] = rngs[k].uniform(-half[k], half[k], size=(n, d1))
         prop = state[active] + deltas[active, t % block]
         spent[active] += 1
         inside = model.within_bounds(prop)
@@ -240,14 +260,18 @@ def _random_walks(model, Y, sampler, rngs, n_target, anchors=None, ids=None) -> 
             state[moved] = prop[ok]
             n_accepted[moved] += 1
             keep(moved)
-        active = active[(spent[active] < budget) & (n_kept[active] < n_target)]
+        active = active[(spent[active] < budget[active]) & (n_kept[active] < n_target[active])]
         t += 1
     return [np.vstack(rows) if rows else np.zeros((0, d1)) for rows in kept]
 
 
 def _warn_if_empty(members, n_target) -> None:
     if members.shape[0] == 0 and n_target > 0:
-        warnings.warn("sampling budget exhausted with zero feasible points", stacklevel=3)
+        # point at the first frame outside this module: the caller's line
+        frame, level = sys._getframe(1), 2
+        while frame is not None and frame.f_code.co_filename == __file__:
+            frame, level = frame.f_back, level + 1
+        warnings.warn("sampling budget exhausted with zero feasible points", stacklevel=level)
 
 
 def sample_feasible(model: ForwardModel, y, sampler: SamplerSpec,
@@ -271,10 +295,21 @@ def sample_feasible(model: ForwardModel, y, sampler: SamplerSpec,
     elif sampler.kind == "rejection":
         out = _sample_rejection(model, y, sampler, rng, n_target)
     else:
-        anchors = None if anchor is None else as_vector(anchor, "anchor")[None, :]
-        out = _random_walks(model, y[None, :], sampler, [rng], n_target, anchors)[0]
+        anchors = [None if anchor is None else as_vector(anchor, "anchor")]
+        walk = (sampler, _half_step(model, sampler), n_target)
+        out = _random_walks(model, y[None, :], [rng], anchors, *_per_chain([walk], [1]))[0]
     _warn_if_empty(out, n_target)
     return out
+
+
+def _per_chain(walks, counts) -> tuple:
+    """``_random_walks``' per-chain arrays (half, budget, n_target, burn_in,
+    thinning) of walks given as (sampler, half, n_target), ``counts[j]``
+    chains each."""
+    half = np.repeat([h for _, h, _ in walks], counts, axis=0)
+    limits = np.repeat([(s.effective_budget, n, s.burn_in, s.thinning) for s, _, n in walks],
+                       counts, axis=0)
+    return (half, *limits.T)
 
 
 def _entry_rngs(seed: int, k: int) -> tuple:
@@ -284,20 +319,16 @@ def _entry_rngs(seed: int, k: int) -> tuple:
     )
 
 
-def build_feasible_sets(model: ForwardModel, measurements=None, *,
-                        generate: int | None = None,
-                        ground_truths=None,
-                        sampler: SamplerSpec) -> tuple:
-    """Build one feasible set per measurement and the paired dataset.
+# One checked job of build_feasible_sets_many: its sampler, set ids and
+# measurements, the anchors (None in measurement mode), the per-set proposal
+# streams, the random walk's half step (None for the other kinds) and the
+# members to sample per set (an anchor is the first member of its set).
+_Job = namedtuple("_Job", "sampler ids ys anchors rngs half n_target")
 
-    Pass ``measurements`` explicitly, or ``generate=K`` to draw K ground-truth
-    signals uniformly from the signal box, or ``ground_truths`` to measure a
-    given list of signals; in the latter two modes the noise is drawn
-    uniformly from the noise set and each ground truth is inserted as the
-    first member of its own feasible set (and anchors the random walk).
-    Random walks for all sets advance together; set k draws only from its
-    own (seed, k) streams, so its members do not depend on the other sets.
-    """
+
+def _plan(model, measurements=None, *, generate: int | None = None, ground_truths=None,
+          sampler: SamplerSpec) -> _Job:
+    """Check one job and draw its measurements; no proposal is drawn."""
     modes = sum(arg is not None for arg in (measurements, generate, ground_truths))
     if modes != 1:
         raise UsageError("pass exactly one of measurements=, generate= or ground_truths=")
@@ -319,6 +350,7 @@ def build_feasible_sets(model: ForwardModel, measurements=None, *,
             if y.shape != (model.d2,):
                 raise UsageError(f"measurement {k} has length {y.shape[0]} != d2={model.d2}")
         k_total = len(ys)
+    half = _half_step(model, sampler) if sampler.kind == "random_walk" else None
     width = max(2, len(str(k_total - 1)))
     ids = [f"m{k:0{width}d}" for k in range(k_total)]
     sample_rngs, gen_rngs = zip(*(_entry_rngs(sampler.seed, k) for k in range(k_total)))
@@ -332,27 +364,81 @@ def build_feasible_sets(model: ForwardModel, measurements=None, *,
             e = model.noise.sample(gen_rng, model.d2)
             ys.append(model.apply(x_true, e))
             anchors.append(x_true)
-    n_target = sampler.n_max - 1 if anchors is not None else sampler.n_max
-    if sampler.kind == "random_walk":
-        members = _random_walks(model, np.vstack(ys), sampler, sample_rngs, n_target,
-                                anchors, ids)
-        for m in members:
-            _warn_if_empty(m, n_target)
-    else:
-        members = [
-            sample_feasible(model, y, sampler, rng=rng, n_target=n_target)
-            for y, rng in zip(ys, sample_rngs)
-        ]
-    if anchors is not None:
-        members = [
-            np.vstack([x[None, :], m]) if m.size else x[None, :]
-            for x, m in zip(anchors, members)
-        ]
-    entries = tuple(
-        FeasibleSet(id=i, measurement=y, members=m) for i, y, m in zip(ids, ys, members)
-    )
-    c = FeasibleSetCollection(d1=model.d1, d2=model.d2, entries=entries)
-    return c, dataset_from_collection(c)
+    n_target = sampler.n_max - (anchors is not None)
+    return _Job(sampler, ids, ys, anchors, sample_rngs, half, n_target)
+
+
+def build_feasible_sets_many(model: ForwardModel, jobs) -> list:
+    """Build the feasible sets of several jobs on one model; one
+    (collection, dataset) pair per job, in order.
+
+    Each job is a dict of the keywords of ``build_feasible_sets``: one of
+    ``measurements``, ``generate`` or ``ground_truths``, plus ``sampler``.
+    Every job is checked, and its measurements drawn, before any proposal.
+    The random walks of all sets of all jobs then advance in one lockstep,
+    one batched feasibility test per step; grid and rejection jobs run set
+    by set. Set k of a job draws only from its job's own (seed, k) streams,
+    so each job's collection is bit for bit that of its lone call.
+    """
+    plans = [_plan(model, **job) for job in jobs]
+    if not plans:
+        raise UsageError("need at least one job")
+    walks = [j for j in plans if j.half is not None]
+    walked = iter(())
+    if walks:
+        counts = [len(j.ys) for j in walks]
+        labels = [repr(i) if len(plans) == 1 else f"{i!r} of job {n}"
+                  for n, j in enumerate(plans) if j.half is not None for i in j.ids]
+        walked = iter(_random_walks(
+            model, np.vstack([y for j in walks for y in j.ys]),
+            [rng for j in walks for rng in j.rngs],
+            [a for j in walks for a in (j.anchors or [None] * len(j.ys))],
+            *_per_chain([(j.sampler, j.half, j.n_target) for j in walks], counts),
+            labels,
+        ))
+    out = []
+    for job in plans:
+        if job.half is not None:
+            members = [next(walked) for _ in job.ys]
+            for m in members:
+                _warn_if_empty(m, job.n_target)
+        else:
+            members = [
+                sample_feasible(model, y, job.sampler, rng=rng, n_target=job.n_target)
+                for y, rng in zip(job.ys, job.rngs)
+            ]
+        if job.anchors is not None:
+            members = [
+                np.vstack([x[None, :], m]) if m.size else x[None, :]
+                for x, m in zip(job.anchors, members)
+            ]
+        entries = tuple(
+            FeasibleSet(id=i, measurement=y, members=m)
+            for i, y, m in zip(job.ids, job.ys, members)
+        )
+        c = FeasibleSetCollection(d1=model.d1, d2=model.d2, entries=entries)
+        out.append((c, dataset_from_collection(c)))
+    return out
+
+
+def build_feasible_sets(model: ForwardModel, measurements=None, *,
+                        generate: int | None = None,
+                        ground_truths=None,
+                        sampler: SamplerSpec) -> tuple:
+    """Build one feasible set per measurement and the paired dataset.
+
+    Pass ``measurements`` explicitly, or ``generate=K`` to draw K ground-truth
+    signals uniformly from the signal box, or ``ground_truths`` to measure a
+    given list of signals; in the latter two modes the noise is drawn
+    uniformly from the noise set and each ground truth is inserted as the
+    first member of its own feasible set (and anchors the random walk).
+    Random walks for all sets advance together; set k draws only from its
+    own (seed, k) streams, so its members do not depend on the other sets.
+    This is the one-job call of ``build_feasible_sets_many``.
+    """
+    job = dict(measurements=measurements, generate=generate, ground_truths=ground_truths,
+               sampler=sampler)
+    return build_feasible_sets_many(model, [job])[0]
 
 
 def enforce_uniform(c: FeasibleSetCollection, n: int) -> FeasibleSetCollection:

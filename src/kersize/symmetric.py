@@ -87,14 +87,17 @@ class KernelProjector:
 
     ``matrix`` is the read-only projector P: n x n, with n = d1 for the
     kernel of A alone, or n = d1 + d2 for the joint map B = [A | I] on
-    (signal, noise) pairs.
+    (signal, noise) pairs. A read-only float64 array that owns its data is
+    wrapped as is; any other matrix is copied first.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        P = np.asarray(self.matrix, dtype=np.float64).copy()
-        P.setflags(write=False)
+        P = np.asarray(self.matrix, dtype=np.float64)
+        if P.flags.writeable or not P.flags.owndata:
+            P = P.copy()
+            P.setflags(write=False)
         object.__setattr__(self, "matrix", P)
 
 
@@ -169,6 +172,7 @@ def kernel_projection(A, mode: str = "signal_only", tol: float | None = None) ->
         P[I, J] = S
         P[J, I] = S.T
     _verify_projector(P, L, B)
+    P.setflags(write=False)
     return KernelProjector(matrix=P)
 
 

@@ -1,6 +1,8 @@
 """Tests for the average kernel size, the optimal map, and bound reports."""
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -455,6 +457,19 @@ class TestVerifyBounds:
         assert row.id == "m0" and row.n_k == 2
         assert row.half_kersize_single == pytest.approx(np.sqrt(2) / 2, rel=1e-12)
         assert report.per_measurement[1].half_kersize_single == 0.0
+
+    def test_report_rows_serialize_as_asdict(self):
+        """A row's dict serializes exactly as ``dataclasses.asdict`` does,
+        with and without theta fields, and owns its losses."""
+        c = make_collection([[[0, 0], [0, 2]], [], [[1, 1]]])
+        report = verify_bounds(c, {"zero": zero_map(c)}, NormSpec(p=2, q=1))
+        rows = report.per_measurement
+        assert rows[0].theta_objective is not None and rows[1].theta_objective is None
+        for row in rows:
+            d = row.to_dict()
+            assert json.dumps(d) == json.dumps(asdict(row))
+            d["losses"]["zero"] = -1.0
+            assert row.losses["zero"] != -1.0
 
 
 class TestBatchedTheta:

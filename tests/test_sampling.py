@@ -213,6 +213,101 @@ class TestBuildFeasibleSets:
         counts = c.counts + c2.counts
         assert min(counts) < s.n_max and max(counts) == s.n_max
 
+    @pytest.mark.filterwarnings("ignore:sampling budget exhausted")
+    @pytest.mark.parametrize("model,step,truth", [
+        (LinearModel([[0.5, 0.5, 0.0], [0.0, 0.3, -0.6]],
+                     NoiseSpec(kind="additive", eps_additive=0.15), [[-1, 1]] * 3),
+         0.3, [0.2, -0.4, 0.1]),
+        (small_microscope(), [5, 5, 20, 0.5, 50], [150.0, 150.0, 0.0, 5.0, 500.0]),
+    ], ids=["linear", "microscopy"])
+    def test_many_jobs_match_lone_calls(self, model, step, truth):
+        """Every job of one lockstep over several jobs is bitwise its lone
+        ``build_feasible_sets`` call, across seeds, step widths, budgets,
+        sizes, burn-in, thinning and all three modes."""
+        step = np.asarray(step, dtype=np.float64)
+        walk = dict(kind="random_walk", n_max=12, seed=3, budget=60, step_scale=step,
+                    burn_in=2, thinning=3)
+        ys = [e.measurement for e in build_feasible_sets(
+            model, generate=3, sampler=SamplerSpec(**dict(walk, seed=9)))[0].entries]
+        truths = [truth, np.asarray(truth) * 0.9, np.asarray(truth) * 1.1]
+        jobs = [
+            {"generate": 5, "sampler": SamplerSpec(**walk)},
+            {"ground_truths": truths, "sampler": SamplerSpec(
+                **dict(walk, seed=4, step_scale=step * 0.5, budget=90, n_max=7))},
+            {"measurements": ys, "sampler": SamplerSpec(
+                **dict(walk, seed=5, burn_in=0, thinning=1, budget=40, n_max=9))},
+            {"generate": 2, "sampler": SamplerSpec(kind="rejection", n_max=4, seed=6,
+                                                   budget=400)},
+            {"generate": 4, "sampler": SamplerSpec(
+                **dict(walk, seed=7, step_scale=None, burn_in=5, thinning=2, budget=200))},
+        ]
+        built = sampling.build_feasible_sets_many(model, jobs)
+        assert len(built) == len(jobs)
+        counts = []
+        for job, (c, d) in zip(jobs, built):
+            lone, lone_d = build_feasible_sets(model, **job)
+            assert c.ids == lone.ids
+            for e, f in zip(c.entries, lone.entries):
+                assert e.measurement.tobytes() == f.measurement.tobytes()
+                assert e.members.shape == f.members.shape
+                assert e.members.tobytes() == f.members.tobytes()
+            assert d.x.tobytes() == lone_d.x.tobytes() and d.y.tobytes() == lone_d.y.tobytes()
+            counts += c.counts
+        assert min(counts) < max(counts) == 12
+
+    def test_bad_step_scale_in_last_job_raises_before_any_proposal(self, monkeypatch):
+        m = identity_model(eps=0.2)
+        calls = []
+        monkeypatch.setattr(m, "feasible_batch", lambda X, y, atol=0.0: calls.append(X))
+        jobs = [
+            {"generate": 3, "sampler": SamplerSpec(kind="rejection", n_max=4, budget=100)},
+            {"measurements": [[0.0, 0.0]],
+             "sampler": SamplerSpec(kind="random_walk", n_max=4, budget=100)},
+            {"generate": 2, "sampler": SamplerSpec(kind="random_walk", n_max=4, budget=100,
+                                                   step_scale=[0.1, 0.1, 0.1])},
+        ]
+        with pytest.raises(UsageError, match="step_scale"):
+            sampling.build_feasible_sets_many(m, jobs)
+        assert calls == []
+        with pytest.raises(UsageError, match="at least one job"):
+            sampling.build_feasible_sets_many(m, [])
+
+    def test_infeasible_anchor_names_its_set_and_job(self):
+        m = identity_model(eps=0.1)
+        walk = SamplerSpec(kind="random_walk", n_max=5, seed=0, budget=100, step_scale=0.1)
+        jobs = [{"ground_truths": [[0.0, 0.0]], "sampler": walk},
+                {"ground_truths": [[0.0, 0.0], [0.5, 0.5]], "sampler": walk}]
+
+        def apply(x, e):  # measures the second truth of job 1 beyond the noise
+            return x + e + (1.0 if x[0] == 0.5 else 0.0)
+
+        m.apply = apply
+        with pytest.raises(DataError, match="'m01' of job 1"):
+            sampling.build_feasible_sets_many(m, jobs)
+
+    def test_microscopy_demo_matches_per_setup_calls(self, monkeypatch):
+        """The demo's one lockstep over four setups gives each setup the
+        collection of its own ``build_feasible_sets`` call."""
+        from kersize import demo
+
+        seen = []
+
+        def spy(model, jobs):
+            seen.append((model, jobs))
+            return sampling.build_feasible_sets_many(model, jobs)
+
+        monkeypatch.setattr(demo, "build_feasible_sets_many", spy)
+        result = demo.microscopy_demo(k=4, n_max=5)
+        (model, jobs), = seen
+        assert len(jobs) == len(result["setups"]) == len(demo.MICROSCOPY_SETUPS)
+        for job, setup in zip(jobs, result["setups"]):
+            lone, _ = build_feasible_sets(model, **job)
+            got = setup["collection"]
+            assert got.ids == lone.ids
+            for e, f in zip(got.entries, lone.entries):
+                assert e.measurement.tobytes() == f.measurement.tobytes()
+                assert e.members.tobytes() == f.members.tobytes()
+
     def test_lockstep_walk_with_unreachable_sets(self):
         """Chains that exhaust their budget with zero members leave the others
         running, and each empty set warns exactly once."""
@@ -270,6 +365,37 @@ class TestBuildFeasibleSets:
             build_feasible_sets(m, measurements=[[0.0, 0.0]], generate=2, sampler=s)
         with pytest.raises(UsageError):
             build_feasible_sets(m, sampler=s)
+
+
+class TestBudgetWarning:
+    """The "budget exhausted" warning names the caller's line for every
+    sampler kind and every entry point."""
+
+    SAMPLERS = {
+        "grid": SamplerSpec(kind="grid", n_max=3, grid_resolution=(5, 5)),
+        "rejection": SamplerSpec(kind="rejection", n_max=3, budget=50),
+        "random_walk": SamplerSpec(kind="random_walk", n_max=3, budget=50, step_scale=0.1),
+    }
+
+    @pytest.mark.parametrize("entry", ["sample_feasible", "build_feasible_sets",
+                                       "build_feasible_sets_many"])
+    @pytest.mark.parametrize("kind", ["grid", "rejection", "random_walk"])
+    def test_warning_points_at_caller(self, kind, entry):
+        m = identity_model(eps=0.0)
+        y, s = [0.3, 0.3], self.SAMPLERS[kind]  # off the grid: no feasible point
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if entry == "sample_feasible":
+                sample_feasible(m, y, s)
+            elif entry == "build_feasible_sets":
+                build_feasible_sets(m, measurements=[y], sampler=s)
+            else:
+                sampling.build_feasible_sets_many(
+                    m, [{"measurements": [y], "sampler": s}] * 2)
+        assert len(caught) == (2 if entry == "build_feasible_sets_many" else 1)
+        for w in caught:
+            assert "budget exhausted" in str(w.message)
+            assert w.filename == __file__
 
 
 class TestEnforceUniform:

@@ -136,6 +136,32 @@ class TestKernelProjection:
         P = kernel_projection(A, mode=mode).matrix
         np.testing.assert_array_equal(P.view(np.uint64), expected.view(np.uint64))
 
+    def test_projector_is_wrapped_not_copied(self, monkeypatch):
+        """kernel_projection's own verified P is the wrapper's matrix; a
+        matrix a caller can still write to is copied and frozen."""
+        seen = []
+
+        def spy(P, L, B):
+            seen.append(P)
+            return verify(P, L, B)
+
+        verify = symmetric._verify_projector
+        monkeypatch.setattr(symmetric, "_verify_projector", spy)
+        proj = kernel_projection(AVG)
+        assert proj.matrix is seen[0]
+        assert not proj.matrix.flags.writeable
+        M = np.eye(3)
+        for given in (M, M[:], np.eye(3, dtype=np.float32)):
+            wrapped = symmetric.KernelProjector(given).matrix
+            assert wrapped is not given and not wrapped.flags.writeable
+            assert wrapped.dtype == np.float64
+        frozen = M.copy()
+        M[0, 0] = 5.0
+        assert symmetric.KernelProjector(frozen).matrix[0, 0] == 1.0
+        view = M[:]
+        view.setflags(write=False)  # read-only, but M can still change it
+        assert symmetric.KernelProjector(view).matrix is not view
+
     def test_tiny_operator_is_data_error(self):
         # 1/sigma overflows float64: an error naming the operator, no warning
         with pytest.raises(DataError, match="operator"):
