@@ -7,8 +7,11 @@ Sets for distinct measurements are built on independent RNG streams keyed by
 (seed, k), which makes results identical across runs. The random walks of
 all sets advance in lockstep, one batched feasibility test per step; with
 ``build_feasible_sets_many`` that one lockstep spans the sets of several
-jobs (samplers and measurement lists) on the same model, and each job's sets
-are bit for bit those of its lone ``build_feasible_sets`` call.
+jobs (samplers and measurement lists) on the same model. For an elementwise
+model such as microscopy, each job's sets are bit for bit those of its lone
+``build_feasible_sets`` call. For a linear model that holds only while no
+proposal lands within rounding of the noise boundary: a batched ``X @ A.T``
+can differ in the last bits from the same rows in a smaller batch.
 """
 
 from __future__ import annotations
@@ -378,7 +381,10 @@ def build_feasible_sets_many(model: ForwardModel, jobs) -> list:
     The random walks of all sets of all jobs then advance in one lockstep,
     one batched feasibility test per step; grid and rejection jobs run set
     by set. Set k of a job draws only from its job's own (seed, k) streams,
-    so each job's collection is bit for bit that of its lone call.
+    so for an elementwise model such as microscopy each job's collection is
+    bit for bit that of its lone call. For a linear model that holds only
+    while no proposal lands within rounding of the noise boundary, since a
+    batched ``X @ A.T`` can differ in the last bits.
     """
     plans = [_plan(model, **job) for job in jobs]
     if not plans:

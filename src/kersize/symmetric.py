@@ -20,7 +20,11 @@ matrix A, a ``LinearModel`` or a ``DownsampleModel``.
 For an m x n operator B (B = A, or [A | I] with n = d1 + d2 in joint mode,
 or one band of a downsampling model) the projector costs one SVD of B plus
 O(n²·m) to build P = I - B^+ B and to verify it: symmetry, B P = 0, and
-idempotency from the factors B^+ and B, never with an n³ product.
+idempotency from the factors B^+ and B, never with an n³ product. P is the
+only n x n array held: it is built in the buffer of the product B^+ B, and
+every other temporary is O(n·m) or a row block of at most ``_ROW_BLOCK``
+doubles. A downsampling model's band projection runs over the same row
+blocks of P, with the same bits as one whole product.
 """
 
 from __future__ import annotations
@@ -47,6 +51,14 @@ __all__ = [
     "SkersizeResult",
     "band_projector",
 ]
+
+_ROW_BLOCK = 1 << 17  # doubles in one row block of an n x n array (1 MB)
+
+
+def _row_blocks(n: int) -> list:
+    """Row slices of an n x n array, each of at most ``_ROW_BLOCK`` doubles."""
+    step = max(1, _ROW_BLOCK // max(1, n))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def pseudoinverse(A, tol: float | None = None) -> np.ndarray:
@@ -118,15 +130,25 @@ def _block_pairs(n: int) -> list:
             for i in range(0, n, 128) for j in range(i, n, 128)]
 
 
-def _idempotency_residual(P: np.ndarray, L: np.ndarray, B: np.ndarray,
-                          BP: np.ndarray) -> float:
+def _idempotency_residual(L: np.ndarray, B: np.ndarray, BP: np.ndarray,
+                          LtP: np.ndarray) -> float:
     """max |P² - P| of P = ½(P0 + P0ᵀ), P0 = I - L B, from the factors.
 
     With Q = I - P = ½(L B + Bᵀ Lᵀ), P² - P = Q² - Q = -Q P
     = -½(L (B P) + Bᵀ (Lᵀ P)) for any L. For an m x n operator B that costs
-    O(n²·m) given BP = B @ P, not the O(n³) of P @ P.
+    O(n²·m) given BP = B @ P and LtP = L.T @ P, not the O(n³) of P @ P. The
+    n x n product is taken one row block at a time; a NaN in any block is the
+    result.
     """
-    return 0.5 * _max_abs(np.hstack([L, B.T]) @ np.vstack([BP, L.T @ P]))
+    n = B.shape[1]
+    blocks = _row_blocks(n)
+    R, S = np.empty((2, blocks[0].stop if blocks else 0, n))
+    worst = []
+    for I in blocks:
+        r = np.matmul(L[I], BP, out=R[:I.stop - I.start])
+        r += np.matmul(B.T[I], LtP, out=S[:I.stop - I.start])
+        worst.append(_max_abs(r))
+    return 0.5 * float(np.max(worst, initial=0.0))
 
 
 def _verify_projector(P: np.ndarray, L: np.ndarray, B: np.ndarray) -> None:
@@ -138,7 +160,7 @@ def _verify_projector(P: np.ndarray, L: np.ndarray, B: np.ndarray) -> None:
     if not asym <= 1e-10:
         raise DataError("projector is not symmetric")
     BP = B @ P
-    if not _idempotency_residual(P, L, B, BP) <= 1e-8:
+    if not _idempotency_residual(L, B, BP, L.T @ P) <= 1e-8:
         raise DataError("projector is not idempotent")
     if not _max_abs(BP) <= 1e-8:
         raise DataError("projector does not annihilate the operator")
@@ -150,6 +172,10 @@ def kernel_projection(A, mode: str = "signal_only", tol: float | None = None) ->
     The projector is verified before it is returned: symmetric to 1e-10,
     idempotent and annihilated by the operator to 1e-8 (max entry), or a
     ``DataError``.
+
+    Runs in one SVD of the m x n operator plus O(n²·m), and holds P plus
+    O(n·m) temporaries: P is built in the buffer of B^+ B, and the checks
+    run over cache-sized blocks of it.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
@@ -163,9 +189,13 @@ def kernel_projection(A, mode: str = "signal_only", tol: float | None = None) ->
     else:
         B = A
     L = pseudoinverse(B, tol)
-    # P = 0.5 * (P0 + P0.T) with P0 = I - L @ B, bit for bit, in place
-    P = np.eye(B.shape[1])
-    P -= L @ B
+    # P = 0.5 * (P0 + P0.T) with P0 = I - L @ B, bit for bit, in L @ B's
+    # buffer: 0.0 - x and 1.0 - x are what I - L @ B computes (-x would turn
+    # +0 into -0)
+    P = L @ B
+    diag = 1.0 - P.diagonal()
+    np.subtract(0.0, P, out=P)
+    np.fill_diagonal(P, diag)
     for I, J in _block_pairs(P.shape[0]):
         S = P[I, J] + P[J, I].T
         S *= 0.5
@@ -243,6 +273,9 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
     per pair. The projector is one SVD of the m x n operator plus O(n²·m) to
     build and verify it, with n the band size (a downsampling model in
     signal_only mode), d1 (any other signal_only operator) or d1 + d2 (joint).
+    It holds P plus O(n·m) temporaries. The band projection runs over
+    cache-sized row blocks of P, each kept in cache for every band of every
+    pair, and gives the same bits as one whole product.
     """
     if noise.kind != "additive":
         raise UsageError("the symmetric bound requires additive noise (y = A x + e)")
@@ -286,7 +319,10 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
     else:
         if A is None:  # a DownsampleModel: its one-band projector on every band
             bands = x.reshape(pairs.size, model.bands, -1)
-            v = np.einsum("ij,nbj->nbi", band_projector(model, tol).matrix, bands)
+            P = band_projector(model, tol).matrix
+            v = np.empty_like(bands)
+            for I in _row_blocks(P.shape[0]):
+                np.einsum("ij,nbj->nbi", P[I], bands, out=v[:, :, I])
             v = v.reshape(pairs.size, -1)
         else:
             v = x @ kernel_projection(A, mode="signal_only", tol=tol).matrix.T

@@ -1,5 +1,6 @@
 """Tests for the pseudoinverse, kernel projections, reflections and SKersize."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -136,6 +137,14 @@ class TestKernelProjection:
         P = kernel_projection(A, mode=mode).matrix
         np.testing.assert_array_equal(P.view(np.uint64), expected.view(np.uint64))
 
+    def test_projector_zeros_are_positive(self):
+        """A selector's B^+ B holds exact zeros, and I - B^+ B makes them +0:
+        building P in place must not turn them into -0."""
+        A = np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        P = kernel_projection(A).matrix
+        np.testing.assert_array_equal(P, np.diag([0.0, 1.0, 0.0, 1.0]))
+        assert not np.signbit(P).any()
+
     def test_projector_is_wrapped_not_copied(self, monkeypatch):
         """kernel_projection's own verified P is the wrapper's matrix; a
         matrix a caller can still write to is copied and frozen."""
@@ -162,6 +171,23 @@ class TestKernelProjection:
         view.setflags(write=False)  # read-only, but M can still change it
         assert symmetric.KernelProjector(view).matrix is not view
 
+    @pytest.mark.parametrize("mode", ["signal_only", "joint"])
+    def test_peak_memory_below_twice_the_projector(self, mode):
+        """P is the only n x n array kernel_projection holds: a second one
+        would take the traced peak past 2 x P."""
+        if mode == "joint":
+            A = np.random.default_rng(9).normal(size=(200, 2800))  # n = 3000
+        else:
+            A = DownsampleModel(bands=3, height=48, width=48, factor=4, r_max=1.0,
+                                noise=NoiseSpec(kind="additive")).band_matrix()  # n = 2304
+        tracemalloc.start()
+        try:
+            P = kernel_projection(A, mode=mode).matrix
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * P.nbytes
+
     def test_tiny_operator_is_data_error(self):
         # 1/sigma overflows float64: an error naming the operator, no warning
         with pytest.raises(DataError, match="operator"):
@@ -173,7 +199,7 @@ def factored_and_dense(B, L):
     as kernel_projection computes it, and densely from P @ P."""
     P0 = np.eye(B.shape[1]) - L @ B
     P = 0.5 * (P0 + P0.T)
-    factored = symmetric._idempotency_residual(P, L, B, B @ P)
+    factored = symmetric._idempotency_residual(L, B, B @ P, L.T @ P)
     return factored, np.max(np.abs(P @ P - P), initial=0.0)
 
 
@@ -201,6 +227,23 @@ class TestProjectorVerification:
         self.corrupt(monkeypatch, np.zeros_like)  # P = I: a projector, not onto the kernel
         with pytest.raises(DataError, match="projector does not annihilate the operator"):
             kernel_projection(self.B)
+
+    def test_nan_in_first_row_block_is_the_residual(self, monkeypatch):
+        """A NaN in L's first row reaches only the first row block of the
+        residual product; the later blocks are finite, and the residual is
+        still NaN, so the idempotency check fails."""
+        B = np.random.default_rng(32).normal(size=(3, 12))
+        L = pseudoinverse(B)
+        P0 = np.eye(12) - L @ B
+        P = 0.5 * (P0 + P0.T)
+        BP, LtP = B @ P, L.T @ P
+        monkeypatch.setattr(symmetric, "_ROW_BLOCK", 4 * 12)  # three blocks of 4 rows
+        assert len(symmetric._row_blocks(12)) == 3
+        assert symmetric._idempotency_residual(L, B, BP, LtP) <= 1e-13
+        L[0] = np.nan
+        assert np.isnan(symmetric._idempotency_residual(L, B, BP, LtP))
+        with pytest.raises(DataError, match="projector is not idempotent"):
+            symmetric._verify_projector(P, L, B)
 
     def test_factored_residual_equals_dense_when_large(self):
         rng = np.random.default_rng(30)
@@ -402,6 +445,28 @@ class TestSkersize:
             np.testing.assert_allclose(via_model.v_norms, via_dense.v_norms, rtol=1e-10)
             np.testing.assert_allclose(via_model.symmetrized.x, via_dense.symmetrized.x,
                                        atol=1e-9)
+
+    @pytest.mark.parametrize("side", [8, 12, 36])
+    def test_band_projection_bits_match_one_product(self, monkeypatch, side):
+        """v over row blocks of the band projector is one whole einsum, bit
+        for bit: band widths 64 and 144 fit one block, 1296 ends ragged."""
+        seen = []
+
+        def spy(v, norm):
+            seen.append(v)
+            return norms(v, norm)
+
+        norms = symmetric.vector_norms
+        monkeypatch.setattr(symmetric, "vector_norms", spy)
+        model = DownsampleModel(bands=3, height=side, width=side, factor=4, r_max=1.0,
+                                noise=NoiseSpec(kind="additive", eps_additive=0.05))
+        x = np.random.default_rng(side).uniform(0.2, 0.8, size=(5, model.d1))
+        skersize(pairs_of(x, model.noiseless_batch(x)), model, model.noise, EUCLID)
+        bands = x.reshape(5, 3, side * side)
+        expected = np.einsum("ij,nbj->nbi", band_projector(model).matrix, bands)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0].view(np.uint64),
+                                      expected.reshape(5, -1).view(np.uint64))
 
     def test_band_projector_invariants(self):
         model = DownsampleModel(bands=3, height=16, width=16, factor=4, r_max=1.0,
