@@ -53,9 +53,9 @@ print(f"verify_bounds: lower_ok={report.lower_ok}, theta_upper_ok={report.theta_
 print(f"zero-map loss                  : {report.losses['zero']:.8f}\n")
 
 # --- the fast route: symmetric kernel size ----------------------------------
-proj = kernel_projection(A)
+P = kernel_projection(A)
 print("Kernel projector P = I - A^+ A :")
-print(np.round(proj.matrix, 12))
+print(np.round(P, 12))
 
 pairs = PairedDataset(x=[[1.0, 3.0]], y=[[2.0]], group=[0], group_ids=("y2",))
 res = skersize(pairs, A, NoiseSpec(kind="additive"), norm)

@@ -36,7 +36,6 @@ from .sampling import (
     sample_feasible,
 )
 from .symmetric import (
-    KernelProjector,
     SkersizeResult,
     kernel_projection,
     pseudoinverse,
@@ -51,7 +50,6 @@ __all__ = [
     "DownsampleModel",
     "FeasibleSet",
     "FeasibleSetCollection",
-    "KernelProjector",
     "LinearModel",
     "MicroscopyModel",
     "NoiseSpec",

@@ -27,16 +27,18 @@ Each final reduction is an exact fsum over terms computed in a fixed order,
 so reports are reproducible bit for bit.
 
 θ is exact where a closed form exists (the mean at p = q = 2, the
-coordinatewise median at p = q = 1) and Weiszfeld's geometric median at
-p = 1, q = 2. Every other p ≥ 1 goes to a numpy-only log-barrier
-interior-point method on the epigraph form of the objective, which stops at a
-relative duality gap of 1e-10. ``verify_bounds`` hands all sets to one call of
-it, which steps every set in lockstep: each set keeps its own barrier weight,
-step length and stopping test, comes out bit for bit as if solved alone, and
-drops out when it converges or its Newton system breaks down, without
-affecting the others. Each θ comes with a certificate: its objective, an
-upper bound on its distance to the minimum (from a Fenchel dual point built
-from the barrier multipliers) and the set's own iteration count.
+coordinatewise median at p = q = 1). Every other p ≥ 1 goes to a numpy-only
+log-barrier interior-point method on the epigraph form of the objective,
+which stops at a relative duality gap of 1e-10. ``verify_bounds`` hands all
+sets to one call of it, which steps every set in lockstep: each set keeps its
+own barrier weight, step length and stopping test, comes out bit for bit as
+if solved alone, and drops out when it converges or its Newton system breaks
+down, without affecting the others. At p = 1, q = 2 the geometric median often sits on a
+member, which the barrier's point never reaches; there the member nearest it
+is tried too, certified by Kuhn's test. Each θ comes with a certificate: its
+objective, an upper bound on its distance to the minimum (from a Fenchel dual
+point built from the barrier multipliers, or from Kuhn's dual points) and the
+set's own iteration count.
 """
 
 from __future__ import annotations
@@ -147,35 +149,6 @@ def kersize(c: FeasibleSetCollection, norm: NormSpec) -> tuple:
     return power_mean([v], norm.p), v
 
 
-def _weiszfeld(points: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> tuple:
-    """Geometric median by Weiszfeld iteration; returns (median, lower bound
-    on the minimum mean distance, iterations).
-
-    Ties at data points are handled by the standard epsilon-perturbation of
-    the inverse-distance weights.
-    """
-    z = points.mean(axis=0)
-    scale = max(1.0, float(np.abs(points).max()))
-    tie_eps = 1e-15 * scale
-    for it in range(1, max_iter + 1):
-        dist = np.linalg.norm(points - z[None, :], axis=1)
-        w = 1.0 / np.maximum(dist, tie_eps)
-        z_new = (points * w[:, None]).sum(axis=0) / w.sum()
-        converged = np.linalg.norm(z_new - z) <= tol * max(1.0, np.linalg.norm(z))
-        z = z_new
-        if converged:
-            break
-    # dual points: the unit residuals, with the member nearest to z taking up
-    # their imbalance (exact when the median sits on that member)
-    R = points - z
-    dist = np.linalg.norm(R, axis=1)
-    Y = np.divide(R, dist[:, None], out=np.zeros_like(R), where=dist[:, None] > 0)
-    k = int(np.argmin(dist))
-    Y[k] = 0.0
-    Y[k] = -Y.sum(axis=0)
-    return z, float(np.mean(dist)) - float(_dual_gap(R, Y, 1.0, 2.0)[0]), it
-
-
 # -- the interior-point solver for theta ----------------------------------------
 #
 # One call solves every set of one (p, q) at once. The members of all sets are
@@ -200,7 +173,7 @@ class ThetaCertificate:
     """How close theta is to the minimum of f(z) = (1/N) Σ_n ‖x_n - z‖^p.
 
     ``gap`` is an upper bound on ``objective - min f``; ``iterations`` counts
-    Newton steps (Weiszfeld steps at p = 1, q = 2; 0 for the exact forms).
+    Newton steps (0 for the exact forms).
     """
 
     objective: float
@@ -564,6 +537,25 @@ def _interior_point(P: np.ndarray, sizes, p: float, q: float) -> tuple:
     return theta, lower_out, steps_out
 
 
+def _vertex_step(X: np.ndarray, z: np.ndarray, lower: float) -> tuple:
+    """p = 1, q = 2: the geometric median often sits on a member, where the
+    barrier's point stays just off the kink. Tries the member x_j nearest z,
+    with dual points y_n = (x_n - x_j)/‖x_n - x_j‖ and the copies of x_j sharing
+    -Σ y_n; by Kuhn's test (Kuhn 1973) x_j is optimal, with a zero gap, when
+    ‖Σ y_n‖ ≤ its multiplicity. Returns x_j if f(x_j) ≤ f(z), else z, and the
+    larger of ``lower`` and the Fenchel bound at x_j."""
+    to_z = _q_norms(X - z, 2.0)
+    v = X[np.argmin(to_z)].copy()
+    R = X - v
+    dist = _q_norms(R, 2.0)
+    Y = np.divide(R, dist[:, None], out=np.zeros_like(R), where=dist[:, None] > 0)
+    copies = dist == 0.0
+    Y[copies] = -Y.sum(axis=0) / np.count_nonzero(copies)
+    f = float(np.mean(dist))
+    lower = max(lower, f - float(_dual_gap(R, Y, 1.0, 2.0)[0]))
+    return (v if f <= np.mean(to_z) else z), lower
+
+
 def _optimal_maps(sets, norm: NormSpec) -> list:
     """(θ, ThetaCertificate) for each member array of ``sets`` (each with at
     least one member); every set the interior-point method serves goes into
@@ -580,12 +572,12 @@ def _optimal_maps(sets, norm: NormSpec) -> list:
         P = [sets[k] if norm.mask is None else sets[k][:, norm.mask] for k in multi]
         if norm.p == 1 and norm.q == 1:
             found = [(np.median(x, axis=0), None, 0) for x in P]
-        elif norm.p == 1 and norm.q == 2:
-            found = [_weiszfeld(x) for x in P]
         else:
             Z, low, its = _interior_point(np.concatenate(P), [x.shape[0] for x in P],
                                           norm.p, norm.q)
             found = zip(Z, low.tolist(), its.tolist())
+            if norm.p == 1 and norm.q == 2:
+                found = [(*_vertex_step(x, z, lower), n) for x, (z, lower, n) in zip(P, found)]
         for k, (z, lower, its) in zip(multi, found):
             lowers[k], iterations[k] = lower, its
             if norm.mask is None:
@@ -607,9 +599,10 @@ def optimal_map_value(members, norm: NormSpec, certificate: bool = False):
 
     * p = q = 2: the coordinate mean (exact);
     * p = q = 1: the coordinatewise median (exact);
-    * p = 1, q = 2: Weiszfeld's geometric median;
     * any other p ≥ 1: the interior-point method of ``_interior_point``, to a
-      relative duality gap of ``THETA_TOL``.
+      relative duality gap of ``THETA_TOL``; at p = 1, q = 2 followed by
+      ``_vertex_step``, which moves θ onto the nearest member when that is
+      no worse.
 
     ``verify_bounds`` solves all sets of a collection in lockstep, in one
     call of the same solver that runs here on one set. A set's θ and

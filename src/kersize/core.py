@@ -341,8 +341,8 @@ def loss_powers(members: np.ndarray, predictions: Mapping[str, Sequence], set_id
                 norm: NormSpec, name: str | None = None) -> np.ndarray:
     """``‖x - φ‖^p`` for each member x of set ``set_id``, φ its prediction.
 
-    A missing prediction raises DataError and one of the wrong length
-    UsageError; ``name`` labels the map in those messages.
+    A missing or non-finite prediction raises DataError and one of the wrong
+    length UsageError; ``name`` labels the map in those messages.
     """
     of_map = "" if name is None else f" from map {name!r}"
     if set_id not in predictions:
@@ -353,6 +353,8 @@ def loss_powers(members: np.ndarray, predictions: Mapping[str, Sequence], set_id
             f"prediction for {set_id!r}{of_map} has shape {phi.shape}, "
             f"expected ({members.shape[1]},)"
         )
+    if not np.isfinite(phi).all():
+        raise DataError(f"prediction for {set_id!r}{of_map} is not finite")
     return vector_norms(members - phi[None, :], norm) ** norm.p
 
 

@@ -46,10 +46,8 @@ from .forward import DownsampleModel, LinearModel, NoiseSpec
 __all__ = [
     "pseudoinverse",
     "kernel_projection",
-    "KernelProjector",
     "skersize",
     "SkersizeResult",
-    "band_projector",
 ]
 
 _ROW_BLOCK = 1 << 17  # doubles in one row block of an n x n array (1 MB)
@@ -91,26 +89,6 @@ def pseudoinverse(A, tol: float | None = None) -> np.ndarray:
             f"(largest singular value {s[0]:.3g})"
         )
     return pinv
-
-
-@dataclass(frozen=True, eq=False)
-class KernelProjector:
-    """Orthogonal projection onto the kernel of a linear forward map.
-
-    ``matrix`` is the read-only projector P: n x n, with n = d1 for the
-    kernel of A alone, or n = d1 + d2 for the joint map B = [A | I] on
-    (signal, noise) pairs. A read-only float64 array that owns its data is
-    wrapped as is; any other matrix is copied first.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        P = np.asarray(self.matrix, dtype=np.float64)
-        if P.flags.writeable or not P.flags.owndata:
-            P = P.copy()
-            P.setflags(write=False)
-        object.__setattr__(self, "matrix", P)
 
 
 def _max_abs(R: np.ndarray) -> float:
@@ -166,12 +144,13 @@ def _verify_projector(P: np.ndarray, L: np.ndarray, B: np.ndarray) -> None:
         raise DataError("projector does not annihilate the operator")
 
 
-def kernel_projection(A, mode: str = "signal_only", tol: float | None = None) -> KernelProjector:
+def kernel_projection(A, mode: str = "signal_only", tol: float | None = None) -> np.ndarray:
     """Projector onto the kernel: I - A^+ A, or I - B^+ B with B = [A | I].
 
-    The projector is verified before it is returned: symmetric to 1e-10,
-    idempotent and annihilated by the operator to 1e-8 (max entry), or a
-    ``DataError``.
+    Returns P as a read-only n x n array: n = d1 for the kernel of A alone,
+    or n = d1 + d2 for the joint map B = [A | I] on (signal, noise) pairs.
+    P is verified before it is returned: symmetric to 1e-10, idempotent and
+    annihilated by the operator to 1e-8 (max entry), or a ``DataError``.
 
     Runs in one SVD of the m x n operator plus O(n²·m), and holds P plus
     O(n·m) temporaries: P is built in the buffer of B^+ B, and the checks
@@ -203,16 +182,7 @@ def kernel_projection(A, mode: str = "signal_only", tol: float | None = None) ->
         P[J, I] = S.T
     _verify_projector(P, L, B)
     P.setflags(write=False)
-    return KernelProjector(matrix=P)
-
-
-def band_projector(model: DownsampleModel, tol: float | None = None) -> KernelProjector:
-    """Signal-kernel projector of one band of a downsampling model.
-
-    Bands are independent, so the full projector is block diagonal with this
-    block repeated; per-pair work then stays at single-band size.
-    """
-    return kernel_projection(model.band_matrix(), mode="signal_only", tol=tol)
+    return P
 
 
 @dataclass
@@ -310,22 +280,22 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
     if mode == "joint":
         P = kernel_projection(A if A is not None else model.matrix(), mode="joint", tol=tol)
         joint = np.hstack([x, e])
-        pj = joint @ P.matrix.T
+        pj = joint @ P.T
         v = pj[:, :d1]
         refl = joint - 2.0 * pj
         x_refl = refl[:, :d1]
         viol = noise.row_norms(refl[:, d1:]) > noise.eps_additive + feas_atol
         noise_violations = [int(i) for i in np.flatnonzero(viol)]
     else:
-        if A is None:  # a DownsampleModel: its one-band projector on every band
+        if A is None:  # a DownsampleModel: one band's projector serves every band
             bands = x.reshape(pairs.size, model.bands, -1)
-            P = band_projector(model, tol).matrix
+            P = kernel_projection(model.band_matrix(), tol=tol)
             v = np.empty_like(bands)
             for I in _row_blocks(P.shape[0]):
                 np.einsum("ij,nbj->nbi", P[I], bands, out=v[:, :, I])
             v = v.reshape(pairs.size, -1)
         else:
-            v = x @ kernel_projection(A, mode="signal_only", tol=tol).matrix.T
+            v = x @ kernel_projection(A, tol=tol).T
         x_refl = x - 2.0 * v
 
     v_norms = vector_norms(v, norm)

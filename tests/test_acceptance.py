@@ -304,8 +304,8 @@ def test_criterion_6_cross_bound_identity(p):
 def test_criterion_7_worked_numeric_case():
     """The averaging-operator example, end to end, to 1e-10."""
     A = np.array([[0.5, 0.5]])
-    proj = kernel_projection(A)
-    np.testing.assert_allclose(proj.matrix, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-10)
+    P = kernel_projection(A)
+    np.testing.assert_allclose(P, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-10)
     pairs = PairedDataset(x=[[1.0, 3.0]], y=[[2.0]], group=[0], group_ids=("m0",))
     norm = NormSpec(p=2.0, q=2.0)
     res = skersize(pairs, A, NoiseSpec(kind="additive"), norm)

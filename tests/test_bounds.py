@@ -246,7 +246,7 @@ class TestOptimalMapValue:
         best = min(grid, key=objective)
         assert objective(z) <= objective(best) + 1e-9
 
-    def test_weiszfeld_beats_grid_on_random_sets(self):
+    def test_geometric_median_beats_grid_on_random_sets(self):
         rng = np.random.default_rng(17)
         norm = NormSpec(p=1, q=2)
         for _ in range(10):
@@ -308,23 +308,46 @@ class TestOptimalMapValue:
     @pytest.mark.parametrize("q", [1, 2, np.inf])
     @pytest.mark.parametrize("p", [1, 1.5, 3])
     def test_certificate_on_random_sets(self, p, q):
-        """The certified gap holds against perturbations of θ and, for the
-        interior-point method, stays within 1e-9 of the objective on sets with
-        ties (integer data) and with a large offset. Weiszfeld (p = 1, q = 2)
-        stops on a step tolerance, so only its gap's validity is checked."""
+        """The certified gap holds against perturbations of θ and stays within
+        1e-9 of the objective on sets with ties (integer data) and with a
+        large offset."""
         rng = np.random.default_rng([41, int(2 * p), int(min(q, 3))])
         norm = NormSpec(p=p, q=q)
         for members in (rng.normal(size=(9, 4)), np.round(rng.normal(size=(7, 5)) * 3),
                         1e6 + rng.normal(size=(5, 2)) * 1e-3):
             z, cert = optimal_map_value(members, norm, certificate=True)
             obj = lambda pt: float(np.mean(vector_norms(members - pt, norm) ** p))
-            assert cert.gap >= 0.0
-            if (p, q) != (1, 2):
-                assert cert.gap <= 1e-9 * cert.objective
+            assert 0.0 <= cert.gap <= 1e-9 * cert.objective
             spread = np.abs(members - members.mean(axis=0)).max()
             for _ in range(30):
                 trial = z + rng.normal(size=z.shape) * spread * 10.0 ** rng.uniform(-9, 0)
                 assert cert.objective - cert.gap <= obj(trial) * (1 + 1e-14)
+
+    @pytest.mark.parametrize("members,j", [
+        ([[0.0, 0.0]] * 6 + [[2.0, 0.0], [0.0, 1.0]], 0),
+        ([[2.0, 2.0], [1.0, 3.0]] + [[1.0, 2.0]] * 5, 2),
+        ([[1.5, -0.5], [4.0, -0.5], [1.5, -0.5], [1.5, 3.0], [-1.0, -2.0]], 0),
+        (1e6 + np.array([[1e-3, 2e-3], [4e-3, 0.0], [1e-3, 2e-3], [0.0, 0.0], [2e-3, 5e-3]]), 0),
+        ([[0.0]] * 4 + [[2.0]], 0),
+        ([[0.0], [1.0], [1.0], [2.0], [5.0]], 1),
+        ([[0.0, 0.0, 0.0]] * 4 + [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 0),
+    ], ids=["majority", "majority-last", "pair", "offset", "int-1d-majority",
+            "int-1d-median", "int-3d-axes"])
+    def test_geometric_median_on_repeated_member(self, members, j):
+        """A geometric median on a member repeated two or more times, here
+        also on integer sets with ties, is that member exactly, certified to
+        1e-9 of the objective by Kuhn's test."""
+        members = np.array(members)
+        norm = NormSpec(p=1, q=2)
+        z, cert = optimal_map_value(members, norm, certificate=True)
+        np.testing.assert_array_equal(z, members[j])
+        assert 0.0 <= cert.gap <= 1e-9 * cert.objective
+        obj = lambda pt: float(np.mean(vector_norms(members - pt, norm)))
+        rng = np.random.default_rng(members.size)
+        spread = np.abs(members - members.mean(axis=0)).max()
+        for _ in range(30):
+            trial = z + rng.normal(size=z.shape) * spread * 10.0 ** rng.uniform(-9, 0)
+            assert cert.objective - cert.gap <= obj(trial) * (1 + 1e-14)
 
     @pytest.mark.parametrize("q", [1, 2, np.inf])
     @pytest.mark.parametrize("p", [1, 1.5, 3])

@@ -125,6 +125,11 @@ class TestLoss:
         with pytest.raises(DataError):
             loss(d, {}, EUCLID)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prediction(self, value):
+        with pytest.raises(DataError, match="prediction for 'y1' is not finite"):
+            loss(two_point_dataset(), {"y1": np.array([0.0, value])}, EUCLID)
+
     def test_empty_dataset(self):
         d = PairedDataset(x=np.zeros((0, 2)), y=np.zeros((0, 1)), group=[], group_ids=("a",))
         with pytest.raises(DataError):

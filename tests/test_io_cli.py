@@ -449,6 +449,22 @@ class TestCliValidate:
         assert main(["validate", str(d), str(pred)]) == 1
         assert "has shape (3,)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e309"])
+    @pytest.mark.parametrize("argv", [["validate"], ["validate", "--strict"], ["loss"]],
+                             ids=["validate", "strict", "loss"])
+    def test_non_finite_prediction_exits_2(self, tmp_path, capsys, argv, value):
+        """A non-finite prediction is malformed input, not a bound violation,
+        and leaves no NaN or Infinity in bounds.json."""
+        d = two_point_collection_dir(tmp_path)
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        (pred / "pred_m0.csv").write_text(f"0.0,{value}\n")
+        assert main([argv[0], str(d), str(pred), *argv[1:]]) == 2
+        err = capsys.readouterr().err.splitlines()
+        of_map = "" if argv[0] == "loss" else " from map 'pred'"
+        assert err == [f"error: prediction for 'm0'{of_map} is not finite"]
+        assert not (d / "bounds.json").exists()
+
     def test_general_norm_theta_certificate_without_scipy_optimize(self, tmp_path):
         """``validate --p 2 --q 1`` runs the interior-point theta solver,
         writes its certificate to bounds.json and never imports

@@ -9,12 +9,7 @@ import pytest
 from kersize import symmetric
 from kersize.core import DataError, NormSpec, PairedDataset, UsageError, loss
 from kersize.forward import DownsampleModel, LinearModel, NoiseSpec
-from kersize.symmetric import (
-    band_projector,
-    kernel_projection,
-    pseudoinverse,
-    skersize,
-)
+from kersize.symmetric import kernel_projection, pseudoinverse, skersize
 
 EUCLID = NormSpec(p=2, q=2)
 AVG = np.array([[0.5, 0.5]])
@@ -96,15 +91,15 @@ class TestPseudoinverse:
 
 class TestKernelProjection:
     def test_invertible_matrix_trivial_kernel(self):
-        P = kernel_projection([[2.0, 1.0], [0.0, 1.0]]).matrix
+        P = kernel_projection([[2.0, 1.0], [0.0, 1.0]])
         np.testing.assert_allclose(P, np.zeros((2, 2)), atol=1e-12)
 
     def test_averaging_row(self):
-        P = kernel_projection(AVG).matrix
+        P = kernel_projection(AVG)
         np.testing.assert_allclose(P, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
 
     def test_selector_row(self):
-        P = kernel_projection([[1.0, 0.0]]).matrix
+        P = kernel_projection([[1.0, 0.0]])
         np.testing.assert_allclose(P, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_invariants_random(self):
@@ -112,15 +107,14 @@ class TestKernelProjection:
         for _ in range(20):
             m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
             A = random_rank_matrix(rng, m, n, int(rng.integers(0, min(m, n) + 1)))
-            assert_projector(kernel_projection(A).matrix, A)
+            assert_projector(kernel_projection(A), A)
 
     def test_joint_mode(self):
         rng = np.random.default_rng(7)
         A = rng.normal(size=(2, 4))
-        proj = kernel_projection(A, mode="joint")
-        assert proj.matrix.shape == (6, 6)
-        B = np.hstack([A, np.eye(2)])
-        assert_projector(proj.matrix, B)
+        P = kernel_projection(A, mode="joint")
+        assert P.shape == (6, 6)
+        assert_projector(P, np.hstack([A, np.eye(2)]))
 
     @pytest.mark.parametrize("mode", ["signal_only", "joint"])
     def test_projector_bits_pinned(self, mode):
@@ -134,20 +128,19 @@ class TestKernelProjection:
                                     noise=NoiseSpec(kind="additive")).band_matrix()
         P0 = np.eye(B.shape[1]) - pseudoinverse(B) @ B
         expected = 0.5 * (P0 + P0.T)
-        P = kernel_projection(A, mode=mode).matrix
+        P = kernel_projection(A, mode=mode)
         np.testing.assert_array_equal(P.view(np.uint64), expected.view(np.uint64))
 
     def test_projector_zeros_are_positive(self):
         """A selector's B^+ B holds exact zeros, and I - B^+ B makes them +0:
         building P in place must not turn them into -0."""
         A = np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-        P = kernel_projection(A).matrix
+        P = kernel_projection(A)
         np.testing.assert_array_equal(P, np.diag([0.0, 1.0, 0.0, 1.0]))
         assert not np.signbit(P).any()
 
-    def test_projector_is_wrapped_not_copied(self, monkeypatch):
-        """kernel_projection's own verified P is the wrapper's matrix; a
-        matrix a caller can still write to is copied and frozen."""
+    def test_projector_is_returned_not_copied(self, monkeypatch):
+        """kernel_projection returns the very P it verified, read-only."""
         seen = []
 
         def spy(P, L, B):
@@ -156,20 +149,9 @@ class TestKernelProjection:
 
         verify = symmetric._verify_projector
         monkeypatch.setattr(symmetric, "_verify_projector", spy)
-        proj = kernel_projection(AVG)
-        assert proj.matrix is seen[0]
-        assert not proj.matrix.flags.writeable
-        M = np.eye(3)
-        for given in (M, M[:], np.eye(3, dtype=np.float32)):
-            wrapped = symmetric.KernelProjector(given).matrix
-            assert wrapped is not given and not wrapped.flags.writeable
-            assert wrapped.dtype == np.float64
-        frozen = M.copy()
-        M[0, 0] = 5.0
-        assert symmetric.KernelProjector(frozen).matrix[0, 0] == 1.0
-        view = M[:]
-        view.setflags(write=False)  # read-only, but M can still change it
-        assert symmetric.KernelProjector(view).matrix is not view
+        P = kernel_projection(AVG)
+        assert P is seen[0]
+        assert not P.flags.writeable
 
     @pytest.mark.parametrize("mode", ["signal_only", "joint"])
     def test_peak_memory_below_twice_the_projector(self, mode):
@@ -182,7 +164,7 @@ class TestKernelProjection:
                                 noise=NoiseSpec(kind="additive")).band_matrix()  # n = 2304
         tracemalloc.start()
         try:
-            P = kernel_projection(A, mode=mode).matrix
+            P = kernel_projection(A, mode=mode)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -306,7 +288,7 @@ class TestReflect:
         res = skersize(pairs_of([x], [A @ x + e]), A, self.WIDE, EUCLID, mode="joint")
         # the reflected noise e' is the noise half of (x, e) - 2 P (x, e)
         v = np.concatenate([x, e])
-        w = v - 2.0 * kernel_projection(A, mode="joint").matrix @ v
+        w = v - 2.0 * kernel_projection(A, mode="joint") @ v
         np.testing.assert_allclose(res.symmetrized.x[1], w[:6], atol=1e-12)
         np.testing.assert_allclose(A @ res.symmetrized.x[1] + w[6:], A @ x + e, atol=1e-10)
 
@@ -463,7 +445,7 @@ class TestSkersize:
         x = np.random.default_rng(side).uniform(0.2, 0.8, size=(5, model.d1))
         skersize(pairs_of(x, model.noiseless_batch(x)), model, model.noise, EUCLID)
         bands = x.reshape(5, 3, side * side)
-        expected = np.einsum("ij,nbj->nbi", band_projector(model).matrix, bands)
+        expected = np.einsum("ij,nbj->nbi", kernel_projection(model.band_matrix()), bands)
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0].view(np.uint64),
                                       expected.reshape(5, -1).view(np.uint64))
@@ -471,7 +453,7 @@ class TestSkersize:
     def test_band_projector_invariants(self):
         model = DownsampleModel(bands=3, height=16, width=16, factor=4, r_max=1.0,
                                 noise=NoiseSpec(kind="additive", eps_additive=0.05))
-        assert_projector(band_projector(model).matrix, model.band_matrix())
+        assert_projector(kernel_projection(model.band_matrix()), model.band_matrix())
 
     def test_joint_mode_with_downsample_model(self):
         model = DownsampleModel(bands=1, height=4, width=4, factor=2, r_max=1.0,
