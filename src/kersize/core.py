@@ -152,6 +152,19 @@ def nullable(convert):
     return lambda value: None if value is None else convert(value)
 
 
+def l2_overflow_rescaled(norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``norms`` (the l2 norms of ``rows``) with each infinite norm of a finite
+    row recomputed from the row scaled by its largest entry, since its sum of
+    squares overflowed; every other entry keeps its bits. Updates ``norms``."""
+    big = np.isinf(norms)
+    if big.any():
+        big &= np.isfinite(rows).all(axis=1)
+        top = np.abs(rows[big]).max(axis=1)
+        with np.errstate(over="ignore"):  # a norm past the float range stays inf
+            norms[big] = top * np.sqrt(((rows[big] / top[:, None]) ** 2).sum(axis=1))
+    return norms
+
+
 def vector_norms(diffs: np.ndarray, norm: NormSpec) -> np.ndarray:
     """Masked q-norms of the rows of ``diffs`` (shape (n, d) -> (n,))."""
     d = np.atleast_2d(np.abs(diffs))
@@ -159,7 +172,7 @@ def vector_norms(diffs: np.ndarray, norm: NormSpec) -> np.ndarray:
         norm.check_dim(d.shape[1])
         d = d[:, norm.mask]
     if norm.q == 2:
-        return np.sqrt(np.einsum("ij,ij->i", d, d))
+        return l2_overflow_rescaled(np.sqrt(np.einsum("ij,ij->i", d, d)), d)
     if norm.q == 1:
         return d.sum(axis=1)
     return d.max(axis=1) if d.shape[1] else np.zeros(d.shape[0])
@@ -341,7 +354,8 @@ def loss_powers(members: np.ndarray, predictions: Mapping[str, Sequence], set_id
                 norm: NormSpec, name: str | None = None) -> np.ndarray:
     """``‖x - φ‖^p`` for each member x of set ``set_id``, φ its prediction.
 
-    A missing or non-finite prediction raises DataError and one of the wrong
+    A missing or non-finite prediction, or one so far from a member that the
+    p-th power overflows float64, raises DataError and one of the wrong
     length UsageError; ``name`` labels the map in those messages.
     """
     of_map = "" if name is None else f" from map {name!r}"
@@ -355,16 +369,25 @@ def loss_powers(members: np.ndarray, predictions: Mapping[str, Sequence], set_id
         )
     if not np.isfinite(phi).all():
         raise DataError(f"prediction for {set_id!r}{of_map} is not finite")
-    return vector_norms(members - phi[None, :], norm) ** norm.p
+    with np.errstate(over="ignore"):  # reported just below
+        powers = vector_norms(members - phi[None, :], norm) ** norm.p
+    if not np.isfinite(powers).all():
+        raise DataError(f"loss of the prediction for {set_id!r}{of_map} overflows float64")
+    return powers
 
 
 def power_mean(powers: Sequence[np.ndarray], p: float) -> float:
     """``((1/n) Σ t)^(1/p)`` over the n p-th powers t in the arrays ``powers``,
-    summed exactly (fsum), so the result does not depend on their order."""
+    summed exactly (fsum), so the result does not depend on their order.
+    Finite powers whose sum overflows float64 raise DataError."""
     n = sum(len(a) for a in powers)
     # fsum reads Python floats much faster than numpy scalars
     values = itertools.chain.from_iterable(np.asarray(a, dtype=np.float64).tolist() for a in powers)
-    return (math.fsum(values) / n) ** (1.0 / p)
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        raise DataError(f"the sum of {n} p-th powers overflows float64") from None
+    return (total / n) ** (1.0 / p)
 
 
 def loss(dataset: PairedDataset, predictions: Mapping[str, Sequence], norm: NormSpec) -> float:

@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import DataError, UsageError, as_vector, check_keys
+from .core import DataError, UsageError, as_vector, check_keys, l2_overflow_rescaled
 
 __all__ = [
     "NoiseSpec",
@@ -79,14 +79,9 @@ class NoiseSpec:
         ball, the square root of the sum of squares for the l2 ball."""
         if self.ball == "inf":
             return np.abs(E).max(axis=1, initial=0.0)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # squares beyond the float range: rescaled
             norms = np.sqrt((E * E).sum(axis=1))
-            big = np.isinf(norms)
-            if big.any():  # squares beyond the float range: scale those rows first
-                big &= np.isfinite(E).all(axis=1)
-                top = np.abs(E[big]).max(axis=1)
-                norms[big] = top * np.sqrt(((E[big] / top[:, None]) ** 2).sum(axis=1))
-        return norms
+        return l2_overflow_rescaled(norms, E)
 
     def sample(self, rng: np.random.Generator, d2: int) -> np.ndarray:
         """One noise vector drawn uniformly from the noise set.

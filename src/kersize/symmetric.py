@@ -18,13 +18,13 @@ noise escaping the noise set is flagged, not rejected. The operator is a raw
 matrix A, a ``LinearModel`` or a ``DownsampleModel``.
 
 For an m x n operator B (B = A, or [A | I] with n = d1 + d2 in joint mode,
-or one band of a downsampling model) the projector costs one SVD of B plus
-O(n²·m) to build P = I - B^+ B and to verify it: symmetry, B P = 0, and
-idempotency from the factors B^+ and B, never with an n³ product. P is the
-only n x n array held: it is built in the buffer of the product B^+ B, and
-every other temporary is O(n·m) or a row block of at most ``_ROW_BLOCK``
-doubles. A downsampling model's band projection runs over the same row
-blocks of P, with the same bits as one whole product.
+or one band of a downsampling model) the projector P = I - B^+ B costs one
+SVD of B plus O(n²·m) to build and to verify: B P = 0, idempotency from the
+factors B^+ and B (never with an n³ product), and finite entries. P is built
+and verified one row block of at most ``_ROW_BLOCK`` doubles at a time, and
+every other temporary is O(n·m). ``skersize`` applies each block as it
+arrives and never holds an n x n array; ``kernel_projection`` fills P from
+the same blocks.
 """
 
 from __future__ import annotations
@@ -96,18 +96,6 @@ def _max_abs(R: np.ndarray) -> float:
     return float(np.abs(R, out=R).max(initial=0.0))
 
 
-def _block_pairs(n: int) -> list:
-    """(rows, cols) slices of the diagonal and upper 128 x 128 blocks of an
-    n x n matrix.
-
-    Pairing block (I, J) with block (J, I) keeps each transposed access inside
-    the cache; a transposed pass over a whole 2304 x 2304 matrix costs about
-    five times more.
-    """
-    return [(slice(i, i + 128), slice(j, j + 128))
-            for i in range(0, n, 128) for j in range(i, n, 128)]
-
-
 def _idempotency_residual(L: np.ndarray, B: np.ndarray, BP: np.ndarray,
                           LtP: np.ndarray) -> float:
     """max |P² - P| of P = ½(P0 + P0ᵀ), P0 = I - L B, from the factors.
@@ -129,18 +117,53 @@ def _idempotency_residual(L: np.ndarray, B: np.ndarray, BP: np.ndarray,
     return 0.5 * float(np.max(worst, initial=0.0))
 
 
-def _verify_projector(P: np.ndarray, L: np.ndarray, B: np.ndarray) -> None:
-    """Raise unless P = ½(P0 + P0ᵀ), P0 = I - L B, is symmetric (1e-10),
-    idempotent and annihilated by B (1e-8, max entry). A non-finite residual
-    fails its check."""
-    asym = np.max([np.abs(P[I, J] - P[J, I].T).max(initial=0.0)
-                   for I, J in _block_pairs(P.shape[0])], initial=0.0)
-    if not asym <= 1e-10:
-        raise DataError("projector is not symmetric")
-    BP = B @ P
-    if not _idempotency_residual(L, B, BP, L.T @ P) <= 1e-8:
+def _kernel_operator(A: np.ndarray, mode: str, tol: float | None) -> tuple:
+    """The operator B whose kernel the projector of A in ``mode`` spans (A, or
+    [A | I] in joint mode) and the pseudoinverse tolerance, by default
+    max(m, n) times the float64 machine epsilon for the m x n matrix A."""
+    if tol is None:
+        tol = max(A.shape) * np.finfo(np.float64).eps
+    B = np.hstack([A, np.eye(A.shape[0])]) if mode == "joint" else A
+    return B, tol
+
+
+def _projector_rows(B: np.ndarray, tol: float | None):
+    """Yield (I, P[I]) for each ``_row_blocks`` slice I of the kernel projector
+    P = ½(P0 + P0ᵀ), P0 = I - L B, L = B^+; raise ``DataError`` after the last
+    block unless P is finite, idempotent and annihilated by B (1e-8, max entry).
+
+    Rows I of L B are L[I] @ B and rows I of (L B)ᵀ are (L @ B[:, I])ᵀ; the
+    off-diagonal entries are 0.5·(0 - (LB[i,j] + LB[j,i])), which equals
+    0.5·((0 - LB[i,j]) + (0 - LB[j,i])) bit for bit, zero signs included, and
+    the diagonal is 1 - LB[i,i]. So a block is bit for bit the rows of the
+    whole n x n computation wherever BLAS sums each entry of a block product
+    as it sums the whole product's, as OpenBLAS does for the 56-row blocks of
+    a 2304-wide band; blocks of a few rows or a small operator can go to
+    another kernel and differ in the last bits. P is symmetric to that
+    rounding, so P[I] @ Bᵀ and P[I] @ L are row blocks of (B P)ᵀ and (Lᵀ P)ᵀ,
+    and the checks need no n x n array either. A yielded block is the
+    caller's to keep.
+    """
+    L = pseudoinverse(B, tol)
+    n = B.shape[1]
+    PBt, PL = np.empty((2, n, B.shape[0]))
+    finite = True
+    for I in _row_blocks(n):
+        block = L[I] @ B
+        diag = 1.0 - block[:, I].diagonal()
+        block += (L @ B[:, I]).T
+        np.subtract(0.0, block, out=block)
+        block *= 0.5
+        np.fill_diagonal(block[:, I], diag)
+        finite &= bool(np.isfinite(block).all())
+        np.matmul(block, B.T, out=PBt[I])
+        np.matmul(block, L, out=PL[I])
+        yield I, block
+    if not finite:
+        raise DataError("projector has non-finite entries")
+    if not _idempotency_residual(L, B, PBt.T, PL.T) <= 1e-8:
         raise DataError("projector is not idempotent")
-    if not _max_abs(BP) <= 1e-8:
+    if not _max_abs(PBt) <= 1e-8:
         raise DataError("projector does not annihilate the operator")
 
 
@@ -149,38 +172,23 @@ def kernel_projection(A, mode: str = "signal_only", tol: float | None = None) ->
 
     Returns P as a read-only n x n array: n = d1 for the kernel of A alone,
     or n = d1 + d2 for the joint map B = [A | I] on (signal, noise) pairs.
-    P is verified before it is returned: symmetric to 1e-10, idempotent and
-    annihilated by the operator to 1e-8 (max entry), or a ``DataError``.
+    P is verified before it is returned: finite, idempotent and annihilated
+    by the operator to 1e-8 (max entry), or a ``DataError``; it is symmetric
+    to the rounding of B^+ B.
 
     Runs in one SVD of the m x n operator plus O(n²·m), and holds P plus
-    O(n·m) temporaries: P is built in the buffer of B^+ B, and the checks
-    run over cache-sized blocks of it.
+    O(n·m) temporaries and one row block: P is filled from the verified row
+    blocks ``skersize`` applies directly.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise UsageError("kernel_projection expects a matrix")
     if mode not in ("signal_only", "joint"):
         raise UsageError(f"unknown projection mode {mode!r}")
-    if tol is None:
-        tol = max(A.shape) * np.finfo(np.float64).eps
-    if mode == "joint":
-        B = np.hstack([A, np.eye(A.shape[0])])
-    else:
-        B = A
-    L = pseudoinverse(B, tol)
-    # P = 0.5 * (P0 + P0.T) with P0 = I - L @ B, bit for bit, in L @ B's
-    # buffer: 0.0 - x and 1.0 - x are what I - L @ B computes (-x would turn
-    # +0 into -0)
-    P = L @ B
-    diag = 1.0 - P.diagonal()
-    np.subtract(0.0, P, out=P)
-    np.fill_diagonal(P, diag)
-    for I, J in _block_pairs(P.shape[0]):
-        S = P[I, J] + P[J, I].T
-        S *= 0.5
-        P[I, J] = S
-        P[J, I] = S.T
-    _verify_projector(P, L, B)
+    B, tol = _kernel_operator(A, mode, tol)
+    P = np.empty((B.shape[1], B.shape[1]))
+    for I, block in _projector_rows(B, tol):
+        P[I] = block
     P.setflags(write=False)
     return P
 
@@ -243,9 +251,12 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
     per pair. The projector is one SVD of the m x n operator plus O(n²·m) to
     build and verify it, with n the band size (a downsampling model in
     signal_only mode), d1 (any other signal_only operator) or d1 + d2 (joint).
-    It holds P plus O(n·m) temporaries. The band projection runs over
-    cache-sized row blocks of P, each kept in cache for every band of every
-    pair, and gives the same bits as one whole product.
+    No n x n array is held: each row block of P is applied to every pair
+    (every band of every pair) as it is built, and P's checks run after the
+    last block, before anything is returned; the other temporaries are O(n·m)
+    or O(M'·n). The band einsum over blocks is bit for bit one whole einsum
+    with the assembled P; the BLAS products of the other paths equal the
+    whole product to rounding.
     """
     if noise.kind != "additive":
         raise UsageError("the symmetric bound requires additive noise (y = A x + e)")
@@ -276,27 +287,27 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
             f"(|e|={float(e_norms[m]):.3g} > eps={noise.eps_additive:.3g})"
         )
 
+    if mode == "joint":
+        kernel_of, vectors = A if A is not None else model.matrix(), np.hstack([x, e])
+    elif A is None:  # a DownsampleModel: one band's projector serves every band
+        kernel_of, vectors = model.band_matrix(), x.reshape(pairs.size, model.bands, -1)
+    else:
+        kernel_of, vectors = A, x
+    B, tol = _kernel_operator(kernel_of, mode, tol)
+    projected = np.empty_like(vectors)
+    for I, block in _projector_rows(B, tol):
+        if vectors.ndim == 3:
+            np.einsum("ij,nbj->nbi", block, vectors, out=projected[:, :, I])
+        else:
+            projected[:, I] = vectors @ block.T
+    projected = projected.reshape(pairs.size, -1)
+    v = projected[:, :d1]
+    refl = vectors.reshape(pairs.size, -1) - 2.0 * projected
+    x_refl = refl[:, :d1]
     noise_violations: list = []
     if mode == "joint":
-        P = kernel_projection(A if A is not None else model.matrix(), mode="joint", tol=tol)
-        joint = np.hstack([x, e])
-        pj = joint @ P.T
-        v = pj[:, :d1]
-        refl = joint - 2.0 * pj
-        x_refl = refl[:, :d1]
         viol = noise.row_norms(refl[:, d1:]) > noise.eps_additive + feas_atol
         noise_violations = [int(i) for i in np.flatnonzero(viol)]
-    else:
-        if A is None:  # a DownsampleModel: one band's projector serves every band
-            bands = x.reshape(pairs.size, model.bands, -1)
-            P = kernel_projection(model.band_matrix(), tol=tol)
-            v = np.empty_like(bands)
-            for I in _row_blocks(P.shape[0]):
-                np.einsum("ij,nbj->nbi", P[I], bands, out=v[:, :, I])
-            v = v.reshape(pairs.size, -1)
-        else:
-            v = x @ kernel_projection(A, tol=tol).T
-        x_refl = x - 2.0 * v
 
     v_norms = vector_norms(v, norm)
     value = power_mean([v_norms**norm.p], norm.p)

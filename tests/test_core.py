@@ -17,6 +17,7 @@ from kersize.core import (
     loss,
     p_dist,
     power_mean,
+    vector_norms,
 )
 
 EUCLID = NormSpec(p=2, q=2)
@@ -70,6 +71,21 @@ class TestPDist:
 
     def test_qinf_takes_max(self):
         assert p_dist([1, 3], [3, 0], NormSpec(p=2, q=np.inf)) == 3.0
+
+    def test_l2_past_overflowing_squares(self):
+        """Only the rows whose sum of squares overflows are rescaled; every
+        other row keeps the bits of the plain square root."""
+        rng = np.random.default_rng(43)
+        d = rng.normal(size=(6, 3)) * 10.0 ** rng.integers(-100, 100, size=(6, 1))
+        d[1] = [3e200, 4e200, 0.0]
+        d[4] = [-1e308, 1e308, 1e308]
+        norms = vector_norms(d, EUCLID)  # no overflow warning
+        plain = np.sqrt(np.einsum("ij,ij->i", d, d))
+        keep = [0, 2, 3, 5]
+        np.testing.assert_array_equal(norms[keep].view(np.uint64), plain[keep].view(np.uint64))
+        np.testing.assert_allclose(norms[[1, 4]], [5e200, np.sqrt(3) * 1e308], rtol=1e-15)
+        masked = NormSpec(p=2, q=2, mask=[1, 0, 1])
+        assert p_dist([3e200, 7.0, -4e200], [0.0, 0.0, 0.0], masked) == pytest.approx(5e200)
 
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
@@ -129,6 +145,18 @@ class TestLoss:
     def test_non_finite_prediction(self, value):
         with pytest.raises(DataError, match="prediction for 'y1' is not finite"):
             loss(two_point_dataset(), {"y1": np.array([0.0, value])}, EUCLID)
+
+    def test_huge_prediction(self):
+        """A finite prediction 1e200 from the members has a finite loss at
+        p = 1; at p = 2 its squared distance overflows, and so does the sum of
+        two finite powers of 1e308 at distance 1e154: both are data errors."""
+        d = two_point_dataset()
+        far = {"y1": np.array([0.0, 1e200])}
+        assert loss(d, far, NormSpec(p=1, q=2)) == pytest.approx(1e200)
+        with pytest.raises(DataError, match="loss of the prediction for 'y1' overflows"):
+            loss(d, far, EUCLID)
+        with pytest.raises(DataError, match="sum of 2 p-th powers overflows"):
+            loss(d, {"y1": np.array([0.0, 1e154])}, EUCLID)
 
     def test_empty_dataset(self):
         d = PairedDataset(x=np.zeros((0, 2)), y=np.zeros((0, 1)), group=[], group_ids=("a",))

@@ -465,6 +465,27 @@ class TestCliValidate:
         assert err == [f"error: prediction for 'm0'{of_map} is not finite"]
         assert not (d / "bounds.json").exists()
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_huge_finite_prediction(self, tmp_path, capsys, p):
+        """A prediction 1e200 from both members: its q = 2 distance is
+        measured past the overflowing squares, so p = 1 writes a finite loss;
+        at p = 2 the square overflows, which exits 2 with one error line and
+        writes no Infinity into bounds.json."""
+        d = two_point_collection_dir(tmp_path)
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        (pred / "pred_m0.csv").write_text("0.0,1e200\n")
+        code = main(["validate", str(d), str(pred), "--strict", "--p", str(p), "--q", "2"])
+        err = capsys.readouterr().err.splitlines()
+        if p == 2:
+            assert code == 2
+            assert err == ["error: loss of the prediction for 'm0' from map 'pred' "
+                           "overflows float64"]
+            assert not (d / "bounds.json").exists()
+        else:
+            assert code == 0
+            assert json.loads((d / "bounds.json").read_text())["losses"]["pred"] == 1e200
+
     def test_general_norm_theta_certificate_without_scipy_optimize(self, tmp_path):
         """``validate --p 2 --q 1`` runs the interior-point theta solver,
         writes its certificate to bounds.json and never imports

@@ -140,18 +140,24 @@ class TestKernelProjection:
         assert not np.signbit(P).any()
 
     def test_projector_is_returned_not_copied(self, monkeypatch):
-        """kernel_projection returns the very P it verified, read-only."""
+        """kernel_projection returns, read-only, the array it filled with the
+        verified row blocks of _projector_rows: no second copy of P."""
         seen = []
 
-        def spy(P, L, B):
-            seen.append(P)
-            return verify(P, L, B)
+        def spy(B, tol):
+            for I, block in rows(B, tol):
+                seen.append((I, block))
+                yield I, block
 
-        verify = symmetric._verify_projector
-        monkeypatch.setattr(symmetric, "_verify_projector", spy)
-        P = kernel_projection(AVG)
-        assert P is seen[0]
-        assert not P.flags.writeable
+        rows = symmetric._projector_rows
+        monkeypatch.setattr(symmetric, "_projector_rows", spy)
+        monkeypatch.setattr(symmetric, "_ROW_BLOCK", 3 * 7)  # blocks of 3, 3 and 1 rows
+        A = np.random.default_rng(33).normal(size=(2, 7))
+        P = kernel_projection(A)
+        assert [I for I, _ in seen] == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        for I, block in seen:
+            np.testing.assert_array_equal(P[I].view(np.uint64), block.view(np.uint64))
+        assert P.base is None and not P.flags.writeable
 
     @pytest.mark.parametrize("mode", ["signal_only", "joint"])
     def test_peak_memory_below_twice_the_projector(self, mode):
@@ -195,9 +201,9 @@ class TestProjectorVerification:
         real = symmetric.pseudoinverse
         monkeypatch.setattr(symmetric, "pseudoinverse", lambda B, tol=None: fn(real(B, tol)))
 
-    def test_not_symmetric(self, monkeypatch):
+    def test_not_finite(self, monkeypatch):
         self.corrupt(monkeypatch, lambda L: np.full_like(L, np.nan))
-        with pytest.raises(DataError, match="projector is not symmetric"):
+        with pytest.raises(DataError, match="projector has non-finite entries"):
             kernel_projection(self.B)
 
     def test_not_idempotent(self, monkeypatch):
@@ -213,7 +219,8 @@ class TestProjectorVerification:
     def test_nan_in_first_row_block_is_the_residual(self, monkeypatch):
         """A NaN in L's first row reaches only the first row block of the
         residual product; the later blocks are finite, and the residual is
-        still NaN, so the idempotency check fails."""
+        still NaN, so _projector_rows fails the idempotency check after
+        yielding every (finite) block."""
         B = np.random.default_rng(32).normal(size=(3, 12))
         L = pseudoinverse(B)
         P0 = np.eye(12) - L @ B
@@ -224,8 +231,19 @@ class TestProjectorVerification:
         assert symmetric._idempotency_residual(L, B, BP, LtP) <= 1e-13
         L[0] = np.nan
         assert np.isnan(symmetric._idempotency_residual(L, B, BP, LtP))
+
+        def nan_first_row(L, B, BP, LtP):
+            L = L.copy()
+            L[0] = np.nan
+            return residual(L, B, BP, LtP)
+
+        residual = symmetric._idempotency_residual
+        monkeypatch.setattr(symmetric, "_idempotency_residual", nan_first_row)
+        blocks = []
         with pytest.raises(DataError, match="projector is not idempotent"):
-            symmetric._verify_projector(P, L, B)
+            for _, block in symmetric._projector_rows(B, None):
+                blocks.append(block)
+        assert len(blocks) == 3 and all(np.isfinite(b).all() for b in blocks)
 
     def test_factored_residual_equals_dense_when_large(self):
         rng = np.random.default_rng(30)
@@ -428,10 +446,9 @@ class TestSkersize:
             np.testing.assert_allclose(via_model.symmetrized.x, via_dense.symmetrized.x,
                                        atol=1e-9)
 
-    @pytest.mark.parametrize("side", [8, 12, 36])
-    def test_band_projection_bits_match_one_product(self, monkeypatch, side):
-        """v over row blocks of the band projector is one whole einsum, bit
-        for bit: band widths 64 and 144 fit one block, 1296 ends ragged."""
+    @staticmethod
+    def spy_on_v(monkeypatch):
+        """The v whose norms skersize takes, as a list filled by each call."""
         seen = []
 
         def spy(v, norm):
@@ -440,15 +457,81 @@ class TestSkersize:
 
         norms = symmetric.vector_norms
         monkeypatch.setattr(symmetric, "vector_norms", spy)
+        return seen
+
+    @pytest.mark.parametrize("side", [8, 12, 36, 48])
+    def test_band_projection_bits_match_dense_oracle(self, monkeypatch, side):
+        """v and the reflections, streamed over row blocks of the band
+        projector, are one whole einsum with the dense P = ½(P0 + P0ᵀ), bit
+        for bit: band widths 64 and 144 fit one block, 1296 and the
+        benchmark's 2304 (48 x 48 x 3) end in a ragged block."""
+        seen = self.spy_on_v(monkeypatch)
         model = DownsampleModel(bands=3, height=side, width=side, factor=4, r_max=1.0,
                                 noise=NoiseSpec(kind="additive", eps_additive=0.05))
         x = np.random.default_rng(side).uniform(0.2, 0.8, size=(5, model.d1))
-        skersize(pairs_of(x, model.noiseless_batch(x)), model, model.noise, EUCLID)
-        bands = x.reshape(5, 3, side * side)
-        expected = np.einsum("ij,nbj->nbi", kernel_projection(model.band_matrix()), bands)
+        res = skersize(pairs_of(x, model.noiseless_batch(x)), model, model.noise, EUCLID)
+        B = model.band_matrix()
+        P0 = np.eye(B.shape[1]) - pseudoinverse(B) @ B
+        v = np.einsum("ij,nbj->nbi", 0.5 * (P0 + P0.T), x.reshape(5, 3, -1)).reshape(5, -1)
         assert len(seen) == 1
-        np.testing.assert_array_equal(seen[0].view(np.uint64),
-                                      expected.reshape(5, -1).view(np.uint64))
+        np.testing.assert_array_equal(seen[0].view(np.uint64), v.view(np.uint64))
+        np.testing.assert_array_equal(res.symmetrized.x[5:].view(np.uint64),
+                                      (x - 2.0 * v).view(np.uint64))
+
+    @pytest.mark.parametrize("path", ["band", "linear", "joint"])
+    def test_streamed_reflections_over_ragged_row_blocks(self, monkeypatch, path):
+        """With row blocks of 7 rows (the last one shorter), every path gives
+        the reflections of the whole product with the P kernel_projection
+        assembles from the same blocks: bit for bit for the band einsum, to
+        rounding for the BLAS products of the linear and joint paths, which
+        OpenBLAS may sum in another order for a narrow block."""
+        seen = self.spy_on_v(monkeypatch)
+        rng = np.random.default_rng(34)
+        if path == "band":
+            model = DownsampleModel(bands=3, height=12, width=12, factor=4, r_max=1.0,
+                                    noise=NoiseSpec(kind="additive", eps_additive=0.05))
+            operator, A, noise, mode = model, model.band_matrix(), model.noise, "signal_only"
+            x = rng.uniform(0.2, 0.8, size=(4, model.d1))
+            y = model.noiseless_batch(x)
+        else:
+            A = rng.normal(size=(9, 41))  # n = 41, or 50 in joint mode
+            noise = NoiseSpec(kind="additive", eps_additive=0.1)
+            mode = "joint" if path == "joint" else "signal_only"
+            operator = LinearModel(A, noise, np.tile([-10.0, 10.0], (41, 1)))
+            x = rng.normal(size=(4, 41))
+            y = x @ A.T + rng.uniform(-0.1, 0.1, size=(4, 9))
+        n = A.shape[1] + (A.shape[0] if mode == "joint" else 0)
+        monkeypatch.setattr(symmetric, "_ROW_BLOCK", 7 * n)
+        last = symmetric._row_blocks(n)[-1]
+        assert last.stop - last.start < 7
+        res = skersize(pairs_of(x, y), operator, noise, EUCLID, mode=mode)
+        P = kernel_projection(A, mode=mode)
+        if path == "band":
+            v = np.einsum("ij,nbj->nbi", P, x.reshape(4, 3, -1)).reshape(4, -1)
+            np.testing.assert_array_equal(seen[0].view(np.uint64), v.view(np.uint64))
+            np.testing.assert_array_equal(res.symmetrized.x[4:], x - 2.0 * v)
+        else:
+            vectors = np.hstack([x, y - x @ A.T]) if mode == "joint" else x
+            projected = vectors @ P.T
+            np.testing.assert_allclose(seen[0], projected[:, :41], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(res.symmetrized.x[4:], (vectors - 2.0 * projected)[:, :41],
+                                       rtol=0, atol=1e-13)
+
+    def test_peak_memory_below_half_a_band_projector(self):
+        """skersize holds no n x n array: at the benchmark's 48 x 48 x 3 its
+        traced peak stays below half the 2304² band projector (20 MiB)."""
+        model = DownsampleModel(bands=3, height=48, width=48, factor=4, r_max=1.0,
+                                noise=NoiseSpec(kind="additive", eps_additive=0.05))
+        x = np.random.default_rng(35).uniform(0.2, 0.8, size=(16, model.d1))
+        pairs = pairs_of(x, model.noiseless_batch(x))
+        n = model.band_matrix().shape[1]
+        tracemalloc.start()
+        try:
+            skersize(pairs, model, model.noise, EUCLID)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * n * n * 8
 
     def test_band_projector_invariants(self):
         model = DownsampleModel(bands=3, height=16, width=16, factor=4, r_max=1.0,
