@@ -32,7 +32,6 @@ from .sampling import (
     SamplerSpec,
     build_feasible_sets,
     build_feasible_sets_many,
-    enforce_uniform,
     sample_feasible,
 )
 from .symmetric import (
@@ -63,7 +62,6 @@ __all__ = [
     "collection_from_dataset",
     "dataset_from_collection",
     "downsample_matrix_1d",
-    "enforce_uniform",
     "kernel_projection",
     "kersize",
     "loss",

@@ -158,7 +158,13 @@ def kersize(c: FeasibleSetCollection, norm: NormSpec) -> tuple:
 # computed from that set's rows alone, so a set gets the same θ, bit for bit,
 # whatever other sets share the call.
 
-THETA_TOL = 1e-10  # relative duality gap at which the solver stops
+# THETA_TOL is the relative duality gap at which the solver stops. At q = ∞ on
+# sets far from the origin a set may stop above it: on 100 sets of 3 to 11
+# members at 1e6 + s·N(0, 1) in 3-D, the worst certified gap was 1.7e-8 of the
+# objective at s = 1e-3 and 1.7e-5 at s = 1e-6. θ must sit on the float grid
+# (ulp 1.2e-10 at 1e6), and the q = ∞ kink at the minimum makes that rounding
+# cost first-order objective. The certificate stays valid there, only loose.
+THETA_TOL = 1e-10
 _MU = 20.0  # growth of the barrier weight per centring
 _CENTRED = 1e-14  # half the squared Newton decrement of a centred point
 _MAX_NEWTON = 50  # Newton steps one centring may take before the solver gives up

@@ -1,10 +1,11 @@
 """Built-in reconstruction maps.
 
-Each helper returns per-measurement predictions keyed by measurement id, the
-form the loss and report functions consume. The estimators look only at
-feasible-set members; the upscalers resize low-resolution measurements of a
-downsampling model back to signal shape. None of them is privileged: the
-bounds hold for arbitrary maps, these are just the standard baselines.
+Each ``*_map`` helper returns per-measurement predictions keyed by
+measurement id, the form the loss and report functions consume; these
+estimators look only at feasible-set members. ``upscale`` resizes one
+low-resolution measurement of a downsampling model back to signal shape.
+None of them is privileged: the bounds hold for arbitrary maps, these are
+just the standard baselines.
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ __all__ = [
     "mean_map",
     "median_map",
     "zero_map",
-    "constant_map",
-    "first_member_map",
     "upscale",
-    "upscaler_map",
 ]
 
 
@@ -43,17 +41,6 @@ def zero_map(c: FeasibleSetCollection) -> dict:
     return {e.id: np.zeros(c.d1) for e in _nonempty(c)}
 
 
-def constant_map(c: FeasibleSetCollection, value) -> dict:
-    """The same signal estimate for every measurement."""
-    v = np.asarray(value, dtype=np.float64)
-    return {e.id: v for e in _nonempty(c)}
-
-
-def first_member_map(c: FeasibleSetCollection) -> dict:
-    """Each set's first member; in generated collections that is the ground truth."""
-    return {e.id: e.members[0] for e in _nonempty(c)}
-
-
 def upscale(model: DownsampleModel, y, order: int = 1) -> np.ndarray:
     """Resize a flattened low-resolution measurement to signal shape.
 
@@ -72,8 +59,3 @@ def upscale(model: DownsampleModel, y, order: int = 1) -> np.ndarray:
          for b in range(bands)]
     )
     return high.reshape(model.d1)
-
-
-def upscaler_map(c: FeasibleSetCollection, model: DownsampleModel, order: int = 1) -> dict:
-    """Upscale every measurement in a collection (id -> predicted signal)."""
-    return {e.id: upscale(model, e.measurement, order=order) for e in c.entries}

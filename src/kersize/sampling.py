@@ -3,15 +3,20 @@ sampling, and a feasibility-constrained random walk.
 
 Acceptance uses the forward model's exact closed-form feasibility predicate,
 so a sample is kept iff some admissible noise maps it onto the measurement.
-Sets for distinct measurements are built on independent RNG streams keyed by
-(seed, k), which makes results identical across runs. The random walks of
-all sets advance in lockstep, one batched feasibility test per step; with
-``build_feasible_sets_many`` that one lockstep spans the sets of several
-jobs (samplers and measurement lists) on the same model. For an elementwise
-model such as microscopy, each job's sets are bit for bit those of its lone
-``build_feasible_sets`` call. For a linear model that holds only while no
-proposal lands within rounding of the noise boundary: a batched ``X @ A.T``
-can differ in the last bits from the same rows in a smaller batch.
+One chunked search serves the grid, rejection sampling and the random
+walk's first point: it tests up to ``_CHUNK`` candidates per feasibility
+call and keeps hits until it has enough or its budget is spent. The grid
+feeds it lattice points in C order, the other two uniform draws of the
+signal box. Sets for distinct measurements are built on independent RNG
+streams keyed by (seed, k), which makes results identical across runs. The
+random walks of all sets advance in lockstep, one batched feasibility test
+per step; with ``build_feasible_sets_many`` that one lockstep spans the sets
+of several jobs (samplers and measurement lists) on the same model. For an
+elementwise model such as microscopy, each job's sets are bit for bit those
+of its lone ``build_feasible_sets`` call. For a linear model that holds only
+while no proposal lands within rounding of the noise boundary: a batched
+``X @ A.T`` can differ in the last bits from the same rows in a smaller
+batch.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ __all__ = [
     "sample_feasible",
     "build_feasible_sets",
     "build_feasible_sets_many",
-    "enforce_uniform",
 ]
 
 _CHUNK = 512
@@ -117,68 +121,43 @@ _SAMPLER_TYPES = {
 }
 
 
-def _grid_points(model: ForwardModel, resolution) -> tuple:
+def _grid_draw(model: ForwardModel, resolution) -> tuple:
+    """The grid's (draw, size): ``draw(start, n)`` gives lattice points start
+    to start + n - 1 of the signal box, in C order."""
     res = np.asarray(resolution, dtype=int)
     if res.shape != (model.d1,) or np.any(res < 1):
         raise UsageError("grid_resolution must give a positive count per coordinate")
     b = model.signal_bounds
     axes = [np.linspace(b[i, 0], b[i, 1], res[i]) for i in range(model.d1)]
-    return axes, int(np.prod(res))
+
+    def draw(start, n):
+        idx = np.unravel_index(np.arange(start, start + n), res)
+        return np.stack([axis[i] for axis, i in zip(axes, idx)], axis=1)
+
+    return draw, int(np.prod(res))
 
 
-def _sample_grid(model, y, sampler, n_target):
-    axes, total = _grid_points(model, sampler.grid_resolution)
-    res = [len(a) for a in axes]
-    budget = min(sampler.effective_budget, total)
-    accepted = []
-    n_found = 0
-    for start in range(0, budget, _CHUNK):
-        stop = min(start + _CHUNK, budget)
-        idx = np.unravel_index(np.arange(start, stop), res)
-        pts = np.stack([axes[i][idx[i]] for i in range(model.d1)], axis=1)
-        ok = model.feasible_batch(pts, y)
-        if ok.any():
-            accepted.append(pts[ok])
-            n_found += int(ok.sum())
-            if n_found >= n_target:
-                break
-    if not accepted:
-        return np.zeros((0, model.d1))
-    return np.vstack(accepted)[:n_target]
-
-
-def _sample_rejection(model, y, sampler, rng, n_target):
+def _uniform_draw(model: ForwardModel, rng):
+    """``draw(start, n)``: n uniform points of the signal box from rng."""
     b = model.signal_bounds
-    budget = sampler.effective_budget
-    accepted = []
-    n_found = 0
-    spent = 0
-    while spent < budget and n_found < n_target:
-        n = min(_CHUNK, budget - spent)
-        pts = rng.uniform(b[:, 0], b[:, 1], size=(n, model.d1))
-        spent += n
-        ok = model.feasible_batch(pts, y)
-        if ok.any():
-            accepted.append(pts[ok])
-            n_found += int(ok.sum())
-    if not accepted:
-        return np.zeros((0, model.d1))
-    return np.vstack(accepted)[:n_target]
+    return lambda start, n: rng.uniform(b[:, 0], b[:, 1], size=(n, model.d1))
 
 
-def _uniform_start(model, y, rng, budget) -> tuple:
-    """First feasible point of a uniform search of the signal box, in chunks;
-    returns (point or None, proposals spent)."""
-    b = model.signal_bounds
-    spent = 0
-    while spent < budget:
+def _search(model, y, draw, budget, n_target) -> tuple:
+    """Keep the feasible candidates of ``draw`` until ``n_target`` are kept
+    or ``budget`` candidates are spent, testing up to ``_CHUNK`` at a time in
+    one ``feasible_batch`` call. Returns (members, spent); spent counts the
+    candidates up to and including the last member kept, or all of them when
+    fewer than ``n_target`` were found."""
+    kept, n_kept, spent = [], 0, 0
+    while spent < budget and n_kept < n_target:
         n = min(_CHUNK, budget - spent)
-        pts = rng.uniform(b[:, 0], b[:, 1], size=(n, model.d1))
-        hit = np.flatnonzero(model.feasible_batch(pts, y))
-        if hit.size:
-            return pts[hit[0]], spent + int(hit[0]) + 1
-        spent += n
-    return None, spent
+        pts = draw(spent, n)
+        hit = np.flatnonzero(model.feasible_batch(pts, y))[:n_target - n_kept]
+        kept.append(pts[hit])
+        n_kept += hit.size
+        spent += int(hit[-1]) + 1 if n_kept == n_target else n
+    return (np.vstack(kept) if kept else np.zeros((0, model.d1))), spent
 
 
 def _half_step(model, sampler) -> np.ndarray:
@@ -226,9 +205,9 @@ def _random_walks(model, Y, rngs, anchors, half, budget, n_target, burn_in, thin
         state[at] = start
     started = anchored.copy()
     for k in np.flatnonzero(~anchored):
-        point, spent[k] = _uniform_start(model, Y[k], rngs[k], budget[k])
-        if point is not None:
-            state[k], started[k] = point, True
+        first, spent[k] = _search(model, Y[k], _uniform_draw(model, rngs[k]), budget[k], 1)
+        if first.size:
+            state[k], started[k] = first[0], True
 
     def keep(chains):
         after = n_accepted[chains] - burn_in[chains]
@@ -284,9 +263,12 @@ def sample_feasible(model: ForwardModel, y, sampler: SamplerSpec,
 
     Deterministic given (model, y, sampler) including the seed. Returns an
     (n, d1) array, possibly empty; an empty result after exhausting the budget
-    emits a warning (a zero-size feasible set is legal downstream). The
-    random walk draws its proposals in blocks, so on a caller-supplied
-    ``rng`` it may draw up to one block past its last proposal.
+    emits a warning (a zero-size feasible set is legal downstream). The grid,
+    rejection sampling and, without an ``anchor``, the random walk's first
+    point run one chunked search, which draws whole chunks of up to
+    ``_CHUNK`` candidates. The random walk draws its proposals in blocks. So
+    on a caller-supplied ``rng`` the sampler may draw up to one chunk or
+    block past its last kept point.
     """
     y = as_vector(y, "measurement")
     if rng is None:
@@ -294,9 +276,10 @@ def sample_feasible(model: ForwardModel, y, sampler: SamplerSpec,
     if n_target is None:
         n_target = sampler.n_max
     if sampler.kind == "grid":
-        out = _sample_grid(model, y, sampler, n_target)
+        draw, size = _grid_draw(model, sampler.grid_resolution)
+        out, _ = _search(model, y, draw, min(sampler.effective_budget, size), n_target)
     elif sampler.kind == "rejection":
-        out = _sample_rejection(model, y, sampler, rng, n_target)
+        out, _ = _search(model, y, _uniform_draw(model, rng), sampler.effective_budget, n_target)
     else:
         anchors = [None if anchor is None else as_vector(anchor, "anchor")]
         walk = (sampler, _half_step(model, sampler), n_target)
@@ -354,6 +337,8 @@ def _plan(model, measurements=None, *, generate: int | None = None, ground_truth
                 raise UsageError(f"measurement {k} has length {y.shape[0]} != d2={model.d2}")
         k_total = len(ys)
     half = _half_step(model, sampler) if sampler.kind == "random_walk" else None
+    if sampler.kind == "grid":
+        _grid_draw(model, sampler.grid_resolution)  # checks the resolution
     width = max(2, len(str(k_total - 1)))
     ids = [f"m{k:0{width}d}" for k in range(k_total)]
     sample_rngs, gen_rngs = zip(*(_entry_rngs(sampler.seed, k) for k in range(k_total)))
@@ -445,19 +430,3 @@ def build_feasible_sets(model: ForwardModel, measurements=None, *,
     job = dict(measurements=measurements, generate=generate, ground_truths=ground_truths,
                sampler=sampler)
     return build_feasible_sets_many(model, [job])[0]
-
-
-def enforce_uniform(c: FeasibleSetCollection, n: int) -> FeasibleSetCollection:
-    """Truncate every feasible set to its first n members (uniform size)."""
-    if n < 1:
-        raise UsageError("n must be >= 1")
-    for e in c.entries:
-        if e.count < n:
-            raise DataError(
-                f"feasible set {e.id!r} has only {e.count} members, cannot keep {n}"
-            )
-    entries = tuple(
-        FeasibleSet(id=e.id, measurement=e.measurement, members=e.members[:n])
-        for e in c.entries
-    )
-    return FeasibleSetCollection(d1=c.d1, d2=c.d2, entries=entries)

@@ -23,13 +23,11 @@ from kersize.core import (
 from kersize.demo import microscopy_demo
 from kersize.forward import DownsampleModel, LinearModel, MicroscopyModel, NoiseSpec
 from kersize.predictors import (
-    constant_map,
-    first_member_map,
     median_map,
     upscale,
     zero_map,
 )
-from kersize.sampling import SamplerSpec, build_feasible_sets, enforce_uniform
+from kersize.sampling import SamplerSpec, build_feasible_sets
 from kersize.symmetric import kernel_projection, pseudoinverse, skersize
 
 REL = 1e-9
@@ -91,12 +89,15 @@ def uniform_corpus():
         # a set whose search found nothing keeps only its anchor, with one warning
         assert all("budget exhausted" in str(w.message) for w in caught)
         assert len(caught) == sum(count == 1 for count in c.counts)
-        c = enforce_uniform(c, min(c.counts))
+        keep = min(c.counts)  # truncate every set to the smallest one's size
+        c = FeasibleSetCollection(d1=c.d1, d2=c.d2, entries=tuple(
+            FeasibleSet(id=e.id, measurement=e.measurement, members=e.members[:keep])
+            for e in c.entries))
         maps = {
             "median": median_map(c),
             "zero": zero_map(c),
-            "const": constant_map(c, rng.normal(size=c.d1) * 2),
-            "first": first_member_map(c),
+            "const": dict.fromkeys(c.ids, rng.normal(size=c.d1) * 2),
+            "first": {e.id: e.members[0] for e in c.entries},
         }
         report = verify_bounds(c, maps, norm)
         corpus.append((c, norm, report))

@@ -29,8 +29,6 @@ from kersize.bounds import (
 )
 from kersize.forward import LinearModel, NoiseSpec
 from kersize.predictors import (
-    constant_map,
-    first_member_map,
     median_map,
     zero_map,
 )
@@ -410,7 +408,7 @@ class TestVerifyBounds:
 
     def test_singleton_sets_perfect_map(self):
         c = make_collection([[[1, 1]], [[2, 0]]])
-        preds = first_member_map(c)
+        preds = {e.id: e.members[0] for e in c.entries}
         report = verify_bounds(c, {"truth": preds}, EUCLID)
         assert report.half_kersize == 0.0
         assert report.losses["truth"] == 0.0
@@ -451,8 +449,9 @@ class TestVerifyBounds:
         members = [rng.normal(size=(n, 4)) * 3 for n in (3, 1, 0, 7, 2)]
         c = make_collection(members, d1=4)
         norm = NormSpec(p=p, q=q, mask=[1, 0, 1, 1])
+        filled = [e.id for e in c.entries if e.count]
         maps = {"zero": zero_map(c), "median": median_map(c),
-                "const": constant_map(c, rng.normal(size=4))}
+                "const": dict.fromkeys(filled, rng.normal(size=4))}
         report = verify_bounds(c, maps, norm)
         theta = {e.id: optimal_map_value(e.members, norm) for e in c.entries if e.count}
         assert report.theta_loss == loss(dataset_from_collection(c), theta, norm)
@@ -591,8 +590,8 @@ class TestBoundGuarantees:
             maps = {
                 "median": median_map(c),
                 "zero": zero_map(c),
-                "const": constant_map(c, rng.normal(size=c.d1) * 3),
-                "first": first_member_map(c),
+                "const": dict.fromkeys(c.ids, rng.normal(size=c.d1) * 3),
+                "first": {e.id: e.members[0] for e in c.entries},
             }
             report = verify_bounds(c, maps, norm)
             assert report.lower_ok, report.lower_ok_by_map
@@ -603,7 +602,8 @@ class TestBoundGuarantees:
             c, norm = self._random_uniform_collection(rng, 2)
             d = dataset_from_collection(c)
             theta_loss = verify_bounds(c, {}, norm).theta_loss
-            for other in (median_map(c), zero_map(c), constant_map(c, rng.normal(size=c.d1))):
+            const = dict.fromkeys(c.ids, rng.normal(size=c.d1))
+            for other in (median_map(c), zero_map(c), const):
                 assert theta_loss <= loss(d, other, norm) * (1 + 1e-9) + 1e-12
 
     def test_sandwich_p2(self):

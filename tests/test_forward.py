@@ -305,9 +305,9 @@ class TestDownsample:
         with pytest.raises(UsageError):
             downsample_matrix_1d(10, 4)
 
-    def test_upscaler_map_covers_all_measurements(self):
+    def test_upscale_covers_all_measurements(self):
         from kersize.core import FeasibleSet, FeasibleSetCollection
-        from kersize.predictors import upscale, upscaler_map
+        from kersize.predictors import upscale
 
         rng = np.random.default_rng(31)
         m = DownsampleModel(bands=2, height=8, width=8, factor=2, r_max=1.0,
@@ -321,7 +321,7 @@ class TestDownsample:
             ),
         )
         for order in (1, 3):
-            preds = upscaler_map(c, m, order=order)
+            preds = {e.id: upscale(m, e.measurement, order=order) for e in c.entries}
             assert set(preds) == {"m0", "m1", "m2"}
             for i in range(3):
                 assert preds[f"m{i}"].shape == (m.d1,)

@@ -12,7 +12,6 @@ from kersize.sampling import (
     SamplerSpec,
     _entry_rngs,
     build_feasible_sets,
-    enforce_uniform,
     sample_feasible,
 )
 
@@ -56,6 +55,33 @@ def reference_walk(model, y, sampler, rng, n_target, anchor=None):
         if np.all(prop >= lo) and np.all(prop <= hi) and model.feasible_batch(prop[None, :], y)[0]:
             state, n_accepted = prop, n_accepted + 1
             record()
+    return np.vstack(kept) if kept else np.zeros((0, model.d1))
+
+
+def reference_rejection(model, y, sampler, rng, n_target):
+    """Uniform draws in chunks of 512, each tested alone, the first
+    ``n_target`` feasible ones kept."""
+    lo, hi = model.signal_bounds.T
+    budget, spent, kept = sampler.effective_budget, 0, []
+    while spent < budget and len(kept) < n_target:
+        pts = rng.uniform(lo, hi, size=(min(512, budget - spent), model.d1))
+        spent += len(pts)
+        kept += [x for x in pts if model.feasible_batch(x[None, :], y)[0]]
+    return np.vstack(kept[:n_target]) if kept[:n_target] else np.zeros((0, model.d1))
+
+
+def reference_grid(model, y, sampler, n_target):
+    """Lattice points in C order, each tested alone, the first ``n_target``
+    feasible ones among the first ``budget`` points kept."""
+    res, b = sampler.grid_resolution, model.signal_bounds
+    axes = [np.linspace(b[i, 0], b[i, 1], res[i]) for i in range(model.d1)]
+    kept = []
+    for i, idx in enumerate(np.ndindex(*res)):
+        if i == sampler.effective_budget or len(kept) == n_target:
+            break
+        x = np.array([axis[j] for axis, j in zip(axes, idx)])
+        if model.feasible_batch(x[None, :], y)[0]:
+            kept.append(x)
     return np.vstack(kept) if kept else np.zeros((0, model.d1))
 
 
@@ -145,6 +171,37 @@ class TestSampleFeasible:
         want = reference_walk(m, y, s, np.random.default_rng(8), s.n_max, anchor)
         assert got.shape[0] > 0
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind,n_max,budget,n_target,reachable,rows", [
+        ("rejection", 100, 700, None, True, "some"),  # the budget ends mid-chunk
+        ("rejection", 20, 2000, None, True, "all"),  # the target is met mid-chunk
+        ("rejection", 20, 2000, 0, True, "none"),
+        ("rejection", 20, 2000, None, False, "none"),
+        ("grid", 50, 900, None, True, "some"),  # the budget ends mid-chunk
+        ("grid", 20, None, None, True, "all"),  # the target is met mid-chunk
+        ("grid", 20, None, 0, True, "none"),
+        ("grid", 20, None, None, False, "none"),
+        ("grid", 100, None, None, True, "some"),  # all 3125 lattice points
+    ])
+    def test_search_matches_reference_loop(self, kind, n_max, budget, n_target, reachable,
+                                           rows):
+        """Grid and rejection keep the first feasible candidates in draw
+        order, bit for bit those of a loop that tests one at a time."""
+        m = small_microscope()
+        truth = np.array([150.0, 150.0, 0.0, 5.0, 500.0])
+        y = m.intensity(truth) * 1.05 + 0.5 if reachable else np.full(m.d2, -100.0)
+        grid = {"grid_resolution": (5,) * 5} if kind == "grid" else {}
+        s = SamplerSpec(kind=kind, n_max=n_max, seed=6, budget=budget, **grid)
+        n = s.n_max if n_target is None else n_target
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = sample_feasible(m, y, s, n_target=n_target)
+        want = (reference_grid(m, y, s, n) if kind == "grid"
+                else reference_rejection(m, y, s, np.random.default_rng(s.seed), n))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert {"none": got.shape[0] == 0, "some": 0 < got.shape[0] < n,
+                "all": got.shape[0] == n}[rows]
+        assert len(caught) == (got.shape[0] == 0 and n > 0)
 
     def test_thinning_and_burn_in(self):
         m = identity_model(eps=0.5, d=1)
@@ -262,12 +319,19 @@ class TestBuildFeasibleSets:
         jobs = [
             {"generate": 3, "sampler": SamplerSpec(kind="rejection", n_max=4, budget=100)},
             {"measurements": [[0.0, 0.0]],
+             "sampler": SamplerSpec(kind="grid", n_max=4, grid_resolution=(3, 3))},
+            {"measurements": [[0.0, 0.0]],
              "sampler": SamplerSpec(kind="random_walk", n_max=4, budget=100)},
             {"generate": 2, "sampler": SamplerSpec(kind="random_walk", n_max=4, budget=100,
                                                    step_scale=[0.1, 0.1, 0.1])},
         ]
         with pytest.raises(UsageError, match="step_scale"):
             sampling.build_feasible_sets_many(m, jobs)
+        assert calls == []
+        bad_grid = SamplerSpec(kind="grid", n_max=4, grid_resolution=(3, 3, 3))
+        with pytest.raises(UsageError, match="grid_resolution"):
+            sampling.build_feasible_sets_many(
+                m, jobs[:3] + [{"measurements": [[0.0, 0.0]], "sampler": bad_grid}])
         assert calls == []
         with pytest.raises(UsageError, match="at least one job"):
             sampling.build_feasible_sets_many(m, [])
@@ -397,32 +461,3 @@ class TestBudgetWarning:
             assert "budget exhausted" in str(w.message)
             assert w.filename == __file__
 
-
-class TestEnforceUniform:
-    def collection(self, counts):
-        m = identity_model(eps=1.0)
-        s = SamplerSpec(kind="rejection", n_max=max(counts), seed=0,
-                        budget=200 * max(counts))
-        c, _ = build_feasible_sets(m, measurements=[[0.0, 0.0]] * len(counts), sampler=s)
-        from kersize.core import FeasibleSet, FeasibleSetCollection
-
-        entries = tuple(
-            FeasibleSet(id=e.id, measurement=e.measurement, members=e.members[:n])
-            for e, n in zip(c.entries, counts)
-        )
-        return FeasibleSetCollection(d1=c.d1, d2=c.d2, entries=entries)
-
-    def test_already_uniform_unchanged(self):
-        c = enforce_uniform(self.collection([5, 5, 5]), 5)
-        assert c.counts == (5, 5, 5)
-
-    def test_truncates_to_n(self):
-        c0 = self.collection([5, 7, 6])
-        c = enforce_uniform(c0, 5)
-        assert c.counts == (5, 5, 5)
-        np.testing.assert_array_equal(c.entries[1].members, c0.entries[1].members[:5])
-
-    def test_deficient_set_named_in_error(self):
-        c0 = self.collection([5, 3])
-        with pytest.raises(DataError, match="m01"):
-            enforce_uniform(c0, 5)
