@@ -657,6 +657,7 @@ class BoundReport:
     half_kersize: float
     p: float
     q: float
+    mask: list | None
     uniform: bool
     losses: dict
     theta_loss: float
@@ -672,6 +673,7 @@ class BoundReport:
             "half_kersize": self.half_kersize,
             "p": self.p,
             "q": "inf" if self.q == np.inf else self.q,
+            "mask": self.mask,
             "uniform": self.uniform,
             "losses": self.losses,
             "theta_loss": self.theta_loss,
@@ -686,7 +688,7 @@ class BoundReport:
 
 
 def verify_bounds(c: FeasibleSetCollection, predictions: Mapping[str, Mapping],
-                  norm: NormSpec, tol_rel: float = REL_TOL) -> BoundReport:
+                  norm: NormSpec) -> BoundReport:
     """Compute the kernel-size bounds and check them against prediction maps.
 
     ``predictions`` maps a name to per-measurement signal estimates (keyed by
@@ -736,10 +738,10 @@ def verify_bounds(c: FeasibleSetCollection, predictions: Mapping[str, Mapping],
     theta_loss = losses.pop("theta")
 
     lower_by_map = {
-        name: bool(half <= lv + tol_rel * max(1.0, lv)) for name, lv in losses.items()
+        name: bool(half <= lv + REL_TOL * max(1.0, lv)) for name, lv in losses.items()
     }
-    lower_by_map["theta"] = bool(half <= theta_loss + tol_rel * max(1.0, theta_loss))
-    theta_upper = bool(theta_loss <= value + tol_rel * max(1.0, value))
+    lower_by_map["theta"] = bool(half <= theta_loss + REL_TOL * max(1.0, theta_loss))
+    theta_upper = bool(theta_loss <= value + REL_TOL * max(1.0, value))
     note = (
         "uniform set sizes: lower bound and theta upper bound both certified"
         if c.uniform
@@ -751,6 +753,7 @@ def verify_bounds(c: FeasibleSetCollection, predictions: Mapping[str, Mapping],
         half_kersize=half,
         p=norm.p,
         q=norm.q,
+        mask=norm.to_dict()["mask"],
         uniform=c.uniform,
         losses=losses,
         theta_loss=theta_loss,

@@ -163,19 +163,23 @@ def _inputs(args) -> tuple:
     return collection, norm, Path(args.out or args.collection)
 
 
-def _bounds_json(out: Path) -> dict:
-    """The bounds.json payload already in ``out`` ({} if none)."""
+def _bounds_json(out: Path, norm: NormSpec) -> dict:
+    """The bounds.json payload already in ``out`` if it records the same p, q
+    and mask as ``norm``, else a fresh one; either way it records ``norm``, so
+    one file never mixes values taken at two norms."""
     out.mkdir(parents=True, exist_ok=True)
-    return io.read_json(out / "bounds.json") if (out / "bounds.json").exists() else {}
+    path, tag = out / "bounds.json", norm.to_dict()
+    payload = io.read_json(path) if path.exists() else {}
+    same_norm = isinstance(payload, dict) and tag.items() <= payload.items()
+    return {**(payload if same_norm else {}), **tag}
 
 
 def _cmd_kersize(args) -> int:
     collection, norm, out = _inputs(args)
     value, v = compute_kersize(collection, norm)
     half = value / 2.0
-    payload = _bounds_json(out)
-    payload.update(kersize=value, half_kersize=half, p=norm.p, q=norm.to_dict()["q"],
-                   uniform=collection.uniform)
+    payload = _bounds_json(out, norm)
+    payload.update(kersize=value, half_kersize=half, uniform=collection.uniform)
     io.write_json(out / "bounds.json", payload)
     rows = [
         [e.id, e.count, 0.5 * v[k] ** (1.0 / norm.p)]
@@ -192,7 +196,7 @@ def _cmd_loss(args) -> int:
     preds = io.read_predictions_dir(args.predictions, present)
     value = loss(dataset_from_collection(collection), preds, norm)
     name = args.name or Path(args.predictions).name
-    payload = _bounds_json(out)
+    payload = _bounds_json(out, norm)
     payload.setdefault("losses", {})[name] = value
     io.write_json(out / "bounds.json", payload)
     print(f"loss[{name}]={value:.8f}")

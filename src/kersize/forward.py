@@ -339,15 +339,6 @@ class DownsampleModel(ForwardModel):
         """Explicit downsampling matrix of a single band (dense)."""
         return np.kron(self._dh, self._dw)
 
-    def matrix(self) -> np.ndarray:
-        """Explicit matrix of the full multi-band operator (block diagonal)."""
-        band = self.band_matrix()
-        out = np.zeros((self.d2, self.d1))
-        rb, cb = band.shape
-        for b in range(self.bands):
-            out[b * rb : (b + 1) * rb, b * cb : (b + 1) * cb] = band
-        return out
-
     def to_dict(self) -> dict:
         return {
             "variant": "downsample_additive",

@@ -90,24 +90,6 @@ class SamplerSpec:
     def effective_budget(self) -> int:
         return self.budget if self.budget is not None else max(200 * self.n_max, 1000)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_max": self.n_max,
-            "seed": self.seed,
-            "budget": self.budget,
-            "step_scale": (
-                self.step_scale.tolist()
-                if isinstance(self.step_scale, np.ndarray)
-                else self.step_scale
-            ),
-            "grid_resolution": (
-                list(self.grid_resolution) if self.grid_resolution is not None else None
-            ),
-            "burn_in": self.burn_in,
-            "thinning": self.thinning,
-        }
-
     @classmethod
     def from_dict(cls, d) -> "SamplerSpec":
         """Sampler from its document; every field is optional."""

@@ -14,8 +14,13 @@ bound.
 Two projection readings are supported: ``signal_only`` projects the signal
 space (the reflected pair keeps its noise admissible by construction), and
 ``joint`` projects (signal, noise) jointly through B = [A | I]; reflected
-noise escaping the noise set is flagged, not rejected. The operator is a raw
-matrix A, a ``LinearModel`` or a ``DownsampleModel``.
+noise escaping the noise set is flagged, not rejected. The operator is a
+``LinearModel``, a ``DownsampleModel`` or a raw matrix A, which is taken as a
+linear model with no signal box (every coordinate in [-inf, inf]).
+
+A downsampling model is block diagonal over its bands, and so is its kernel
+projector (Penrose 1955): one band's projector, of size n_b or, in joint
+mode on the band's signal and noise, n_b + m_b, serves every band.
 
 For an m x n operator B (B = A, or [A | I] with n = d1 + d2 in joint mode,
 or one band of a downsampling model) the projector P = I - B^+ B costs one
@@ -117,14 +122,12 @@ def _idempotency_residual(L: np.ndarray, B: np.ndarray, BP: np.ndarray,
     return 0.5 * float(np.max(worst, initial=0.0))
 
 
-def _kernel_operator(A: np.ndarray, mode: str, tol: float | None) -> tuple:
+def _kernel_operator(A: np.ndarray, mode: str) -> tuple:
     """The operator B whose kernel the projector of A in ``mode`` spans (A, or
-    [A | I] in joint mode) and the pseudoinverse tolerance, by default
-    max(m, n) times the float64 machine epsilon for the m x n matrix A."""
-    if tol is None:
-        tol = max(A.shape) * np.finfo(np.float64).eps
+    [A | I] in joint mode) and the pseudoinverse tolerance: max(m, n) times
+    the float64 machine epsilon for the m x n matrix A."""
     B = np.hstack([A, np.eye(A.shape[0])]) if mode == "joint" else A
-    return B, tol
+    return B, max(A.shape) * np.finfo(np.float64).eps
 
 
 def _projector_rows(B: np.ndarray, tol: float | None):
@@ -167,7 +170,7 @@ def _projector_rows(B: np.ndarray, tol: float | None):
         raise DataError("projector does not annihilate the operator")
 
 
-def kernel_projection(A, mode: str = "signal_only", tol: float | None = None) -> np.ndarray:
+def kernel_projection(A, mode: str = "signal_only") -> np.ndarray:
     """Projector onto the kernel: I - A^+ A, or I - B^+ B with B = [A | I].
 
     Returns P as a read-only n x n array: n = d1 for the kernel of A alone,
@@ -185,7 +188,7 @@ def kernel_projection(A, mode: str = "signal_only", tol: float | None = None) ->
         raise UsageError("kernel_projection expects a matrix")
     if mode not in ("signal_only", "joint"):
         raise UsageError(f"unknown projection mode {mode!r}")
-    B, tol = _kernel_operator(A, mode, tol)
+    B, tol = _kernel_operator(A, mode)
     P = np.empty((B.shape[1], B.shape[1]))
     for I, block in _projector_rows(B, tol):
         P[I] = block
@@ -199,8 +202,8 @@ class SkersizeResult:
 
     ``noise_violations`` lists pairs whose joint-mode reflected noise left the
     noise set; ``bounds_violations`` lists pairs whose reflected signal left
-    the signal box (known only when the operator carries bounds). Both are
-    informational: flagged pairs are kept.
+    the signal box of the operator's model (never for a raw matrix, which has
+    no box). Both are informational: flagged pairs are kept.
     """
 
     skersize: float
@@ -222,12 +225,12 @@ class SkersizeResult:
 
 
 def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
-             norm: NormSpec, mode: str = "signal_only",
-             tol: float | None = None, feas_atol: float | None = None) -> SkersizeResult:
+             norm: NormSpec, mode: str = "signal_only") -> SkersizeResult:
     """Average symmetric kernel size of a paired dataset under y = A x + e.
 
     Recovers each pair's noise as e_m = y_m - A x_m (rejecting pairs whose
-    noise falls outside the noise set), projects onto the kernel, and returns
+    noise leaves the noise set by more than the roundoff of re-deriving it,
+    1e-9 of the measurement scale), projects onto the kernel, and returns
 
         skersize = ( (1/M') Σ_m ‖v_m‖^p )^(1/p)
 
@@ -237,26 +240,25 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
     The reflection through the orthogonal complement of the kernel is
     x' = x - 2 P x. In signal_only mode the noise is untouched, so
     A x' = A x exactly and each pair keeps its measurement. In joint mode the
-    concatenated (x, e) is reflected and split back into its first d1 and
-    last d2 coordinates, so A x' + e' = A x + e. Either way the reflection
-    is an involution: reflecting (x', y) gives back (x, y).
+    concatenated (x, e) is reflected and split back into its signal and noise
+    coordinates, so A x' + e' = A x + e. Either way the reflection is an
+    involution: reflecting (x', y) gives back (x, y).
 
-    A downsampling model's signal_only projection applies its one-band
-    projector to each band; every other projection is dense. Only a model
-    has a signal box to flag reflections against. ``feas_atol`` widens the
-    noise-membership check; the default absorbs float roundoff from
-    re-deriving e_m (1e-9 relative to the measurement scale).
+    A raw matrix A is ``LinearModel(A, noise, box)`` with the box [-inf, inf]
+    in every coordinate. A downsampling model applies its one-band projector
+    to each band's n_b signal coordinates, or in joint mode to its n_b signal
+    and m_b noise coordinates, split back into band-major x' and e'.
 
     Runs in O(M') at fixed dimensions: one projector plus one matrix product
     per pair. The projector is one SVD of the m x n operator plus O(n²·m) to
-    build and verify it, with n the band size (a downsampling model in
-    signal_only mode), d1 (any other signal_only operator) or d1 + d2 (joint).
-    No n x n array is held: each row block of P is applied to every pair
-    (every band of every pair) as it is built, and P's checks run after the
-    last block, before anything is returned; the other temporaries are O(n·m)
-    or O(M'·n). The band einsum over blocks is bit for bit one whole einsum
-    with the assembled P; the BLAS products of the other paths equal the
-    whole product to rounding.
+    build and verify it, with n = n_b or n_b + m_b (a downsampling model),
+    d1 or d1 + d2 (any other operator) in signal_only or joint mode. No n x n
+    array is held: each row block of P is applied to every pair (every band
+    of every pair) as it is built, and P's checks run after the last block,
+    before anything is returned; the other temporaries are O(n·m) or O(M'·n).
+    The band einsum over blocks is bit for bit one whole einsum with the
+    assembled P; the BLAS products of a whole operator equal the whole
+    product to rounding.
     """
     if noise.kind != "additive":
         raise UsageError("the symmetric bound requires additive noise (y = A x + e)")
@@ -264,20 +266,18 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
         raise UsageError(f"unknown projection mode {mode!r}")
     if pairs.size == 0:
         raise DataError("empty dataset")
-    if isinstance(operator, LinearModel):
-        model, A = operator, operator.matrix
-    elif isinstance(operator, DownsampleModel):
-        model, A = operator, None  # its dense matrix is large: built in joint mode only
-    else:
-        model, A = None, np.asarray(operator, dtype=np.float64)
-    d1 = A.shape[1] if A is not None else model.d1
-    if d1 != pairs.d1:
-        raise UsageError(f"operator has {d1} columns, pairs have d1={pairs.d1}")
+    model = operator
+    if not isinstance(model, (LinearModel, DownsampleModel)):
+        A = np.asarray(operator, dtype=np.float64)
+        if A.ndim != 2:
+            raise UsageError("operator must be a matrix, a LinearModel or a DownsampleModel")
+        model = LinearModel(A, noise, np.tile([-np.inf, np.inf], (A.shape[1], 1)))
+    if model.d1 != pairs.d1:
+        raise UsageError(f"operator has {model.d1} columns, pairs have d1={pairs.d1}")
 
     x = pairs.x
-    e = pairs.y - (model.noiseless_batch(x) if model is not None else x @ A.T)
-    if feas_atol is None:
-        feas_atol = 1e-9 * max(1.0, float(np.abs(pairs.y).max(initial=0.0)))
+    e = pairs.y - model.noiseless_batch(x)
+    feas_atol = 1e-9 * max(1.0, float(np.abs(pairs.y).max(initial=0.0)))
     e_norms = noise.row_norms(e)
     bad = np.flatnonzero(e_norms > noise.eps_additive + feas_atol)
     if bad.size:
@@ -287,31 +287,33 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
             f"(|e|={float(e_norms[m]):.3g} > eps={noise.eps_additive:.3g})"
         )
 
-    if mode == "joint":
-        kernel_of, vectors = A if A is not None else model.matrix(), np.hstack([x, e])
-    elif A is None:  # a DownsampleModel: one band's projector serves every band
-        kernel_of, vectors = model.band_matrix(), x.reshape(pairs.size, model.bands, -1)
+    if isinstance(model, DownsampleModel):  # one band's projector serves every band
+        kernel_of, shape = model.band_matrix(), (pairs.size, model.bands, -1)
     else:
-        kernel_of, vectors = A, x
-    B, tol = _kernel_operator(kernel_of, mode, tol)
+        kernel_of, shape = model.matrix, (pairs.size, -1)
+    vectors = x.reshape(shape)
+    if mode == "joint":
+        vectors = np.concatenate([vectors, e.reshape(shape)], axis=-1)
+    B, tol = _kernel_operator(kernel_of, mode)
     projected = np.empty_like(vectors)
     for I, block in _projector_rows(B, tol):
         if vectors.ndim == 3:
             np.einsum("ij,nbj->nbi", block, vectors, out=projected[:, :, I])
         else:
             projected[:, I] = vectors @ block.T
-    projected = projected.reshape(pairs.size, -1)
-    v = projected[:, :d1]
-    refl = vectors.reshape(pairs.size, -1) - 2.0 * projected
-    x_refl = refl[:, :d1]
+    refl = vectors - 2.0 * projected
+    n = kernel_of.shape[1]  # the signal coordinates of a band, or of the whole pair
+    v = projected[..., :n].reshape(pairs.size, -1)
+    x_refl = refl[..., :n].reshape(pairs.size, -1)
     noise_violations: list = []
     if mode == "joint":
-        viol = noise.row_norms(refl[:, d1:]) > noise.eps_additive + feas_atol
+        e_refl = refl[..., n:].reshape(pairs.size, -1)
+        viol = noise.row_norms(e_refl) > noise.eps_additive + feas_atol
         noise_violations = [int(i) for i in np.flatnonzero(viol)]
 
     v_norms = vector_norms(v, norm)
     value = power_mean([v_norms**norm.p], norm.p)
-    outside = [] if model is None else np.flatnonzero(~model.within_bounds(x_refl))
+    outside = np.flatnonzero(~model.within_bounds(x_refl))
     symmetrized = PairedDataset(
         x=np.vstack([x, x_refl]),
         y=np.vstack([pairs.y, pairs.y]),

@@ -346,6 +346,25 @@ class TestCliKersize:
         out = capsys.readouterr().out
         assert "kersize=0.50000000" in out and "half_kersize=0.25000000" in out
 
+    def test_report_at_another_norm_starts_a_fresh_file(self, tmp_path, capsys):
+        """kersize keeps validate's bounds.json only at the same p, q and
+        mask; at another norm no value of the old norm is left beside the new."""
+        d = two_point_collection_dir(tmp_path)
+        assert main(["validate", str(d)]) == 0
+        validated = json.loads((d / "bounds.json").read_text())
+        assert (validated["p"], validated["q"], validated["mask"]) == (2.0, 2.0, None)
+        assert main(["kersize", str(d)]) == 0
+        kept = json.loads((d / "bounds.json").read_text())
+        assert kept["theta_loss"] == validated["theta_loss"]
+        assert kept["per_measurement"] == validated["per_measurement"]
+
+        for flags, norm in [(["--p", "1"], (1.0, 2.0, None)),
+                            (["--mask", "1"], (2.0, 2.0, [0, 1]))]:
+            assert main(["kersize", str(d), *flags]) == 0
+            payload = json.loads((d / "bounds.json").read_text())
+            assert (payload["p"], payload["q"], payload["mask"]) == norm
+            assert set(payload) == {"p", "q", "mask", "kersize", "half_kersize", "uniform"}
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -397,9 +416,14 @@ class TestCliLoss:
         main(["loss", str(d), str(pred), "--name", "origin", "--p", "1"])
         assert "loss[origin]=1.00000000" in capsys.readouterr().out
 
+        # the p = 1 loss starts a fresh file: the p = 2 loss of "mid" goes
         payload = json.loads((d / "bounds.json").read_text())
-        assert payload["losses"]["mid"] == pytest.approx(1.0)
-        assert payload["losses"]["origin"] == pytest.approx(1.0)
+        assert payload["losses"] == {"origin": pytest.approx(1.0)}
+        assert (payload["p"], payload["q"], payload["mask"]) == (1.0, 2.0, None)
+
+        main(["loss", str(d), str(pred), "--name", "origin2", "--p", "1"])
+        payload = json.loads((d / "bounds.json").read_text())
+        assert set(payload["losses"]) == {"origin", "origin2"}
 
     def test_perfect_predictions(self, tmp_path, capsys):
         c = FeasibleSetCollection(

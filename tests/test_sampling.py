@@ -94,11 +94,12 @@ class TestSamplerSpec:
         with pytest.raises(UsageError):
             SamplerSpec(kind="grid", n_max=10)
 
-    def test_roundtrip_dict(self):
-        s = SamplerSpec(kind="random_walk", n_max=7, seed=3, budget=100,
-                        step_scale=[0.1, 0.2], burn_in=2, thinning=3)
-        s2 = SamplerSpec.from_dict(s.to_dict())
-        assert s2.kind == s.kind and s2.n_max == s.n_max and s2.thinning == 3
+    def test_from_dict(self):
+        s = SamplerSpec.from_dict({"kind": "random_walk", "n_max": 7, "seed": 3, "budget": 100,
+                                   "step_scale": [0.1, 0.2], "burn_in": 2, "thinning": 3})
+        assert (s.kind, s.n_max, s.seed, s.budget, s.burn_in, s.thinning) == (
+            "random_walk", 7, 3, 100, 2, 3)
+        assert list(s.step_scale) == [0.1, 0.2] and s.grid_resolution is None
 
 
 class TestSampleFeasible:

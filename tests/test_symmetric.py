@@ -39,6 +39,12 @@ def pairs_of(x, y):
                          group_ids=tuple(f"m{i}" for i in range(n)))
 
 
+def dense_matrix(model):
+    """Test-side oracle: the whole multi-band downsampling matrix, block
+    diagonal over the bands."""
+    return np.kron(np.eye(model.bands), model.band_matrix())
+
+
 def random_rank_matrix(rng, m, n, r, scale=1.0):
     if r == 0:
         return np.zeros((m, n))
@@ -419,14 +425,24 @@ class TestSkersize:
         noise = NoiseSpec(kind="additive", eps_additive=0.05)
         model = DownsampleModel(bands=1, height=4, width=4, factor=2, r_max=1.0, noise=noise)
         op = {
-            "matrix": model.matrix(),
-            "linear": LinearModel(model.matrix(), noise, np.tile([0.0, 1.0], (16, 1))),
+            "matrix": dense_matrix(model),
+            "linear": LinearModel(dense_matrix(model), noise, np.tile([0.0, 1.0], (16, 1))),
             "downsample": model,
         }[operator]
         pairs = PairedDataset(x=np.full((2, 15), 0.5), y=np.full((2, 4), 0.5),
                               group=[0, 1], group_ids=("a", "b"))
         with pytest.raises(UsageError, match="16 columns, pairs have d1=15"):
             skersize(pairs, op, noise, EUCLID)
+
+    @pytest.mark.parametrize("operator", [[0.5, 0.5], 2.0], ids=["vector", "scalar"])
+    def test_operator_that_is_not_a_matrix_is_usage_error(self, operator):
+        with pytest.raises(UsageError, match="operator must be a matrix"):
+            skersize(self.single_pair(), operator, NoiseSpec(kind="additive"), EUCLID)
+
+    def test_raw_matrix_has_no_signal_box(self):
+        x = np.array([[1e6, -1e6]])
+        res = skersize(pairs_of(x, x @ AVG.T), AVG, NoiseSpec(kind="additive"), EUCLID)
+        assert res.bounds_violations == []
 
     def test_downsample_band_projector_matches_dense(self):
         rng = np.random.default_rng(19)
@@ -440,7 +456,7 @@ class TestSkersize:
             ids = ("a", "b", "c")
             pairs = PairedDataset(x=x, y=y, group=np.arange(3), group_ids=ids)
             via_model = skersize(pairs, model, model.noise, EUCLID)
-            via_dense = skersize(pairs, model.matrix(), model.noise, EUCLID)
+            via_dense = skersize(pairs, dense_matrix(model), model.noise, EUCLID)
             assert via_model.skersize == pytest.approx(via_dense.skersize, rel=1e-10)
             np.testing.assert_allclose(via_model.v_norms, via_dense.v_norms, rtol=1e-10)
             np.testing.assert_allclose(via_model.symmetrized.x, via_dense.symmetrized.x,
@@ -548,10 +564,58 @@ class TestSkersize:
         pairs = PairedDataset(x=x, y=y, group=np.arange(2), group_ids=("a", "b"))
         res = skersize(pairs, model, model.noise, EUCLID, mode="joint")
         # measurements preserved under the joint reflection
-        A = model.matrix()
+        A = dense_matrix(model)
         e_refl = res.symmetrized.y[2:] - res.symmetrized.x[2:] @ A.T
         np.testing.assert_allclose(res.symmetrized.x[2:] @ A.T + e_refl, y, atol=1e-9)
         assert res.skersize >= 0.0
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_multiband_joint_matches_dense_oracle(self, monkeypatch, p):
+        """Joint mode on 3 non-square bands projects one band's (signal, noise)
+        through [A_b | I]; it matches the dense [A | I] projector of the whole
+        block-diagonal A to 1e-12 of the data's scale. Pairs 0, 2 and 4 lie in
+        the row space of [A | I], so their reflected noise is their own and
+        stays in the ball; the others' leaves it."""
+        seen = self.spy_on_v(monkeypatch)
+        model = DownsampleModel(bands=3, height=8, width=12, factor=4, r_max=1.0,
+                                noise=NoiseSpec(kind="additive", eps_additive=0.05))
+        A = dense_matrix(model)
+        rng = np.random.default_rng(43)
+        x = rng.uniform(0.2, 0.8, size=(6, model.d1))
+        e = rng.uniform(-0.05, 0.05, size=(6, model.d2))
+        x[::2] = e[::2] @ A  # (x, e) = (Aᵀz, z)
+        y = x @ A.T + e
+        res = skersize(pairs_of(x, y), model, model.noise, NormSpec(p=p, q=2), mode="joint")
+
+        B = np.hstack([A, np.eye(model.d2)])
+        P = np.eye(B.shape[1]) - np.linalg.pinv(B) @ B
+        vectors = np.hstack([x, e])
+        projected = vectors @ P.T
+        refl = vectors - 2.0 * projected
+        atol = 1e-12 * np.abs(vectors).max()
+        np.testing.assert_allclose(seen[0], projected[:, :model.d1], rtol=0, atol=atol)
+        np.testing.assert_allclose(res.symmetrized.x[6:], refl[:, :model.d1], rtol=0, atol=atol)
+        np.testing.assert_array_equal(res.symmetrized.y, np.vstack([y, y]))
+        np.testing.assert_allclose(res.symmetrized.x[6:] @ A.T + refl[:, model.d1:], y,
+                                   rtol=0, atol=atol)
+        outside = np.abs(refl[:, model.d1:]).max(axis=1) > 0.05 + 1e-9 * np.abs(y).max()
+        assert res.noise_violations == [1, 3, 5] == list(np.flatnonzero(outside))
+
+    def test_joint_peak_memory_holds_one_band(self):
+        """Joint mode at the benchmark's 48 x 48 x 3 projects one 2448-wide
+        band, not the whole 7344-wide [A | I]: its traced peak stays below
+        40 MB (the whole operator's projector build peaked at 130 MB)."""
+        model = DownsampleModel(bands=3, height=48, width=48, factor=4, r_max=1.0,
+                                noise=NoiseSpec(kind="additive", eps_additive=0.05))
+        x = np.random.default_rng(36).uniform(0.2, 0.8, size=(16, model.d1))
+        pairs = pairs_of(x, model.noiseless_batch(x))
+        tracemalloc.start()
+        try:
+            skersize(pairs, model, model.noise, EUCLID, mode="joint")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_out_of_box_reflections_flagged_not_rejected(self):
         """A high-contrast image reflects outside [0, r_max]; the pair is
