@@ -22,9 +22,11 @@ Both identities hold for any c; the second term at p = q = 2 removes what
 rounding of the mean leaves behind. Centring is what keeps them accurate:
 on a set at 1e6 with spread 1e-3 the uncentred weighted sum at p = q = 1
 loses eight digits to cancellation, while centring costs at most one
-rounding per value. Every other norm sums the pairs in fixed-size blocks.
-Each final reduction is an exact fsum over terms computed in a fixed order,
-so reports are reproducible bit for bit.
+rounding per value; c is ``core.member_centre``, finite on finite members.
+Every other norm sums the pairs' ``core.distance_powers`` in fixed-size
+blocks. Each final reduction is an exact fsum (``core.exact_sum``) over terms
+computed in a fixed order, so reports are reproducible bit for bit; a power
+or sum past the float64 range is a DataError, never an infinite kernel size.
 
 θ is exact where a closed form exists (the mean at p = q = 2, the
 coordinatewise median at p = q = 1). Every other p ≥ 1 goes to a numpy-only
@@ -33,18 +35,19 @@ which stops at a relative duality gap of 1e-10. ``verify_bounds`` hands all
 sets to one call of it, which steps every set in lockstep: each set keeps its
 own barrier weight, step length and stopping test, comes out bit for bit as
 if solved alone, and drops out when it converges or its Newton system breaks
-down, without affecting the others. At p = 1, q = 2 the geometric median often sits on a
-member, which the barrier's point never reaches; there the member nearest it
-is tried too, certified by Kuhn's test. Each θ comes with a certificate: its
-objective, an upper bound on its distance to the minimum (from a Fenchel dual
-point built from the barrier multipliers, or from Kuhn's dual points) and the
-set's own iteration count.
+down, without affecting the others. At p = 1, q = 2 the geometric median
+often sits on a member, which the barrier's point never reaches; there the
+member nearest it is tried too, certified by Kuhn's test. Each θ comes with
+a certificate: its objective (the mean of θ's loss powers), an upper bound
+on its distance to the minimum (from a Fenchel dual point built from the
+barrier multipliers, or from Kuhn's dual points) and the set's own
+iteration count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -54,13 +57,17 @@ from .core import (
     FeasibleSetCollection,
     NormSpec,
     UsageError,
+    distance_powers,
+    exact_sum,
     loss_powers,
+    member_centre,
     power_mean,
     vector_norms,
 )
 
 __all__ = [
     "REL_TOL",
+    "at_most",
     "kersize",
     "optimal_map_value",
     "verify_bounds",
@@ -74,34 +81,21 @@ __all__ = [
 REL_TOL = 1e-9
 
 
+def at_most(a: float, b: float) -> bool:
+    """``a <= b`` up to floating-point accumulation, ``REL_TOL * max(1, b)``."""
+    return bool(a <= b + REL_TOL * max(1.0, b))
+
+
 def _block_size(n: int, d: int) -> int:
     # bounded temporaries; small sets get proportionally smaller blocks so the
     # within-block waste stays a constant fraction of the pair count
     return max(16, min(int(math.sqrt(4_000_000 / max(d, 1))), -(-n // 8)))
 
 
-def _pair_powers(diff: np.ndarray, p: float, q) -> np.ndarray:
-    """‖diff‖^p over the last axis of a (b1, b2, d) block of differences.
-
-    p in {1, 2} avoids the generic float power, which dominates large blocks.
-    """
-    if q == 2:
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
-        if p == 1.0:
-            return np.sqrt(sq)
-        return sq ** (p / 2.0)
-    a = np.abs(diff)
-    nrm = a.sum(axis=2) if q == 1 else (a.max(axis=2) if a.shape[2] else np.zeros(a.shape[:2]))
-    if p == 1.0:
-        return nrm
-    if p == 2.0:
-        return nrm * nrm
-    return nrm**p
-
-
 def pair_power_sum(members: np.ndarray, norm: NormSpec) -> float:
     """Sum of ‖x_n - x_n'‖^p over unordered member pairs: in closed form at
-    p = q in {1, 2}, pair by pair otherwise (see the module docstring)."""
+    p = q in {1, 2}, pair by pair otherwise (see the module docstring). A
+    pair's power or a sum past the float64 range raises DataError."""
     X = np.asarray(members, dtype=np.float64)
     n = X.shape[0]
     if n < 2:
@@ -109,28 +103,28 @@ def pair_power_sum(members: np.ndarray, norm: NormSpec) -> float:
     if norm.mask is not None:
         norm.check_dim(X.shape[1])
         X = X[:, norm.mask]
-    if norm.p == norm.q and norm.p in (1.0, 2.0):
-        C = X - X.mean(axis=0)
-        if norm.p == 2.0:
-            # exact for any centre; the second term is what rounding of the
-            # mean leaves behind
-            s = C.sum(axis=0)
-            return n * math.fsum(np.einsum("ij,ij->i", C, C).tolist()) - math.fsum(s * s)
-        w = 2.0 * np.arange(n) - (n - 1)
-        return math.fsum((np.sort(C, axis=0) * w[:, None]).ravel().tolist())
-    bs = _block_size(n, X.shape[1])
-    partial = []
-    for i0 in range(0, n, bs):
-        xi = X[i0 : i0 + bs]
-        # within-block grid counts every ordered pair once and its diagonal
-        # is exactly zero, so half the full sum is the unordered-pair sum
-        pw = _pair_powers(xi[:, None, :] - xi[None, :, :], norm.p, norm.q)
-        partial.append(0.5 * float(np.sum(pw)))
-        for j0 in range(i0 + bs, n, bs):
-            xj = X[j0 : j0 + bs]
-            pw = _pair_powers(xi[:, None, :] - xj[None, :, :], norm.p, norm.q)
-            partial.append(float(np.sum(pw)))
-    return math.fsum(partial)
+    what, pair = "the sum of the pairs' p-th powers", "the p-th power of a pair distance"
+    with np.errstate(over="ignore", invalid="ignore"):  # a value past the range fails its sum
+        if norm.p == norm.q and norm.p in (1.0, 2.0):
+            C = X - member_centre(X, np.mean)
+            if norm.p == 2.0:
+                # exact for any centre; the second term is what rounding of the
+                # mean leaves behind
+                s = C.sum(axis=0)
+                squares = exact_sum(np.einsum("ij,ij->i", C, C).tolist(), what)
+                return exact_sum([n * squares, -exact_sum((s * s).tolist(), what)], what)
+            w = 2.0 * np.arange(n) - (n - 1)
+            return exact_sum((np.sort(C, axis=0) * w[:, None]).ravel().tolist(), what)
+        unmasked = NormSpec(p=norm.p, q=norm.q)
+        bs = _block_size(n, X.shape[1])
+        partial = []
+        for i0 in range(0, n, bs):
+            for j0 in range(i0, n, bs):
+                # a diagonal block counts every unordered pair twice and its
+                # own diagonal is exactly zero, so it adds half its sum
+                pw = distance_powers(X[i0 : i0 + bs, None], X[None, j0 : j0 + bs], unmasked, pair)
+                partial.append((0.5 if j0 == i0 else 1.0) * float(np.sum(pw)))
+    return exact_sum(partial, what)
 
 
 def kersize(c: FeasibleSetCollection, norm: NormSpec) -> tuple:
@@ -140,12 +134,8 @@ def kersize(c: FeasibleSetCollection, norm: NormSpec) -> tuple:
     distance within set k (zero for empty sets) and
     ``value = ((1/K) Σ v_k)^(1/p)``.
     """
-    v = []
-    for e in c.entries:
-        if e.count == 0:
-            v.append(0.0)
-        else:
-            v.append(2.0 * pair_power_sum(e.members, norm) / (e.count**2))
+    v = [2.0 * pair_power_sum(e.members, norm) / (e.count**2) if e.count else 0.0
+         for e in c.entries]
     return power_mean([v], norm.p), v
 
 
@@ -563,11 +553,11 @@ def _vertex_step(X: np.ndarray, z: np.ndarray, lower: float) -> tuple:
 
 
 def _optimal_maps(sets, norm: NormSpec) -> list:
-    """(θ, ThetaCertificate) for each member array of ``sets`` (each with at
-    least one member); every set the interior-point method serves goes into
-    one call of it."""
+    """(θ, lower bound on min f or None where θ is exact, iteration count) for
+    each member array of ``sets`` (each with at least one member); every set
+    the interior-point method serves goes into one call of it."""
     sets = [np.atleast_2d(np.asarray(X, dtype=np.float64)) for X in sets]
-    thetas = [X[0].copy() if X.shape[0] == 1 else X.mean(axis=0) for X in sets]
+    thetas = [member_centre(X, np.mean) for X in sets]
     lowers, iterations = [None] * len(sets), [0] * len(sets)
     multi = [k for k, X in enumerate(sets) if X.shape[0] > 1]
     if multi and norm.p < 1:
@@ -577,7 +567,7 @@ def _optimal_maps(sets, norm: NormSpec) -> list:
     if multi and not (norm.p == 2 and norm.q == 2):
         P = [sets[k] if norm.mask is None else sets[k][:, norm.mask] for k in multi]
         if norm.p == 1 and norm.q == 1:
-            found = [(np.median(x, axis=0), None, 0) for x in P]
+            found = [(member_centre(x, np.median), None, 0) for x in P]
         else:
             Z, low, its = _interior_point(np.concatenate(P), [x.shape[0] for x in P],
                                           norm.p, norm.q)
@@ -590,42 +580,37 @@ def _optimal_maps(sets, norm: NormSpec) -> list:
                 thetas[k] = z
             else:
                 thetas[k][norm.mask] = z
-    out = []
-    for X, z, lower, its in zip(sets, thetas, lowers, iterations):
-        objective = float(np.mean(vector_norms(X - z, norm) ** norm.p))
-        gap = 0.0 if lower is None else max(0.0, objective - lower)
-        out.append((z, ThetaCertificate(objective, gap, its)))
-    return out
+    return list(zip(thetas, lowers, iterations))
+
+
+def _certificate(powers: np.ndarray, lower: float | None, iterations: int) -> ThetaCertificate:
+    """θ's certificate from its loss powers ‖x_n - θ‖^p and ``_optimal_maps``'
+    lower bound and iteration count."""
+    objective = float(np.mean(powers))
+    gap = 0.0 if lower is None else max(0.0, objective - lower)
+    return ThetaCertificate(objective, gap, iterations)
 
 
 def optimal_map_value(members, norm: NormSpec, certificate: bool = False):
-    """Minimizer θ of f(z) = (1/N) Σ_n ‖x_n - z‖^p over the members of one set.
-
-    Which solver runs depends on (p, q):
-
-    * p = q = 2: the coordinate mean (exact);
-    * p = q = 1: the coordinatewise median (exact);
-    * any other p ≥ 1: the interior-point method of ``_interior_point``, to a
-      relative duality gap of ``THETA_TOL``; at p = 1, q = 2 followed by
-      ``_vertex_step``, which moves θ onto the nearest member when that is
-      no worse.
-
-    ``verify_bounds`` solves all sets of a collection in lockstep, in one
-    call of the same solver that runs here on one set. A set's θ and
-    certificate do not depend on the other sets in that call: the iteration
-    count is the set's own Newton steps, and a set whose Newton system breaks
-    down stops at its best certified point without affecting the others.
+    """Minimizer θ of f(z) = (1/N) Σ_n ‖x_n - z‖^p over the members of one set,
+    by the solver the module docstring names for (p, q): the same solver, and
+    so the same θ and certificate, that ``verify_bounds`` runs on all sets of
+    a collection at once.
 
     Coordinates outside the norm's mask are copied from the member mean. With
     ``certificate=True`` returns ``(θ, ThetaCertificate)``: f(θ), an upper
     bound on f(θ) - min f (0 for the exact forms and a single member) and
-    the solver's iteration count.
+    the solver's iteration count; an f(θ) past the float64 range raises
+    DataError.
     """
     X = np.atleast_2d(np.asarray(members, dtype=np.float64))
     if X.shape[0] == 0:
         raise UsageError("optimal_map_value needs at least one member")
-    z, cert = _optimal_maps([X], norm)[0]
-    return (z, cert) if certificate else z
+    z, lower, iterations = _optimal_maps([X], norm)[0]
+    if not certificate:
+        return z
+    powers = distance_powers(X, z, norm, "the objective of theta")
+    return z, _certificate(powers, lower, iterations)
 
 
 @dataclass
@@ -706,42 +691,31 @@ def verify_bounds(c: FeasibleSetCollection, predictions: Mapping[str, Mapping],
     if "theta" in predictions:
         raise UsageError("prediction name 'theta' is reserved")
     filled = [e for e in c.entries if e.count > 0]
-    solved = _optimal_maps([e.members for e in filled], norm)
-    theta = {e.id: z for e, (z, _) in zip(filled, solved)}
-    certificates = {e.id: cert for e, (_, cert) in zip(filled, solved)}
-    named = {"theta": theta, **predictions}
+    solved = dict(zip([e.id for e in filled], _optimal_maps([e.members for e in filled], norm)))
+    named = {"theta": {k: z for k, (z, _, _) in solved.items()}, **predictions}
 
     powers = {name: [] for name in named}
     per_meas = []
     for k, e in enumerate(c.entries):
-        row = MeasurementReport(
-            id=e.id,
-            n_k=e.count,
-            v_k=v[k],
-            half_kersize_single=0.5 * v[k] ** (1.0 / norm.p),
-        )
-        if e.count > 0:
-            cert = certificates[e.id]
-            row.theta_objective = cert.objective
-            row.theta_gap = cert.gap
-            row.theta_iterations = cert.iterations
+        row = MeasurementReport(id=e.id, n_k=e.count, v_k=v[k],
+                                half_kersize_single=0.5 * v[k] ** (1.0 / norm.p))
+        per_meas.append(row)
+        if e.count == 0:
+            row.losses = dict.fromkeys(named)
+            continue
         for name, preds in named.items():
-            if e.count == 0:
-                row.losses[name] = None
-                continue
             pw = loss_powers(e.members, preds, e.id, norm, name)
             powers[name].append(pw)
             row.losses[name] = power_mean([pw], norm.p)
-        per_meas.append(row)
+        # θ's certificate comes from θ's loss powers
+        cert = _certificate(powers["theta"][-1], *solved[e.id][1:])
+        row.theta_objective, row.theta_gap, row.theta_iterations = astuple(cert)
 
     losses = {name: power_mean(pws, norm.p) for name, pws in powers.items()}
     theta_loss = losses.pop("theta")
-
-    lower_by_map = {
-        name: bool(half <= lv + REL_TOL * max(1.0, lv)) for name, lv in losses.items()
-    }
-    lower_by_map["theta"] = bool(half <= theta_loss + REL_TOL * max(1.0, theta_loss))
-    theta_upper = bool(theta_loss <= value + REL_TOL * max(1.0, value))
+    lower_by_map = {name: at_most(half, lv) for name, lv in losses.items()}
+    lower_by_map["theta"] = at_most(half, theta_loss)
+    theta_upper = at_most(theta_loss, value)
     note = (
         "uniform set sizes: lower bound and theta upper bound both certified"
         if c.uniform

@@ -105,11 +105,17 @@ def _norm_from_flags(args, default: NormSpec, d1: int) -> NormSpec:
     )
 
 
-def _add_norm_flags(sub) -> None:
-    sub.add_argument("--p", type=float, default=None, help="loss exponent")
-    sub.add_argument("--q", type=float, default=None, help="inner norm exponent (1, 2 or inf)")
-    sub.add_argument("--mask", type=_mask_indices, default=None,
-                     help="comma-separated coordinate indices to keep")
+def _collection_command(sub, name: str, func, help: str):
+    """A subcommand on a collection directory, with the norm flags and --out."""
+    s = sub.add_parser(name, help=help)
+    s.add_argument("collection", help="collection directory")
+    s.add_argument("--p", type=float, default=None, help="loss exponent")
+    s.add_argument("--q", type=float, default=None, help="inner norm exponent (1, 2 or inf)")
+    s.add_argument("--mask", type=_mask_indices, default=None,
+                   help="comma-separated coordinate indices to keep")
+    s.add_argument("--out", default=None)
+    s.set_defaults(func=func)
+    return s
 
 
 def _cmd_sample(args) -> int:
@@ -292,38 +298,23 @@ def build_parser() -> _Parser:
     s.add_argument("--n-max", type=int, default=None, dest="n_max")
     s.set_defaults(func=_cmd_sample)
 
-    s = sub.add_parser("kersize", help="average kernel size of a collection")
-    s.add_argument("collection")
-    _add_norm_flags(s)
-    s.add_argument("--out", default=None)
-    s.set_defaults(func=_cmd_kersize)
+    _collection_command(sub, "kersize", _cmd_kersize, "average kernel size of a collection")
 
-    s = sub.add_parser("loss", help="empirical loss of a prediction directory")
-    s.add_argument("collection")
+    s = _collection_command(sub, "loss", _cmd_loss, "empirical loss of a prediction directory")
     s.add_argument("predictions")
     s.add_argument("--name", default=None, help="label for the prediction set")
-    _add_norm_flags(s)
-    s.add_argument("--out", default=None)
-    s.set_defaults(func=_cmd_loss)
 
-    s = sub.add_parser("validate", help="verify the bound inequalities")
-    s.add_argument("collection")
+    s = _collection_command(sub, "validate", _cmd_validate, "verify the bound inequalities")
     s.add_argument("predictions", nargs="*", help="external prediction directories")
     s.add_argument("--strict", action="store_true", help="exit 3 on a bound violation")
-    _add_norm_flags(s)
-    s.add_argument("--out", default=None)
-    s.set_defaults(func=_cmd_validate)
 
-    s = sub.add_parser("skersize", help="average symmetric kernel size (linear models)")
-    s.add_argument("collection", help="collection/dataset directory")
+    s = _collection_command(sub, "skersize", _cmd_skersize,
+                            "average symmetric kernel size (linear models)")
     group = s.add_mutually_exclusive_group(required=True)
     group.add_argument("--matrix", default=None, help="operator as CSV")
     group.add_argument("--model", default=None, help="forward-model JSON")
     s.add_argument("--mode", choices=("signal", "joint"), default="signal")
     s.add_argument("--eps-additive", type=float, default=0.0, dest="eps_additive")
-    _add_norm_flags(s)
-    s.add_argument("--out", default=None)
-    s.set_defaults(func=_cmd_skersize)
 
     s = sub.add_parser("demo", help="run a full pipeline demo")
     s.add_argument("name", help="microscopy or superres")

@@ -3,7 +3,9 @@
 Signals and measurements are plain 1-D float64 numpy arrays; the containers
 below validate and freeze them. All types are immutable after construction and
 all operations are pure functions, so everything here is safe to share across
-threads.
+threads. Every p-th power of a distance is taken by ``distance_powers`` (or
+``norm_powers``) and every exact sum by ``exact_sum``: a value past the
+float64 range raises DataError, never a RuntimeWarning or an infinite result.
 """
 
 from __future__ import annotations
@@ -167,12 +169,13 @@ def l2_overflow_rescaled(norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def vector_norms(diffs: np.ndarray, norm: NormSpec) -> np.ndarray:
     """Masked q-norms of the rows of ``diffs`` (shape (n, d) -> (n,))."""
-    d = np.atleast_2d(np.abs(diffs))
+    d = np.atleast_2d(diffs)
     if norm.mask is not None:
         norm.check_dim(d.shape[1])
         d = d[:, norm.mask]
-    if norm.q == 2:
+    if norm.q == 2:  # squares need no absolute values
         return l2_overflow_rescaled(np.sqrt(np.einsum("ij,ij->i", d, d)), d)
+    d = np.abs(d)
     if norm.q == 1:
         return d.sum(axis=1)
     return d.max(axis=1) if d.shape[1] else np.zeros(d.shape[0])
@@ -189,6 +192,54 @@ def p_dist(a, b, norm: NormSpec) -> float:
     if a.shape != b.shape or a.ndim != 1:
         raise UsageError(f"p_dist needs equal-length vectors, got {a.shape} vs {b.shape}")
     return float(vector_norms((a - b)[None, :], norm)[0])
+
+
+def norm_powers(norms: np.ndarray, p: float, what: str) -> np.ndarray:
+    """``norms ** p``. A power past the float64 range raises
+    DataError("<what> overflows float64") instead of a RuntimeWarning."""
+    with np.errstate(over="ignore"):  # reported just below
+        powers = norms**p
+    if not np.isfinite(powers).all():
+        raise DataError(f"{what} overflows float64")
+    return powers
+
+
+def distance_powers(a, b, norm: NormSpec, what: str) -> np.ndarray:
+    """``‖a - b‖^p`` for each row of the broadcast difference ``a - b`` (shape
+    (..., d) -> (...)), through ``vector_norms`` and so with its l2 rescue.
+    A difference or power past the float64 range raises DataError naming
+    ``what`` (see ``norm_powers``)."""
+    with np.errstate(over="ignore"):  # an infinite difference has an infinite power
+        diff = np.subtract(a, b)
+    rows = diff.shape[:-1]
+    norms = vector_norms(diff.reshape(math.prod(rows), diff.shape[-1]), norm)
+    return norm_powers(norms, norm.p, what).reshape(rows)
+
+
+def exact_sum(values, what: str) -> float:
+    """``math.fsum`` of ``values`` (Python floats). A sum past the float64
+    range, or a value outside it, raises DataError("<what> overflows float64")."""
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):  # an intermediate sum past the range; inf - inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise DataError(f"{what} overflows float64")
+    return total
+
+
+def member_centre(members: np.ndarray, reduce) -> np.ndarray:
+    """``reduce(members, axis=0)`` (np.mean or np.median) of a non-empty (n, d)
+    array, without overflow: a column that leaves the float64 range is reduced
+    again from its members scaled by a power of two no smaller than 2n, which
+    is exact in the normal range. Every other column keeps its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):  # recomputed just below
+        out = reduce(members, axis=0)
+    big = ~np.isfinite(out)
+    if big.any():
+        shift = math.frexp(members.shape[0])[1] + 1
+        out[big] = np.ldexp(reduce(np.ldexp(members[:, big], -shift), axis=0), shift)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,25 +420,17 @@ def loss_powers(members: np.ndarray, predictions: Mapping[str, Sequence], set_id
         )
     if not np.isfinite(phi).all():
         raise DataError(f"prediction for {set_id!r}{of_map} is not finite")
-    with np.errstate(over="ignore"):  # reported just below
-        powers = vector_norms(members - phi[None, :], norm) ** norm.p
-    if not np.isfinite(powers).all():
-        raise DataError(f"loss of the prediction for {set_id!r}{of_map} overflows float64")
-    return powers
+    return distance_powers(members, phi, norm, f"loss of the prediction for {set_id!r}{of_map}")
 
 
 def power_mean(powers: Sequence[np.ndarray], p: float) -> float:
     """``((1/n) Σ t)^(1/p)`` over the n p-th powers t in the arrays ``powers``,
-    summed exactly (fsum), so the result does not depend on their order.
-    Finite powers whose sum overflows float64 raise DataError."""
+    summed exactly (``exact_sum``), so the result does not depend on their
+    order. A sum past the float64 range raises DataError."""
     n = sum(len(a) for a in powers)
     # fsum reads Python floats much faster than numpy scalars
     values = itertools.chain.from_iterable(np.asarray(a, dtype=np.float64).tolist() for a in powers)
-    try:
-        total = math.fsum(values)
-    except OverflowError:
-        raise DataError(f"the sum of {n} p-th powers overflows float64") from None
-    return (total / n) ** (1.0 / p)
+    return (exact_sum(values, f"the sum of {n} p-th powers") / n) ** (1.0 / p)
 
 
 def loss(dataset: PairedDataset, predictions: Mapping[str, Sequence], norm: NormSpec) -> float:

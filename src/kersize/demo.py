@@ -21,7 +21,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import io
-from .bounds import verify_bounds
+from .bounds import at_most, verify_bounds
 from .core import NormSpec, PairedDataset, collection_from_dataset, loss, loss_powers, power_mean
 from .forward import DownsampleModel, MicroscopyModel, NoiseSpec
 from .predictors import mean_map, median_map, upscale, zero_map
@@ -101,9 +101,7 @@ def microscopy_demo(out_dir=None, k: int = 10, n_max: int = 200, seed: int = 1) 
                 np.full(k, h_rate),
             ]
         )
-        center = np.array(
-            [b[0].mean(), b[1].mean(), 0.0, c_flux, h_rate]
-        )
+        center = np.array([b[0].mean(), b[1].mean(), 0.0, c_flux, h_rate])
         sampler = SamplerSpec(
             kind="random_walk",
             n_max=n_max,
@@ -129,17 +127,8 @@ def microscopy_demo(out_dir=None, k: int = 10, n_max: int = 200, seed: int = 1) 
             group_ids=collection.ids,
         )
         truth_losses = {name_: loss(truth_dataset, preds, norm) for name_, preds in maps.items()}
-        setups.append(
-            {
-                "name": name,
-                "c_flux": c_flux,
-                "h_rate": h_rate,
-                "collection": collection,
-                "dataset": dataset,
-                "report": report,
-                "truth_losses": truth_losses,
-            }
-        )
+        setups.append({"name": name, "c_flux": c_flux, "h_rate": h_rate, "collection": collection,
+                       "dataset": dataset, "report": report, "truth_losses": truth_losses})
 
     result = {"setups": setups, "norm": norm, "model": model}
     if out_dir is not None:
@@ -150,25 +139,16 @@ def microscopy_demo(out_dir=None, k: int = 10, n_max: int = 200, seed: int = 1) 
 def _write_microscopy_outputs(out: Path, result: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     io.write_json(out / "model.json", result["model"].to_dict())
-    summary_rows = []
-    map_names = ["mean", "median", "zero"]
-    for s in result["setups"]:
-        sub = out / s["name"]
-        io.write_collection(sub, s["collection"], result["norm"])
-        io.write_bound_report(sub, s["report"])
-    header = ["method"]
-    for s in result["setups"]:
-        header += [f"{s['name']}_truth", f"{s['name']}_sampled"]
-    for name in map_names:
-        row = [name]
-        for s in result["setups"]:
-            row += [s["truth_losses"][name], s["report"].losses[name]]
-        summary_rows.append(row)
-    half_row = ["half_kersize"]
-    for s in result["setups"]:
-        half_row += [None, s["report"].half_kersize]
-    summary_rows.append(half_row)
-    io.write_table_csv(out / "summary.csv", header, summary_rows)
+    setups = result["setups"]
+    for s in setups:
+        io.write_collection(out / s["name"], s["collection"], result["norm"])
+        io.write_bound_report(out / s["name"], s["report"])
+    # one row per map, then half the kernel size: a truth and a sampled column per setup
+    rows = [[m] + [v for s in setups for v in (s["truth_losses"][m], s["report"].losses[m])]
+            for m in ("mean", "median", "zero")]
+    rows.append(["half_kersize"] + [v for s in setups for v in (None, s["report"].half_kersize)])
+    header = ["method"] + [f"{s['name']}_{kind}" for s in setups for kind in ("truth", "sampled")]
+    io.write_table_csv(out / "summary.csv", header, rows)
 
 
 def _smooth_images(rng: np.random.Generator, n: int, bands: int, h: int, w: int,
@@ -226,9 +206,9 @@ def superres_demo(out_dir=None, n_images: int = 12, size: int = 32, bands: int =
 
     upscaler_losses = [losses_sym["bilinear"], losses_sym["bicubic"]]
     checks = {
-        "lower_ok": all(result.skersize <= lv * (1 + 1e-9) + 1e-12 for lv in losses_sym.values()),
-        "upscalers_within_upper": all(lv <= 2 * result.skersize * (1 + 1e-9) for lv in upscaler_losses),
-        "theta_within_upper": losses_sym["mean"] <= 2 * result.skersize * (1 + 1e-9),
+        "lower_ok": all(at_most(result.skersize, lv) for lv in losses_sym.values()),
+        "upscalers_within_upper": all(at_most(lv, 2 * result.skersize) for lv in upscaler_losses),
+        "theta_within_upper": at_most(losses_sym["mean"], 2 * result.skersize),
     }
 
     per_image = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FeasibleSetCollection, UsageError
+from .core import FeasibleSetCollection, UsageError, member_centre
 from .forward import DownsampleModel
 
 __all__ = [
@@ -29,12 +29,12 @@ def _nonempty(c: FeasibleSetCollection):
 
 def mean_map(c: FeasibleSetCollection) -> dict:
     """Coordinate mean of each feasible set (the optimal map for p = q = 2)."""
-    return {e.id: e.members.mean(axis=0) for e in _nonempty(c)}
+    return {e.id: member_centre(e.members, np.mean) for e in _nonempty(c)}
 
 
 def median_map(c: FeasibleSetCollection) -> dict:
     """Coordinate-wise median of each feasible set."""
-    return {e.id: np.median(e.members, axis=0) for e in _nonempty(c)}
+    return {e.id: member_centre(e.members, np.median) for e in _nonempty(c)}
 
 
 def zero_map(c: FeasibleSetCollection) -> dict:

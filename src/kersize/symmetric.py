@@ -27,9 +27,14 @@ or one band of a downsampling model) the projector P = I - B^+ B costs one
 SVD of B plus O(n²·m) to build and to verify: B P = 0, idempotency from the
 factors B^+ and B (never with an n³ product), and finite entries. P is built
 and verified one row block of at most ``_ROW_BLOCK`` doubles at a time, and
-every other temporary is O(n·m). ``skersize`` applies each block as it
-arrives and never holds an n x n array; ``kernel_projection`` fills P from
-the same blocks.
+every other temporary is O(n·m) or O(M'·n) for M' pairs. ``skersize``
+applies each block as it arrives and never holds an n x n array;
+``kernel_projection`` fills P from the same blocks. P's checks run after the
+last block, before anything is returned.
+
+The p-th powers of the kernel components go through ``core.norm_powers``
+and their sum through ``core.power_mean``: a value past the float64 range
+is a DataError, never an infinite skersize.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .core import (
     NormSpec,
     PairedDataset,
     UsageError,
+    norm_powers,
     power_mean,
     vector_norms,
 )
@@ -249,16 +255,13 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
     to each band's n_b signal coordinates, or in joint mode to its n_b signal
     and m_b noise coordinates, split back into band-major x' and e'.
 
-    Runs in O(M') at fixed dimensions: one projector plus one matrix product
-    per pair. The projector is one SVD of the m x n operator plus O(n²·m) to
-    build and verify it, with n = n_b or n_b + m_b (a downsampling model),
-    d1 or d1 + d2 (any other operator) in signal_only or joint mode. No n x n
-    array is held: each row block of P is applied to every pair (every band
-    of every pair) as it is built, and P's checks run after the last block,
-    before anything is returned; the other temporaries are O(n·m) or O(M'·n).
-    The band einsum over blocks is bit for bit one whole einsum with the
-    assembled P; the BLAS products of a whole operator equal the whole
-    product to rounding.
+    Runs in O(M') at fixed dimensions: one projector (see the module
+    docstring), each row block of which is applied to every pair (every band
+    of every pair) as it is built, plus one matrix product per pair. The band
+    einsum over blocks is bit for bit one whole einsum with the assembled P;
+    the BLAS products of a whole operator equal the whole product to
+    rounding. A p-th power ‖v_m‖^p or their sum past the float64 range
+    raises DataError.
     """
     if noise.kind != "additive":
         raise UsageError("the symmetric bound requires additive noise (y = A x + e)")
@@ -312,7 +315,8 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
         noise_violations = [int(i) for i in np.flatnonzero(viol)]
 
     v_norms = vector_norms(v, norm)
-    value = power_mean([v_norms**norm.p], norm.p)
+    value = power_mean([norm_powers(v_norms, norm.p, "the p-th power of a kernel component")],
+                       norm.p)
     outside = np.flatnonzero(~model.within_bounds(x_refl))
     symmetrized = PairedDataset(
         x=np.vstack([x, x_refl]),

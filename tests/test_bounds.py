@@ -14,6 +14,7 @@ from kersize.core import (
     NormSpec,
     UsageError,
     dataset_from_collection,
+    distance_powers,
     loss,
     p_dist,
     vector_norms,
@@ -21,7 +22,6 @@ from kersize.core import (
 from kersize import bounds
 from kersize.bounds import (
     _dual_gap,
-    _pair_powers,
     kersize,
     optimal_map_value,
     pair_power_sum,
@@ -67,6 +67,13 @@ class TestKersize:
         value, v = kersize(c, EUCLID)
         assert value == pytest.approx(np.sqrt(2), rel=1e-15)
         assert v[0] == pytest.approx(2.0, rel=1e-15)
+
+    def test_pair_distance_past_overflowing_squares(self):
+        """At p = 1, q = 2 a pair whose sum of squares overflows still has its
+        l2 distance 2·sqrt(2)·1e200."""
+        c = make_collection([[[1e200, -1e200], [-1e200, 1e200]]])
+        value, _ = kersize(c, NormSpec(p=1, q=2))
+        assert value == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
 
     def test_singletons_give_zero(self):
         c = make_collection([[[1, 2]], [[3, 4]], [[0, 0]]])
@@ -129,8 +136,8 @@ class TestKersize:
     ])
     def test_only_norms_without_closed_form_sum_pairs(self, monkeypatch, p, q, pairwise):
         calls = []
-        monkeypatch.setattr("kersize.bounds._pair_powers",
-                            lambda *args: calls.append(args) or _pair_powers(*args))
+        monkeypatch.setattr("kersize.bounds.distance_powers",
+                            lambda *args: calls.append(args) or distance_powers(*args))
         rng = np.random.default_rng(4)
         kersize(make_collection([rng.normal(size=(20, 2)), rng.normal(size=(3, 2))]),
                 NormSpec(p=p, q=q))

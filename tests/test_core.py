@@ -14,7 +14,10 @@ from kersize.core import (
     UsageError,
     collection_from_dataset,
     dataset_from_collection,
+    distance_powers,
+    exact_sum,
     loss,
+    member_centre,
     p_dist,
     power_mean,
     vector_norms,
@@ -189,6 +192,29 @@ class TestLoss:
         total = math.fsum([t for a in powers for t in a])
         for p in (0.5, 1.0, 1.5, 2.0, 3.0):
             assert power_mean(powers, p) == (total / n) ** (1.0 / p)
+
+    @pytest.mark.parametrize("reduce", [np.mean, np.median])
+    def test_centres_do_not_overflow(self, reduce):
+        """A column whose float64 sum overflows is rescaled; every other column
+        keeps the bits numpy gives it."""
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(6, 3)) * 10.0 ** rng.integers(-100, 100, size=(1, 3))
+        X[:, 1] = [1.5e308, 1.5e308, -1e308, 1.5e308, 1.5e308, 1.5e308]
+        got = member_centre(X, reduce)  # no overflow warning
+        keep = [0, 2]
+        np.testing.assert_array_equal(got[keep].view(np.uint64),
+                                      reduce(X[:, keep], axis=0).view(np.uint64))
+        assert got[1] == pytest.approx(6.5 / 6 * 1e308 if reduce is np.mean else 1.5e308,
+                                       rel=1e-15)
+
+    def test_powers_past_float64_raise(self):
+        with pytest.raises(DataError, match="^the objective overflows float64$"):
+            distance_powers(np.array([[1e200]]), np.array([-1e200]), NormSpec(p=2),
+                            "the objective")
+        with pytest.raises(DataError, match="^a sum overflows float64$"):
+            exact_sum([1e308, 1e308], "a sum")
+        with pytest.raises(DataError):
+            exact_sum([math.inf, -math.inf], "a sum")
 
     def test_nearby_maps_have_nearby_losses(self):
         """|loss(phi) - loss(phi')| <= delta when every prediction moves by

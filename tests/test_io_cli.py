@@ -754,6 +754,47 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
 
 
+    OPPOSITE = [[1e200, -1e200], [-1e200, 1e200]]
+
+    @pytest.mark.parametrize(
+        "members, argv, kersize",
+        [
+            (OPPOSITE, ["kersize"], None),
+            (OPPOSITE, ["kersize", "--p", "2", "--q", "1"], None),
+            (OPPOSITE, ["validate"], None),
+            (OPPOSITE, ["skersize", "--matrix", "A.csv"], None),
+            ([[1e308], [-1e308]], ["kersize", "--p", "1", "--q", "1"], None),
+            ([[1e308], [1e308]], ["kersize"], 0.0),
+            ([[1e308], [1e308]], ["kersize", "--p", "1", "--q", "1"], 0.0),
+            ([[1e308], [1e308]], ["validate"], None),
+        ],
+        ids=["pair_sum", "pair_power", "validate", "kernel_component", "closed_form_l1",
+             "equal_huge", "equal_huge_l1", "validate_equal_huge"],
+    )
+    def test_values_past_float64_exit_2(self, tmp_path, capsys, members, argv, kersize):
+        """A pair distance, kernel component or sum beyond float64 exits 2 on
+        one error line and writes no report; finite members whose mean alone
+        would overflow give the exact kernel size. No warning is raised."""
+        members = np.array(members)
+        d = tmp_path / "huge"
+        write_collection(d, FeasibleSetCollection(d1=members.shape[1], d2=1, entries=(
+            FeasibleSet(id="m0", measurement=[0.0], members=members),)), NormSpec())
+        (tmp_path / "A.csv").write_text("0.5,0.5\n")
+        command, *flags = argv
+        out = tmp_path / "out"
+        flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
+        code = main([command, str(d), *flags, "--out", str(out)])
+        reports = [p.read_text() for p in out.glob("*.json")] if out.exists() else []
+        assert not any("Infinity" in text or "NaN" in text for text in reports)
+        if kersize is None:
+            err = capsys.readouterr().err.splitlines()
+            assert code == 2 and len(err) == 1 and err[0].startswith("error: ")
+            assert reports == []
+        else:
+            assert code == 0
+            assert json.loads((out / "bounds.json").read_text())["kersize"] == kersize
+
+
 class TestFreshInterpreter:
     def test_non_demo_commands_never_import_scipy(self, tmp_path):
         """Importing kersize and kersize.cli, then running sample (from
