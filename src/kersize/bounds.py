@@ -29,7 +29,10 @@ computed in a fixed order, so reports are reproducible bit for bit; a power
 or sum past the float64 range is a DataError, never an infinite kernel size.
 
 θ is exact where a closed form exists (the mean at p = q = 2, the
-coordinatewise median at p = q = 1). Every other p ≥ 1 goes to a numpy-only
+coordinatewise median at p = q = 1), taken for all sets at once on the
+collection's stacked members (``core.Sets.centres``, which groups the sets
+by size so that each keeps the bits of its own ``core.member_centre``).
+Every other p ≥ 1 goes to a numpy-only
 log-barrier interior-point method on the epigraph form of the objective,
 which stops at a relative duality gap of 1e-10. ``verify_bounds`` hands all
 sets to one call of it, which steps every set in lockstep: each set keeps its
@@ -41,13 +44,15 @@ member nearest it is tried too, certified by Kuhn's test. Each θ comes with
 a certificate: its objective (the mean of θ's loss powers), an upper bound
 on its distance to the minimum (from a Fenchel dual point built from the
 barrier multipliers, or from Kuhn's dual points) and the set's own
-iteration count.
+iteration count. ``verify_bounds`` evaluates every map on every set in one
+stacked pass (``core.set_losses``); only the kernel size still runs set by
+set, one ``pair_power_sum`` call per set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -56,12 +61,13 @@ from .core import (
     DataError,
     FeasibleSetCollection,
     NormSpec,
+    Sets,
     UsageError,
     distance_powers,
     exact_sum,
-    loss_powers,
     member_centre,
     power_mean,
+    set_losses,
     vector_norms,
 )
 
@@ -142,9 +148,9 @@ def kersize(c: FeasibleSetCollection, norm: NormSpec) -> tuple:
 # -- the interior-point solver for theta ----------------------------------------
 #
 # One call solves every set of one (p, q) at once. The members of all sets are
-# stacked into one (M, d) array in which set k owns a run of consecutive rows;
-# per-set sums are np.add.reduceat over those rows, and every set keeps its own
-# barrier weight, step length and stopping state. Each per-set quantity is
+# stacked into one (M, d) array in the layout of ``core.Sets``; per-set sums
+# are np.add.reduceat over those rows, and every set keeps its own barrier
+# weight, step length and stopping state. Each per-set quantity is
 # computed from that set's rows alone, so a set gets the same θ, bit for bit,
 # whatever other sets share the call.
 
@@ -177,45 +183,11 @@ class ThetaCertificate:
     iterations: int
 
 
-class _Sets:
-    """Row layout of sets stacked into one array: set k owns the ``n[k]`` rows
-    from ``starts[k]`` on (every set has at least one row), and ``sid`` maps
-    each row to its set."""
-
-    def __init__(self, sizes):
-        self.n = np.asarray(sizes, dtype=np.intp)
-        stops = np.cumsum(self.n)
-        self.starts = stops - self.n
-        self.sid = np.repeat(np.arange(self.n.size), self.n)
-        self._bounds = list(zip(self.starts.tolist(), stops.tolist()))
-
-    def sums(self, A: np.ndarray) -> np.ndarray:
-        """Per-set sums of the rows of A."""
-        return np.add.reduceat(A, self.starts, axis=0)
-
-    def fsums(self, A: np.ndarray, which: np.ndarray | None = None) -> np.ndarray:
-        """Exact sum (math.fsum) of every entry of each set's rows of A, for
-        the sets chosen by the mask ``which`` (all by default): +inf where it
-        overflows, NaN where it is undefined or not chosen."""
-        w = A[0].size
-        values = A.ravel().tolist()
-        out = [math.nan] * self.n.size
-        for k in range(self.n.size) if which is None else np.flatnonzero(which).tolist():
-            a, b = self._bounds[k]
-            try:
-                out[k] = math.fsum(values[a * w : b * w])
-            except OverflowError:
-                out[k] = math.inf
-            except ValueError:  # inf - inf
-                pass
-        return np.array(out)
-
-
 def _q_norms(rows: np.ndarray, q: float) -> np.ndarray:
     return vector_norms(rows, _Q_NORMS[q])
 
 
-def _gram(U: np.ndarray, V: np.ndarray, sets: _Sets) -> np.ndarray:
+def _gram(U: np.ndarray, V: np.ndarray, sets: Sets) -> np.ndarray:
     """Σ_n u_n v_nᵀ over each set's rows, shape (K, d, d), from temporaries of
     at most ``_GRAM_BLOCK`` doubles. Splitting by row index i of the product
     leaves every entry's sum, and so its rounding, unchanged."""
@@ -230,7 +202,7 @@ def _gram(U: np.ndarray, V: np.ndarray, sets: _Sets) -> np.ndarray:
 
 
 def _dual_gap(R: np.ndarray, Y: np.ndarray, p: float, q: float,
-              sets: _Sets | None = None) -> np.ndarray:
+              sets: Sets | None = None) -> np.ndarray:
     """Upper bound on f(z) - min f for each set, from dual points ``Y``, one per
     member; ``R`` and ``Y`` are stacked as ``sets`` (one set by default).
 
@@ -243,7 +215,7 @@ def _dual_gap(R: np.ndarray, Y: np.ndarray, p: float, q: float,
     residuals R = x_n - z, a sum of nonnegative terms.
     """
     if sets is None:
-        sets = _Sets([R.shape[0]])
+        sets = Sets([R.shape[0]])
     Y = Y - (sets.sums(Y) / sets.n[:, None])[sets.sid]
     dual = _q_norms(Y, _DUAL_Q[q])
     if p == 1.0:
@@ -431,7 +403,7 @@ def _line_search(change, t, dt, weight, p, lam2, sets, search):
     return taken, rel_taken
 
 
-def _interior_point(P: np.ndarray, sizes, p: float, q: float) -> tuple:
+def _interior_point(P: np.ndarray, sets: Sets, p: float, q: float) -> tuple:
     """Barrier method (Boyd & Vandenberghe 2004, ch. 11) for
     min_z (1/N) Σ_n ‖x_n - z‖_q^p, p ≥ 1, on every set at once, in epigraph
     form:
@@ -440,7 +412,7 @@ def _interior_point(P: np.ndarray, sizes, p: float, q: float) -> tuple:
                                    u_ni ≥ ±(x_ni - z_i), t_n ≥ Σ_i u_ni  (q = 1)
                                    t_n ≥ ‖x_n - z‖₂                 (q = 2)
 
-    ``P`` stacks the members of the sets, ``sizes[k]`` rows for set k in turn.
+    ``P`` stacks the members of the sets in the row layout ``sets``.
     Every member has the same constraint rows, so each Newton step eliminates
     the members' own variables (t_n, u_n) in closed form and solves one d×d
     system per set for z: O(M d²) per joint step for M members in all, with
@@ -456,9 +428,12 @@ def _interior_point(P: np.ndarray, sizes, p: float, q: float) -> tuple:
     each set's best point found (K, d), best lower bound on min f (K,) and
     number of Newton steps (K,).
     """
-    sets = _Sets(sizes)
     K, d = sets.n.size, P.shape[1]
-    centre = sets.sums(P) / sets.n[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # rescued just below
+        centre = sets.sums(P) / sets.n[:, None]
+    big = ~np.isfinite(centre).all(axis=1)
+    if big.any():  # a sum past the float range: the set's mean, without overflow
+        centre[big] = Sets(sets.n[big]).centres(P[big[sets.sid]], np.mean)
     scale = np.maximum.reduceat(np.abs(P - centre[sets.sid]).max(axis=1), sets.starts)
     theta, lower_out, steps_out = P[sets.starts].copy(), np.zeros(K), np.zeros(K, dtype=int)
     live = scale != 0.0  # a set of identical members is solved: θ is that member
@@ -466,7 +441,7 @@ def _interior_point(P: np.ndarray, sizes, p: float, q: float) -> tuple:
     if ids.size == 0:
         return theta, lower_out, steps_out
     rows = live[sets.sid]
-    sets = _Sets(sets.n[ids])
+    sets = Sets(sets.n[ids])
     X = (P[rows] - centre[ids][sets.sid]) / scale[ids][sets.sid, None]
     if q == np.inf:
         step, t = _step_max, np.abs(X).max(axis=1) + 0.5
@@ -529,7 +504,7 @@ def _interior_point(P: np.ndarray, sizes, p: float, q: float) -> tuple:
                 ids, z, best_z, best_f, lower, tau, last_gap, steps, idle, newton = (
                     a[keep] for a in (ids, z, best_z, best_f, lower, tau, last_gap, steps,
                                       idle, newton))
-                sets = _Sets(sets.n[keep])
+                sets = Sets(sets.n[keep])
     return theta, lower_out, steps_out
 
 
@@ -552,41 +527,44 @@ def _vertex_step(X: np.ndarray, z: np.ndarray, lower: float) -> tuple:
     return (v if f <= np.mean(to_z) else z), lower
 
 
-def _optimal_maps(sets, norm: NormSpec) -> list:
-    """(θ, lower bound on min f or None where θ is exact, iteration count) for
-    each member array of ``sets`` (each with at least one member); every set
-    the interior-point method serves goes into one call of it."""
-    sets = [np.atleast_2d(np.asarray(X, dtype=np.float64)) for X in sets]
-    thetas = [member_centre(X, np.mean) for X in sets]
-    lowers, iterations = [None] * len(sets), [0] * len(sets)
-    multi = [k for k, X in enumerate(sets) if X.shape[0] > 1]
-    if multi and norm.p < 1:
+def _optimal_maps(sets: Sets, X: np.ndarray, norm: NormSpec) -> tuple:
+    """θ (K, d), the lower bound on min f (None where θ is exact) and the
+    iteration count of each set of the stacked members X, in the row layout
+    ``sets``. The closed forms run over all sets at once; every set the
+    interior-point method serves goes into one call of it."""
+    thetas = sets.centres(X, np.mean)
+    lowers, iterations = [None] * sets.n.size, [0] * sets.n.size
+    many = sets.n > 1
+    multi = np.flatnonzero(many)
+    if multi.size and norm.p < 1:
         raise UsageError("optimal map for p < 1 is unsupported (objective is non-convex)")
-    for k in multi:
-        norm.check_dim(sets[k].shape[1])
-    if multi and not (norm.p == 2 and norm.q == 2):
-        P = [sets[k] if norm.mask is None else sets[k][:, norm.mask] for k in multi]
-        if norm.p == 1 and norm.q == 1:
-            found = [(member_centre(x, np.median), None, 0) for x in P]
-        else:
-            Z, low, its = _interior_point(np.concatenate(P), [x.shape[0] for x in P],
-                                          norm.p, norm.q)
-            found = zip(Z, low.tolist(), its.tolist())
-            if norm.p == 1 and norm.q == 2:
-                found = [(*_vertex_step(x, z, lower), n) for x, (z, lower, n) in zip(P, found)]
-        for k, (z, lower, its) in zip(multi, found):
-            lowers[k], iterations[k] = lower, its
-            if norm.mask is None:
-                thetas[k] = z
-            else:
-                thetas[k][norm.mask] = z
-    return list(zip(thetas, lowers, iterations))
+    if multi.size:
+        norm.check_dim(X.shape[1])
+    if multi.size == 0 or (norm.p == 2 and norm.q == 2):
+        return thetas, lowers, iterations
+    some, P = Sets(sets.n[multi]), X[many[sets.sid]]
+    if norm.mask is not None:
+        P = P[:, norm.mask]
+    if norm.p == 1 and norm.q == 1:
+        Z = some.centres(P, np.median)
+    else:
+        Z, low, its = _interior_point(P, some, norm.p, norm.q)
+        low = low.tolist()
+        if norm.p == 1 and norm.q == 2:
+            Z, low = zip(*(_vertex_step(P[a:b], z, lower)
+                           for (a, b), z, lower in zip(some.bounds, Z, low)))
+        for k, lower, n in zip(multi.tolist(), low, its.tolist()):
+            lowers[k], iterations[k] = lower, n
+    if norm.mask is None:
+        thetas[multi] = np.array(Z)
+    else:
+        thetas[np.ix_(multi, np.flatnonzero(norm.mask))] = np.array(Z)
+    return thetas, lowers, iterations
 
 
-def _certificate(powers: np.ndarray, lower: float | None, iterations: int) -> ThetaCertificate:
-    """θ's certificate from its loss powers ‖x_n - θ‖^p and ``_optimal_maps``'
-    lower bound and iteration count."""
-    objective = float(np.mean(powers))
+def _certificate(objective: float, lower: float | None, iterations: int) -> ThetaCertificate:
+    """θ's certificate from its objective (the mean of its loss powers
+    ‖x_n - θ‖^p) and ``_optimal_maps``' lower bound and iteration count."""
     gap = 0.0 if lower is None else max(0.0, objective - lower)
     return ThetaCertificate(objective, gap, iterations)
 
@@ -606,11 +584,12 @@ def optimal_map_value(members, norm: NormSpec, certificate: bool = False):
     X = np.atleast_2d(np.asarray(members, dtype=np.float64))
     if X.shape[0] == 0:
         raise UsageError("optimal_map_value needs at least one member")
-    z, lower, iterations = _optimal_maps([X], norm)[0]
+    thetas, (lower,), (iterations,) = _optimal_maps(Sets([X.shape[0]]), X, norm)
+    z = thetas[0]
     if not certificate:
         return z
     powers = distance_powers(X, z, norm, "the objective of theta")
-    return z, _certificate(powers, lower, iterations)
+    return z, _certificate(float(np.mean(powers)), lower, iterations)
 
 
 @dataclass
@@ -680,8 +659,12 @@ def verify_bounds(c: FeasibleSetCollection, predictions: Mapping[str, Mapping],
     measurement id). The optimal per-set map is always evaluated as 'theta'.
     The lower inequality applies to every map; the theta upper bound is
     certified only for collections with uniformly sized feasible sets.
-    Each map's per-set losses and its aggregate loss (the ``core.loss`` value)
-    come from one array of member p-th powers per set.
+    Every set is evaluated in one stacked pass (``core.set_losses``): θ of
+    all sets from one ``_optimal_maps`` call, then every map's per-set and
+    aggregate losses (the ``core.loss`` value) from one array of p-th powers
+    of all members. A fault raises the error of the first failing set in
+    collection order and, within it, of the first failing map ('theta',
+    then ``predictions`` in order).
     """
     if not any(c.counts):
         raise DataError("collection has no members; bounds are vacuous")
@@ -690,12 +673,14 @@ def verify_bounds(c: FeasibleSetCollection, predictions: Mapping[str, Mapping],
 
     if "theta" in predictions:
         raise UsageError("prediction name 'theta' is reserved")
-    filled = [e for e in c.entries if e.count > 0]
-    solved = dict(zip([e.id for e in filled], _optimal_maps([e.members for e in filled], norm)))
-    named = {"theta": {k: z for k, (z, _, _) in solved.items()}, **predictions}
+    sets, X, ids = c.stacked
+    thetas, lowers, iterations = _optimal_maps(sets, X, norm)
+    named = {"theta": dict(zip(ids, thetas)), **predictions}
+    per_set, losses, powers = set_losses(sets, X, ids, named, norm)
+    # θ's certificate comes from θ's loss powers
+    objectives = sets.reduce(powers[0], np.mean).tolist()
 
-    powers = {name: [] for name in named}
-    per_meas = []
+    per_meas, j = [], 0
     for k, e in enumerate(c.entries):
         row = MeasurementReport(id=e.id, n_k=e.count, v_k=v[k],
                                 half_kersize_single=0.5 * v[k] ** (1.0 / norm.p))
@@ -703,15 +688,12 @@ def verify_bounds(c: FeasibleSetCollection, predictions: Mapping[str, Mapping],
         if e.count == 0:
             row.losses = dict.fromkeys(named)
             continue
-        for name, preds in named.items():
-            pw = loss_powers(e.members, preds, e.id, norm, name)
-            powers[name].append(pw)
-            row.losses[name] = power_mean([pw], norm.p)
-        # θ's certificate comes from θ's loss powers
-        cert = _certificate(powers["theta"][-1], *solved[e.id][1:])
-        row.theta_objective, row.theta_gap, row.theta_iterations = astuple(cert)
+        row.losses = {name: per_set[name][j] for name in named}
+        cert = _certificate(objectives[j], lowers[j], iterations[j])
+        row.theta_objective, row.theta_gap, row.theta_iterations = (
+            cert.objective, cert.gap, cert.iterations)
+        j += 1
 
-    losses = {name: power_mean(pws, norm.p) for name, pws in powers.items()}
     theta_loss = losses.pop("theta")
     lower_by_map = {name: at_most(half, lv) for name, lv in losses.items()}
     lower_by_map["theta"] = at_most(half, theta_loss)

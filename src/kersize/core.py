@@ -6,10 +6,23 @@ all operations are pure functions, so everything here is safe to share across
 threads. Every p-th power of a distance is taken by ``distance_powers`` (or
 ``norm_powers``) and every exact sum by ``exact_sum``: a value past the
 float64 range raises DataError, never a RuntimeWarning or an infinite result.
+
+Per-set quantities are computed over all sets at once. ``Sets`` is the row
+layout of non-empty sets stacked into one array, and
+``FeasibleSetCollection.stacked`` stacks a collection's members in it once.
+Per-set means, medians and sorts (``Sets.reduce``, ``Sets.centres``) group
+the sets by size and let numpy reduce each group's (G, s, ...) stack over
+its set axis: numpy reduces every set of such a stack in the order it
+reduces the set alone, so each set gets the same bits, which a reduceat
+sum over the stacked rows does not give. ``set_losses`` and ``loss`` take
+each map's p-th powers for all rows in one pass (the unchecked form of
+``distance_powers``), sum each set exactly, and raise the error of the first
+failing set, in collection order, that a per-set loop would raise.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -28,7 +41,8 @@ __all__ = [
     "p_dist",
     "check_keys",
     "nullable",
-    "loss_powers",
+    "Sets",
+    "set_losses",
     "power_mean",
     "loss",
     "dataset_from_collection",
@@ -204,16 +218,25 @@ def norm_powers(norms: np.ndarray, p: float, what: str) -> np.ndarray:
     return powers
 
 
+def _difference_powers(diff: np.ndarray, norm: NormSpec) -> np.ndarray:
+    """``‖r‖^p`` for each row r of the (n, d) array ``diff``, +inf past the
+    float64 range, for the caller to report."""
+    with np.errstate(over="ignore"):  # an infinite difference has an infinite power
+        return vector_norms(diff, norm) ** norm.p
+
+
 def distance_powers(a, b, norm: NormSpec, what: str) -> np.ndarray:
     """``‖a - b‖^p`` for each row of the broadcast difference ``a - b`` (shape
     (..., d) -> (...)), through ``vector_norms`` and so with its l2 rescue.
-    A difference or power past the float64 range raises DataError naming
-    ``what`` (see ``norm_powers``)."""
+    A difference or power past the float64 range raises
+    DataError("<what> overflows float64") instead of a RuntimeWarning."""
     with np.errstate(over="ignore"):  # an infinite difference has an infinite power
         diff = np.subtract(a, b)
     rows = diff.shape[:-1]
-    norms = vector_norms(diff.reshape(math.prod(rows), diff.shape[-1]), norm)
-    return norm_powers(norms, norm.p, what).reshape(rows)
+    powers = _difference_powers(diff.reshape(math.prod(rows), diff.shape[-1]), norm)
+    if not np.isfinite(powers).all():
+        raise DataError(f"{what} overflows float64")
+    return powers.reshape(rows)
 
 
 def exact_sum(values, what: str) -> float:
@@ -228,18 +251,91 @@ def exact_sum(values, what: str) -> float:
     return total
 
 
-def member_centre(members: np.ndarray, reduce) -> np.ndarray:
-    """``reduce(members, axis=0)`` (np.mean or np.median) of a non-empty (n, d)
-    array, without overflow: a column that leaves the float64 range is reduced
-    again from its members scaled by a power of two no smaller than 2n, which
-    is exact in the normal range. Every other column keeps its bits."""
+def member_centre(members: np.ndarray, reduce, axis: int = 0) -> np.ndarray:
+    """``reduce(members, axis=axis)`` (np.mean or np.median) over a non-empty
+    axis, without overflow: the rows of one (n, d) set, or axis 1 of a
+    (G, n, d) stack of sets of one size. An entry that leaves the float64
+    range is reduced again from its members scaled by a power of two no
+    smaller than 2n, which is exact in the normal range. Every other entry
+    keeps its bits."""
     with np.errstate(over="ignore", invalid="ignore"):  # recomputed just below
-        out = reduce(members, axis=0)
+        out = reduce(members, axis=axis)
     big = ~np.isfinite(out)
     if big.any():
-        shift = math.frexp(members.shape[0])[1] + 1
-        out[big] = np.ldexp(reduce(np.ldexp(members[:, big], -shift), axis=0), shift)
+        shift = math.frexp(members.shape[axis])[1] + 1
+        cols = big.reshape(-1, big.shape[-1]).any(axis=0)
+        again = np.ldexp(reduce(np.ldexp(members[..., cols], -shift), axis=axis), shift)
+        out[big] = again[big[..., cols]]
     return out
+
+
+class Sets:
+    """Row layout of non-empty sets stacked into one array: set k owns the
+    ``n[k]`` rows from ``starts[k]`` on, and ``sid`` maps each row to its set.
+
+    ``sums`` (np.add.reduceat) and ``fsums`` (exact) run over the rows of all
+    sets at once. ``reduce`` groups the sets by size and applies a numpy
+    function over the set axis of each group's (G, s, ...) stack. numpy
+    reduces each set of such a stack the same way, bit for bit, as the set
+    alone, which reduceat does not: a set's reduceat sum divided by n differs
+    from its ``np.mean`` in the last bit on most random sets.
+    """
+
+    def __init__(self, sizes):
+        self.n = np.asarray(sizes, dtype=np.intp)
+        stops = np.cumsum(self.n)
+        self.starts = stops - self.n
+        self.sid = np.repeat(np.arange(self.n.size), self.n)
+        self.bounds = list(zip(self.starts.tolist(), stops.tolist()))
+
+    @functools.cached_property
+    def _groups(self) -> list:
+        """(set indices (G,), row indices (G, s)) for each set size s."""
+        sizes, which = np.unique(self.n, return_inverse=True)
+        groups = []
+        for g, s in enumerate(sizes.tolist()):
+            ks = np.flatnonzero(which == g)
+            groups.append((ks, self.starts[ks, None] + np.arange(s)))
+        return groups
+
+    def sums(self, A: np.ndarray) -> np.ndarray:
+        """Per-set sums of the rows of A."""
+        return np.add.reduceat(A, self.starts, axis=0)
+
+    def reduce(self, A: np.ndarray, fn) -> np.ndarray:
+        """``fn(rows, axis=0)`` for each set's rows of A, with the bits of that
+        call: ``fn(stack, axis=1)`` on each size group's stack. A reduction
+        (np.mean, np.median, np.sum) gives one row per set, (K, ...); np.sort
+        gives A's shape, each set's rows sorted in place."""
+        out = None
+        for ks, rows in self._groups:
+            r = fn(A[rows], axis=1)
+            sorts = r.ndim > A.ndim
+            if out is None:
+                out = np.empty(A.shape if sorts else (self.n.size, *r.shape[1:]), r.dtype)
+            out[rows if sorts else ks] = r
+        return np.empty((0, *A.shape[1:])) if out is None else out
+
+    def centres(self, A: np.ndarray, reduce) -> np.ndarray:
+        """``member_centre`` of each set's rows of A, shape (K, d)."""
+        return self.reduce(A, functools.partial(member_centre, reduce=reduce))
+
+    def fsums(self, A: np.ndarray, which: np.ndarray | None = None) -> np.ndarray:
+        """Exact sum (math.fsum) of every entry of each set's rows of A, for
+        the sets chosen by the mask ``which`` (all by default): +inf where it
+        overflows, NaN where it is undefined or not chosen."""
+        w = A[0].size
+        values = A.ravel().tolist()
+        out = [math.nan] * self.n.size
+        for k in range(self.n.size) if which is None else np.flatnonzero(which).tolist():
+            a, b = self.bounds[k]
+            try:
+                out[k] = math.fsum(values[a * w : b * w])
+            except OverflowError:
+                out[k] = math.inf
+            except ValueError:  # inf - inf
+                pass
+        return np.array(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,6 +406,15 @@ class FeasibleSetCollection:
     def ids(self) -> tuple:
         return tuple(e.id for e in self.entries)
 
+    @functools.cached_property
+    def stacked(self) -> tuple:
+        """``(sets, X, ids)``: the members of the non-empty sets stacked into
+        one (M, d1) array X in collection order, their row layout (a
+        ``Sets``) and their ids."""
+        filled = [e for e in self.entries if e.count > 0]
+        X = np.vstack([e.members for e in filled]) if filled else np.zeros((0, self.d1))
+        return Sets([e.count for e in filled]), X, tuple(e.id for e in filled)
+
 
 @dataclass(frozen=True, eq=False)
 class PairedDataset:
@@ -361,22 +466,10 @@ class PairedDataset:
 
 def dataset_from_collection(c: FeasibleSetCollection) -> PairedDataset:
     """Flatten a collection into (x, y) pairs, set-major then member order."""
-    xs, ys, gs = [], [], []
-    for k, e in enumerate(c.entries):
-        if e.count == 0:
-            continue
-        xs.append(e.members)
-        ys.append(np.repeat(e.measurement[None, :], e.count, axis=0))
-        gs.append(np.full(e.count, k, dtype=np.intp))
-    if xs:
-        x = np.vstack(xs)
-        y = np.vstack(ys)
-        g = np.concatenate(gs)
-    else:
-        x = np.zeros((0, c.d1))
-        y = np.zeros((0, c.d2))
-        g = np.zeros(0, dtype=np.intp)
-    return PairedDataset(x=x, y=y, group=g, group_ids=c.ids)
+    sets, x, _ = c.stacked
+    filled = np.array([k for k, e in enumerate(c.entries) if e.count], dtype=np.intp)
+    y = np.array([c.entries[k].measurement for k in filled.tolist()]).reshape(-1, c.d2)
+    return PairedDataset(x=x, y=y[sets.sid], group=filled[sets.sid], group_ids=c.ids)
 
 
 def _group_rows(group: np.ndarray):
@@ -401,26 +494,63 @@ def collection_from_dataset(c: PairedDataset) -> FeasibleSetCollection:
     return FeasibleSetCollection(d1=c.x.shape[1], d2=c.y.shape[1], entries=tuple(entries))
 
 
-def loss_powers(members: np.ndarray, predictions: Mapping[str, Sequence], set_id: str,
-                norm: NormSpec, name: str | None = None) -> np.ndarray:
-    """``‖x - φ‖^p`` for each member x of set ``set_id``, φ its prediction.
+def _stack_predictions(ids, d: int, predictions: Mapping, of_map: str) -> tuple:
+    """``(Phi, k, error)``: the predictions for ``ids`` stacked, (k, d), up
+    to the first set k whose prediction is missing (DataError), not of shape
+    (d,) (UsageError) or not finite (DataError), with that error; k is
+    len(ids) and error None when every prediction passes."""
+    try:
+        Phi = np.array([predictions[i] for i in ids], dtype=np.float64)
+    except (KeyError, TypeError, ValueError):  # a missing or misshapen prediction, found below
+        Phi = None
+    k, error = len(ids), None
+    if Phi is None or Phi.shape != (k, d):
+        for k, i in enumerate(ids):
+            if i not in predictions:
+                error = DataError(f"missing prediction for measurement {i!r}{of_map}")
+                break
+            phi = np.asarray(predictions[i], dtype=np.float64)
+            if phi.shape != (d,):
+                error = UsageError(f"prediction for {i!r}{of_map} has shape {phi.shape}, "
+                                   f"expected ({d},)")
+                break
+        else:
+            k = len(ids)
+        Phi = np.array([predictions[i] for i in ids[:k]], dtype=np.float64).reshape(k, d)
+    bad = np.flatnonzero(~np.isfinite(Phi).all(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        error = DataError(f"prediction for {ids[k]!r}{of_map} is not finite")
+    return Phi[:k], k, error
 
-    A missing or non-finite prediction, or one so far from a member that the
-    p-th power overflows float64, raises DataError and one of the wrong
-    length UsageError; ``name`` labels the map in those messages.
-    """
-    of_map = "" if name is None else f" from map {name!r}"
-    if set_id not in predictions:
-        raise DataError(f"missing prediction for measurement {set_id!r}{of_map}")
-    phi = np.asarray(predictions[set_id], dtype=np.float64)
-    if phi.shape != (members.shape[1],):
-        raise UsageError(
-            f"prediction for {set_id!r}{of_map} has shape {phi.shape}, "
-            f"expected ({members.shape[1]},)"
-        )
-    if not np.isfinite(phi).all():
-        raise DataError(f"prediction for {set_id!r}{of_map} is not finite")
-    return distance_powers(members, phi, norm, f"loss of the prediction for {set_id!r}{of_map}")
+
+def _prediction_powers(sets: Sets, X: np.ndarray, ids, maps: Mapping, norm: NormSpec) -> tuple:
+    """``‖x - φ‖^p`` for every row x of the stacked sets X (set k named
+    ``ids[k]``) under each map's prediction φ for its set, one row per map,
+    shape (J, M), and each map's first failing set with its error,
+    ``(k, error)`` (``(K, None)`` where none fails). A set fails when its
+    prediction is missing, of the wrong shape or not finite, or so far from a
+    member that the p-th power overflows float64; the powers of a map's rows
+    from its first failing set on are meaningless. Each map takes one pass
+    over all rows, with one (M, d) temporary."""
+    K, d = sets.n.size, X.shape[1]
+    powers = np.empty((len(maps), X.shape[0]))
+    failed = []
+    for j, (name, predictions) in enumerate(maps.items()):
+        of_map = "" if name is None else f" from map {name!r}"
+        good, k, error = _stack_predictions(ids, d, predictions, of_map)
+        Phi = np.zeros((K, d))
+        Phi[:k] = good
+        diff = Phi[sets.sid]
+        with np.errstate(over="ignore"):  # an overflow fails its set, just below
+            np.subtract(X, diff, out=diff)
+        powers[j] = _difference_powers(diff, norm)
+        over = np.flatnonzero(~np.isfinite(powers[j]))
+        if over.size and sets.sid[over[0]] < k:
+            k = int(sets.sid[over[0]])
+            error = DataError(f"loss of the prediction for {ids[k]!r}{of_map} overflows float64")
+        failed.append((k, error))
+    return powers, failed
 
 
 def power_mean(powers: Sequence[np.ndarray], p: float) -> float:
@@ -433,16 +563,55 @@ def power_mean(powers: Sequence[np.ndarray], p: float) -> float:
     return (exact_sum(values, f"the sum of {n} p-th powers") / n) ** (1.0 / p)
 
 
+def set_losses(sets: Sets, X: np.ndarray, ids, maps: Mapping[str, Mapping],
+               norm: NormSpec) -> tuple:
+    """Each map's loss on every stacked set and on all of them together.
+
+    ``maps`` maps a name to per-set predictions keyed by the ids ``ids`` of
+    the sets of X. Returns ``(per_set, total, powers)``: ``per_set[name]``
+    lists the sets' losses ((1/n_k) Σ ‖x - φ‖^p)^(1/p), ``total[name]`` is
+    the loss over all M rows (the ``loss`` value) and ``powers`` the (J, M)
+    array of p-th powers in map order. Every power comes from one pass over
+    all maps and rows, and every sum is exact.
+
+    A fault raises the error of the first failing set in collection order
+    and, within it, of the first failing map in ``maps`` order (a missing,
+    misshapen or non-finite prediction, an overflowing power, then an
+    overflowing set sum); a total past the float64 range raises for the
+    first such map.
+    """
+    powers, failed = _prediction_powers(sets, X, ids, maps, norm)
+    sums = []
+    for j, (k_fail, _) in enumerate(failed):
+        s = sets.fsums(powers[j], np.arange(sets.n.size) < k_fail)
+        over = np.flatnonzero(np.isinf(s))
+        if over.size:
+            k = int(over[0])
+            failed[j] = (k, DataError(f"the sum of {sets.n[k]} p-th powers overflows float64"))
+        sums.append(s.tolist())
+    k, j = min((k, j) for j, (k, _) in enumerate(failed))
+    if k < sets.n.size:
+        raise failed[j][1]
+    n, root = sets.n.tolist(), 1.0 / norm.p
+    per_set = {name: [(t / m) ** root for t, m in zip(s, n)] for name, s in zip(maps, sums)}
+    total = {name: power_mean([pw], norm.p) for name, pw in zip(maps, powers)}
+    return per_set, total, powers
+
+
 def loss(dataset: PairedDataset, predictions: Mapping[str, Sequence], norm: NormSpec) -> float:
     """Empirical reconstruction loss ``((1/M) Σ ‖x_m - φ(y_m)‖^p)^(1/p)``.
 
     ``predictions`` assigns one signal estimate per measurement id present in
-    the dataset. For p = 2 with the Euclidean norm this is the RMSE.
+    the dataset. For p = 2 with the Euclidean norm this is the RMSE. All
+    pairs are evaluated in one pass, grouped by measurement; a fault raises
+    the error of the first failing measurement in group order.
     """
     if dataset.size == 0:
         raise DataError("loss is undefined on an empty dataset")
-    powers = [
-        loss_powers(dataset.x[rows], predictions, dataset.group_ids[k], norm)
-        for k, rows in _group_rows(dataset.group)
-    ]
-    return power_mean(powers, norm.p)
+    groups, counts = np.unique(dataset.group, return_counts=True)
+    ids = [dataset.group_ids[g] for g in groups.tolist()]
+    X = dataset.x[np.argsort(dataset.group, kind="stable")]
+    powers, ((_, error),) = _prediction_powers(Sets(counts), X, ids, {None: predictions}, norm)
+    if error is not None:
+        raise error
+    return power_mean([powers[0]], norm.p)

@@ -22,7 +22,7 @@ from scipy import ndimage
 
 from . import io
 from .bounds import at_most, verify_bounds
-from .core import NormSpec, PairedDataset, collection_from_dataset, loss, loss_powers, power_mean
+from .core import NormSpec, PairedDataset, collection_from_dataset, loss, set_losses
 from .forward import DownsampleModel, MicroscopyModel, NoiseSpec
 from .predictors import mean_map, median_map, upscale, zero_map
 from .sampling import SamplerSpec, build_feasible_sets_many
@@ -195,13 +195,10 @@ def superres_demo(out_dir=None, n_images: int = 12, size: int = 32, bands: int =
         "zero": zero_map(sym_collection),
         "mean": mean_map(sym_collection),
     }
-    # per map, one array of p-th powers per image gives both the per-image
-    # and the aggregate losses on the symmetrized dataset
-    powers = {
-        name: [loss_powers(e.members, preds, e.id, norm, name) for e in sym_collection.entries]
-        for name, preds in maps.items()
-    }
-    losses_sym = {name: power_mean(pws, norm.p) for name, pws in powers.items()}
+    # one stacked pass gives both the per-image and the aggregate losses on
+    # the symmetrized dataset
+    sets, members, sym_ids = sym_collection.stacked
+    per_set, losses_sym, _ = set_losses(sets, members, sym_ids, maps, norm)
     losses_orig = {name: loss(pairs, preds, norm) for name, preds in maps.items()}
 
     upscaler_losses = [losses_sym["bilinear"], losses_sym["bicubic"]]
@@ -214,8 +211,8 @@ def superres_demo(out_dir=None, n_images: int = 12, size: int = 32, bands: int =
     per_image = []
     for i, ident in enumerate(ids):
         row = {"id": ident, "skersize_single": float(result.v_norms[i])}
-        for name, pws in powers.items():
-            row[f"{name}_loss"] = power_mean([pws[i]], norm.p)
+        for name, losses in per_set.items():
+            row[f"{name}_loss"] = losses[i]
         per_image.append(row)
 
     out = {

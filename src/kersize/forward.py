@@ -153,23 +153,44 @@ class ForwardModel:
     # -- noisy application ----------------------------------------------------
 
     def apply(self, x, e) -> np.ndarray:
-        """Apply the forward model with an explicit admissible noise vector."""
-        x = as_vector(x, "signal")
-        e = as_vector(e, "noise")
-        if e.shape[0] != self.d3:
+        """Apply the forward model with an explicit admissible noise vector:
+        the one-row call of ``apply_batch``."""
+        return self.apply_batch(as_vector(x, "signal")[None, :], as_vector(e, "noise")[None, :])[0]
+
+    def apply_batch(self, X, E) -> np.ndarray:
+        """Measure each row of the (n, d1) signals X with the matching row of
+        the (n, d3) noise E; row i is bit for bit ``apply(X[i], E[i])``. A
+        noise row outside the noise set raises DataError; a signal outside
+        the signal box warns."""
+        X = np.asarray(X, dtype=np.float64)
+        E = np.asarray(E, dtype=np.float64)
+        if not np.isfinite(X).all():
+            raise DataError("signal contains non-finite entries")
+        if not np.isfinite(E).all():
+            raise DataError("noise contains non-finite entries")
+        if E.shape != (X.shape[0], self.d3):
             raise UsageError(f"noise vector must have length {self.d3}")
         ns = self.noise
-        # one ball per row of e; mixed noise is the product of two inf balls
+        # one ball per d2 entries of a noise row; mixed noise is the product of two inf balls
         radii = {"additive": [ns.eps_additive], "multiplicative": [ns.eps_multiplicative],
                  "mixed": [ns.eps_multiplicative, ns.eps_additive]}[ns.kind]
-        if not np.all(ns.row_norms(e.reshape(len(radii), self.d2)) <= radii):
+        if not np.all(ns.row_norms(E.reshape(-1, self.d2)).reshape(-1, len(radii)) <= radii):
             raise DataError("noise vector lies outside the noise set")
-        g = self.noiseless(x)
+        if X.ndim != 2 or X.shape[1] != self.d1:
+            raise UsageError(f"signal length {X.shape[-1]} != d1={self.d1}")
+        if not self.within_bounds(X).all():
+            warnings.warn("signal lies outside signal_bounds", stacklevel=2)
+        g = self._noiseless_rows(X)
         if ns.kind == "additive":
-            return g + e
+            return g + E
         if ns.kind == "multiplicative":
-            return g * e
-        return g * (1.0 + e[: self.d2]) + e[self.d2 :]
+            return g * E
+        return g * (1.0 + E[:, : self.d2]) + E[:, self.d2 :]
+
+    def _noiseless_rows(self, X: np.ndarray) -> np.ndarray:
+        """``noiseless_batch(X)``, each row rounded as if it were measured
+        alone; the built-in elementwise and einsum forms are."""
+        return self.noiseless_batch(X)
 
     # -- feasibility ----------------------------------------------------------
 
@@ -248,6 +269,12 @@ class LinearModel(ForwardModel):
 
     def noiseless_batch(self, X: np.ndarray) -> np.ndarray:
         return np.atleast_2d(X) @ self.matrix.T
+
+    def _noiseless_rows(self, X: np.ndarray) -> np.ndarray:
+        # a batched X @ A.T rounds a row differently from the row alone (a
+        # matrix-matrix against a matrix-vector BLAS call)
+        return np.array([X[i : i + 1] @ self.matrix.T for i in range(X.shape[0])]).reshape(
+            X.shape[0], self.d2)
 
     def to_dict(self) -> dict:
         return {

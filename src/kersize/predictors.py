@@ -2,7 +2,10 @@
 
 Each ``*_map`` helper returns per-measurement predictions keyed by
 measurement id, the form the loss and report functions consume; these
-estimators look only at feasible-set members. ``upscale`` resizes one
+estimators look only at feasible-set members. The mean and median maps
+reduce every non-empty set in one pass over the collection's stacked
+members (``FeasibleSetCollection.stacked``), each set with the bits of its
+own ``core.member_centre``. ``upscale`` resizes one
 low-resolution measurement of a downsampling model back to signal shape.
 None of them is privileged: the bounds hold for arbitrary maps, these are
 just the standard baselines.
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FeasibleSetCollection, UsageError, member_centre
+from .core import FeasibleSetCollection, UsageError
 from .forward import DownsampleModel
 
 __all__ = [
@@ -23,22 +26,23 @@ __all__ = [
 ]
 
 
-def _nonempty(c: FeasibleSetCollection):
-    return (e for e in c.entries if e.count > 0)
+def _centres(c: FeasibleSetCollection, reduce) -> dict:
+    sets, X, ids = c.stacked
+    return dict(zip(ids, sets.centres(X, reduce)))
 
 
 def mean_map(c: FeasibleSetCollection) -> dict:
     """Coordinate mean of each feasible set (the optimal map for p = q = 2)."""
-    return {e.id: member_centre(e.members, np.mean) for e in _nonempty(c)}
+    return _centres(c, np.mean)
 
 
 def median_map(c: FeasibleSetCollection) -> dict:
     """Coordinate-wise median of each feasible set."""
-    return {e.id: member_centre(e.members, np.median) for e in _nonempty(c)}
+    return _centres(c, np.median)
 
 
 def zero_map(c: FeasibleSetCollection) -> dict:
-    return {e.id: np.zeros(c.d1) for e in _nonempty(c)}
+    return {i: np.zeros(c.d1) for i in c.stacked[2]}
 
 
 def upscale(model: DownsampleModel, y, order: int = 1) -> np.ndarray:

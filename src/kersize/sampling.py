@@ -296,7 +296,11 @@ _Job = namedtuple("_Job", "sampler ids ys anchors rngs half n_target")
 
 def _plan(model, measurements=None, *, generate: int | None = None, ground_truths=None,
           sampler: SamplerSpec) -> _Job:
-    """Check one job and draw its measurements; no proposal is drawn."""
+    """Check one job and draw its measurements; no proposal is drawn. In
+    ``generate`` and ``ground_truths`` modes set k's ground truth and noise
+    come from its own (seed, k) measurement stream, and one ``apply_batch``
+    call measures every set's ground truth, bit for bit as one ``apply``
+    call per set would."""
     modes = sum(arg is not None for arg in (measurements, generate, ground_truths))
     if modes != 1:
         raise UsageError("pass exactly one of measurements=, generate= or ground_truths=")
@@ -327,13 +331,15 @@ def _plan(model, measurements=None, *, generate: int | None = None, ground_truth
     anchors = None
     if measurements is None:
         b = model.signal_bounds
-        anchors, ys = [], []
+        anchors, noise = [], []
         for k, gen_rng in enumerate(gen_rngs):
             x_true = (truths[k] if truths is not None
                       else gen_rng.uniform(b[:, 0], b[:, 1], size=model.d1))
-            e = model.noise.sample(gen_rng, model.d2)
-            ys.append(model.apply(x_true, e))
+            noise.append(model.noise.sample(gen_rng, model.d2))
+            if x_true.shape[0] != model.d1:
+                raise UsageError(f"signal length {x_true.shape[0]} != d1={model.d1}")
             anchors.append(x_true)
+        ys = list(model.apply_batch(np.array(anchors), np.array(noise)))
     n_target = sampler.n_max - (anchors is not None)
     return _Job(sampler, ids, ys, anchors, sample_rngs, half, n_target)
 

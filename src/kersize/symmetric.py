@@ -34,7 +34,9 @@ last block, before anything is returned.
 
 The p-th powers of the kernel components go through ``core.norm_powers``
 and their sum through ``core.power_mean``: a value past the float64 range
-is a DataError, never an infinite skersize.
+is a DataError, never an infinite skersize. A reflection x - 2Px whose
+2Px overflows is recomputed as (x - Px) - Px, and one past the float64
+range is a DataError as well.
 """
 
 from __future__ import annotations
@@ -304,7 +306,11 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
             np.einsum("ij,nbj->nbi", block, vectors, out=projected[:, :, I])
         else:
             projected[:, I] = vectors @ block.T
-    refl = vectors - 2.0 * projected
+    with np.errstate(over="ignore"):  # 2Px may overflow where x - 2Px fits
+        refl = vectors - 2.0 * projected
+        lost = ~np.isfinite(refl)
+        if lost.any():
+            refl[lost] = (vectors[lost] - projected[lost]) - projected[lost]
     n = kernel_of.shape[1]  # the signal coordinates of a band, or of the whole pair
     v = projected[..., :n].reshape(pairs.size, -1)
     x_refl = refl[..., :n].reshape(pairs.size, -1)
@@ -317,6 +323,9 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
     v_norms = vector_norms(v, norm)
     value = power_mean([norm_powers(v_norms, norm.p, "the p-th power of a kernel component")],
                        norm.p)
+    lost = np.flatnonzero(~np.isfinite(refl.reshape(pairs.size, -1)).all(axis=1))
+    if lost.size:
+        raise DataError(f"the reflection of pair {int(lost[0])} overflows float64")
     outside = np.flatnonzero(~model.within_bounds(x_refl))
     symmetrized = PairedDataset(
         x=np.vstack([x, x_refl]),

@@ -165,6 +165,57 @@ class TestApply:
         np.testing.assert_allclose(mixed.apply([10.0], [0.1, 0.0, -0.5, 0.5]), [10.5, 20.5])
 
 
+    NOISES = {
+        "additive": NoiseSpec(kind="additive", eps_additive=0.3),
+        "multiplicative": NoiseSpec(kind="multiplicative", eps_multiplicative=0.2),
+        "mixed": NoiseSpec(kind="mixed", eps_multiplicative=0.05, eps_additive=1.0),
+        "l2": NoiseSpec(kind="additive", eps_additive=0.3, ball="l2"),
+    }
+
+    @staticmethod
+    def batch_models():
+        rng = np.random.default_rng(12)
+        A = rng.normal(size=(7, 11))
+        for name, noise in TestApply.NOISES.items():
+            yield f"linear-{name}", LinearModel(A, noise, [[-1, 1]] * 11)
+            if name != "l2":
+                yield f"microscopy-{name}", small_microscope(
+                    name, noise.eps_multiplicative, noise.eps_additive)
+        yield "downsample", DownsampleModel(2, 8, 12, 4, 1.0, TestApply.NOISES["additive"])
+
+    def test_batch_rows_are_one_row_calls_bit_for_bit(self):
+        """Row i of ``apply_batch`` is ``apply(X[i], E[i])``, which in turn is
+        the noise-free measurement of x alone with its noise added."""
+        rng = np.random.default_rng(13)
+        for name, m in self.batch_models():
+            b = m.signal_bounds
+            X = rng.uniform(b[:, 0], b[:, 1], size=(40, m.d1))
+            E = np.vstack([m.noise.sample(rng, m.d2) for _ in X])
+            Y = m.apply_batch(X, E)
+            assert Y.shape == (40, m.d2), name
+            for x, e, y in zip(X, E, Y):
+                assert y.tobytes() == m.apply(x, e).tobytes(), name
+                g, kind = m.noiseless_batch(x[None, :])[0], m.noise.kind
+                if kind == "additive":
+                    want = g + e
+                elif kind == "multiplicative":
+                    want = g * e
+                else:
+                    want = g * (1.0 + e[: m.d2]) + e[m.d2 :]
+                assert y.tobytes() == want.tobytes(), name
+
+    def test_batch_checks_every_row(self):
+        m = averaging_model(eps=0.5)
+        X = np.zeros((4, 2))
+        with pytest.raises(DataError, match="outside the noise set"):
+            m.apply_batch(X, [[0.1], [0.2], [0.6], [0.0]])
+        X[2, 0] = 11.0
+        with pytest.warns(UserWarning, match="outside signal_bounds"):
+            m.apply_batch(X, np.zeros((4, 1)))
+        with pytest.raises(UsageError, match="must have length 1"):
+            m.apply_batch(X, np.zeros((4, 2)))
+
+
 class TestFeasibility:
     def test_noiseless_measurement_always_feasible(self):
         m = averaging_model(eps=0.0)

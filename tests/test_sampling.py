@@ -343,10 +343,10 @@ class TestBuildFeasibleSets:
         jobs = [{"ground_truths": [[0.0, 0.0]], "sampler": walk},
                 {"ground_truths": [[0.0, 0.0], [0.5, 0.5]], "sampler": walk}]
 
-        def apply(x, e):  # measures the second truth of job 1 beyond the noise
-            return x + e + (1.0 if x[0] == 0.5 else 0.0)
+        def apply_batch(X, E):  # measures the second truth of job 1 beyond the noise
+            return X + E + np.where(X[:, :1] == 0.5, 1.0, 0.0)
 
-        m.apply = apply
+        m.apply_batch = apply_batch
         with pytest.raises(DataError, match="'m01' of job 1"):
             sampling.build_feasible_sets_many(m, jobs)
 
@@ -394,8 +394,8 @@ class TestBuildFeasibleSets:
         class Offset(LinearModel):
             """Measures truths with x0 > 0.5 one unit off, beyond the noise."""
 
-            def apply(self, x, e):
-                return super().apply(x, e) + (1.0 if x[0] > 0.5 else 0.0)
+            def apply_batch(self, X, E):
+                return super().apply_batch(X, E) + np.where(X[:, :1] > 0.5, 1.0, 0.0)
 
         m = Offset(np.eye(2), NoiseSpec(kind="additive", eps_additive=0.1), [[-1, 1]] * 2)
         s = SamplerSpec(kind="random_walk", n_max=5, seed=0, budget=100, step_scale=0.1)

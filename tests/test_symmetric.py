@@ -439,6 +439,15 @@ class TestSkersize:
         with pytest.raises(UsageError, match="operator must be a matrix"):
             skersize(self.single_pair(), operator, NoiseSpec(kind="additive"), EUCLID)
 
+    def test_reflection_past_overflowing_doubled_projection(self):
+        """2Px overflows where x - 2Px fits: with the zero operator P = I and
+        the reflection is -x, and skersize ‖x‖ fits float64 (no warning)."""
+        x = np.array([[5e307, 1.7e308]])
+        res = skersize(pairs_of(x, np.zeros((1, 1))), np.zeros((1, 2)),
+                       NoiseSpec(kind="additive"), NormSpec(p=1))
+        assert res.skersize == pytest.approx(1.77200451e308, rel=1e-8)
+        assert res.symmetrized.x[1].tobytes() == (-x[0]).tobytes()
+
     def test_raw_matrix_has_no_signal_box(self):
         x = np.array([[1e6, -1e6]])
         res = skersize(pairs_of(x, x @ AVG.T), AVG, NoiseSpec(kind="additive"), EUCLID)
