@@ -434,7 +434,16 @@ def _interior_point(P: np.ndarray, sets: Sets, p: float, q: float) -> tuple:
     big = ~np.isfinite(centre).all(axis=1)
     if big.any():  # a sum past the float range: the set's mean, without overflow
         centre[big] = Sets(sets.n[big]).centres(P[big[sets.sid]], np.mean)
-    scale = np.maximum.reduceat(np.abs(P - centre[sets.sid]).max(axis=1), sets.starts)
+    with np.errstate(over="ignore"):  # a set spanning the float range: rescaled just below
+        scale = np.maximum.reduceat(np.abs(P - centre[sets.sid]).max(axis=1), sets.starts)
+    wide = ~np.isfinite(scale)
+    if wide.any():  # solve such a set at a quarter of its size, where its spread is a float
+        theta, lower, steps = _interior_point(
+            np.where(wide[sets.sid, None], np.ldexp(P, -2), P), sets, p, q)
+        theta[wide] = np.ldexp(theta[wide], 2)
+        with np.errstate(over="ignore"):  # an objective past the float range
+            lower[wide] *= 4.0**p
+        return theta, lower, steps
     theta, lower_out, steps_out = P[sets.starts].copy(), np.zeros(K), np.zeros(K, dtype=int)
     live = scale != 0.0  # a set of identical members is solved: θ is that member
     ids = np.flatnonzero(live)
@@ -515,6 +524,11 @@ def _vertex_step(X: np.ndarray, z: np.ndarray, lower: float) -> tuple:
     -Σ y_n; by Kuhn's test (Kuhn 1973) x_j is optimal, with a zero gap, when
     ‖Σ y_n‖ ≤ its multiplicity. Returns x_j if f(x_j) ≤ f(z), else z, and the
     larger of ``lower`` and the Fenchel bound at x_j."""
+    with np.errstate(over="ignore"):
+        wide = not np.isfinite(X.max(axis=0) - X.min(axis=0)).all()
+    if wide:  # a set spanning the float range, at a quarter of its size (f scales by 4)
+        v, lower = _vertex_step(np.ldexp(X, -2), np.ldexp(z, -2), lower / 4.0)
+        return np.ldexp(v, 2), 4.0 * lower
     to_z = _q_norms(X - z, 2.0)
     v = X[np.argmin(to_z)].copy()
     R = X - v

@@ -51,7 +51,7 @@ from .core import (
     loss,
     nullable,
 )
-from .forward import DownsampleModel, LinearModel, NoiseSpec, model_from_dict
+from .forward import NoiseSpec, model_from_dict
 from .predictors import median_map, zero_map
 from .sampling import SamplerSpec, build_feasible_sets
 from .symmetric import skersize as compute_skersize
@@ -234,10 +234,8 @@ def _cmd_validate(args) -> int:
 def _cmd_skersize(args) -> int:
     collection, norm, out = _inputs(args)
     if args.model:
-        model = _load_model(io.read_json(args.model), Path(args.model).parent)
-        if not isinstance(model, (DownsampleModel, LinearModel)):
-            raise UsageError("skersize needs a linear or downsampling model")
-        operator, noise = model, model.noise
+        operator = _load_model(io.read_json(args.model), Path(args.model).parent)
+        noise = operator.noise
     else:
         operator = io.read_vectors_csv(args.matrix)
         noise = NoiseSpec(kind="additive", eps_additive=args.eps_additive)

@@ -58,22 +58,17 @@ def _walk_steps(model: MicroscopyModel, theta: np.ndarray, frac: float = 0.7) ->
     """Per-parameter random-walk step widths from a local feasibility estimate.
 
     The feasible slab along parameter j is roughly tol / |dmu/dtheta_j| wide,
-    with tol the pointwise acceptance margin; stepping a fraction of that
+    with tol the noise set's pointwise half-width; stepping a fraction of that
     keeps the walk's acceptance rate usable across very different setups.
     """
-    mu = model.intensity(theta)
-    tol = model.noise.eps_additive + model.noise.eps_multiplicative * np.abs(mu)
+    h = np.maximum(1e-4, 1e-6 * np.abs(theta))
+    probes = np.vstack([theta, theta + np.diag(h), theta - np.diag(h)])
+    mu = model.noiseless_batch(probes)  # theta, then theta ± h_j e_j
+    tol = model.noise.halfwidth(mu[0])
+    mag = np.abs(mu[1:6] - mu[6:]) / (2 * h[:, None])  # |dmu/dtheta_j|, row j
+    allowed = np.where(mag > 1e-12, tol / np.maximum(mag, 1e-12), np.inf).min(axis=1)
     b = model.signal_bounds
-    steps = np.empty(5)
-    for j in range(5):
-        h = max(1e-4, 1e-6 * abs(theta[j]))
-        d = np.zeros(5)
-        d[j] = h
-        grad = (model.intensity(theta + d) - model.intensity(theta - d)) / (2 * h)
-        mag = np.abs(grad)
-        allowed = np.min(np.where(mag > 1e-12, tol / np.maximum(mag, 1e-12), np.inf))
-        steps[j] = frac * min(allowed, b[j, 1] - b[j, 0])
-    return steps
+    return frac * np.minimum(allowed, b[:, 1] - b[:, 0])
 
 
 def microscopy_demo(out_dir=None, k: int = 10, n_max: int = 200, seed: int = 1) -> dict:
@@ -181,7 +176,7 @@ def superres_demo(out_dir=None, n_images: int = 12, size: int = 32, bands: int =
     imgs = _smooth_images(rng, n_images, bands, size, size, model.r_max)
     x = imgs.reshape(n_images, model.d1)
     e = np.vstack([model.noise.sample(rng, model.d2) for _ in range(n_images)])
-    y = model.noiseless_batch(x) + e
+    y = model.apply_batch(x, e)
     width = max(2, len(str(n_images - 1)))
     ids = tuple(f"img{i:0{width}d}" for i in range(n_images))
     pairs = PairedDataset(x=x, y=y, group=np.arange(n_images), group_ids=ids)

@@ -8,12 +8,13 @@ Three built-in model families:
 * ``MicroscopyModel`` -- pixel-integrated Gaussian PSF camera image of a single
   emitter, parameterised by (x, y, z, C, h) (+ noise)
 
-Noise enters additively, multiplicatively, or as the mixed form
-``mu * (1 + e1) + e2``. Noise sets are componentwise (inf-norm) balls by
-default; an l2 ball is available for the additive and multiplicative kinds.
-Feasibility -- "does some admissible noise map x onto y exactly" -- reduces to
-closed-form interval tests, so sampler acceptance is exact rather than
-tolerance-fragile.
+A model computes only its noise-free rows g = ``noiseless_batch(X)``.
+``NoiseSpec`` owns how noise enters: additively (g + e), multiplicatively
+(g * e) or mixed, g * (1 + e1) + e2, in componentwise (inf-norm) balls by
+default or an l2 ball for the pure kinds. It tests noise membership, composes
+measurements and decides feasibility -- "does some admissible noise map g
+onto y exactly" -- by closed-form interval tests with no tolerance, so
+sampler acceptance is exact rather than tolerance-fragile.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import DataError, UsageError, as_vector, check_keys, l2_overflow_rescaled
+from .core import DataError, UsageError, check_keys, l2_overflow_rescaled
 
 __all__ = [
     "NoiseSpec",
@@ -83,6 +84,43 @@ class NoiseSpec:
             norms = np.sqrt((E * E).sum(axis=1))
         return l2_overflow_rescaled(norms, E)
 
+    def contains(self, E: np.ndarray) -> np.ndarray:
+        """True for each row of the (n, d3) noise E that lies in the noise
+        set: one ball per d2 entries, mixed noise being the product of the
+        multiplicative and the additive inf ball."""
+        radii = {"additive": [self.eps_additive], "multiplicative": [self.eps_multiplicative],
+                 "mixed": [self.eps_multiplicative, self.eps_additive]}[self.kind]
+        norms = self.row_norms(E.reshape(-1, E.shape[1] // len(radii)))
+        return (norms.reshape(-1, len(radii)) <= radii).all(axis=1)
+
+    def compose(self, g: np.ndarray, E: np.ndarray) -> np.ndarray:
+        """Measurements of the (n, d2) noise-free rows g under the matching
+        rows of the (n, d3) noise E."""
+        if self.kind == "additive":
+            return g + E
+        if self.kind == "multiplicative":
+            return g * E
+        d2 = g.shape[-1]
+        return g * (1.0 + E[:, :d2]) + E[:, d2:]
+
+    def halfwidth(self, g: np.ndarray) -> np.ndarray:
+        """eps_additive + eps_multiplicative·|g|: half the width of the values each
+        entry of g reaches under inf-ball noise, centred on g (on 0 if multiplicative)."""
+        return self.eps_additive + self.eps_multiplicative * np.abs(g)
+
+    def feasible(self, y: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Whether some noise in the set composes each (n, d2) noise-free row
+        g into y, exactly: y is one measurement (d2,) or one per row (n, d2)."""
+        if self.kind == "additive":
+            return self.row_norms(y - g) <= self.eps_additive
+        if self.kind == "multiplicative":
+            zero = g == 0.0  # an entry with g = 0 is reached only by y = 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(zero, 0.0, y / np.where(zero, 1.0, g))
+            return ((self.row_norms(ratio) <= self.eps_multiplicative)
+                    & ((y == 0.0) | ~zero).all(axis=1))
+        return (np.abs(y - g) <= self.halfwidth(g)).all(axis=1)
+
     def sample(self, rng: np.random.Generator, d2: int) -> np.ndarray:
         """One noise vector drawn uniformly from the noise set.
 
@@ -122,7 +160,7 @@ class NoiseSpec:
 
 
 class ForwardModel:
-    """Base class: noise composition, feasibility, bounds bookkeeping.
+    """Base class: measurement and feasibility through ``noise``, bounds bookkeeping.
 
     Subclasses provide the noise-free component via ``noiseless_batch`` and
     the dimensions/bounds; everything else is shared.
@@ -132,60 +170,30 @@ class ForwardModel:
     d1: int
     d2: int
 
-    @property
-    def d3(self) -> int:
-        return self.noise.dim(self.d2)
-
-    # -- noise-free component -------------------------------------------------
-
     def noiseless_batch(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def noiseless(self, x) -> np.ndarray:
-        """Noise-free measurement of a single signal."""
-        x = as_vector(x, "signal")
-        if x.shape[0] != self.d1:
-            raise UsageError(f"signal length {x.shape[0]} != d1={self.d1}")
-        if not self.within_bounds(x[None, :])[0]:
-            warnings.warn("signal lies outside signal_bounds", stacklevel=2)
-        return self.noiseless_batch(x[None, :])[0]
-
-    # -- noisy application ----------------------------------------------------
-
-    def apply(self, x, e) -> np.ndarray:
-        """Apply the forward model with an explicit admissible noise vector:
-        the one-row call of ``apply_batch``."""
-        return self.apply_batch(as_vector(x, "signal")[None, :], as_vector(e, "noise")[None, :])[0]
-
     def apply_batch(self, X, E) -> np.ndarray:
         """Measure each row of the (n, d1) signals X with the matching row of
-        the (n, d3) noise E; row i is bit for bit ``apply(X[i], E[i])``. A
-        noise row outside the noise set raises DataError; a signal outside
-        the signal box warns."""
+        the (n, d3) noise E; row i is bit for bit the one-row call on
+        (X[i], E[i]). A noise row outside the noise set raises DataError; a
+        signal outside the signal box warns."""
         X = np.asarray(X, dtype=np.float64)
         E = np.asarray(E, dtype=np.float64)
         if not np.isfinite(X).all():
             raise DataError("signal contains non-finite entries")
         if not np.isfinite(E).all():
             raise DataError("noise contains non-finite entries")
-        if E.shape != (X.shape[0], self.d3):
-            raise UsageError(f"noise vector must have length {self.d3}")
-        ns = self.noise
-        # one ball per d2 entries of a noise row; mixed noise is the product of two inf balls
-        radii = {"additive": [ns.eps_additive], "multiplicative": [ns.eps_multiplicative],
-                 "mixed": [ns.eps_multiplicative, ns.eps_additive]}[ns.kind]
-        if not np.all(ns.row_norms(E.reshape(-1, self.d2)).reshape(-1, len(radii)) <= radii):
+        d3 = self.noise.dim(self.d2)
+        if E.shape != (X.shape[0], d3):
+            raise UsageError(f"noise vector must have length {d3}")
+        if not self.noise.contains(E).all():
             raise DataError("noise vector lies outside the noise set")
         if X.ndim != 2 or X.shape[1] != self.d1:
             raise UsageError(f"signal length {X.shape[-1]} != d1={self.d1}")
         if not self.within_bounds(X).all():
             warnings.warn("signal lies outside signal_bounds", stacklevel=2)
-        g = self._noiseless_rows(X)
-        if ns.kind == "additive":
-            return g + E
-        if ns.kind == "multiplicative":
-            return g * E
-        return g * (1.0 + E[:, : self.d2]) + E[:, self.d2 :]
+        return self.noise.compose(self._noiseless_rows(X), E)
 
     def _noiseless_rows(self, X: np.ndarray) -> np.ndarray:
         """``noiseless_batch(X)``, each row rounded as if it were measured
@@ -194,38 +202,19 @@ class ForwardModel:
 
     # -- feasibility ----------------------------------------------------------
 
-    def feasible_batch(self, X: np.ndarray, y: np.ndarray, atol: float = 0.0) -> np.ndarray:
-        """Vectorized feasibility of each row of X against its measurement.
-
-        ``y`` is one measurement of shape (d2,) shared by every row, or one
-        measurement per row of X, of shape (n, d2). ``atol`` widens the
-        acceptance intervals by an absolute amount; the default 0 keeps the
-        predicate exact. A tiny atol absorbs float roundoff when re-checking
-        points produced by ``apply``.
-        """
+    def feasible_batch(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Exact feasibility of each row of X against y: one measurement (d2,)
+        shared by every row, or one per row of X, (n, d2)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64)
         if X.shape[1] != self.d1:
             raise UsageError(f"signal length {X.shape[1]} != d1={self.d1}")
-        if y.shape == (self.d2,):
-            y = y[None, :]
-        elif y.shape != (X.shape[0], self.d2):
+        if y.shape != (self.d2,) and y.shape != (X.shape[0], self.d2):
             raise UsageError(
                 f"measurement shape {y.shape} is neither ({self.d2},) "
                 f"nor ({X.shape[0]}, {self.d2})"
             )
-        g = self.noiseless_batch(X)
-        kind, ns = self.noise.kind, self.noise
-        if kind == "additive":
-            return ns.row_norms(y - g) <= ns.eps_additive + atol
-        if kind == "multiplicative":
-            zero = g == 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(zero, 0.0, y / np.where(zero, 1.0, g))
-            ok_zero = (np.abs(y) <= atol) | ~zero
-            return (ns.row_norms(ratio) <= ns.eps_multiplicative + atol) & ok_zero.all(axis=1)
-        bound = np.abs(g) * ns.eps_multiplicative + ns.eps_additive + atol
-        return (np.abs(y - g) <= bound).all(axis=1)
+        return self.noise.feasible(y, self.noiseless_batch(X))
 
     # -- signal bounds ---------------------------------------------------------
 
@@ -439,7 +428,7 @@ class MicroscopyModel(ForwardModel):
         e = erf(a)
         return 0.5 * (e[:, 1:] - e[:, :-1])
 
-    def intensity_batch(self, T: np.ndarray) -> np.ndarray:
+    def noiseless_batch(self, T: np.ndarray) -> np.ndarray:
         T = np.atleast_2d(np.asarray(T, dtype=np.float64))
         if T.shape[1] != 5:
             raise UsageError("microscopy signals have 5 components (x, y, z, C, h)")
@@ -450,12 +439,6 @@ class MicroscopyModel(ForwardModel):
         t = self.exposure
         mu = c[:, None, None] * t + (h[:, None, None] * t) * (mx[:, :, None] * my[:, None, :])
         return mu.reshape(T.shape[0], self.d2)
-
-    def intensity(self, theta) -> np.ndarray:
-        """Expected pixel intensities for a single (x, y, z, C, h)."""
-        return self.intensity_batch(np.asarray(theta, dtype=np.float64)[None, :])[0]
-
-    noiseless_batch = intensity_batch
 
     def to_dict(self) -> dict:
         return {

@@ -299,8 +299,8 @@ def _plan(model, measurements=None, *, generate: int | None = None, ground_truth
     """Check one job and draw its measurements; no proposal is drawn. In
     ``generate`` and ``ground_truths`` modes set k's ground truth and noise
     come from its own (seed, k) measurement stream, and one ``apply_batch``
-    call measures every set's ground truth, bit for bit as one ``apply``
-    call per set would."""
+    call measures every set's ground truth, bit for bit as one one-row call
+    per set would."""
     modes = sum(arg is not None for arg in (measurements, generate, ground_truths))
     if modes != 1:
         raise UsageError("pass exactly one of measurements=, generate= or ground_truths=")

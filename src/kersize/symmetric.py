@@ -273,15 +273,19 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
         raise DataError("empty dataset")
     model = operator
     if not isinstance(model, (LinearModel, DownsampleModel)):
-        A = np.asarray(operator, dtype=np.float64)
-        if A.ndim != 2:
+        try:  # any other forward model is not a matrix either
+            A = np.asarray(operator, dtype=np.float64)
+        except (TypeError, ValueError):
+            A = None
+        if A is None or A.ndim != 2:
             raise UsageError("operator must be a matrix, a LinearModel or a DownsampleModel")
         model = LinearModel(A, noise, np.tile([-np.inf, np.inf], (A.shape[1], 1)))
     if model.d1 != pairs.d1:
         raise UsageError(f"operator has {model.d1} columns, pairs have d1={pairs.d1}")
 
     x = pairs.x
-    e = pairs.y - model.noiseless_batch(x)
+    with np.errstate(over="ignore"):  # a product past the float range is infeasible,
+        e = pairs.y - model.noiseless_batch(x)  # which is raised just below
     feas_atol = 1e-9 * max(1.0, float(np.abs(pairs.y).max(initial=0.0)))
     e_norms = noise.row_norms(e)
     bad = np.flatnonzero(e_norms > noise.eps_additive + feas_atol)

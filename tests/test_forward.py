@@ -1,5 +1,7 @@
 """Tests for the forward models and their feasibility predicates."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -64,8 +66,9 @@ class TestNoiseSpec:
             NoiseSpec(kind="mixed", eps_multiplicative=0.1, eps_additive=0.5),
         ):
             m = LinearModel(np.eye(4), spec, [[-1, 1]] * 4)
-            for _ in range(50):
-                m.apply(np.zeros(4), spec.sample(rng, 4))  # DataError if outside the set
+            E = np.vstack([spec.sample(rng, 4) for _ in range(50)])
+            assert spec.contains(E).all()
+            m.apply_batch(np.zeros((50, 4)), E)  # DataError if outside the set
 
     @pytest.mark.parametrize("spec", [
         NoiseSpec(kind="additive", eps_additive=1e308),
@@ -101,68 +104,152 @@ class TestNoiseSpec:
         inside = []
         for e in E:
             try:
-                m.apply(np.zeros(4), e)
+                m.apply_batch(np.zeros((1, 4)), e[None, :])
                 inside.append(True)
             except DataError:
                 inside.append(False)
         assert 0 < sum(inside) < len(E)
         np.testing.assert_array_equal(norms <= 0.3, inside)
+        np.testing.assert_array_equal(spec.contains(E), inside)
+
+
+# Every kind and ball, with radii that rows of the quarter grid below meet exactly
+GRID_SPECS = {
+    "additive-inf": NoiseSpec(kind="additive", eps_additive=0.5),
+    "additive-l2": NoiseSpec(kind="additive", eps_additive=1.25, ball="l2"),
+    "multiplicative-inf": NoiseSpec(kind="multiplicative", eps_multiplicative=0.5),
+    "multiplicative-l2": NoiseSpec(kind="multiplicative", eps_multiplicative=1.25, ball="l2"),
+    "mixed-inf": NoiseSpec(kind="mixed", eps_multiplicative=0.25, eps_additive=0.5),
+}
+
+# (g, y) rows on the boundary of, or just past, every set of GRID_SPECS
+EDGE_ROWS = [
+    ([0.0, 0.0, 0.0], [0.5, -0.5, 0.0]),  # additive and mixed inf: on eps
+    ([0.0, 0.0, 0.0], [0.75, -1.0, 0.0]),  # additive l2: on eps
+    ([1.0, -2.0, 0.0], [0.5, 1.0, 0.0]),  # multiplicative inf: on eps, y = g = 0
+    ([1.0, -2.0, 0.0], [0.5, 1.0, 0.25]),  # multiplicative: g = 0 but y != 0
+    ([1.0, -1.0, 4.0], [0.75, -1.0, 0.0]),  # multiplicative l2: on eps
+    ([2.0, -2.0, 0.0], [3.0, -3.0, 0.5]),  # mixed: on eps + eps_m |g|
+    ([2.0, -2.0, 0.0], [3.0, -3.0, 0.75]),  # mixed: past it
+]
+ON_EPS = {"additive-inf": 0, "additive-l2": 1, "multiplicative-inf": 2,
+          "multiplicative-l2": 4, "mixed-inf": 5}  # each set's edge row on its radius
+
+
+def ball_norm(ball, values):
+    """The inf or l2 norm of a list of floats, summed in order."""
+    if ball == "inf":
+        return max(abs(v) for v in values)
+    total = 0.0
+    for v in values:
+        total += v * v
+    return math.sqrt(total)
+
+
+def literal_feasible(spec, g, y):
+    """Whether some noise in ``spec``'s set composes the row g into y, one
+    entry at a time in Python floats."""
+    if spec.kind == "mixed":
+        return all(abs(b - a) <= spec.eps_additive + spec.eps_multiplicative * abs(a)
+                   for a, b in zip(g, y))
+    if spec.kind == "additive":
+        return ball_norm(spec.ball, [b - a for a, b in zip(g, y)]) <= spec.eps_additive
+    if any(a == 0.0 and b != 0.0 for a, b in zip(g, y)):
+        return False
+    ratios = [b / a if a != 0.0 else 0.0 for a, b in zip(g, y)]
+    return ball_norm(spec.ball, ratios) <= spec.eps_multiplicative
+
+
+class TestNoiseSpecMethods:
+    def grid_rows(self):
+        rng = np.random.default_rng(4)
+        G = np.vstack([[g for g, _ in EDGE_ROWS], rng.integers(-8, 9, (300, 3)) / 4.0])
+        Y = np.vstack([[y for _, y in EDGE_ROWS], rng.integers(-8, 9, (300, 3)) / 4.0])
+        return G, Y
+
+    @pytest.mark.parametrize("name", list(GRID_SPECS))
+    def test_feasible_matches_per_row_loop(self, name):
+        spec = GRID_SPECS[name]
+        G, Y = self.grid_rows()
+        got = spec.feasible(Y, G)  # one measurement per row
+        want = [literal_feasible(spec, g, y) for g, y in zip(G.tolist(), Y.tolist())]
+        np.testing.assert_array_equal(got, want)
+        assert 0 < got.sum() < len(got)
+        assert got[ON_EPS[name]] and not got[[3, 6]].any()
+        for y in Y[: len(EDGE_ROWS)]:  # one measurement shared by every row
+            want = [literal_feasible(spec, g, y.tolist()) for g in G.tolist()]
+            np.testing.assert_array_equal(spec.feasible(y, G), want)
+
+    @pytest.mark.parametrize("name", list(GRID_SPECS))
+    def test_contains_matches_per_row_loop(self, name):
+        spec = GRID_SPECS[name]
+        rng = np.random.default_rng(5)
+        E = rng.integers(-3, 4, (300, spec.dim(3))) / 4.0
+        radii = {"additive": [spec.eps_additive], "multiplicative": [spec.eps_multiplicative],
+                 "mixed": [spec.eps_multiplicative, spec.eps_additive]}[spec.kind]
+        want = [all(ball_norm(spec.ball, e[3 * b : 3 * b + 3]) <= r for b, r in enumerate(radii))
+                for e in E.tolist()]
+        got = spec.contains(E)
+        np.testing.assert_array_equal(got, want)
+        assert 0 < got.sum() < len(got)
 
 
 class TestNoiseless:
     def test_averaging_row(self):
         m = averaging_model()
-        np.testing.assert_allclose(m.noiseless([1.0, 3.0]), [2.0])
+        np.testing.assert_allclose(m.noiseless_batch([[1.0, 3.0]]), [[2.0]])
 
     def test_downsample_constant_is_fixed_point(self):
         m = DownsampleModel(bands=2, height=6, width=4, factor=2, r_max=1.0,
                             noise=NoiseSpec(kind="additive", eps_additive=0.1))
         c = np.full(m.d1, 0.35)
-        np.testing.assert_allclose(m.noiseless(c), 0.35, rtol=1e-12)
+        np.testing.assert_allclose(m.noiseless_batch(c[None, :]), 0.35, rtol=1e-12)
 
     def test_microscopy_background_only(self):
         m = small_microscope()
-        mu = m.noiseless([200, 200, 0, 3.0, 0.0])
-        np.testing.assert_array_equal(mu, np.full(16, 3.0))
+        mu = m.noiseless_batch([[200, 200, 0, 3.0, 0.0]])
+        np.testing.assert_array_equal(mu, np.full((1, 16), 3.0))
 
     def test_out_of_bounds_warns(self):
         m = averaging_model()
         with pytest.warns(UserWarning):
-            m.noiseless([100.0, 0.0])
+            m.apply_batch([[100.0, 0.0]], [[0.0]])
 
 
 class TestApply:
     def test_zero_noise_matches_noiseless(self):
         m = averaging_model(eps=0.5)
-        np.testing.assert_array_equal(m.apply([1, 3], [0.0]), m.noiseless([1, 3]))
+        np.testing.assert_array_equal(m.apply_batch([[1, 3]], [[0.0]]),
+                                      m.noiseless_batch([[1, 3]]))
 
     def test_additive(self):
         m = averaging_model(eps=0.5)
-        np.testing.assert_allclose(m.apply([1.0, 3.0], [0.1]), [2.1])
+        np.testing.assert_allclose(m.apply_batch([[1.0, 3.0]], [[0.1]]), [[2.1]])
 
     def test_mixed_hand_arithmetic(self):
         # mu (1 + e1) + e2 with mu = 10, e1 = 0.1, e2 = -0.5
         m = LinearModel([[1.0]], NoiseSpec(kind="mixed", eps_multiplicative=0.2,
                                            eps_additive=1.0), [[0, 20]])
-        np.testing.assert_allclose(m.apply([10.0], [0.1, -0.5]), [10.5])
+        np.testing.assert_allclose(m.apply_batch([[10.0]], [[0.1, -0.5]]), [[10.5]])
 
     def test_noise_outside_set_rejected(self):
         m = averaging_model(eps=0.5)
         with pytest.raises(DataError):
-            m.apply([1, 3], [0.6])
+            m.apply_batch([[1, 3]], [[0.6]])
 
     def test_noise_of_wrong_length_is_usage_error(self):
         m = averaging_model(eps=0.5)  # d2 = 1
         for e in ([], [0.1, 0.1]):
             with pytest.raises(UsageError, match="must have length 1"):
-                m.apply([1, 3], e)
+                m.apply_batch([[1, 3]], [e])
         mixed = LinearModel([[1.0], [2.0]], NoiseSpec(kind="mixed", eps_multiplicative=0.2,
                                                       eps_additive=1.0), [[0, 20]])
         for e in ([0.1, -0.5], [0.1, 0.0, -0.5], [0.1, 0.0, -0.5, 0.5, 0.0]):
             with pytest.raises(UsageError, match="must have length 4"):  # 2 * d2
-                mixed.apply([10.0], e)
+                mixed.apply_batch([[10.0]], [e])
         # e = (e1, e2) of length 2 * d2: mu (1 + e1) + e2 with mu = (10, 20)
-        np.testing.assert_allclose(mixed.apply([10.0], [0.1, 0.0, -0.5, 0.5]), [10.5, 20.5])
+        np.testing.assert_allclose(mixed.apply_batch([[10.0]], [[0.1, 0.0, -0.5, 0.5]]),
+                                   [[10.5, 20.5]])
 
 
     NOISES = {
@@ -184,8 +271,8 @@ class TestApply:
         yield "downsample", DownsampleModel(2, 8, 12, 4, 1.0, TestApply.NOISES["additive"])
 
     def test_batch_rows_are_one_row_calls_bit_for_bit(self):
-        """Row i of ``apply_batch`` is ``apply(X[i], E[i])``, which in turn is
-        the noise-free measurement of x alone with its noise added."""
+        """Row i of ``apply_batch`` is the one-row call on (X[i], E[i]), which
+        in turn is the noise-free measurement of x alone with its noise added."""
         rng = np.random.default_rng(13)
         for name, m in self.batch_models():
             b = m.signal_bounds
@@ -194,7 +281,7 @@ class TestApply:
             Y = m.apply_batch(X, E)
             assert Y.shape == (40, m.d2), name
             for x, e, y in zip(X, E, Y):
-                assert y.tobytes() == m.apply(x, e).tobytes(), name
+                assert y.tobytes() == m.apply_batch(x[None, :], e[None, :])[0].tobytes(), name
                 g, kind = m.noiseless_batch(x[None, :])[0], m.noise.kind
                 if kind == "additive":
                     want = g + e
@@ -258,8 +345,8 @@ class TestFeasibility:
         for _ in range(100):
             x = rng.uniform(-2, 2, 4)
             e = spec.sample(rng, 3)
-            y = m.apply(x, e)
-            assert m.feasible_batch(x[None, :], y, atol=1e-12)[0]
+            y = m.apply_batch(x[None, :], e[None, :])[0]
+            assert m.feasible_batch(x[None, :], y)[0]
 
     @pytest.mark.parametrize("family,kind,ball", [
         (family, kind, ball)
@@ -290,13 +377,24 @@ class TestFeasibility:
         X = rng.uniform(b[:, 0], b[:, 1], size=(40, m.d1))
         # even rows measure their own signal, odd rows another one
         sources = np.where(np.arange(40)[:, None] % 2 == 0, X, X[::-1])
-        Y = np.vstack([m.apply(x, spec.sample(rng, m.d2)) for x in sources])
+        E = np.vstack([spec.sample(rng, m.d2) for _ in sources])
+        Y = m.apply_batch(sources, E)
         got = m.feasible_batch(X, Y)
         want = np.array([m.feasible_batch(X[i : i + 1], Y[i])[0] for i in range(40)])
         np.testing.assert_array_equal(got, want)
         assert got.any() and not got.all()
         with pytest.raises(UsageError):
             m.feasible_batch(X, Y[:-1])
+
+    def test_admissible_noise_is_feasible_without_tolerance(self):
+        """``feasible_batch(X, apply_batch(X, E))`` holds exactly for noise
+        drawn from the set, for every model family and noise kind."""
+        rng = np.random.default_rng(14)
+        for name, m in TestApply.batch_models():
+            b = m.signal_bounds
+            X = rng.uniform(b[:, 0], b[:, 1], size=(200, m.d1))
+            E = np.vstack([m.noise.sample(rng, m.d2) for _ in X])
+            assert m.feasible_batch(X, m.apply_batch(X, E)).all(), name
 
     def test_additive_monotone_in_radius(self):
         rng = np.random.default_rng(5)
@@ -319,9 +417,9 @@ class TestLinearity:
         for _ in range(50):
             x1, x2 = rng.uniform(-2, 2, (2, 5))
             e = rng.uniform(-1, 1, 3)
-            lhs = m.apply(x1 + x2, e) + m.apply(np.zeros(5), np.zeros(3))
-            rhs = m.apply(x1, e) + m.apply(x2, np.zeros(3))
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+            y12, y0 = m.apply_batch([x1 + x2, np.zeros(5)], [e, np.zeros(3)])
+            y1, y2 = m.apply_batch([x1, x2], [e, np.zeros(3)])
+            np.testing.assert_allclose(y12 + y0, y1 + y2, rtol=1e-12, atol=1e-12)
 
 
 class TestDownsample:
@@ -391,7 +489,7 @@ class TestDownsample:
 class TestMicroscopyIntensity:
     def test_centered_emitter_symmetric_image(self):
         m = small_microscope()
-        mu = m.intensity([200.0, 200.0, 0.0, 2.0, 500.0]).reshape(4, 4)
+        mu = m.noiseless_batch([[200.0, 200.0, 0.0, 2.0, 500.0]]).reshape(4, 4)
         np.testing.assert_array_equal(mu, mu[::-1, ::-1])
 
     def test_total_emitter_photons_against_quadrature(self):
@@ -399,7 +497,7 @@ class TestMicroscopyIntensity:
         checked against adaptive quadrature of the Gaussian density."""
         m = small_microscope()
         theta = np.array([170.0, 240.0, 50.0, 1.0, 700.0])
-        mu = m.intensity(theta)
+        mu = m.noiseless_batch(theta[None, :])[0]
         emitted = float(np.sum(mu - theta[3] * m.exposure))
         sigma = float(m.psf_sigma(theta[2]))
 
@@ -419,15 +517,15 @@ class TestMicroscopyIntensity:
                               noise=NoiseSpec(kind="mixed", eps_multiplicative=0.05,
                                               eps_additive=1.0))
         theta = [1000.0, 1000.0, 0.0, 0.0, 800.0]
-        total = float(np.sum(big.intensity(theta)))
+        total = float(np.sum(big.noiseless_batch([theta])))
         assert total < 800.0
         assert total == pytest.approx(800.0, rel=1e-10)
 
     def test_strictly_increasing_in_background_and_rate(self):
         m = small_microscope()
-        base = m.intensity([150, 250, 30, 4.0, 400.0])
-        more_c = m.intensity([150, 250, 30, 4.5, 400.0])
-        more_h = m.intensity([150, 250, 30, 4.0, 450.0])
+        base, more_c, more_h = m.noiseless_batch([[150, 250, 30, 4.0, 400.0],
+                                                  [150, 250, 30, 4.5, 400.0],
+                                                  [150, 250, 30, 4.0, 450.0]])
         assert np.all(more_c > base)
         assert np.all(more_h > base)
 
@@ -449,7 +547,8 @@ class TestSerialization:
             m2 = model_from_dict(m.to_dict())
             assert m2.d1 == m.d1 and m2.d2 == m.d2
             x = np.asarray(m.signal_bounds).mean(axis=1)
-            np.testing.assert_allclose(m2.noiseless(x), m.noiseless(x), rtol=1e-15)
+            np.testing.assert_allclose(m2.noiseless_batch([x]), m.noiseless_batch([x]),
+                                       rtol=1e-15)
 
     def test_unknown_variant(self):
         with pytest.raises(DataError):

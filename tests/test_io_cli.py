@@ -626,6 +626,19 @@ class TestCliSkersize:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: operator is too small to invert")
 
+    def test_microscopy_model_exits_1(self, tmp_path, capsys):
+        from kersize.forward import MicroscopyModel, NoiseSpec
+
+        model = MicroscopyModel(pixels=(2, 2), pixel_size=100.0, psf_sigma0=150.0,
+                                psf_z0=400.0, c_max=10.0, h_max=1000.0, exposure=1.0,
+                                volume=[[0, 200], [0, 200], [-100, 100]],
+                                noise=NoiseSpec(kind="additive", eps_additive=1.0))
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model.to_dict()))
+        assert main(["skersize", str(two_point_collection_dir(tmp_path)),
+                     "--model", str(model_path)]) == 1
+        assert "error: operator must be a matrix" in capsys.readouterr().err
+
     def test_model_of_wrong_size_exits_1(self, tmp_path, capsys):
         from kersize.forward import DownsampleModel, NoiseSpec
 

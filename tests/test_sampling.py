@@ -166,7 +166,7 @@ class TestSampleFeasible:
         s = SamplerSpec(kind="random_walk", n_max=15, seed=6, budget=150,
                         step_scale=[5, 5, 20, 0.5, 50], burn_in=burn_in, thinning=thinning)
         truth = np.array([150.0, 150.0, 0.0, 5.0, 500.0])
-        y = m.intensity(truth) * 1.05 + 0.5
+        y = m.noiseless_batch(truth[None, :])[0] * 1.05 + 0.5
         anchor = truth if anchored else None
         got = sample_feasible(m, y, s, rng=np.random.default_rng(8), anchor=anchor)
         want = reference_walk(m, y, s, np.random.default_rng(8), s.n_max, anchor)
@@ -190,7 +190,8 @@ class TestSampleFeasible:
         order, bit for bit those of a loop that tests one at a time."""
         m = small_microscope()
         truth = np.array([150.0, 150.0, 0.0, 5.0, 500.0])
-        y = m.intensity(truth) * 1.05 + 0.5 if reachable else np.full(m.d2, -100.0)
+        mu = m.noiseless_batch(truth[None, :])[0]
+        y = mu * 1.05 + 0.5 if reachable else np.full(m.d2, -100.0)
         grid = {"grid_resolution": (5,) * 5} if kind == "grid" else {}
         s = SamplerSpec(kind=kind, n_max=n_max, seed=6, budget=budget, **grid)
         n = s.n_max if n_target is None else n_target
@@ -231,9 +232,9 @@ class TestBuildFeasibleSets:
         s = SamplerSpec(kind="rejection", n_max=8, seed=7, budget=5000)
         c, _ = build_feasible_sets(m, generate=4, sampler=s)
         for e in c.entries:
-            assert m.feasible_batch(e.members, e.measurement, atol=1e-12).all()
+            assert m.feasible_batch(e.members, e.measurement).all()
             # ground truth reproduces its own measurement with some noise
-            assert m.feasible_batch(e.members[:1], e.measurement, atol=1e-12)[0]
+            assert m.feasible_batch(e.members[:1], e.measurement)[0]
 
     def test_generator_determinism(self):
         m = LinearModel([[0.5, 0.5]], NoiseSpec(kind="additive", eps_additive=0.2),
@@ -316,7 +317,7 @@ class TestBuildFeasibleSets:
     def test_bad_step_scale_in_last_job_raises_before_any_proposal(self, monkeypatch):
         m = identity_model(eps=0.2)
         calls = []
-        monkeypatch.setattr(m, "feasible_batch", lambda X, y, atol=0.0: calls.append(X))
+        monkeypatch.setattr(m, "feasible_batch", lambda X, y: calls.append(X))
         jobs = [
             {"generate": 3, "sampler": SamplerSpec(kind="rejection", n_max=4, budget=100)},
             {"measurements": [[0.0, 0.0]],

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from kersize import bounds
 from kersize.bounds import optimal_map_value, pair_power_sum, verify_bounds
 from kersize.core import (
     DataError,
@@ -304,3 +305,27 @@ class TestThetaOverflow:
             FeasibleSet(id="m0", measurement=[0.0], members=X),))
         report = verify_bounds(c, {}, norm)
         assert report.theta_loss == 0.0 and report.per_measurement[0].theta_gap == 0.0
+
+    @pytest.mark.parametrize("p, q", [(2, 1), (2, np.inf), (1.5, 2), (1, 2)])
+    def test_set_spanning_the_float_range(self, p, q):
+        """Members at ±1.7e308: their distances to the centre overflow, so the
+        set is solved at a quarter of its size (no warning). At p = 2 and
+        d = 1, θ is the mean; at p = 1 the median member."""
+        X = np.array([[1.7e308], [1.7e308], [-1.7e308]])
+        z = optimal_map_value(X, NormSpec(p=p, q=q))
+        want = 1.7e308 if p == 1 else np.mean(X / 4) * 4 if p == 2 else None
+        if want is not None:
+            np.testing.assert_allclose(z, [want], rtol=1e-9)
+        else:  # between the mean and the median
+            assert 1.7e308 / 3 < z[0] < 1.7e308
+
+    def test_spanning_set_leaves_other_sets_bits(self):
+        """Solved beside a spanning set, another set's θ keeps the bits it
+        has alone."""
+        rng = np.random.default_rng(3)
+        small = rng.normal(size=(5, 2))
+        wide = np.array([[1.7e308, 0.0], [1.7e308, 1.0], [-1.7e308, 2.0]])
+        norm = NormSpec(p=2, q=1)
+        thetas = bounds._optimal_maps(Sets([5, 3]), np.vstack([small, wide]), norm)[0]
+        assert bits(thetas[0]) == bits(optimal_map_value(small, norm))
+        np.testing.assert_allclose(thetas[1], np.mean(wide / 4, axis=0) * 4, rtol=1e-9)

@@ -439,6 +439,25 @@ class TestSkersize:
         with pytest.raises(UsageError, match="operator must be a matrix"):
             skersize(self.single_pair(), operator, NoiseSpec(kind="additive"), EUCLID)
 
+    def test_microscopy_model_is_usage_error(self):
+        from kersize.forward import MicroscopyModel
+
+        noise = NoiseSpec(kind="additive", eps_additive=1.0)
+        model = MicroscopyModel(pixels=(2, 2), pixel_size=100.0, psf_sigma0=150.0,
+                                psf_z0=400.0, c_max=10.0, h_max=1000.0, exposure=1.0,
+                                volume=[[0, 200], [0, 200], [-100, 100]], noise=noise)
+        pairs = pairs_of(np.full((1, 5), 1.0), np.full((1, 4), 1.0))
+        with pytest.raises(UsageError, match="operator must be a matrix"):
+            skersize(pairs, model, noise, EUCLID)
+
+    def test_noise_recovery_past_the_float_range(self):
+        """A x overflows: the pair is reported infeasible, with no overflow
+        warning first."""
+        x = np.array([[1.7e308, 1.7e308]])
+        with pytest.raises(DataError, match=r"pair 0 is infeasible.*\|e\|=inf"):
+            skersize(pairs_of(x, np.zeros((1, 1))), [[1.0, 1.0]],
+                     NoiseSpec(kind="additive", eps_additive=1e308), EUCLID)
+
     def test_reflection_past_overflowing_doubled_projection(self):
         """2Px overflows where x - 2Px fits: with the zero operator P = I and
         the reflection is -x, and skersize ‖x‖ fits float64 (no warning)."""
