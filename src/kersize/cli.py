@@ -140,16 +140,14 @@ def _cmd_sample(args) -> int:
         raise UsageError("no output directory (set paths.output or --out)")
 
     if options.get("generate") is not None:
-        collection, _ = build_feasible_sets(
-            model, generate=options["generate"], sampler=sampler
-        )
+        collection = build_feasible_sets(model, generate=options["generate"], sampler=sampler)
     elif paths.get("input"):
         in_dir = base / paths["input"]
         files = sorted(in_dir.glob("y_*.csv"))
         if not files:
             raise DataError(f"no y_*.csv measurement files in {in_dir}")
         ys = [io.read_row_csv(f, "measurement") for f in files]
-        collection, _ = build_feasible_sets(model, measurements=ys, sampler=sampler)
+        collection = build_feasible_sets(model, measurements=ys, sampler=sampler)
     else:
         raise DataError("config needs options.generate or paths.input")
 
@@ -198,8 +196,7 @@ def _cmd_kersize(args) -> int:
 
 def _cmd_loss(args) -> int:
     collection, norm, out = _inputs(args)
-    present = [e.id for e in collection.entries if e.count > 0]
-    preds = io.read_predictions_dir(args.predictions, present)
+    preds = io.read_predictions_dir(args.predictions, collection.stacked[2])
     value = loss(dataset_from_collection(collection), preds, norm)
     name = args.name or Path(args.predictions).name
     payload = _bounds_json(out, norm)
@@ -212,12 +209,11 @@ def _cmd_loss(args) -> int:
 def _cmd_validate(args) -> int:
     collection, norm, out = _inputs(args)
     maps = {"median": median_map(collection), "zero": zero_map(collection)}
-    present = [e.id for e in collection.entries if e.count > 0]
     for pred_dir in args.predictions:
         name = Path(pred_dir).name
         if name in maps:
             name = f"{name}_ext"
-        maps[name] = io.read_predictions_dir(pred_dir, present)
+        maps[name] = io.read_predictions_dir(pred_dir, collection.stacked[2])
     report = verify_bounds(collection, maps, norm)
     io.write_bound_report(out, report)
     print(

@@ -8,16 +8,18 @@ threads. Every p-th power of a distance is taken by ``distance_powers`` (or
 float64 range raises DataError, never a RuntimeWarning or an infinite result.
 
 Per-set quantities are computed over all sets at once. ``Sets`` is the row
-layout of non-empty sets stacked into one array, and
-``FeasibleSetCollection.stacked`` stacks a collection's members in it once.
-Per-set means, medians and sorts (``Sets.reduce``, ``Sets.centres``) group
-the sets by size and let numpy reduce each group's (G, s, ...) stack over
-its set axis: numpy reduces every set of such a stack in the order it
-reduces the set alone, so each set gets the same bits, which a reduceat
-sum over the stacked rows does not give. ``set_losses`` and ``loss`` take
-each map's p-th powers for all rows in one pass (the unchecked form of
-``distance_powers``), sum each set exactly, and raise the error of the first
-failing set, in collection order, that a per-set loop would raise.
+layout of non-empty sets stacked into one array. A collection stacks its
+members in it once (``FeasibleSetCollection.stacked``), and a
+``PairedDataset`` groups its pairs into it once, at construction, so both
+give ``set_losses`` the same ``stacked`` triple. Per-set means, medians and
+sorts (``Sets.reduce``, ``Sets.centres``) group the sets by size and let
+numpy reduce each group's (G, s, ...) stack over its set axis: numpy
+reduces every set of such a stack in the order it reduces the set alone, so
+each set gets the same bits, which a reduceat sum over the stacked rows does
+not give. ``set_losses`` and ``loss`` take each map's p-th powers for all
+rows in one pass (the unchecked form of ``distance_powers``), sum each set
+exactly, and raise the error of the first failing set, in collection order,
+that a per-set loop would raise.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -422,12 +424,20 @@ class PairedDataset:
 
     ``group_ids[group[m]]`` names the measurement pair m came from; all pairs
     in one group carry the identical measurement vector.
+
+    The pairs are grouped once, at construction, by a stable sort by group:
+    ``sets`` is the ``Sets`` layout of the groups present (ascending),
+    ``order`` takes the pairs into it, keeping their order within a group,
+    and ``present_ids`` names those groups. No sorted copy of x is kept.
     """
 
     x: np.ndarray  # (M, d1)
     y: np.ndarray  # (M, d2)
     group: np.ndarray  # (M,) int
     group_ids: tuple
+    sets: Sets = field(init=False, repr=False)
+    order: np.ndarray = field(init=False, repr=False)
+    present_ids: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         x = _empty_ok_matrix(self.x, "x")
@@ -437,23 +447,24 @@ class PairedDataset:
             raise UsageError("x, y and group must have one row per pair")
         if g.size and (g.min() < 0 or g.max() >= len(self.group_ids)):
             raise DataError("group index out of range")
-        if g.size > 1:
-            # sort once; equal consecutive rows per group imply a constant group
-            order = np.argsort(g, kind="stable")
-            gs, ys = g[order], y[order]
-            same_group = gs[1:] == gs[:-1]
-            differs = np.any(ys[1:] != ys[:-1], axis=1)
-            bad = np.flatnonzero(same_group & differs)
-            if bad.size:
-                k = int(gs[bad[0]])
-                raise DataError(
-                    f"pairs in group {self.group_ids[k]!r} disagree on the measurement"
-                )
+        order = np.argsort(g, kind="stable")
+        gs, ys = g[order], y[order]
+        same_group = gs[1:] == gs[:-1]
+        # equal consecutive rows per group imply a constant group
+        bad = np.flatnonzero(same_group & np.any(ys[1:] != ys[:-1], axis=1))
+        if bad.size:
+            k = int(gs[bad[0]])
+            raise DataError(f"pairs in group {self.group_ids[k]!r} disagree on the measurement")
+        starts = np.flatnonzero(np.concatenate([[g.size > 0], ~same_group]))
         g.setflags(write=False)
+        order.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "group", g)
         object.__setattr__(self, "group_ids", tuple(self.group_ids))
+        object.__setattr__(self, "sets", Sets(np.diff(np.append(starts, g.size))))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "present_ids", tuple(self.group_ids[k] for k in gs[starts]))
 
     @property
     def size(self) -> int:
@@ -462,6 +473,12 @@ class PairedDataset:
     @property
     def d1(self) -> int:
         return self.x.shape[1]
+
+    @property
+    def stacked(self) -> tuple:
+        """``(sets, x[order], present_ids)``: the ``FeasibleSetCollection.stacked``
+        triple of the groups, with x[order] built on each access."""
+        return self.sets, self.x[self.order], self.present_ids
 
 
 def dataset_from_collection(c: FeasibleSetCollection) -> PairedDataset:
@@ -472,26 +489,16 @@ def dataset_from_collection(c: FeasibleSetCollection) -> PairedDataset:
     return PairedDataset(x=x, y=y[sets.sid], group=filled[sets.sid], group_ids=c.ids)
 
 
-def _group_rows(group: np.ndarray):
-    """Yield (group index, row indices) in ascending group order."""
-    if group.size == 0:
-        return
-    order = np.argsort(group, kind="stable")
-    splits = np.flatnonzero(np.diff(group[order])) + 1
-    for rows in np.split(order, splits):
-        yield int(group[rows[0]]), rows
-
-
 def collection_from_dataset(c: PairedDataset) -> FeasibleSetCollection:
-    """Regroup a paired dataset into feasible sets, one per measurement id."""
-    entries = []
-    for k, rows in _group_rows(c.group):
-        entries.append(
-            FeasibleSet(id=c.group_ids[k], measurement=c.y[rows[0]], members=c.x[rows])
-        )
-    if not entries:
+    """Regroup a paired dataset into feasible sets, one per present group,
+    slicing each group's members from x in turn."""
+    if c.size == 0:
         raise DataError("dataset has no pairs to regroup")
-    return FeasibleSetCollection(d1=c.x.shape[1], d2=c.y.shape[1], entries=tuple(entries))
+    entries = tuple(
+        FeasibleSet(id=i, measurement=c.y[c.order[a]], members=c.x[c.order[a:b]])
+        for i, (a, b) in zip(c.present_ids, c.sets.bounds)
+    )
+    return FeasibleSetCollection(d1=c.x.shape[1], d2=c.y.shape[1], entries=entries)
 
 
 def _stack_predictions(ids, d: int, predictions: Mapping, of_map: str) -> tuple:
@@ -499,24 +506,19 @@ def _stack_predictions(ids, d: int, predictions: Mapping, of_map: str) -> tuple:
     to the first set k whose prediction is missing (DataError), not of shape
     (d,) (UsageError) or not finite (DataError), with that error; k is
     len(ids) and error None when every prediction passes."""
-    try:
-        Phi = np.array([predictions[i] for i in ids], dtype=np.float64)
-    except (KeyError, TypeError, ValueError):  # a missing or misshapen prediction, found below
-        Phi = None
-    k, error = len(ids), None
-    if Phi is None or Phi.shape != (k, d):
-        for k, i in enumerate(ids):
-            if i not in predictions:
-                error = DataError(f"missing prediction for measurement {i!r}{of_map}")
-                break
-            phi = np.asarray(predictions[i], dtype=np.float64)
-            if phi.shape != (d,):
-                error = UsageError(f"prediction for {i!r}{of_map} has shape {phi.shape}, "
-                                   f"expected ({d},)")
-                break
-        else:
-            k = len(ids)
-        Phi = np.array([predictions[i] for i in ids[:k]], dtype=np.float64).reshape(k, d)
+    rows, error = [], None
+    for i in ids:
+        if i not in predictions:
+            error = DataError(f"missing prediction for measurement {i!r}{of_map}")
+            break
+        phi = np.asarray(predictions[i], dtype=np.float64)
+        if phi.shape != (d,):
+            error = UsageError(f"prediction for {i!r}{of_map} has shape {phi.shape}, "
+                               f"expected ({d},)")
+            break
+        rows.append(phi)
+    k = len(rows)
+    Phi = np.array(rows).reshape(k, d)
     bad = np.flatnonzero(~np.isfinite(Phi).all(axis=1))
     if bad.size:
         k = int(bad[0])
@@ -603,15 +605,12 @@ def loss(dataset: PairedDataset, predictions: Mapping[str, Sequence], norm: Norm
 
     ``predictions`` assigns one signal estimate per measurement id present in
     the dataset. For p = 2 with the Euclidean norm this is the RMSE. All
-    pairs are evaluated in one pass, grouped by measurement; a fault raises
-    the error of the first failing measurement in group order.
+    pairs are evaluated in one pass over the dataset's grouping; a fault
+    raises the error of the first failing measurement in group order.
     """
     if dataset.size == 0:
         raise DataError("loss is undefined on an empty dataset")
-    groups, counts = np.unique(dataset.group, return_counts=True)
-    ids = [dataset.group_ids[g] for g in groups.tolist()]
-    X = dataset.x[np.argsort(dataset.group, kind="stable")]
-    powers, ((_, error),) = _prediction_powers(Sets(counts), X, ids, {None: predictions}, norm)
+    powers, ((_, error),) = _prediction_powers(*dataset.stacked, {None: predictions}, norm)
     if error is not None:
         raise error
     return power_mean([powers[0]], norm.p)

@@ -22,7 +22,7 @@ from scipy import ndimage
 
 from . import io
 from .bounds import at_most, verify_bounds
-from .core import NormSpec, PairedDataset, collection_from_dataset, loss, set_losses
+from .core import NormSpec, PairedDataset, collection_from_dataset, set_losses
 from .forward import DownsampleModel, MicroscopyModel, NoiseSpec
 from .predictors import mean_map, median_map, upscale, zero_map
 from .sampling import SamplerSpec, build_feasible_sets_many
@@ -108,7 +108,7 @@ def microscopy_demo(out_dir=None, k: int = 10, n_max: int = 200, seed: int = 1) 
 
     setups = []
     built = build_feasible_sets_many(model, jobs)
-    for (name, c_flux, h_rate), job, (collection, dataset) in zip(MICROSCOPY_SETUPS, jobs, built):
+    for (name, c_flux, h_rate), job, collection in zip(MICROSCOPY_SETUPS, jobs, built):
         maps = {
             "mean": mean_map(collection),
             "median": median_map(collection),
@@ -121,9 +121,9 @@ def microscopy_demo(out_dir=None, k: int = 10, n_max: int = 200, seed: int = 1) 
             group=np.arange(k),
             group_ids=collection.ids,
         )
-        truth_losses = {name_: loss(truth_dataset, preds, norm) for name_, preds in maps.items()}
+        _, truth_losses, _ = set_losses(*truth_dataset.stacked, maps, norm)
         setups.append({"name": name, "c_flux": c_flux, "h_rate": h_rate, "collection": collection,
-                       "dataset": dataset, "report": report, "truth_losses": truth_losses})
+                       "report": report, "truth_losses": truth_losses})
 
     result = {"setups": setups, "norm": norm, "model": model}
     if out_dir is not None:
@@ -190,11 +190,10 @@ def superres_demo(out_dir=None, n_images: int = 12, size: int = 32, bands: int =
         "zero": zero_map(sym_collection),
         "mean": mean_map(sym_collection),
     }
-    # one stacked pass gives both the per-image and the aggregate losses on
-    # the symmetrized dataset
-    sets, members, sym_ids = sym_collection.stacked
-    per_set, losses_sym, _ = set_losses(sets, members, sym_ids, maps, norm)
-    losses_orig = {name: loss(pairs, preds, norm) for name, preds in maps.items()}
+    # one stacked pass per dataset gives every map's losses: per image and
+    # aggregate on the symmetrized dataset, aggregate on the original pairs
+    per_set, losses_sym, _ = set_losses(*sym_collection.stacked, maps, norm)
+    _, losses_orig, _ = set_losses(*pairs.stacked, maps, norm)
 
     upscaler_losses = [losses_sym["bilinear"], losses_sym["bicubic"]]
     checks = {

@@ -110,16 +110,30 @@ class NoiseSpec:
 
     def feasible(self, y: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Whether some noise in the set composes each (n, d2) noise-free row
-        g into y, exactly: y is one measurement (d2,) or one per row (n, d2)."""
+        g into y, exactly: y is one measurement (d2,) or one per row (n, d2).
+
+        A difference or ratio past the float64 range is infeasible, since the
+        radii are finite. The mixed test decides each entry where both sides
+        overflow from y/2 and g/2 instead: halving is exact in the normal
+        range, and the halved difference cannot overflow."""
         if self.kind == "additive":
-            return self.row_norms(y - g) <= self.eps_additive
+            with np.errstate(over="ignore"):  # an infinite difference is infeasible
+                return self.row_norms(y - g) <= self.eps_additive
         if self.kind == "multiplicative":
             zero = g == 0.0  # an entry with g = 0 is reached only by y = 0
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 ratio = np.where(zero, 0.0, y / np.where(zero, 1.0, g))
             return ((self.row_norms(ratio) <= self.eps_multiplicative)
                     & ((y == 0.0) | ~zero).all(axis=1))
-        return (np.abs(y - g) <= self.halfwidth(g)).all(axis=1)
+        with np.errstate(over="ignore"):  # inf <= inf alone is undecided: redone at half
+            diff, width = np.abs(y - g), self.halfwidth(g)
+            ok = diff <= width
+            big = np.isinf(diff) & np.isinf(width)
+            if big.any():
+                y2, g2 = np.broadcast_to(y, g.shape)[big] / 2, g[big] / 2
+                ok[big] = (np.abs(y2 - g2)
+                           <= self.eps_additive / 2 + self.eps_multiplicative * np.abs(g2))
+        return ok.all(axis=1)
 
     def sample(self, rng: np.random.Generator, d2: int) -> np.ndarray:
         """One noise vector drawn uniformly from the noise set.

@@ -16,7 +16,8 @@ elementwise model such as microscopy, each job's sets are bit for bit those
 of its lone ``build_feasible_sets`` call. For a linear model that holds only
 while no proposal lands within rounding of the noise boundary: a batched
 ``X @ A.T`` can differ in the last bits from the same rows in a smaller
-batch.
+batch. Both builders return collections only; a caller that wants the flat
+(x, y) pairs calls ``core.dataset_from_collection``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .core import (
     UsageError,
     as_vector,
     check_keys,
-    dataset_from_collection,
     nullable,
 )
 from .forward import ForwardModel
@@ -346,7 +346,7 @@ def _plan(model, measurements=None, *, generate: int | None = None, ground_truth
 
 def build_feasible_sets_many(model: ForwardModel, jobs) -> list:
     """Build the feasible sets of several jobs on one model; one
-    (collection, dataset) pair per job, in order.
+    ``FeasibleSetCollection`` per job, in order.
 
     Each job is a dict of the keywords of ``build_feasible_sets``: one of
     ``measurements``, ``generate`` or ``ground_truths``, plus ``sampler``.
@@ -395,16 +395,15 @@ def build_feasible_sets_many(model: ForwardModel, jobs) -> list:
             FeasibleSet(id=i, measurement=y, members=m)
             for i, y, m in zip(job.ids, job.ys, members)
         )
-        c = FeasibleSetCollection(d1=model.d1, d2=model.d2, entries=entries)
-        out.append((c, dataset_from_collection(c)))
+        out.append(FeasibleSetCollection(d1=model.d1, d2=model.d2, entries=entries))
     return out
 
 
 def build_feasible_sets(model: ForwardModel, measurements=None, *,
                         generate: int | None = None,
                         ground_truths=None,
-                        sampler: SamplerSpec) -> tuple:
-    """Build one feasible set per measurement and the paired dataset.
+                        sampler: SamplerSpec) -> FeasibleSetCollection:
+    """Build one feasible set per measurement; returns the collection.
 
     Pass ``measurements`` explicitly, or ``generate=K`` to draw K ground-truth
     signals uniformly from the signal box, or ``ground_truths`` to measure a

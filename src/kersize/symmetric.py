@@ -238,7 +238,9 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
 
     Recovers each pair's noise as e_m = y_m - A x_m (rejecting pairs whose
     noise leaves the noise set by more than the roundoff of re-deriving it,
-    1e-9 of the measurement scale), projects onto the kernel, and returns
+    1e-9 of the measurement scale; a product A x_m past the float64 range
+    is taken again as 2^s A (2^-s x_m), so only a pair whose exact A x_m
+    leaves the range is infeasible), projects onto the kernel, and returns
 
         skersize = ( (1/M') Σ_m ‖v_m‖^p )^(1/p)
 
@@ -283,9 +285,20 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
     if model.d1 != pairs.d1:
         raise UsageError(f"operator has {model.d1} columns, pairs have d1={pairs.d1}")
 
+    if isinstance(model, DownsampleModel):  # one band's projector serves every band
+        kernel_of, shape = model.band_matrix(), (pairs.size, model.bands, -1)
+    else:
+        kernel_of, shape = model.matrix, (pairs.size, -1)
     x = pairs.x
-    with np.errstate(over="ignore"):  # a product past the float range is infeasible,
-        e = pairs.y - model.noiseless_batch(x)  # which is raised just below
+    with np.errstate(over="ignore"):  # a product or noise past the float range is
+        g = model.noiseless_batch(x)  # infeasible, which is raised just below
+        lost = np.flatnonzero(~np.isfinite(g).all(axis=1))
+        if lost.size:  # A x = 2^s A (2^-s x), exactly, with no partial sum past 2^1022
+            _, e_a = np.frexp(np.abs(kernel_of).sum(axis=1).max())
+            _, e_x = np.frexp(np.abs(x[lost]).max(axis=1))
+            s = (e_a + e_x - 1022)[:, None]
+            g[lost] = np.ldexp(model.noiseless_batch(np.ldexp(x[lost], -s)), s)
+        e = pairs.y - g
     feas_atol = 1e-9 * max(1.0, float(np.abs(pairs.y).max(initial=0.0)))
     e_norms = noise.row_norms(e)
     bad = np.flatnonzero(e_norms > noise.eps_additive + feas_atol)
@@ -296,10 +309,6 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
             f"(|e|={float(e_norms[m]):.3g} > eps={noise.eps_additive:.3g})"
         )
 
-    if isinstance(model, DownsampleModel):  # one band's projector serves every band
-        kernel_of, shape = model.band_matrix(), (pairs.size, model.bands, -1)
-    else:
-        kernel_of, shape = model.matrix, (pairs.size, -1)
     vectors = x.reshape(shape)
     if mode == "joint":
         vectors = np.concatenate([vectors, e.reshape(shape)], axis=-1)

@@ -85,7 +85,7 @@ def uniform_corpus():
         sampler = SamplerSpec(kind="rejection", n_max=n, seed=trial, budget=budget)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")  # count repeats from the same line too
-            c, _ = build_feasible_sets(model, generate=k, sampler=sampler)
+            c = build_feasible_sets(model, generate=k, sampler=sampler)
         # a set whose search found nothing keeps only its anchor, with one warning
         assert all("budget exhausted" in str(w.message) for w in caught)
         assert len(caught) == sum(count == 1 for count in c.counts)

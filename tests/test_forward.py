@@ -1,6 +1,7 @@
 """Tests for the forward models and their feasibility predicates."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -192,6 +193,71 @@ class TestNoiseSpecMethods:
         got = spec.contains(E)
         np.testing.assert_array_equal(got, want)
         assert 0 < got.sum() < len(got)
+
+
+def exact_feasible(spec, g, y):
+    """``literal_feasible`` in exact rational arithmetic, for one entry."""
+    g, y = Fraction(g), Fraction(y)
+    if spec.kind == "additive":
+        return abs(y - g) <= Fraction(spec.eps_additive)
+    if spec.kind == "multiplicative":
+        return y == 0 if g == 0 else abs(y / g) <= Fraction(spec.eps_multiplicative)
+    return abs(y - g) <= Fraction(spec.eps_additive) + Fraction(spec.eps_multiplicative) * abs(g)
+
+
+# (spec, g, y): one entry whose difference, ratio or mixed half-width leaves
+# the float64 range
+OVERFLOW_CASES = {
+    "additive-inf": (NoiseSpec(kind="additive", eps_additive=1.0), -1.7e308, 1.7e308),
+    "additive-l2": (NoiseSpec(kind="additive", eps_additive=1e308, ball="l2"), -1.7e308, 1e308),
+    "multiplicative": (NoiseSpec(kind="multiplicative", eps_multiplicative=0.5), 1e-300, 1e10),
+    "multiplicative-l2": (NoiseSpec(kind="multiplicative", eps_multiplicative=1e300,
+                                    ball="l2"), -1e-10, 1e300),
+    "mixed-both-overflow": (NoiseSpec(kind="mixed", eps_multiplicative=1.5), 1.5e308, -1e308),
+    "mixed-feasible": (NoiseSpec(kind="mixed", eps_multiplicative=1.5), 1.7e308, -0.8e308),
+    "mixed-on-the-edge": (NoiseSpec(kind="mixed", eps_multiplicative=2.0), 1e308, -1e308),
+    "mixed-additive-half": (NoiseSpec(kind="mixed", eps_multiplicative=1.0,
+                                      eps_additive=1e308), 1.7e308, -0.9e308),
+    "mixed-additive-past": (NoiseSpec(kind="mixed", eps_multiplicative=1.0,
+                                      eps_additive=1e308), 1.7e308, -1.5e308),
+    "mixed-width-only": (NoiseSpec(kind="mixed", eps_multiplicative=1e10), 1e300, 5e307),
+}
+
+
+class TestFeasibleOverflow:
+    """A difference, ratio or half-width past the float64 range decides
+    feasibility exactly and quietly (warnings are errors here); every other
+    row keeps its answer."""
+
+    @pytest.mark.parametrize("name", list(OVERFLOW_CASES))
+    def test_matches_exact_arithmetic(self, name):
+        spec, g, y = OVERFLOW_CASES[name]
+        want = exact_feasible(spec, g, y)
+        assert spec.feasible(np.array([[y]]), np.array([[g]])).tolist() == [want]
+        assert spec.feasible(np.array([y]), np.array([[g]])).tolist() == [want]
+        if name == "mixed-both-overflow":  # inf <= inf answered True here before
+            assert not want
+
+    def test_cases_cover_both_answers(self):
+        answers = {exact_feasible(*OVERFLOW_CASES[name]) for name in OVERFLOW_CASES}
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("name", list(GRID_SPECS))
+    def test_other_rows_keep_their_answers(self, name):
+        spec = GRID_SPECS[name]
+        G, Y = TestNoiseSpecMethods().grid_rows()
+        big_g, big_y = np.full((2, 3), 1.5e308), np.full((2, 3), 1.5e308)
+        big_y[0] = -1.5e308  # a difference past the range
+        big_g[1, 0] = 1e-300  # a ratio past the range
+        big_y[1, 0] = 1e10
+        got = spec.feasible(np.vstack([Y, big_y]), np.vstack([G, big_g]))
+        assert got[: len(G)].tolist() == spec.feasible(Y, G).tolist()
+        assert not got[len(G)]
+
+    def test_linear_model_ratio_past_the_range(self):
+        model = LinearModel([[1e-300]], NoiseSpec(kind="multiplicative",
+                                                  eps_multiplicative=0.5), [[-1, 1]])
+        assert model.feasible_batch([[1.0]], [1e10]).tolist() == [False]
 
 
 class TestNoiseless:

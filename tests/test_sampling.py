@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kersize import sampling
-from kersize.core import DataError, UsageError
+from kersize.core import DataError, UsageError, dataset_from_collection
 from kersize.forward import LinearModel, MicroscopyModel, NoiseSpec
 from kersize.sampling import (
     SamplerSpec,
@@ -222,15 +222,15 @@ class TestBuildFeasibleSets:
         m = identity_model(eps=0.0)
         s = SamplerSpec(kind="rejection", n_max=5, seed=1, budget=200)
         with pytest.warns(UserWarning):
-            c, d = build_feasible_sets(m, generate=1, sampler=s)
+            c = build_feasible_sets(m, generate=1, sampler=s)
         assert c.counts == (1,)
-        assert d.size == 1
+        assert dataset_from_collection(c).size == 1
 
     def test_generated_truth_is_first_member_and_feasible(self):
         m = LinearModel([[0.5, 0.5]], NoiseSpec(kind="additive", eps_additive=0.2),
                         [[-1, 1], [-1, 1]])
         s = SamplerSpec(kind="rejection", n_max=8, seed=7, budget=5000)
-        c, _ = build_feasible_sets(m, generate=4, sampler=s)
+        c = build_feasible_sets(m, generate=4, sampler=s)
         for e in c.entries:
             assert m.feasible_batch(e.members, e.measurement).all()
             # ground truth reproduces its own measurement with some noise
@@ -240,8 +240,8 @@ class TestBuildFeasibleSets:
         m = LinearModel([[0.5, 0.5]], NoiseSpec(kind="additive", eps_additive=0.2),
                         [[-1, 1], [-1, 1]])
         s = SamplerSpec(kind="rejection", n_max=8, seed=7, budget=5000)
-        c1, _ = build_feasible_sets(m, generate=4, sampler=s)
-        c2, _ = build_feasible_sets(m, generate=4, sampler=s)
+        c1 = build_feasible_sets(m, generate=4, sampler=s)
+        c2 = build_feasible_sets(m, generate=4, sampler=s)
         for e1, e2 in zip(c1.entries, c2.entries):
             np.testing.assert_array_equal(e1.measurement, e2.measurement)
             np.testing.assert_array_equal(e1.members, e2.members)
@@ -257,14 +257,14 @@ class TestBuildFeasibleSets:
         (seed, k) stream, whatever the other chains do."""
         s = SamplerSpec(kind="random_walk", n_max=12, seed=3, budget=budget,
                         step_scale=step, burn_in=2, thinning=3)
-        c, _ = build_feasible_sets(model, generate=6, sampler=s)
+        c = build_feasible_sets(model, generate=6, sampler=s)
         for k, e in enumerate(c.entries):
             truth = e.members[0]
             lone = sample_feasible(model, e.measurement, s, rng=_entry_rngs(s.seed, k)[0],
                                    anchor=truth, n_target=s.n_max - 1)
             assert e.members.tobytes() == np.vstack([truth[None, :], lone]).tobytes()
         ys = [e.measurement for e in c.entries]
-        c2, _ = build_feasible_sets(model, measurements=ys, sampler=s)
+        c2 = build_feasible_sets(model, measurements=ys, sampler=s)
         for k, e in enumerate(c2.entries):
             lone = sample_feasible(model, ys[k], s, rng=_entry_rngs(s.seed, k)[0])
             assert e.members.shape == lone.shape
@@ -287,7 +287,7 @@ class TestBuildFeasibleSets:
         walk = dict(kind="random_walk", n_max=12, seed=3, budget=60, step_scale=step,
                     burn_in=2, thinning=3)
         ys = [e.measurement for e in build_feasible_sets(
-            model, generate=3, sampler=SamplerSpec(**dict(walk, seed=9)))[0].entries]
+            model, generate=3, sampler=SamplerSpec(**dict(walk, seed=9))).entries]
         truths = [truth, np.asarray(truth) * 0.9, np.asarray(truth) * 1.1]
         jobs = [
             {"generate": 5, "sampler": SamplerSpec(**walk)},
@@ -303,13 +303,14 @@ class TestBuildFeasibleSets:
         built = sampling.build_feasible_sets_many(model, jobs)
         assert len(built) == len(jobs)
         counts = []
-        for job, (c, d) in zip(jobs, built):
-            lone, lone_d = build_feasible_sets(model, **job)
+        for job, c in zip(jobs, built):
+            lone = build_feasible_sets(model, **job)
             assert c.ids == lone.ids
             for e, f in zip(c.entries, lone.entries):
                 assert e.measurement.tobytes() == f.measurement.tobytes()
                 assert e.members.shape == f.members.shape
                 assert e.members.tobytes() == f.members.tobytes()
+            d, lone_d = dataset_from_collection(c), dataset_from_collection(lone)
             assert d.x.tobytes() == lone_d.x.tobytes() and d.y.tobytes() == lone_d.y.tobytes()
             counts += c.counts
         assert min(counts) < max(counts) == 12
@@ -367,7 +368,7 @@ class TestBuildFeasibleSets:
         (model, jobs), = seen
         assert len(jobs) == len(result["setups"]) == len(demo.MICROSCOPY_SETUPS)
         for job, setup in zip(jobs, result["setups"]):
-            lone, _ = build_feasible_sets(model, **job)
+            lone = build_feasible_sets(model, **job)
             got = setup["collection"]
             assert got.ids == lone.ids
             for e, f in zip(got.entries, lone.entries):
@@ -382,7 +383,7 @@ class TestBuildFeasibleSets:
         ys = [[0.0, 0.0], [5.0, 5.0], [0.5, 0.5], [-5.0, 3.0]]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            c, _ = build_feasible_sets(m, measurements=ys, sampler=s)
+            c = build_feasible_sets(m, measurements=ys, sampler=s)
         assert c.counts == (10, 0, 10, 0)
         assert [str(w.message) for w in caught] == [
             "sampling budget exhausted with zero feasible points"
@@ -412,15 +413,15 @@ class TestBuildFeasibleSets:
                             noise=NoiseSpec(kind="mixed", eps_multiplicative=0.5,
                                             eps_additive=1e6))
         s = SamplerSpec(kind="rejection", n_max=1501, seed=0, budget=4000)
-        c, d = build_feasible_sets(m, generate=25, sampler=s)
+        c = build_feasible_sets(m, generate=25, sampler=s)
         assert c.uniform
         assert c.counts == (1501,) * 25
-        assert d.size == 25 * 1501
+        assert dataset_from_collection(c).size == 25 * 1501
 
     def test_measurement_mode(self):
         m = identity_model(eps=0.3)
         s = SamplerSpec(kind="rejection", n_max=10, seed=2, budget=2000)
-        c, _ = build_feasible_sets(m, measurements=[[0.0, 0.0], [0.5, 0.5]], sampler=s)
+        c = build_feasible_sets(m, measurements=[[0.0, 0.0], [0.5, 0.5]], sampler=s)
         assert c.k == 2
         assert c.ids == ("m00", "m01")
 

@@ -18,6 +18,7 @@ from kersize.core import (
     PairedDataset,
     Sets,
     UsageError,
+    collection_from_dataset,
     dataset_from_collection,
     distance_powers,
     loss,
@@ -329,3 +330,105 @@ class TestThetaOverflow:
         thetas = bounds._optimal_maps(Sets([5, 3]), np.vstack([small, wide]), norm)[0]
         assert bits(thetas[0]) == bits(optimal_map_value(small, norm))
         np.testing.assert_allclose(thetas[1], np.mean(wide / 4, axis=0) * 4, rtol=1e-9)
+
+
+def sets_bits(sets):
+    """Everything a ``Sets`` row layout holds, as comparable values."""
+    return (sets.n.tobytes(), sets.starts.tobytes(), sets.sid.tobytes(), sets.bounds)
+
+
+class TestDatasetGrouping:
+    """``PairedDataset`` groups its pairs once; ``stacked``, ``loss`` and
+    ``collection_from_dataset`` read that grouping."""
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_flattened_collection_stacks_like_the_collection(self, d):
+        c = ragged_collection(d, seed=7)
+        assert 0 in c.counts
+        sets, X, ids = dataset_from_collection(c).stacked
+        want_sets, want_X, want_ids = c.stacked
+        assert sets_bits(sets) == sets_bits(want_sets)
+        assert X.shape == want_X.shape and bits(X) == bits(want_X)
+        assert ids == want_ids
+
+    def test_shuffled_dataset_matches_per_group_loop(self):
+        """Groups out of order, interleaved, some absent: the grouping and
+        the regrouped collection are those of a literal loop over groups."""
+        rng = np.random.default_rng(8)
+        group_ids = tuple(f"g{k}" for k in range(9))
+        group = rng.choice([0, 2, 3, 5, 8], size=40)  # groups 1, 4, 6 and 7 absent
+        y = np.column_stack([group, -group]).astype(float)
+        x = rng.normal(size=(40, 3))
+        ds = PairedDataset(x=x, y=y, group=group, group_ids=group_ids)
+        rows = [[m for m in range(40) if group[m] == k] for k in range(len(group_ids))]
+        present = [k for k in range(len(group_ids)) if rows[k]]
+        assert ds.sets.n.tolist() == [len(rows[k]) for k in present]
+        assert ds.order.tolist() == [m for k in present for m in rows[k]]
+        assert ds.present_ids == tuple(group_ids[k] for k in present)
+        sets, X, ids = ds.stacked
+        assert bits(X) == bits(x[[m for k in present for m in rows[k]]])
+        regrouped = collection_from_dataset(ds)
+        assert regrouped.ids == ids == ds.present_ids
+        for e, k in zip(regrouped.entries, present):
+            assert bits(e.measurement) == bits(y[rows[k][0]])
+            assert e.members.shape == (len(rows[k]), 3)
+            assert bits(e.members) == bits(x[rows[k]])
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_roundtrip_gives_back_the_non_empty_sets(self, d):
+        c = ragged_collection(d, seed=9)
+        back = collection_from_dataset(dataset_from_collection(c))
+        filled = [e for e in c.entries if e.count]
+        assert (back.d1, back.d2) == (c.d1, c.d2)
+        assert back.ids == tuple(e.id for e in filled)
+        for got, want in zip(back.entries, filled):
+            assert bits(got.measurement) == bits(want.measurement)
+            assert got.members.shape == want.members.shape
+            assert bits(got.members) == bits(want.members)
+
+    def test_empty_dataset_has_no_groups(self):
+        ds = PairedDataset(x=np.zeros((0, 2)), y=np.zeros((0, 1)), group=[], group_ids=("a",))
+        sets, X, ids = ds.stacked
+        assert sets.n.size == 0 and X.shape == (0, 2) and ids == ()
+        with pytest.raises(DataError, match="no pairs to regroup"):
+            collection_from_dataset(ds)
+
+
+class TestDemoLosses:
+    """Each demo takes every map's losses on a dataset from one
+    ``set_losses`` call; each has the bits of that map's own ``loss`` call."""
+
+    def test_microscopy_truth_losses(self):
+        from kersize import demo
+
+        result = demo.microscopy_demo(k=4, n_max=5, seed=2)
+        norm = result["norm"]
+        for setup in result["setups"]:
+            c = setup["collection"]
+            # the ground truth anchors its walk, so it is each set's first member
+            truths = PairedDataset(x=[e.members[0] for e in c.entries],
+                                   y=[e.measurement for e in c.entries],
+                                   group=np.arange(c.k), group_ids=c.ids)
+            maps = {"mean": mean_map(c), "median": median_map(c), "zero": zero_map(c)}
+            assert list(setup["truth_losses"]) == list(maps)
+            for name, preds in maps.items():
+                assert bits(setup["truth_losses"][name]) == bits(loss(truths, preds, norm))
+
+    def test_superres_losses(self):
+        from kersize import demo
+        from kersize.predictors import upscale
+
+        out = demo.superres_demo(n_images=3, size=16, bands=2, factor=4, seed=3)
+        model, norm, pairs = out["model"], out["norm"], out["pairs"]
+        sym = out["result"].symmetrized
+        sym_collection = collection_from_dataset(sym)
+        maps = {
+            "bilinear": {i: upscale(model, y, order=1) for i, y in zip(out["ids"], pairs.y)},
+            "bicubic": {i: upscale(model, y, order=3) for i, y in zip(out["ids"], pairs.y)},
+            "zero": zero_map(sym_collection),
+            "mean": mean_map(sym_collection),
+        }
+        assert list(out["losses_original"]) == list(out["losses_symmetrized"]) == list(maps)
+        for name, preds in maps.items():
+            assert bits(out["losses_original"][name]) == bits(loss(pairs, preds, norm))
+            assert bits(out["losses_symmetrized"][name]) == bits(loss(sym, preds, norm))

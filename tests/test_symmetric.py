@@ -458,6 +458,25 @@ class TestSkersize:
             skersize(pairs_of(x, np.zeros((1, 1))), [[1.0, 1.0]],
                      NoiseSpec(kind="additive", eps_additive=1e308), EUCLID)
 
+    @pytest.mark.parametrize("A, x, y, refl", [
+        ([[2.0, -2.0]], [1.7e308, 1.7e308], 0.0, [-1.7e308, -1.7e308]),  # A x = 0
+        ([[2.0**20, -2.0**20]], [1.7e308, 1.7e308], 0.0, [-1.7e308, -1.7e308]),  # a large row
+        ([[2.0, 2.0]], [1.7e308, -1e308], 1.4e308, None),  # a partial sum overflows
+    ])
+    def test_product_overflows_where_its_exact_value_fits(self, A, x, y, refl):
+        """A x overflows in float64 but its exact value fits: the pair is
+        feasible and reflected, with no warning."""
+        pairs = pairs_of(np.array([x]), np.array([[y]]))
+        res = skersize(pairs, A, NoiseSpec(kind="additive", eps_additive=1e300),
+                       NormSpec(p=1, q=np.inf))
+        x_refl = res.symmetrized.x[1]
+        assert np.isfinite(x_refl).all() and np.isfinite(res.skersize)
+        w = 4 * np.abs(A).sum()  # A x' = A x = y, scaled to stay in range
+        assert (np.asarray(A) / w) @ x_refl == pytest.approx(y / w, rel=1e-12)
+        if refl is not None:
+            assert res.skersize == 1.7e308
+            assert x_refl.tolist() == refl
+
     def test_reflection_past_overflowing_doubled_projection(self):
         """2Px overflows where x - 2Px fits: with the zero operator P = I and
         the reflection is -x, and skersize ‖x‖ fits float64 (no warning)."""
