@@ -8,7 +8,11 @@ Three built-in model families:
 * ``MicroscopyModel`` -- pixel-integrated Gaussian PSF camera image of a single
   emitter, parameterised by (x, y, z, C, h) (+ noise)
 
-A model computes only its noise-free rows g = ``noiseless_batch(X)``.
+A model computes only its noise-free rows g = ``noiseless_batch(X)``;
+``LinearModel`` takes a row whose product overflows float64 again from the
+signal scaled by a power of two, so only a row whose exact image leaves the
+range is non-finite (a downsampling model's rows are weighted means of the
+signal, which stay in range).
 ``NoiseSpec`` owns how noise enters: additively (g + e), multiplicatively
 (g * e) or mixed, g * (1 + e1) + e2, in componentwise (inf-norm) balls by
 default or an l2 ball for the pure kinds. It tests noise membership, composes
@@ -125,7 +129,9 @@ class NoiseSpec:
                 ratio = np.where(zero, 0.0, y / np.where(zero, 1.0, g))
             return ((self.row_norms(ratio) <= self.eps_multiplicative)
                     & ((y == 0.0) | ~zero).all(axis=1))
-        with np.errstate(over="ignore"):  # inf <= inf alone is undecided: redone at half
+        # inf <= inf alone is undecided: redone at half; 0·inf in the width is
+        # NaN, and infeasible, as g past the range is
+        with np.errstate(over="ignore", invalid="ignore"):
             diff, width = np.abs(y - g), self.halfwidth(g)
             ok = diff <= width
             big = np.isinf(diff) & np.isinf(width)
@@ -271,13 +277,27 @@ class LinearModel(ForwardModel):
         return self._bounds
 
     def noiseless_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(X) @ self.matrix.T
+        """X @ Aᵀ. A row past the float64 range is taken again as
+        2^s A (2^-s x), exactly, with no partial sum past 2^1022, so only a
+        row whose exact A x leaves the range is non-finite; the finite rows
+        keep their bits."""
+        X = np.atleast_2d(X)
+        with np.errstate(over="ignore", invalid="ignore"):  # such rows are redone below
+            g = X @ self.matrix.T
+            if np.isfinite(g).all():
+                return g
+            lost = np.flatnonzero(~np.isfinite(g).all(axis=1))
+            _, e_a = np.frexp(np.abs(self.matrix).sum(axis=1).max())
+            _, e_x = np.frexp(np.abs(X[lost]).max(axis=1))
+            s = (e_a + e_x - 1022)[:, None]
+            g[lost] = np.ldexp(np.ldexp(X[lost], -s) @ self.matrix.T, s)
+        return g
 
     def _noiseless_rows(self, X: np.ndarray) -> np.ndarray:
         # a batched X @ A.T rounds a row differently from the row alone (a
         # matrix-matrix against a matrix-vector BLAS call)
-        return np.array([X[i : i + 1] @ self.matrix.T for i in range(X.shape[0])]).reshape(
-            X.shape[0], self.d2)
+        rows = [self.noiseless_batch(X[i : i + 1]) for i in range(X.shape[0])]
+        return np.array(rows).reshape(X.shape[0], self.d2)
 
     def to_dict(self) -> dict:
         return {

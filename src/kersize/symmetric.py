@@ -24,13 +24,15 @@ mode on the band's signal and noise, n_b + m_b, serves every band.
 
 For an m x n operator B (B = A, or [A | I] with n = d1 + d2 in joint mode,
 or one band of a downsampling model) the projector P = I - B^+ B costs one
-SVD of B plus O(n²·m) to build and to verify: B P = 0, idempotency from the
-factors B^+ and B (never with an n³ product), and finite entries. P is built
-and verified one row block of at most ``_ROW_BLOCK`` doubles at a time, and
-every other temporary is O(n·m) or O(M'·n) for M' pairs. ``skersize``
-applies each block as it arrives and never holds an n x n array;
-``kernel_projection`` fills P from the same blocks. P's checks run after the
-last block, before anything is returned.
+SVD of B plus O(n²·m) to build and O(n·m·min(n, m)) to verify: B P = 0 to
+1e-8 of B's largest entry and P² = P, both from the factors B^+ and B,
+and finite entries. P is built one row block of at most ``_ROW_BLOCK``
+doubles at a time, and every other temporary is O(n·m) or O(M'·n) for M'
+pairs. ``skersize`` applies each block as it arrives and holds no n x n
+array but, for n <= 2m, one the size of at most two copies of B;
+``kernel_projection`` fills P from the same blocks. The residuals are taken
+before the first block, and P's checks raise after the last, before
+anything is returned.
 
 The p-th powers of the kernel components go through ``core.norm_powers``
 and their sum through ``core.power_mean``: a value past the float64 range
@@ -109,25 +111,52 @@ def _max_abs(R: np.ndarray) -> float:
     return float(np.abs(R, out=R).max(initial=0.0))
 
 
-def _idempotency_residual(L: np.ndarray, B: np.ndarray, BP: np.ndarray,
-                          LtP: np.ndarray) -> float:
-    """max |P² - P| of P = ½(P0 + P0ᵀ), P0 = I - L B, from the factors.
+def _projector_residuals(B: np.ndarray, L: np.ndarray) -> tuple:
+    """(max |B P|, ‖P² - P‖_F) of P = I - ½(L B + Bᵀ Lᵀ), from the factors.
 
-    With Q = I - P = ½(L B + Bᵀ Lᵀ), P² - P = Q² - Q = -Q P
-    = -½(L (B P) + Bᵀ (Lᵀ P)) for any L. For an m x n operator B that costs
-    O(n²·m) given BP = B @ P and LtP = L.T @ P, not the O(n³) of P @ P. The
-    n x n product is taken one row block at a time; a NaN in any block is the
-    result.
+    With F = [L | Bᵀ] and W = [B P; Lᵀ P], P² - P = -(I - P) P = -½ F W for
+    any L. For an m x n operator with 2m < n both come from the 2m x 2m Gram
+    matrix S = Vᵀ V of V = [Bᵀ | L], and J swapping V's two column halves
+    (V J = F): Wᵀ = V - ½ V J S and ‖F W‖_F² = tr(J S J · W Wᵀ), O(n·m²)
+    with no n x n array. B and L enter as B / 2^e and 2^e L, e the exponent
+    of max |B|, which leaves P unchanged and keeps the Gram products in
+    range; Wᵀ overwrites V. The products run over chunks of
+    k = max(m, rows of a ``_row_blocks`` block) rows of V, so each sums over
+    at most k terms, as the build's own products do: sums over all n rows
+    made OpenBLAS touch more of its workspace and raised the process's peak
+    memory. Otherwise P, no larger than two copies of B, is formed and B P
+    and P² - P are taken from it, O(n²·m). A NaN anywhere is the result.
     """
-    n = B.shape[1]
-    blocks = _row_blocks(n)
-    R, S = np.empty((2, blocks[0].stop if blocks else 0, n))
-    worst = []
-    for I in blocks:
-        r = np.matmul(L[I], BP, out=R[:I.stop - I.start])
-        r += np.matmul(B.T[I], LtP, out=S[:I.stop - I.start])
-        worst.append(_max_abs(r))
-    return 0.5 * float(np.max(worst, initial=0.0))
+    m, n = B.shape
+    if 2 * m >= n:
+        LB = L @ B
+        P = np.eye(n) - 0.5 * (LB + LB.T)
+        del LB
+        R = P @ P
+        R -= P
+        return _max_abs(B @ P), float(np.linalg.norm(R))
+    _, e = np.frexp(np.abs(B).max(initial=0.0))
+    V = np.empty((n, 2 * m))
+    np.ldexp(B.T, -e, out=V[:, :m])
+    np.ldexp(L, e, out=V[:, m:])
+    k = max(m, _row_blocks(n)[0].stop)
+    chunks = [slice(i, i + k) for i in range(0, n, k)]
+
+    def gram():  # Vᵀ V
+        G = np.zeros((2 * m, 2 * m))
+        for I in chunks:
+            G += V[I].T @ V[I]
+        return G
+
+    JS = np.roll(gram(), m, axis=0)
+    for I in chunks:
+        t = V[I, :m] @ JS[:m]
+        t += V[I, m:] @ JS[m:]
+        t *= 0.5
+        V[I] -= t
+    sq = np.vdot(np.roll(JS, m, axis=1), gram())  # gram() = W Wᵀ, symmetric
+    return (float(np.ldexp(_max_abs(V[:, :m]), e)),
+            0.5 * float(np.sqrt(np.maximum(sq, 0.0))))
 
 
 def _kernel_operator(A: np.ndarray, mode: str) -> tuple:
@@ -141,7 +170,8 @@ def _kernel_operator(A: np.ndarray, mode: str) -> tuple:
 def _projector_rows(B: np.ndarray, tol: float | None):
     """Yield (I, P[I]) for each ``_row_blocks`` slice I of the kernel projector
     P = ½(P0 + P0ᵀ), P0 = I - L B, L = B^+; raise ``DataError`` after the last
-    block unless P is finite, idempotent and annihilated by B (1e-8, max entry).
+    block unless P is finite, idempotent (‖P² - P‖_F <= 1e-8) and
+    annihilated by B (max |B P| <= 1e-8 max |B|).
 
     Rows I of L B are L[I] @ B and rows I of (L B)ᵀ are (L @ B[:, I])ᵀ; the
     off-diagonal entries are 0.5·(0 - (LB[i,j] + LB[j,i])), which equals
@@ -150,16 +180,16 @@ def _projector_rows(B: np.ndarray, tol: float | None):
     whole n x n computation wherever BLAS sums each entry of a block product
     as it sums the whole product's, as OpenBLAS does for the 56-row blocks of
     a 2304-wide band; blocks of a few rows or a small operator can go to
-    another kernel and differ in the last bits. P is symmetric to that
-    rounding, so P[I] @ Bᵀ and P[I] @ L are row blocks of (B P)ᵀ and (Lᵀ P)ᵀ,
-    and the checks need no n x n array either. A yielded block is the
-    caller's to keep.
+    another kernel and differ in the last bits. The idempotency and
+    annihilation residuals come from the factors before the first block (see
+    ``_projector_residuals``), so no check temporary lives while the blocks
+    are applied. A yielded block is the caller's to keep.
     """
     L = pseudoinverse(B, tol)
-    n = B.shape[1]
-    PBt, PL = np.empty((2, n, B.shape[0]))
+    annihilation, idempotency = _projector_residuals(B, L)
+    scale = float(np.abs(B).max(initial=0.0))
     finite = True
-    for I in _row_blocks(n):
+    for I in _row_blocks(B.shape[1]):
         block = L[I] @ B
         diag = 1.0 - block[:, I].diagonal()
         block += (L @ B[:, I]).T
@@ -167,14 +197,12 @@ def _projector_rows(B: np.ndarray, tol: float | None):
         block *= 0.5
         np.fill_diagonal(block[:, I], diag)
         finite &= bool(np.isfinite(block).all())
-        np.matmul(block, B.T, out=PBt[I])
-        np.matmul(block, L, out=PL[I])
         yield I, block
     if not finite:
         raise DataError("projector has non-finite entries")
-    if not _idempotency_residual(L, B, PBt.T, PL.T) <= 1e-8:
+    if not idempotency <= 1e-8:
         raise DataError("projector is not idempotent")
-    if not _max_abs(PBt) <= 1e-8:
+    if not annihilation <= 1e-8 * scale:
         raise DataError("projector does not annihilate the operator")
 
 
@@ -183,13 +211,15 @@ def kernel_projection(A, mode: str = "signal_only") -> np.ndarray:
 
     Returns P as a read-only n x n array: n = d1 for the kernel of A alone,
     or n = d1 + d2 for the joint map B = [A | I] on (signal, noise) pairs.
-    P is verified before it is returned: finite, idempotent and annihilated
-    by the operator to 1e-8 (max entry), or a ``DataError``; it is symmetric
-    to the rounding of B^+ B.
+    P is verified before it is returned: finite, idempotent
+    (‖P² - P‖_F <= 1e-8) and annihilated by the operator to 1e-8 of its
+    largest entry (max |B P|), or a ``DataError``; it is symmetric to the
+    rounding of B^+ B.
 
-    Runs in one SVD of the m x n operator plus O(n²·m), and holds P plus
-    O(n·m) temporaries and one row block: P is filled from the verified row
-    blocks ``skersize`` applies directly.
+    Runs in one SVD of the m x n operator plus O(n²·m) to build P and
+    O(n·m·min(n, m)) to verify it, and holds P plus O(n·m) temporaries and
+    one row block: P is filled from the row blocks ``skersize`` applies
+    directly.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
@@ -238,9 +268,10 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
 
     Recovers each pair's noise as e_m = y_m - A x_m (rejecting pairs whose
     noise leaves the noise set by more than the roundoff of re-deriving it,
-    1e-9 of the measurement scale; a product A x_m past the float64 range
-    is taken again as 2^s A (2^-s x_m), so only a pair whose exact A x_m
-    leaves the range is infeasible), projects onto the kernel, and returns
+    1e-9 of the measurement scale; ``LinearModel.noiseless_batch`` takes a
+    product A x_m past the float64 range again as 2^s A (2^-s x_m), so only
+    a pair whose exact A x_m leaves the range is infeasible), projects onto
+    the kernel, and returns
 
         skersize = ( (1/M') Σ_m ‖v_m‖^p )^(1/p)
 
@@ -259,7 +290,8 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
     to each band's n_b signal coordinates, or in joint mode to its n_b signal
     and m_b noise coordinates, split back into band-major x' and e'.
 
-    Runs in O(M') at fixed dimensions: one projector (see the module
+    Runs in O(M') at fixed dimensions: one projector, built in O(n²·m) and
+    verified in O(n·m·min(n, m)) from its factors (see the module
     docstring), each row block of which is applied to every pair (every band
     of every pair) as it is built, plus one matrix product per pair. The band
     einsum over blocks is bit for bit one whole einsum with the assembled P;
@@ -290,15 +322,9 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
     else:
         kernel_of, shape = model.matrix, (pairs.size, -1)
     x = pairs.x
-    with np.errstate(over="ignore"):  # a product or noise past the float range is
-        g = model.noiseless_batch(x)  # infeasible, which is raised just below
-        lost = np.flatnonzero(~np.isfinite(g).all(axis=1))
-        if lost.size:  # A x = 2^s A (2^-s x), exactly, with no partial sum past 2^1022
-            _, e_a = np.frexp(np.abs(kernel_of).sum(axis=1).max())
-            _, e_x = np.frexp(np.abs(x[lost]).max(axis=1))
-            s = (e_a + e_x - 1022)[:, None]
-            g[lost] = np.ldexp(model.noiseless_batch(np.ldexp(x[lost], -s)), s)
-        e = pairs.y - g
+    g = model.noiseless_batch(x)
+    with np.errstate(over="ignore"):  # noise past the float range is infeasible,
+        e = pairs.y - g  # which is raised just below
     feas_atol = 1e-9 * max(1.0, float(np.abs(pairs.y).max(initial=0.0)))
     e_norms = noise.row_norms(e)
     bad = np.flatnonzero(e_norms > noise.eps_additive + feas_atol)

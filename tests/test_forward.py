@@ -259,6 +259,30 @@ class TestFeasibleOverflow:
                                                   eps_multiplicative=0.5), [[-1, 1]])
         assert model.feasible_batch([[1.0]], [1e10]).tolist() == [False]
 
+    @pytest.mark.parametrize("noise", [NoiseSpec(kind="additive"),
+                                       NoiseSpec(kind="mixed", eps_additive=1.0)])
+    def test_linear_model_product_past_the_range(self, noise):
+        """A x overflows in float64 but its exact value, 0, fits: the row is
+        measured again from x scaled by a power of two, in the batch, the
+        feasibility test and apply_batch's one-row products; the finite row
+        keeps the bits of the batched product."""
+        model = LinearModel([[2.0, -2.0]], noise, [[-1.7e308, 1.7e308]] * 2)
+        X = np.array([[1.7e308, 1.7e308], [0.1, 0.3]])
+        g = model.noiseless_batch(X)
+        assert g[0].tolist() == [0.0]
+        with np.errstate(over="ignore"):
+            batched = X @ model.matrix.T
+        assert g[1].tobytes() == batched[1].tobytes()
+        assert model.feasible_batch(X[:1], [0.0]).tolist() == [True]
+        assert model.apply_batch(X[:1], np.zeros((1, noise.dim(1)))).tolist() == [[0.0]]
+
+    def test_linear_model_product_whose_exact_value_leaves_the_range(self):
+        model = LinearModel([[2.0, 2.0]], NoiseSpec(kind="mixed", eps_additive=1.0),
+                            [[-1.7e308, 1.7e308]] * 2)
+        X = np.array([[1.7e308, 1.7e308], [1.0, 1.0]])
+        assert np.isinf(model.noiseless_batch(X)[0, 0])
+        assert model.feasible_batch(X, [4.0]).tolist() == [False, True]
+
 
 class TestNoiseless:
     def test_averaging_row(self):

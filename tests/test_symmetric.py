@@ -26,10 +26,12 @@ def penrose_residuals(A, Ap):
 
 def assert_projector(P, operator):
     """Dense oracle for the projector invariants kernel_projection verifies:
-    symmetric to 1e-10, idempotent (P @ P) and annihilated to 1e-8."""
+    symmetric to 1e-10, idempotent (P @ P) and annihilated to 1e-8 of the
+    operator's largest entry."""
     assert np.max(np.abs(P - P.T), initial=0.0) <= 1e-10
     assert np.max(np.abs(P @ P - P), initial=0.0) <= 1e-8
-    assert np.max(np.abs(operator @ P), initial=0.0) <= 1e-8
+    assert np.max(np.abs(operator @ P), initial=0.0) <= 1e-8 * np.max(np.abs(operator),
+                                                                       initial=0.0)
 
 
 def pairs_of(x, y):
@@ -188,18 +190,45 @@ class TestKernelProjection:
             kernel_projection([[1e-320, 0.0]])
 
 
-def factored_and_dense(B, L):
-    """Idempotency residual of P = ½(P0 + P0ᵀ), P0 = I - L B: from the factors
-    as kernel_projection computes it, and densely from P @ P."""
+def dense_residuals(B, L):
+    """Test-side oracle: max |B P| and ‖P² - P‖_F of P = ½(P0 + P0ᵀ),
+    P0 = I - L B, from the whole n x n P."""
     P0 = np.eye(B.shape[1]) - L @ B
     P = 0.5 * (P0 + P0.T)
-    factored = symmetric._idempotency_residual(L, B, B @ P, L.T @ P)
-    return factored, np.max(np.abs(P @ P - P), initial=0.0)
+    return np.max(np.abs(B @ P), initial=0.0), float(np.linalg.norm(P @ P - P))
+
+
+def assert_residuals_match_dense(B, L):
+    """kernel_projection's factored residuals equal the dense oracle's to
+    1e-12 of their scale: max |B| for B P, 1 (P's) for P² - P."""
+    annihilation, idempotency = symmetric._projector_residuals(B, L)
+    dense_annihilation, dense_idempotency = dense_residuals(B, L)
+    scale = np.max(np.abs(B), initial=0.0)
+    assert abs(annihilation - dense_annihilation) <= 1e-12 * max(scale, dense_annihilation)
+    assert abs(idempotency - dense_idempotency) <= 1e-12 * max(1.0, dense_idempotency)
+    return annihilation, idempotency
+
+
+def verification_operators():
+    """The operator shapes kernel_projection verifies, one pytest param each."""
+    rng = np.random.default_rng(31)
+    A = rng.normal(size=(4, 30))
+    return [pytest.param(B, id=name) for name, B in [
+        ("wide", A),
+        ("tall", rng.normal(size=(9, 5))),
+        ("square", rng.normal(size=(6, 6))),
+        ("rank_deficient", random_rank_matrix(rng, 6, 20, 3)),
+        ("zero_rows", np.zeros((0, 5))),
+        ("zero", np.zeros((3, 8))),
+        ("joint", np.hstack([A, np.eye(4)])),
+        ("large", np.ldexp(A, 600)),  # B Bᵀ overflows and Lᵀ L underflows unless rescaled
+        ("small", np.ldexp(A, -600)),
+    ]]
 
 
 class TestProjectorVerification:
     """Each check of kernel_projection's verifier, reached through a corrupted
-    pseudoinverse."""
+    pseudoinverse, and the factored residuals against a dense oracle."""
 
     B = np.array([[1.0, 2.0, 0.0, -1.0], [0.0, 1.0, 3.0, 0.5]])
 
@@ -224,27 +253,25 @@ class TestProjectorVerification:
 
     def test_nan_in_first_row_block_is_the_residual(self, monkeypatch):
         """A NaN in L's first row reaches only the first row block of the
-        residual product; the later blocks are finite, and the residual is
-        still NaN, so _projector_rows fails the idempotency check after
-        yielding every (finite) block."""
+        factored checks, and both residuals are still NaN; _projector_rows
+        then fails the idempotency check after yielding every (finite)
+        block."""
         B = np.random.default_rng(32).normal(size=(3, 12))
         L = pseudoinverse(B)
-        P0 = np.eye(12) - L @ B
-        P = 0.5 * (P0 + P0.T)
-        BP, LtP = B @ P, L.T @ P
         monkeypatch.setattr(symmetric, "_ROW_BLOCK", 4 * 12)  # three blocks of 4 rows
         assert len(symmetric._row_blocks(12)) == 3
-        assert symmetric._idempotency_residual(L, B, BP, LtP) <= 1e-13
+        annihilation, idempotency = symmetric._projector_residuals(B, L)
+        assert annihilation <= 1e-13 and idempotency <= 1e-13
         L[0] = np.nan
-        assert np.isnan(symmetric._idempotency_residual(L, B, BP, LtP))
+        assert all(np.isnan(symmetric._projector_residuals(B, L)))
 
-        def nan_first_row(L, B, BP, LtP):
+        def nan_first_row(B, L):
             L = L.copy()
             L[0] = np.nan
-            return residual(L, B, BP, LtP)
+            return residuals(B, L)
 
-        residual = symmetric._idempotency_residual
-        monkeypatch.setattr(symmetric, "_idempotency_residual", nan_first_row)
+        residuals = symmetric._projector_residuals
+        monkeypatch.setattr(symmetric, "_projector_residuals", nan_first_row)
         blocks = []
         with pytest.raises(DataError, match="projector is not idempotent"):
             for _, block in symmetric._projector_rows(B, None):
@@ -252,14 +279,15 @@ class TestProjectorVerification:
         assert len(blocks) == 3 and all(np.isfinite(b).all() for b in blocks)
 
     def test_factored_residual_equals_dense_when_large(self):
+        """A wrong L gives residuals of order one; the factored ones match the
+        dense oracle to 1e-12, on the wide path (2m < n) and the square one."""
         rng = np.random.default_rng(30)
         for _ in range(10):
             m, n = int(rng.integers(1, 8)), int(rng.integers(2, 12))
             B = rng.normal(size=(m, n))
             for L in (0.5 * pseudoinverse(B), rng.normal(size=(n, m))):
-                factored, dense = factored_and_dense(B, L)
-                assert dense > 1e-3
-                assert factored == pytest.approx(dense, rel=1e-12)
+                annihilation, idempotency = assert_residuals_match_dense(B, L)
+                assert idempotency > 1e-3 and annihilation > 1e-3
 
     def test_factored_residual_small_on_true_projectors(self):
         rng = np.random.default_rng(31)
@@ -269,9 +297,58 @@ class TestProjectorVerification:
             A = random_rank_matrix(rng, m, n, int(rng.integers(0, min(m, n) + 1)))
             operators += [A, np.hstack([A, np.eye(m)])]  # signal_only and joint
         for B in operators:
-            factored, dense = factored_and_dense(B, pseudoinverse(B))
-            assert factored <= 1e-13
-            assert abs(factored - dense) <= 1e-13
+            annihilation, idempotency = assert_residuals_match_dense(B, pseudoinverse(B))
+            assert idempotency <= 1e-13
+            assert annihilation <= 1e-13 * np.max(np.abs(B), initial=0.0)
+
+    @pytest.mark.parametrize("B", verification_operators())
+    def test_residuals_match_dense_oracle(self, B):
+        """The true L, a scaled L and a random L, on each operator shape."""
+        rng = np.random.default_rng(37)
+        L = pseudoinverse(B)
+        for wrong in (L, 0.5 * L, L + 1e-3 * np.max(np.abs(L), initial=0.0)
+                      * rng.normal(size=L.shape)):
+            assert_residuals_match_dense(B, wrong)
+        kernel_projection(B)  # the true projector passes every check
+
+    def test_checks_hold_no_n_by_n_array(self):
+        """On a wide operator the factored checks stay O(n·m): their traced
+        peak is below a tenth of one n x n array."""
+        B = np.random.default_rng(38).normal(size=(40, 2000))
+        L = pseudoinverse(B)
+        tracemalloc.start()
+        try:
+            symmetric._projector_residuals(B, L)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 2000 * 2000 * 8
+
+
+class TestAnnihilationScale:
+    """B P = 0 is checked relative to max |B|, so the operator's units do
+    not decide whether its projector passes."""
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e9, 1e150, 1e-150])
+    def test_scaled_operator_has_the_same_projector(self, scale):
+        A = np.random.default_rng(39).normal(size=(3, 6))
+        np.testing.assert_allclose(kernel_projection(A * scale), kernel_projection(A),
+                                   rtol=0, atol=1e-12)
+
+    def test_large_power_of_two_row(self):
+        P = kernel_projection([[2.0**40, -(2.0**40)]])
+        np.testing.assert_allclose(P, [[0.5, 0.5], [0.5, 0.5]], rtol=0, atol=1e-12)
+
+    def test_zero_pseudoinverse_of_a_small_operator_is_refused(self, monkeypatch):
+        """L = 0 gives P = I, which a small operator annihilates only to
+        its own scale: refused, not accepted as an absolute 1e-8 would."""
+        monkeypatch.setattr(symmetric, "pseudoinverse", lambda B, tol=None: np.zeros(B.T.shape))
+        A = np.random.default_rng(39).normal(size=(3, 6)) * 1e-9
+        with pytest.raises(DataError, match="projector does not annihilate the operator"):
+            kernel_projection(A)
+
+    def test_zero_operator_passes(self):
+        np.testing.assert_array_equal(kernel_projection(np.zeros((2, 3))), np.eye(3))
 
 
 class TestReflect:
