@@ -10,15 +10,16 @@ for a bad row, its 1-based line), which the CLI reports with exit code 2.
 
 A collection directory holds ``manifest.json`` plus one ``y_<id>.csv`` (the
 measurement) and one ``fs_<id>.csv`` (the feasible-set members) per
-measurement. All writes go through a temp file and rename.
+measurement. Every file is written as UTF-8 through a temp file and a rename.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
 import re
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -42,15 +43,33 @@ __all__ = [
 MANIFEST_VERSION = 1
 
 
-def _atomic_write(path: Path, data: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+_TMP_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_CLOEXEC", 0)
+              | getattr(os, "O_BINARY", 0))
+_tmp_numbers = itertools.count()
+
+
+def _atomic_write(path, data: str) -> None:
+    """Write ``data`` as UTF-8 to a new mode-0600 temp file beside ``path``,
+    then rename it over ``path``: the rename is the commit point, so a reader
+    sees the old bytes or the new ones. The temp file is removed on any
+    failure."""
+    while True:
+        tmp = f"{path}.{os.getpid()}-{next(_tmp_numbers)}.tmp"
+        try:
+            fd = os.open(tmp, _TMP_FLAGS, 0o600)
+            break
+        except FileExistsError:
+            continue
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(data)
+        try:
+            view = memoryview(data.encode("utf-8"))
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
 
@@ -64,7 +83,7 @@ def write_vectors_csv(path, rows) -> None:
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     # tolist() gives Python floats, whose repr is the shortest round-trip text
     text = "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()) if rows.size else ""
-    _atomic_write(Path(path), text)
+    _atomic_write(path, text)
 
 
 def _read_text(path: Path) -> str:
@@ -121,11 +140,11 @@ def write_table_csv(path, header, rows) -> None:
                 for v in row
             )
         )
-    _atomic_write(Path(path), "".join(line + "\n" for line in lines))
+    _atomic_write(path, "".join(line + "\n" for line in lines))
 
 
 def write_json(path, payload) -> None:
-    _atomic_write(Path(path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path):

@@ -9,15 +9,20 @@ call and keeps hits until it has enough or its budget is spent. The grid
 feeds it lattice points in C order, the other two uniform draws of the
 signal box. Sets for distinct measurements are built on independent RNG
 streams keyed by (seed, k), which makes results identical across runs. The
-random walks of all sets advance in lockstep, one batched feasibility test
-per step; with ``build_feasible_sets_many`` that one lockstep spans the sets
-of several jobs (samplers and measurement lists) on the same model. For an
-elementwise model such as microscopy, each job's sets are bit for bit those
-of its lone ``build_feasible_sets`` call. For a linear model that holds only
-while no proposal lands within rounding of the noise boundary: a batched
-``X @ A.T`` can differ in the last bits from the same rows in a smaller
-batch. Both builders return collections only; a caller that wants the flat
-(x, y) pairs calls ``core.dataset_from_collection``.
+random walks of all sets advance in lockstep. Each step tests a window of
+each active chain's next proposals in one batched feasibility call, and a
+chain takes its window up to its first accepted proposal; the proposals
+after it were made from the old state and are proposed again from the new
+one. So every chain moves as a one-proposal-at-a-time walk would, in fewer
+calls when most proposals are rejected. With ``build_feasible_sets_many``
+that one lockstep spans the sets of several jobs (samplers and measurement
+lists) on the same model. For an elementwise model such as microscopy, each
+job's sets are bit for bit those of its lone ``build_feasible_sets`` call.
+For a linear model that holds only while no proposal lands within rounding
+of the noise boundary: a batched ``X @ A.T`` can differ in the last bits
+from the same rows in a smaller batch. Both builders return collections
+only; a caller that wants the flat (x, y) pairs calls
+``core.dataset_from_collection``.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ __all__ = [
 ]
 
 _CHUNK = 512
-_BLOCK = 64  # random-walk proposals drawn per chain per RNG call, at most
+_BLOCK = 128  # random-walk proposals drawn per chain per RNG call, at most;
+# also the widest window a chain can test in one step
 _BLOCK_VALUES = 1 << 20  # cap on the buffered proposal values of all chains
 
 
@@ -166,9 +172,16 @@ def _random_walks(model, Y, rngs, anchors, half, budget, n_target, burn_in, thin
     walk would: the uniform search when there is no anchor, then d1 values
     per proposal. Proposals are drawn in blocks of up to ``_BLOCK`` (fewer
     when K * d1 is large, to bound memory), which gives the same values as
-    single draws. Each step tests the proposals of all active chains in one
-    ``feasible_batch`` call; a proposal that leaves the signal box counts
-    against the chain's budget. Returns one (n, d1) array per chain.
+    single draws. Each step tests a window of every active chain's next
+    proposals, ``min(rest of its block, max(1, _CHUNK // active chains))``
+    of them, in one ``within_bounds`` and one ``feasible_batch`` call, so a
+    call tests at most max(``_CHUNK``, K) rows. A chain takes its window up
+    to and including its first accepted proposal, or all of it; the deltas
+    after an acceptance stay in its block and are proposed from the new
+    state in the next step. Each kept state is the same ``state + delta``
+    as in a one-proposal-at-a-time walk, and a proposal that leaves the
+    signal box counts against the chain's budget. Returns one (n, d1) array
+    per chain.
     """
     k_total, d1 = len(rngs), model.d1
     spent = np.zeros(k_total, dtype=np.int64)
@@ -202,30 +215,40 @@ def _random_walks(model, Y, rngs, anchors, half, budget, n_target, burn_in, thin
     n_accepted[found] = 1
     keep(found)
 
-    # Every active chain spends one proposal per step, so all chains refill
-    # their blocks on the same steps; a block cut short by the budget runs out
-    # exactly when its chain does.
+    # A chain refills its block only when it has proposed every delta in it,
+    # so it draws the values of a lone walk; a block cut short by the budget
+    # runs out exactly when its chain does. A window never passes its block.
     block = min(_BLOCK, max(1, _BLOCK_VALUES // (k_total * d1)))
     deltas = np.empty((k_total, block, d1))
+    used = np.zeros(k_total, dtype=np.int64)  # deltas of the block proposed so far
+    drawn = np.zeros(k_total, dtype=np.int64)  # deltas in the block
     active = np.flatnonzero(started & (spent < budget) & (n_kept < n_target))
-    t = 0
     while active.size:
-        if t % block == 0:
-            for k in active:
-                n = min(block, budget[k] - spent[k])
-                deltas[k, :n] = rngs[k].uniform(-half[k], half[k], size=(n, d1))
-        prop = state[active] + deltas[active, t % block]
-        spent[active] += 1
-        inside = model.within_bounds(prop)
-        if inside.any():
-            prop, tried = prop[inside], active[inside]
-            ok = model.feasible_batch(prop, Y[tried])
-            moved = tried[ok]
-            state[moved] = prop[ok]
+        for k in active[used[active] == drawn[active]]:
+            n = min(block, budget[k] - spent[k])
+            deltas[k, :n] = rngs[k].uniform(-half[k], half[k], size=(n, d1))
+            used[k], drawn[k] = 0, n
+        width = np.minimum(drawn[active] - used[active], max(1, _CHUNK // active.size))
+        slot = np.repeat(np.arange(active.size), width)  # each row's place in active
+        chain = active[slot]
+        offset = np.arange(slot.size) - (np.cumsum(width) - width)[slot]
+        prop = state[chain] + deltas[chain, used[chain] + offset]
+        ok = model.within_bounds(prop)
+        if ok.any():
+            ok[ok] = model.feasible_batch(prop[ok], Y[chain[ok]])
+        # a window is taken up to and including its first accepted proposal;
+        # the rest were made from the old state, and are proposed again
+        hit = np.flatnonzero(ok)
+        if hit.size:
+            hit = hit[np.diff(slot[hit], prepend=-1) != 0]
+            width[slot[hit]] = offset[hit] + 1
+            moved = chain[hit]
+            state[moved] = prop[hit]
             n_accepted[moved] += 1
             keep(moved)
+        spent[active] += width
+        used[active] += width
         active = active[(spent[active] < budget[active]) & (n_kept[active] < n_target[active])]
-        t += 1
     return [np.vstack(rows) if rows else np.zeros((0, d1)) for rows in kept]
 
 
@@ -352,12 +375,13 @@ def build_feasible_sets_many(model: ForwardModel, jobs) -> list:
     ``measurements``, ``generate`` or ``ground_truths``, plus ``sampler``.
     Every job is checked, and its measurements drawn, before any proposal.
     The random walks of all sets of all jobs then advance in one lockstep,
-    one batched feasibility test per step; grid and rejection jobs run set
-    by set. Set k of a job draws only from its job's own (seed, k) streams,
-    so for an elementwise model such as microscopy each job's collection is
-    bit for bit that of its lone call. For a linear model that holds only
-    while no proposal lands within rounding of the noise boundary, since a
-    batched ``X @ A.T`` can differ in the last bits.
+    one batched feasibility test of a window of proposals per chain per
+    step; grid and rejection jobs run set by set. Set k of a job draws only
+    from its job's own (seed, k) streams, so for an elementwise model such
+    as microscopy each job's collection is bit for bit that of its lone
+    call. For a linear model that holds only while no proposal lands within
+    rounding of the noise boundary, since a batched ``X @ A.T`` can differ
+    in the last bits.
     """
     plans = [_plan(model, **job) for job in jobs]
     if not plans:

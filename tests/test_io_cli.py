@@ -49,12 +49,13 @@ def two_point_collection_dir(tmp_path):
     return d
 
 
-def run_fresh(*args):
+def run_fresh(*args, **env):
     """Run ``python *args`` in a fresh interpreter with this checkout's src on
-    the path, so that imports made by other tests do not count."""
+    the path, so that imports made by other tests do not count; ``env`` sets
+    more environment variables."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **env)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, timeout=120)
 
@@ -169,6 +170,40 @@ class TestCollectionRoundtrip:
         (d / "manifest.json").write_text("{\"version\": 1}")
         with pytest.raises(DataError):
             read_collection(d)
+
+
+class TestAtomicWrite:
+    def test_failed_rename_keeps_old_bytes_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.csv"
+        write_vectors_csv(path, [[1.0, 2.0]])
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            write_vectors_csv(path, [[3.0, 4.0]])
+        assert path.read_bytes() == b"1.0,2.0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.csv"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_collection_files_are_0600_without_temps(self, tmp_path):
+        d = two_point_collection_dir(tmp_path)
+        write_collection(d, read_collection(d)[0], NormSpec(p=2, q=2))  # over existing files
+        names = sorted(p.name for p in d.iterdir())
+        assert names == ["fs_m0.csv", "manifest.json", "y_m0.csv"]
+        assert {(d / n).stat().st_mode & 0o777 for n in names} == {0o600}
+
+    def test_table_csv_is_utf8_in_any_locale(self, tmp_path):
+        """A non-ASCII id is written as UTF-8 even where the locale's
+        encoding is ASCII."""
+        path = tmp_path / "t.csv"
+        code = ("import sys; from kersize.io import write_table_csv; "
+                "write_table_csv(sys.argv[1], ['id', 'v'], [['m\\u00e9\\u4e00', 0.5]])")
+        done = run_fresh("-c", code, str(path), LC_ALL="C", LANG="C",
+                         PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        assert done.returncode == 0, done.stderr
+        assert path.read_bytes() == "id,v\nm\u00e9\u4e00,0.5\n".encode("utf-8")
 
 
 class TestCliSample:

@@ -29,8 +29,9 @@ def small_microscope():
                                            eps_additive=2.0))
 
 
-def reference_walk(model, y, sampler, rng, n_target, anchor=None):
-    """One chain, one proposal and one feasibility call at a time."""
+def reference_walk(model, y, sampler, rng, n_target, anchor=None, chunk=512):
+    """One chain, one proposal and one feasibility call at a time; without an
+    anchor the start is searched in uniform draws of ``chunk`` points."""
     lo, hi = model.signal_bounds.T
     budget, spent, n_accepted, kept = sampler.effective_budget, 0, 0, []
 
@@ -40,7 +41,7 @@ def reference_walk(model, y, sampler, rng, n_target, anchor=None):
 
     state = None if anchor is None else np.asarray(anchor, dtype=np.float64)
     while state is None and spent < budget:
-        pts = rng.uniform(lo, hi, size=(min(512, budget - spent), model.d1))
+        pts = rng.uniform(lo, hi, size=(min(chunk, budget - spent), model.d1))
         hit = np.flatnonzero(model.feasible_batch(pts, y))
         spent += int(hit[0]) + 1 if hit.size else len(pts)
         if hit.size:
@@ -172,6 +173,69 @@ class TestSampleFeasible:
         want = reference_walk(m, y, s, np.random.default_rng(8), s.n_max, anchor)
         assert got.shape[0] > 0
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:sampling budget exhausted")
+    def test_windowed_lockstep_matches_reference_walks(self, monkeypatch):
+        """Fourteen chains in one lockstep, with a chunk of 16 rows and blocks
+        of five proposals: windows widen from one proposal as chains finish,
+        and end at block ends. Every chain, anchored or not, with or without
+        burn-in and thinning, is bitwise its one-at-a-time walk, and no call
+        tests more than 16 rows."""
+        monkeypatch.setattr(sampling, "_CHUNK", 16)
+        monkeypatch.setattr(sampling, "_BLOCK_VALUES", 5 * 14 * 5)  # 14 chains, d1 = 5
+        m = small_microscope()
+        rows = []
+        feasible = m.feasible_batch
+        monkeypatch.setattr(m, "feasible_batch", lambda X, y: rows.append(len(X)) or
+                            feasible(X, y))
+        truth = np.array([150.0, 150.0, 0.0, 5.0, 500.0])
+        truths = [truth, truth * [0.9, 1.1, 1, 1, 1], truth * [1.1, 0.9, 1, 0.8, 1.2]]
+        ys = [m.noiseless_batch(truth[None, :])[0] * 1.05 + 0.5]
+        walk = dict(kind="random_walk", n_max=15, seed=6, budget=150,
+                    step_scale=[5, 5, 20, 0.5, 50])
+        jobs = [
+            {"generate": 6, "sampler": SamplerSpec(**walk)},
+            {"ground_truths": truths, "sampler": SamplerSpec(
+                **dict(walk, seed=7, burn_in=3, thinning=2, budget=90))},
+            {"measurements": ys * 4, "sampler": SamplerSpec(
+                **dict(walk, seed=8, burn_in=2, thinning=3, n_max=6, budget=60))},
+            {"measurements": ys, "sampler": SamplerSpec(
+                **dict(walk, seed=9, n_max=40, budget=400))},
+        ]
+        built = sampling.build_feasible_sets_many(m, jobs)
+        calls = rows[:]
+        for job, c in zip(jobs, built):
+            s = job["sampler"]
+            for k, e in enumerate(c.entries):
+                rng = _entry_rngs(s.seed, k)[0]
+                if "measurements" in job:
+                    want = reference_walk(m, e.measurement, s, rng, s.n_max, chunk=16)
+                    got = e.members
+                else:
+                    want = reference_walk(m, e.measurement, s, rng, s.n_max - 1,
+                                          anchor=e.members[0])
+                    got = e.members[1:]
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        counts = [n for c in built for n in c.counts]
+        assert min(counts) < 6 and max(counts) == 40
+        assert max(calls) <= 16 and len(calls) < 400 // 4
+
+    def test_feasibility_calls_per_window(self, monkeypatch):
+        """No feasibility call tests more than max(_CHUNK, chains) rows, and
+        the microscopy demo spends its budget in under a quarter as many
+        calls."""
+        from kersize import demo
+        from kersize.forward import ForwardModel
+
+        rows = []
+        feasible = ForwardModel.feasible_batch
+        monkeypatch.setattr(ForwardModel, "feasible_batch",
+                            lambda self, X, y: rows.append(len(X)) or feasible(self, X, y))
+        k, n_max = 4, 5
+        result = demo.microscopy_demo(k=k, n_max=n_max)
+        chains = k * len(result["setups"])
+        assert 0 < max(rows) <= max(sampling._CHUNK, chains)
+        assert len(rows) < 60 * n_max / 4  # the demo's per-chain budget is 60 * n_max
 
     @pytest.mark.parametrize("kind,n_max,budget,n_target,reachable,rows", [
         ("rejection", 100, 700, None, True, "some"),  # the budget ends mid-chunk
