@@ -50,6 +50,7 @@ from .core import (
     dataset_from_collection,
     loss,
     nullable,
+    whole,
 )
 from .forward import NoiseSpec, model_from_dict
 from .predictors import median_map, zero_map
@@ -133,7 +134,7 @@ def _cmd_sample(args) -> int:
     paths = check_keys(doc.get("paths", {}), ("input", "output"), "paths",
                        {"input": nullable(os.fspath), "output": nullable(os.fspath)})
     options = check_keys(doc.get("options", {}), ("generate",), "options",
-                         {"generate": nullable(int)})
+                         {"generate": nullable(whole)})
 
     out = Path(args.out) if args.out else Path(paths.get("output") or "")
     if str(out) in ("", "."):

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
@@ -43,6 +44,7 @@ __all__ = [
     "p_dist",
     "check_keys",
     "nullable",
+    "whole",
     "Sets",
     "set_losses",
     "power_mean",
@@ -144,8 +146,8 @@ def check_keys(doc, allowed, where: str, convert: Mapping | None = None,
 
     A non-object, a key outside ``allowed``, a missing ``required`` key or a
     value its converter rejects raises DataError. Converters are plain type
-    coercions (``int``, ``float``, ``np.asarray``), so what is caught here is
-    never a constructor's UsageError.
+    coercions (``whole``, ``float``, ``np.asarray``), so what is caught here
+    is never a constructor's UsageError.
     """
     if not isinstance(doc, Mapping):
         raise DataError(f"{where} must be an object, got {type(doc).__name__}")
@@ -160,7 +162,7 @@ def check_keys(doc, allowed, where: str, convert: Mapping | None = None,
         if key in out:
             try:
                 out[key] = fn(out[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"{where}.{key}: {exc}") from None
     return out
 
@@ -168,6 +170,24 @@ def check_keys(doc, allowed, where: str, convert: Mapping | None = None,
 def nullable(convert):
     """A ``check_keys`` converter that passes null (None) through."""
     return lambda value: None if value is None else convert(value)
+
+
+def whole(value) -> int:
+    """A ``check_keys`` converter for an integer field: a whole number of
+    magnitude at most 2^53, where every integer is a float, so 2.5, 1e20 or
+    an infinity is refused rather than truncated or overflowed."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"expected a whole number, got {value!r}")
+    try:
+        n = operator.index(value)
+    except TypeError:
+        f = float(value)
+        if not f.is_integer():
+            raise ValueError(f"{value!r} is not a whole number") from None
+        n = int(f)
+    if abs(n) > 2**53:
+        raise ValueError(f"{value!r} is out of range (above 2^53 in magnitude)")
+    return n
 
 
 def l2_overflow_rescaled(norms: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -8,11 +8,13 @@ Three built-in model families:
 * ``MicroscopyModel`` -- pixel-integrated Gaussian PSF camera image of a single
   emitter, parameterised by (x, y, z, C, h) (+ noise)
 
-A model computes only its noise-free rows g = ``noiseless_batch(X)``;
-``LinearModel`` takes a row whose product overflows float64 again from the
-signal scaled by a power of two, so only a row whose exact image leaves the
-range is non-finite (a downsampling model's rows are weighted means of the
-signal, which stay in range).
+A model computes only its noise-free rows g = ``noiseless_batch(X)``, and
+row i of g is bit for bit the one-row call on X[i], whatever the batch and
+the memory layout of X, so a batched measurement or feasibility test decides
+each row as its one-row call does. ``LinearModel`` takes a row whose product
+overflows float64 again from the signal scaled by a power of two, so only a
+row whose exact image leaves the range is non-finite (a downsampling model's
+rows are weighted means of the signal, which stay in range).
 ``NoiseSpec`` owns how noise enters: additively (g + e), multiplicatively
 (g * e) or mixed, g * (1 + e1) + e2, in componentwise (inf-norm) balls by
 default or an l2 ball for the pure kinds. It tests noise membership, composes
@@ -30,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import DataError, UsageError, check_keys, l2_overflow_rescaled
+from .core import DataError, UsageError, check_keys, l2_overflow_rescaled, whole
 
 __all__ = [
     "NoiseSpec",
@@ -183,7 +185,11 @@ class ForwardModel:
     """Base class: measurement and feasibility through ``noise``, bounds bookkeeping.
 
     Subclasses provide the noise-free component via ``noiseless_batch`` and
-    the dimensions/bounds; everything else is shared.
+    the dimensions/bounds; everything else is shared. A subclass keeps the
+    row contract of ``noiseless_batch``, which every built-in model keeps:
+    row i is bit for bit the one-row call on X[i], whatever the batch and
+    the memory layout of X. So row i of ``apply_batch`` and of
+    ``feasible_batch`` is their one-row call too.
     """
 
     noise: NoiseSpec
@@ -191,6 +197,8 @@ class ForwardModel:
     d2: int
 
     def noiseless_batch(self, X: np.ndarray) -> np.ndarray:
+        """Noise-free measurement of each row of the (n, d1) signals X; row i
+        is bit for bit ``noiseless_batch(X[i : i + 1])[0]``."""
         raise NotImplementedError
 
     def apply_batch(self, X, E) -> np.ndarray:
@@ -213,12 +221,7 @@ class ForwardModel:
             raise UsageError(f"signal length {X.shape[-1]} != d1={self.d1}")
         if not self.within_bounds(X).all():
             warnings.warn("signal lies outside signal_bounds", stacklevel=2)
-        return self.noise.compose(self._noiseless_rows(X), E)
-
-    def _noiseless_rows(self, X: np.ndarray) -> np.ndarray:
-        """``noiseless_batch(X)``, each row rounded as if it were measured
-        alone; the built-in elementwise and einsum forms are."""
-        return self.noiseless_batch(X)
+        return self.noise.compose(self.noiseless_batch(X), E)
 
     # -- feasibility ----------------------------------------------------------
 
@@ -263,8 +266,8 @@ class LinearModel(ForwardModel):
         b = np.asarray(signal_bounds, dtype=np.float64)
         if b.shape != (A.shape[1], 2):
             raise UsageError(f"signal_bounds must have shape ({A.shape[1]}, 2)")
-        if np.any(b[:, 0] > b[:, 1]):
-            raise UsageError("signal_bounds must satisfy lo <= hi")
+        if not np.all(b[:, 0] <= b[:, 1]):  # NaN fails too
+            raise UsageError("signal_bounds must satisfy lo <= hi, with no NaN")
         self.matrix = A.copy()
         self.matrix.setflags(write=False)
         self._bounds = b.copy()
@@ -277,27 +280,24 @@ class LinearModel(ForwardModel):
         return self._bounds
 
     def noiseless_batch(self, X: np.ndarray) -> np.ndarray:
-        """X @ Aᵀ. A row past the float64 range is taken again as
-        2^s A (2^-s x), exactly, with no partial sum past 2^1022, so only a
-        row whose exact A x leaves the range is non-finite; the finite rows
-        keep their bits."""
-        X = np.atleast_2d(X)
+        """A x for each row x of X, one einsum sum per entry. On a C-ordered
+        X the sum runs in the same order for every row, so each row keeps the
+        bits of its one-row call; a BLAS X @ Aᵀ does not, and einsum's order
+        follows the strides of X, hence the copy of any other layout. A row
+        past the float64 range is taken again as 2^s A (2^-s x), exactly,
+        with no partial sum past 2^1022, so only a row whose exact A x leaves
+        the range is non-finite; the finite rows keep their bits."""
+        X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):  # such rows are redone below
-            g = X @ self.matrix.T
+            g = np.einsum("nj,ij->ni", X, self.matrix)
             if np.isfinite(g).all():
                 return g
             lost = np.flatnonzero(~np.isfinite(g).all(axis=1))
             _, e_a = np.frexp(np.abs(self.matrix).sum(axis=1).max())
             _, e_x = np.frexp(np.abs(X[lost]).max(axis=1))
             s = (e_a + e_x - 1022)[:, None]
-            g[lost] = np.ldexp(np.ldexp(X[lost], -s) @ self.matrix.T, s)
+            g[lost] = np.ldexp(np.einsum("nj,ij->ni", np.ldexp(X[lost], -s), self.matrix), s)
         return g
-
-    def _noiseless_rows(self, X: np.ndarray) -> np.ndarray:
-        # a batched X @ A.T rounds a row differently from the row alone (a
-        # matrix-matrix against a matrix-vector BLAS call)
-        rows = [self.noiseless_batch(X[i : i + 1]) for i in range(X.shape[0])]
-        return np.array(rows).reshape(X.shape[0], self.d2)
 
     def to_dict(self) -> dict:
         return {
@@ -351,8 +351,8 @@ class DownsampleModel(ForwardModel):
                  r_max: float, noise: NoiseSpec):
         if bands < 1 or height < 1 or width < 1:
             raise UsageError("bands, height, width must be positive")
-        if r_max <= 0:
-            raise UsageError("r_max must be positive")
+        if not r_max > 0:  # NaN fails too
+            raise UsageError(f"r_max must be positive, got {r_max!r}")
         if noise.kind != "additive":
             raise UsageError("the downsampling model uses additive noise")
         self.bands = int(bands)
@@ -379,7 +379,7 @@ class DownsampleModel(ForwardModel):
         return (self.bands, self.height // self.factor, self.width // self.factor)
 
     def noiseless_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
+        X = np.ascontiguousarray(np.atleast_2d(X))  # einsum's order follows the strides
         imgs = X.reshape(X.shape[0], self.bands, self.height, self.width)
         t = np.einsum("oi,nbiw->nbow", self._dh, imgs)
         out = np.einsum("pw,nbow->nbop", self._dw, t)
@@ -424,11 +424,11 @@ class MicroscopyModel(ForwardModel):
         for name, v in (("pixel_size", pixel_size), ("psf_sigma0", psf_sigma0),
                         ("psf_z0", psf_z0), ("c_max", c_max), ("h_max", h_max),
                         ("exposure", exposure)):
-            if v <= 0:
-                raise UsageError(f"{name} must be positive")
+            if not v > 0:  # NaN fails too
+                raise UsageError(f"{name} must be positive, got {v!r}")
         vol = np.asarray(volume, dtype=np.float64)
-        if vol.shape != (3, 2) or np.any(vol[:, 0] > vol[:, 1]):
-            raise UsageError("volume must be a (3, 2) array of [lo, hi] rows")
+        if vol.shape != (3, 2) or not np.all(vol[:, 0] <= vol[:, 1]):
+            raise UsageError("volume must be a (3, 2) array of [lo, hi] rows, with no NaN")
         self.pixel_size = float(pixel_size)
         self.psf_sigma0 = float(psf_sigma0)
         self.psf_z0 = float(psf_z0)
@@ -495,7 +495,7 @@ def _floats(value) -> np.ndarray:
 
 def _pixels(value) -> tuple:
     npx, npy = value
-    return int(npx), int(npy)
+    return whole(npx), whole(npy)
 
 
 # Per variant: the model class and the type of each required field of its
@@ -503,7 +503,7 @@ def _pixels(value) -> tuple:
 _MODEL_FIELDS = {
     "linear_additive": (LinearModel, {"matrix": _floats, "signal_bounds": _floats}),
     "downsample_additive": (DownsampleModel, {
-        "bands": int, "height": int, "width": int, "factor": int, "r_max": float,
+        "bands": whole, "height": whole, "width": whole, "factor": whole, "r_max": float,
     }),
     "microscopy": (MicroscopyModel, {
         "pixels": _pixels, "pixel_size": float, "psf_sigma0": float, "psf_z0": float,

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (DataError, FeasibleSet, FeasibleSetCollection, NormSpec, check_keys,
-                   collection_from_dataset)
+                   collection_from_dataset, whole)
 
 __all__ = [
     "write_vectors_csv",
@@ -181,7 +181,7 @@ def write_collection(directory, c: FeasibleSetCollection, norm: NormSpec) -> Non
 
 def _size(value) -> int:
     """A ``check_keys`` converter for a dimension or a count."""
-    value = int(value)
+    value = whole(value)
     if value < 0:
         raise ValueError(f"{value} is negative")
     return value

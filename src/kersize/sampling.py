@@ -16,17 +16,16 @@ after it were made from the old state and are proposed again from the new
 one. So every chain moves as a one-proposal-at-a-time walk would, in fewer
 calls when most proposals are rejected. With ``build_feasible_sets_many``
 that one lockstep spans the sets of several jobs (samplers and measurement
-lists) on the same model. For an elementwise model such as microscopy, each
-job's sets are bit for bit those of its lone ``build_feasible_sets`` call.
-For a linear model that holds only while no proposal lands within rounding
-of the noise boundary: a batched ``X @ A.T`` can differ in the last bits
-from the same rows in a smaller batch. Both builders return collections
-only; a caller that wants the flat (x, y) pairs calls
-``core.dataset_from_collection``.
+lists) on the same model. Each job's sets are bit for bit those of its lone
+``build_feasible_sets`` call, since a model's feasibility test decides each
+row as its one-row call does (the row contract of ``ForwardModel``). Both
+builders return collections only; a caller that wants the flat (x, y) pairs
+calls ``core.dataset_from_collection``.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
 from collections import namedtuple
@@ -43,6 +42,7 @@ from .core import (
     as_vector,
     check_keys,
     nullable,
+    whole,
 )
 from .forward import ForwardModel
 
@@ -103,10 +103,20 @@ class SamplerSpec:
 
 
 _SAMPLER_TYPES = {
-    "n_max": int, "seed": int, "budget": nullable(int), "burn_in": int, "thinning": int,
+    "n_max": whole, "seed": whole, "budget": nullable(whole), "burn_in": whole,
+    "thinning": whole,
     "step_scale": nullable(lambda v: np.asarray(v, dtype=np.float64).tolist()),
-    "grid_resolution": nullable(lambda v: np.asarray(v, dtype=np.int64).tolist()),
+    "grid_resolution": nullable(lambda v: [whole(n) for n in v]),
 }
+
+
+def _box(model: ForwardModel) -> np.ndarray:
+    """The signal box, for a sampler that draws from it: one with an
+    infinite side (a raw matrix's model) has no uniform points or lattice."""
+    b = model.signal_bounds
+    if not np.isfinite(b).all():
+        raise UsageError("signal_bounds has an infinite side, which a sampler cannot draw from")
+    return b
 
 
 def _grid_draw(model: ForwardModel, resolution) -> tuple:
@@ -115,19 +125,22 @@ def _grid_draw(model: ForwardModel, resolution) -> tuple:
     res = np.asarray(resolution, dtype=int)
     if res.shape != (model.d1,) or np.any(res < 1):
         raise UsageError("grid_resolution must give a positive count per coordinate")
-    b = model.signal_bounds
+    size = math.prod(int(n) for n in res)  # Python ints: no wrap past 2^63
+    if size > np.iinfo(np.intp).max:
+        raise UsageError(f"grid_resolution gives {size} lattice points, more than can be indexed")
+    b = _box(model)
     axes = [np.linspace(b[i, 0], b[i, 1], res[i]) for i in range(model.d1)]
 
     def draw(start, n):
         idx = np.unravel_index(np.arange(start, start + n), res)
         return np.stack([axis[i] for axis, i in zip(axes, idx)], axis=1)
 
-    return draw, int(np.prod(res))
+    return draw, size
 
 
 def _uniform_draw(model: ForwardModel, rng):
     """``draw(start, n)``: n uniform points of the signal box from rng."""
-    b = model.signal_bounds
+    b = _box(model)
     return lambda start, n: rng.uniform(b[:, 0], b[:, 1], size=(n, model.d1))
 
 
@@ -152,12 +165,15 @@ def _half_step(model, sampler) -> np.ndarray:
     """Per-coordinate half-width of the random walk's uniform proposals."""
     step = sampler.step_scale
     if step is None:
-        b = model.signal_bounds
+        b = _box(model)
         step = 0.1 * (b[:, 1] - b[:, 0])
     try:
-        return 0.5 * np.broadcast_to(np.asarray(step, dtype=np.float64), (model.d1,))
+        half = 0.5 * np.broadcast_to(np.asarray(step, dtype=np.float64), (model.d1,))
     except ValueError:
         raise UsageError(f"step_scale must be one number or d1={model.d1} numbers") from None
+    if not (np.isfinite(half).all() and (half >= 0).all()):
+        raise UsageError(f"step_scale must be finite and nonnegative, got {step!r}")
+    return half
 
 
 def _random_walks(model, Y, rngs, anchors, half, budget, n_target, burn_in, thinning,
@@ -347,7 +363,9 @@ def _plan(model, measurements=None, *, generate: int | None = None, ground_truth
         k_total = len(ys)
     half = _half_step(model, sampler) if sampler.kind == "random_walk" else None
     if sampler.kind == "grid":
-        _grid_draw(model, sampler.grid_resolution)  # checks the resolution
+        _grid_draw(model, sampler.grid_resolution)  # checks the resolution and the box
+    elif sampler.kind == "rejection" or ground_truths is None:
+        _box(model)  # drawn from by generated truths, rejection and an unanchored walk's start
     width = max(2, len(str(k_total - 1)))
     ids = [f"m{k:0{width}d}" for k in range(k_total)]
     sample_rngs, gen_rngs = zip(*(_entry_rngs(sampler.seed, k) for k in range(k_total)))
@@ -377,11 +395,9 @@ def build_feasible_sets_many(model: ForwardModel, jobs) -> list:
     The random walks of all sets of all jobs then advance in one lockstep,
     one batched feasibility test of a window of proposals per chain per
     step; grid and rejection jobs run set by set. Set k of a job draws only
-    from its job's own (seed, k) streams, so for an elementwise model such
-    as microscopy each job's collection is bit for bit that of its lone
-    call. For a linear model that holds only while no proposal lands within
-    rounding of the noise boundary, since a batched ``X @ A.T`` can differ
-    in the last bits.
+    from its job's own (seed, k) streams, and the model decides each row as
+    its one-row call does, so each job's collection is bit for bit that of
+    its lone call.
     """
     plans = [_plan(model, **job) for job in jobs]
     if not plans:

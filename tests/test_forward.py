@@ -1,5 +1,6 @@
 """Tests for the forward models and their feasibility predicates."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -264,15 +265,13 @@ class TestFeasibleOverflow:
     def test_linear_model_product_past_the_range(self, noise):
         """A x overflows in float64 but its exact value, 0, fits: the row is
         measured again from x scaled by a power of two, in the batch, the
-        feasibility test and apply_batch's one-row products; the finite row
-        keeps the bits of the batched product."""
+        feasibility test and apply_batch; the finite row keeps the bits of
+        its one-row call."""
         model = LinearModel([[2.0, -2.0]], noise, [[-1.7e308, 1.7e308]] * 2)
         X = np.array([[1.7e308, 1.7e308], [0.1, 0.3]])
         g = model.noiseless_batch(X)
         assert g[0].tolist() == [0.0]
-        with np.errstate(over="ignore"):
-            batched = X @ model.matrix.T
-        assert g[1].tobytes() == batched[1].tobytes()
+        assert g[1].tobytes() == model.noiseless_batch(X[1:])[0].tobytes()
         assert model.feasible_batch(X[:1], [0.0]).tolist() == [True]
         assert model.apply_batch(X[:1], np.zeros((1, noise.dim(1)))).tolist() == [[0.0]]
 
@@ -499,6 +498,95 @@ class TestFeasibility:
                 assert large.feasible_batch(x[None, :], y)[0]
 
 
+class TestRowContract:
+    """Row i of every built-in model's ``noiseless_batch`` is bit for bit its
+    one-row call, whatever the batch and the layout of X; so a batched
+    feasibility test decides each row as its one-row call does, even on the
+    noise boundary, where the last bit of the image decides."""
+
+    KINDS = [("additive", "inf"), ("additive", "l2"), ("multiplicative", "inf"),
+             ("multiplicative", "l2"), ("mixed", "inf")]
+    MODELS = ["linear 3x6", "linear 7x11", "downsample", "microscopy"]
+
+    @staticmethod
+    def noise(kind="additive", ball="inf"):
+        return NoiseSpec(kind=kind, ball=ball,
+                         eps_additive=0.3 if kind != "multiplicative" else 0.0,
+                         eps_multiplicative=0.2 if kind != "additive" else 0.0)
+
+    @staticmethod
+    def model(name, noise):
+        rng = np.random.default_rng(21)
+        if name.startswith("linear"):
+            d2, d1 = (3, 6) if name == "linear 3x6" else (7, 11)
+            return LinearModel(rng.normal(size=(d2, d1)), noise, [[-1, 1]] * d1)
+        if name == "downsample":
+            return DownsampleModel(2, 8, 12, 4, 1.0, noise)
+        return MicroscopyModel(pixels=(4, 4), pixel_size=100.0, psf_sigma0=150.0,
+                               psf_z0=400.0, c_max=10.0, h_max=1000.0, exposure=1.0,
+                               volume=[[100, 300], [100, 300], [-100, 100]], noise=noise)
+
+    @staticmethod
+    def signals(m, rng, n=64):
+        b = m.signal_bounds
+        return rng.uniform(b[:, 0], b[:, 1], size=(n, m.d1))
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_noiseless_batch_rows_are_one_row_calls(self, name):
+        m = self.model(name, self.noise())
+        rng = np.random.default_rng(22)
+        X = self.signals(m, rng)
+        if isinstance(m, LinearModel):
+            # rows whose product overflows: some with an exact A x in range
+            # (a kernel direction at the float limit), some past it
+            w = np.linalg.svd(m.matrix)[2][-1]
+            X[5] = np.finfo(float).max * w / np.abs(w).max()
+            X[8] = -X[5]
+            X[13] = 1e308 * rng.uniform(-1, 1, m.d1)
+            with np.errstate(over="ignore"):
+                terms = X[[5, 8]][:, None, :] * m.matrix
+            assert np.isinf(terms).any()
+        want = np.vstack([m.noiseless_batch(x[None, :]) for x in X])
+        if isinstance(m, LinearModel):
+            assert np.isfinite(want[[5, 8]]).all()
+        wide = np.zeros((X.shape[0], 2 * m.d1))
+        wide[:, ::2] = X
+        for layout, V in (("C", X), ("Fortran", np.asfortranarray(X)),
+                          ("column-strided", wide[:, ::2])):
+            assert m.noiseless_batch(V).tobytes() == want.tobytes(), layout
+            for lo, hi in ((0, 1), (1, 2), (3, 20), (7, 64), (13, 14), (63, 64)):
+                got = m.noiseless_batch(V[lo:hi])
+                assert got.tobytes() == want[lo:hi].tobytes(), (layout, lo, hi)
+
+    @pytest.mark.parametrize("name,kind,ball", [
+        (name, kind, ball) for (kind, ball), name in itertools.product(KINDS, MODELS)
+        if name != "downsample" or kind == "additive"
+    ])
+    def test_boundary_rows_are_decided_as_one_row_calls(self, name, kind, ball):
+        """Each row's measurement puts one entry (the l2 ball: the whole
+        noise) on the boundary of the noise set around the row's one-row
+        image, so the test turns on that image's last bits."""
+        noise = self.noise(kind, ball)
+        m = self.model(name, noise)
+        rng = np.random.default_rng(23)
+        X = self.signals(m, rng)
+        G = np.vstack([m.noiseless_batch(x[None, :]) for x in X])
+        if ball == "l2":
+            u = rng.normal(size=G.shape)
+            eps = noise.eps_additive + noise.eps_multiplicative
+            Y = noise.compose(G, eps * u / np.linalg.norm(u, axis=1, keepdims=True))
+        else:
+            scale = rng.uniform(0.0, 0.5, G.shape) * rng.choice([-1.0, 1.0], G.shape)
+            scale[np.arange(len(G)), rng.integers(m.d2, size=len(G))] = 1.0
+            if kind == "multiplicative":
+                Y = noise.compose(G, noise.eps_multiplicative * scale)
+            else:
+                Y = G + scale * noise.halfwidth(G)
+        got = m.feasible_batch(X, Y)
+        want = [m.feasible_batch(X[i : i + 1], Y[i])[0] for i in range(len(X))]
+        np.testing.assert_array_equal(got, want)
+
+
 class TestLinearity:
     def test_apply_linear_in_signal(self):
         rng = np.random.default_rng(9)
@@ -623,6 +711,29 @@ class TestMicroscopyIntensity:
         m = small_microscope()
         assert m.psf_sigma(0.0) == 150.0
         assert m.psf_sigma(400.0) == pytest.approx(150.0 * np.sqrt(2))
+
+
+class TestModelParameters:
+    MICROSCOPE = dict(pixels=(4, 4), pixel_size=100.0, psf_sigma0=150.0, psf_z0=400.0,
+                      c_max=10.0, h_max=1000.0, exposure=1.0,
+                      volume=[[100, 300], [100, 300], [-100, 100]], noise=NoiseSpec())
+
+    @pytest.mark.parametrize("build", [
+        lambda nan: LinearModel(np.eye(2), NoiseSpec(), [[-1, nan], [-1, 1]]),
+        lambda nan: LinearModel(np.eye(2), NoiseSpec(), [[-1, 1], [nan, 1]]),
+        lambda nan: DownsampleModel(1, 4, 4, 2, nan, NoiseSpec()),
+        lambda nan: MicroscopyModel(**dict(TestModelParameters.MICROSCOPE,
+                                           volume=[[100, 300], [nan, 300], [-100, 100]])),
+        *(lambda nan, name=name: MicroscopyModel(**dict(TestModelParameters.MICROSCOPE,
+                                                        **{name: nan}))
+          for name in ("pixel_size", "psf_sigma0", "psf_z0", "c_max", "h_max", "exposure")),
+    ], ids=["linear_hi", "linear_lo", "r_max", "volume", "pixel_size", "psf_sigma0",
+            "psf_z0", "c_max", "h_max", "exposure"])
+    def test_nan_parameter_is_usage_error(self, build):
+        """NaN passes every ``<= 0`` and ``lo > hi`` test; each constructor
+        refuses it."""
+        with pytest.raises(UsageError):
+            build(float("nan"))
 
 
 class TestSerialization:

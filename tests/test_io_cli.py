@@ -245,9 +245,24 @@ class TestCliSample:
             lambda cfg: cfg["model"].update(matrix=[[0.5, 0.5], [1.0]]),
             lambda cfg: cfg["sampler"].update(n_max="x"),
             lambda cfg: cfg.update(sampler=5),
+            lambda cfg: cfg["sampler"].update(n_max=float("inf")),
+            lambda cfg: cfg["sampler"].update(kind="grid", grid_resolution=[1e20, 2]),
+            lambda cfg: cfg["sampler"].update(kind="grid", grid_resolution=[2.5, 2]),
+            lambda cfg: cfg["sampler"].update(kind="random_walk", burn_in=1.5),
+            lambda cfg: cfg.update(model={
+                "variant": "microscopy", "pixels": [4.7, 4], "pixel_size": 100.0,
+                "psf_sigma0": 150.0, "psf_z0": 400.0, "c_max": 10.0, "h_max": 400.0,
+                "exposure": 1.0, "volume": [[100, 300], [100, 300], [-50, 50]],
+            }),
+            lambda cfg: cfg.update(model={"variant": "downsample_additive", "bands": 1,
+                                          "height": 4, "width": 4, "factor": 2.5,
+                                          "r_max": 1.0}),
+            lambda cfg: cfg["model"]["noise"].update(eps_additive=10**400),
         ],
         ids=["missing_bands", "pixel_size_abc", "eps_additive_x", "noise_3",
-             "ragged_matrix", "n_max_x", "sampler_5"],
+             "ragged_matrix", "n_max_x", "sampler_5", "n_max_inf", "grid_resolution_1e20",
+             "grid_resolution_2.5", "burn_in_1.5", "pixels_4.7", "factor_2.5",
+             "eps_additive_10^400"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, edit):
         cfg = json.loads(sample_config(tmp_path).read_text())
@@ -263,8 +278,16 @@ class TestCliSample:
         [
             lambda cfg: cfg["norm"].update(mask=[1]),
             lambda cfg: cfg["sampler"].update(kind="random_walk", step_scale=[0.1, 0.1, 0.1]),
+            lambda cfg: cfg["sampler"].update(kind="random_walk", step_scale=-0.1),
+            lambda cfg: cfg["sampler"].update(kind="random_walk",
+                                              step_scale=[float("nan"), 1]),
+            lambda cfg: cfg["sampler"].update(kind="random_walk", step_scale=float("inf")),
+            lambda cfg: cfg["sampler"].update(kind="grid", grid_resolution=[2**32, 2**32]),
+            lambda cfg: cfg["model"].update(signal_bounds=[[-1, float("nan")], [-1, 1]]),
+            lambda cfg: cfg["model"].update(signal_bounds=[[-1, float("inf")], [-1, 1]]),
         ],
-        ids=["mask_length", "step_scale_length"],
+        ids=["mask_length", "step_scale_length", "step_scale_negative", "step_scale_nan",
+             "step_scale_inf", "lattice_2^64", "signal_bounds_nan", "signal_bounds_inf"],
     )
     def test_config_dimension_mismatch_exits_1(self, tmp_path, capsys, edit):
         cfg = json.loads(sample_config(tmp_path).read_text())

@@ -403,6 +403,35 @@ class TestBuildFeasibleSets:
         with pytest.raises(UsageError, match="at least one job"):
             sampling.build_feasible_sets_many(m, [])
 
+    def test_infinite_box_is_refused_before_any_draw(self, monkeypatch):
+        """A sampler that draws from the signal box refuses a box with an
+        infinite side before any proposal; an anchored walk with its own
+        step draws nothing from the box and runs."""
+        m = LinearModel(np.eye(2), NoiseSpec(kind="additive", eps_additive=0.2),
+                        [[-1, 1], [-np.inf, 1]])
+        calls = []
+        feasible = m.feasible_batch
+        monkeypatch.setattr(m, "feasible_batch", lambda X, y: calls.append(X) or feasible(X, y))
+        rejection = SamplerSpec(kind="rejection", n_max=4, budget=100)
+        grid = SamplerSpec(kind="grid", n_max=4, grid_resolution=(3, 3))
+        walk = SamplerSpec(kind="random_walk", n_max=4, budget=100, step_scale=0.1)
+        default_step = SamplerSpec(kind="random_walk", n_max=4, budget=100)
+        for job in ({"measurements": [[0.0, 0.0]], "sampler": rejection},
+                    {"ground_truths": [[0.0, 0.0]], "sampler": rejection},
+                    {"measurements": [[0.0, 0.0]], "sampler": grid},
+                    {"measurements": [[0.0, 0.0]], "sampler": walk},
+                    {"generate": 2, "sampler": walk},
+                    {"ground_truths": [[0.0, 0.0]], "sampler": default_step}):
+            with pytest.raises(UsageError, match="infinite side"):
+                sampling.build_feasible_sets_many(m, [job])
+        for sampler, anchor in ((rejection, None), (grid, None), (walk, None),
+                                (default_step, [0.0, 0.0])):
+            with pytest.raises(UsageError, match="infinite side"):
+                sample_feasible(m, [0.0, 0.0], sampler, anchor=anchor)
+        assert calls == []
+        c = build_feasible_sets(m, ground_truths=[[0.0, 0.0]], sampler=walk)
+        assert c.counts == (4,)
+
     def test_infeasible_anchor_names_its_set_and_job(self):
         m = identity_model(eps=0.1)
         walk = SamplerSpec(kind="random_walk", n_max=5, seed=0, budget=100, step_scale=0.1)
