@@ -59,6 +59,15 @@ _BLOCK = 128  # random-walk proposals drawn per chain per RNG call, at most;
 _BLOCK_VALUES = 1 << 20  # cap on the buffered proposal values of all chains
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as ``core.whole`` reads an integer field, or a UsageError
+    naming the argument: 2.5, NaN, an infinity or a bool is refused."""
+    try:
+        return whole(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"{name}: {exc}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class SamplerSpec:
     """How to hunt for feasible signals.
@@ -66,7 +75,9 @@ class SamplerSpec:
     ``n_max`` caps the members kept per measurement, ``budget`` the proposals
     spent before giving up. ``step_scale`` is the per-coordinate proposal width
     of the random walk (None: a tenth of the signal box); ``grid_resolution``
-    the per-coordinate point counts of the grid sampler.
+    the per-coordinate point counts of the grid sampler. The integer fields
+    are read as ``core.whole`` reads a config's: 3.0 is 3, while 2.5, NaN,
+    an infinity or a bool is a ``UsageError``.
     """
 
     kind: str = "rejection"
@@ -81,6 +92,17 @@ class SamplerSpec:
     def __post_init__(self):
         if self.kind not in ("grid", "rejection", "random_walk"):
             raise UsageError(f"unknown sampler kind {self.kind!r}")
+        for name in ("n_max", "seed", "burn_in", "thinning"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
+        if self.budget is not None:
+            object.__setattr__(self, "budget", _whole(self.budget, "budget"))
+        if self.grid_resolution is not None:
+            try:
+                counts = tuple(_whole(n, "grid_resolution") for n in self.grid_resolution)
+            except TypeError:  # not a sequence
+                raise UsageError(
+                    "grid_resolution must give a positive count per coordinate") from None
+            object.__setattr__(self, "grid_resolution", counts)
         if self.n_max < 1:
             raise UsageError("n_max must be >= 1")
         if self.seed < 0:
@@ -294,8 +316,7 @@ def sample_feasible(model: ForwardModel, y, sampler: SamplerSpec,
     y = as_vector(y, "measurement")
     if rng is None:
         rng = np.random.default_rng(sampler.seed)
-    if n_target is None:
-        n_target = sampler.n_max
+    n_target = sampler.n_max if n_target is None else _whole(n_target, "n_target")
     if sampler.kind == "grid":
         draw, size = _grid_draw(model, sampler.grid_resolution)
         out, _ = _search(model, y, draw, min(sampler.effective_budget, size), n_target)
@@ -345,6 +366,7 @@ def _plan(model, measurements=None, *, generate: int | None = None, ground_truth
         raise UsageError("pass exactly one of measurements=, generate= or ground_truths=")
     truths = None
     if generate is not None:
+        generate = _whole(generate, "generate")
         if generate < 1:
             raise UsageError("generate must request at least one measurement")
         k_total = generate

@@ -20,7 +20,11 @@ linear model with no signal box (every coordinate in [-inf, inf]).
 
 A downsampling model is block diagonal over its bands, and so is its kernel
 projector (Penrose 1955): one band's projector, of size n_b or, in joint
-mode on the band's signal and noise, n_b + m_b, serves every band.
+mode on the band's signal and noise, n_b + m_b, serves every band. A linear
+operator is one band. So every pair goes through the same band einsum, and
+each pair's kernel component, reflection and verdicts are bit for bit those
+of ``skersize`` on that pair alone, as each row of a forward model's batch is
+its one-row call.
 
 For an m x n operator B (B = A, or [A | I] with n = d1 + d2 in joint mode,
 or one band of a downsampling model) the projector P = I - B^+ B costs one
@@ -266,12 +270,12 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
              norm: NormSpec, mode: str = "signal_only") -> SkersizeResult:
     """Average symmetric kernel size of a paired dataset under y = A x + e.
 
-    Recovers each pair's noise as e_m = y_m - A x_m (rejecting pairs whose
+    Recovers each pair's noise as e_m = y_m - A x_m, rejecting a pair whose
     noise leaves the noise set by more than the roundoff of re-deriving it,
-    1e-9 of the measurement scale; ``LinearModel.noiseless_batch`` takes a
-    product A x_m past the float64 range again as 2^s A (2^-s x_m), so only
-    a pair whose exact A x_m leaves the range is infeasible), projects onto
-    the kernel, and returns
+    1e-9·max(1, max |y_m|) of the pair's own measurement
+    (``LinearModel.noiseless_batch`` takes a product A x_m past the float64
+    range again as 2^s A (2^-s x_m), so only a pair whose exact A x_m leaves
+    the range is infeasible), projects onto the kernel, and returns
 
         skersize = ( (1/M') Σ_m ‖v_m‖^p )^(1/p)
 
@@ -282,22 +286,25 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
     x' = x - 2 P x. In signal_only mode the noise is untouched, so
     A x' = A x exactly and each pair keeps its measurement. In joint mode the
     concatenated (x, e) is reflected and split back into its signal and noise
-    coordinates, so A x' + e' = A x + e. Either way the reflection is an
-    involution: reflecting (x', y) gives back (x, y).
+    coordinates, so A x' + e' = A x + e, and a reflected noise that leaves
+    the noise set by more than the pair's tolerance is flagged. Either way
+    the reflection is an involution: reflecting (x', y) gives back (x, y).
 
     A raw matrix A is ``LinearModel(A, noise, box)`` with the box [-inf, inf]
     in every coordinate. A downsampling model applies its one-band projector
     to each band's n_b signal coordinates, or in joint mode to its n_b signal
-    and m_b noise coordinates, split back into band-major x' and e'.
+    and m_b noise coordinates, split back into band-major x' and e'; a linear
+    operator is one band of all d1 (and d2) coordinates.
 
     Runs in O(M') at fixed dimensions: one projector, built in O(n²·m) and
     verified in O(n·m·min(n, m)) from its factors (see the module
-    docstring), each row block of which is applied to every pair (every band
-    of every pair) as it is built, plus one matrix product per pair. The band
-    einsum over blocks is bit for bit one whole einsum with the assembled P;
-    the BLAS products of a whole operator equal the whole product to
-    rounding. A p-th power ‖v_m‖^p or their sum past the float64 range
-    raises DataError.
+    docstring), each row block of which is applied to every band of every
+    pair as it is built, in one einsum per block. The einsum over blocks is
+    bit for bit one whole einsum with the assembled P, and it sums each entry
+    in the same order whatever the other pairs: each pair's v_m, x'_m and
+    noise and box verdicts are those of its lone call, and permuting the
+    pairs permutes them. A p-th power ‖v_m‖^p or their sum past the float64
+    range raises DataError.
     """
     if noise.kind != "additive":
         raise UsageError("the symmetric bound requires additive noise (y = A x + e)")
@@ -316,23 +323,25 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
         model = LinearModel(A, noise, np.tile([-np.inf, np.inf], (A.shape[1], 1)))
     if model.d1 != pairs.d1:
         raise UsageError(f"operator has {model.d1} columns, pairs have d1={pairs.d1}")
+    if model.d2 != pairs.y.shape[1]:
+        raise UsageError(f"operator has {model.d2} rows, pairs have d2={pairs.y.shape[1]}")
 
     if isinstance(model, DownsampleModel):  # one band's projector serves every band
         kernel_of, shape = model.band_matrix(), (pairs.size, model.bands, -1)
-    else:
-        kernel_of, shape = model.matrix, (pairs.size, -1)
+    else:  # a linear operator is one band
+        kernel_of, shape = model.matrix, (pairs.size, 1, -1)
     x = pairs.x
     g = model.noiseless_batch(x)
     with np.errstate(over="ignore"):  # noise past the float range is infeasible,
         e = pairs.y - g  # which is raised just below
-    feas_atol = 1e-9 * max(1.0, float(np.abs(pairs.y).max(initial=0.0)))
+    feas_atol = 1e-9 * np.maximum(1.0, np.abs(pairs.y).max(axis=1, initial=0.0))
     e_norms = noise.row_norms(e)
     bad = np.flatnonzero(e_norms > noise.eps_additive + feas_atol)
     if bad.size:
         m = int(bad[0])
         raise DataError(
             f"pair {m} is infeasible: recovered noise leaves the noise set "
-            f"(|e|={float(e_norms[m]):.3g} > eps={noise.eps_additive:.3g})"
+            f"(|e|={float(e_norms[m])!r} > eps={float(noise.eps_additive)!r})"
         )
 
     vectors = x.reshape(shape)
@@ -341,10 +350,7 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
     B, tol = _kernel_operator(kernel_of, mode)
     projected = np.empty_like(vectors)
     for I, block in _projector_rows(B, tol):
-        if vectors.ndim == 3:
-            np.einsum("ij,nbj->nbi", block, vectors, out=projected[:, :, I])
-        else:
-            projected[:, I] = vectors @ block.T
+        np.einsum("ij,nbj->nbi", block, vectors, out=projected[:, :, I])
     with np.errstate(over="ignore"):  # 2Px may overflow where x - 2Px fits
         refl = vectors - 2.0 * projected
         lost = ~np.isfinite(refl)

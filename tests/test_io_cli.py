@@ -697,16 +697,26 @@ class TestCliSkersize:
                      "--model", str(model_path)]) == 1
         assert "error: operator must be a matrix" in capsys.readouterr().err
 
-    def test_model_of_wrong_size_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("operator, mode, message", [
+        ("model", "signal", "operator has 16 columns, pairs have d1=2"),
+        ("matrix", "signal", "operator has 2 rows, pairs have d2=1"),
+        ("matrix", "joint", "operator has 2 rows, pairs have d2=1"),
+    ], ids=["d1", "d2-signal", "d2-joint"])
+    def test_model_of_wrong_size_exits_1(self, tmp_path, capsys, operator, mode, message):
+        """A 4 x 16 model for pairs of d1 = 2, or a 2 x 2 matrix for pairs of
+        d2 = 1: one error line, exit 1."""
         from kersize.forward import DownsampleModel, NoiseSpec
 
-        model = DownsampleModel(bands=1, height=4, width=4, factor=2, r_max=1.0,
-                                noise=NoiseSpec(kind="additive"))
-        model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(model.to_dict()))
-        assert main(["skersize", str(two_point_collection_dir(tmp_path)),
-                     "--model", str(model_path)]) == 1
-        assert "error: operator has 16 columns" in capsys.readouterr().err
+        path = tmp_path / "operator"
+        if operator == "model":
+            model = DownsampleModel(bands=1, height=4, width=4, factor=2, r_max=1.0,
+                                    noise=NoiseSpec(kind="additive"))
+            path.write_text(json.dumps(model.to_dict()))
+        else:
+            path.write_text("0.5,0.5\n0.5,0.5\n")
+        assert main(["skersize", str(two_point_collection_dir(tmp_path)), f"--{operator}",
+                     str(path), "--mode", mode]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 class TestCliDemo:

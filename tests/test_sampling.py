@@ -95,6 +95,35 @@ class TestSamplerSpec:
         with pytest.raises(UsageError):
             SamplerSpec(kind="grid", n_max=10)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: SamplerSpec(n_max=2.5), "n_max"),
+        (lambda: SamplerSpec(n_max=float("nan")), "n_max"),
+        (lambda: SamplerSpec(n_max=True), "n_max"),
+        (lambda: SamplerSpec(budget=float("nan")), "budget"),
+        (lambda: SamplerSpec(n_max=2, budget=5.5), "budget"),
+        (lambda: SamplerSpec(kind="random_walk", thinning=1.5), "thinning"),
+        (lambda: SamplerSpec(burn_in=0.5), "burn_in"),
+        (lambda: SamplerSpec(seed=1.5), "seed"),
+        (lambda: SamplerSpec(seed=float("inf")), "seed"),
+        (lambda: SamplerSpec(kind="grid", grid_resolution=(2.5, 2)), "grid_resolution"),
+        (lambda: build_feasible_sets(identity_model(eps=0.1), generate=2.5,
+                                     sampler=SamplerSpec(n_max=3)), "generate"),
+        (lambda: sample_feasible(identity_model(eps=0.1), [0.0, 0.0], SamplerSpec(n_max=3),
+                                 n_target=2.5), "n_target"),
+    ], ids=["n_max-2.5", "n_max-nan", "n_max-bool", "budget-nan", "budget-5.5",
+            "thinning-1.5", "burn_in-0.5", "seed-1.5", "seed-inf", "grid_resolution-2.5",
+            "generate-2.5", "n_target-2.5"])
+    def test_integer_field_that_is_not_whole_is_usage_error(self, call, name):
+        with pytest.raises(UsageError, match=f"^{name}: "):
+            call()
+
+    def test_whole_integer_fields_are_normalised(self):
+        s = SamplerSpec(kind="grid", n_max=np.int64(3), seed=2.0, budget=np.float64(10),
+                        grid_resolution=np.array([2, 3]), burn_in=0.0, thinning=1.0)
+        fields = (s.n_max, s.seed, s.budget, s.burn_in, s.thinning, *s.grid_resolution)
+        assert fields == (3, 2, 10, 0, 1, 2, 3)
+        assert all(type(v) is int for v in fields)
+
     def test_from_dict(self):
         s = SamplerSpec.from_dict({"kind": "random_walk", "n_max": 7, "seed": 3, "budget": 100,
                                    "step_scale": [0.1, 0.2], "burn_in": 2, "thinning": 3})

@@ -1,5 +1,6 @@
 """Tests for the pseudoinverse, kernel projections, reflections and SKersize."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -434,6 +435,21 @@ class TestSkersize:
         with pytest.raises(DataError, match="pair 1"):
             skersize(pairs, AVG, NoiseSpec(kind="additive", eps_additive=0.5), EUCLID)
 
+    def test_feasibility_tolerance_is_each_pairs_own(self):
+        """Pair 1's noise leaves the ball by 1e-5. The roundoff tolerance is
+        1e-9·max(1, max |y_m|) of the pair's own measurement, so the pair is
+        refused beside a pair measuring 1e6 as it is alone, and the message
+        shows its excess."""
+        x = np.array([[1e6, 0.0], [0.2, 0.3]])
+        y = np.array([[1e6 + 0.05], [0.6 + 1e-5]])
+        noise = NoiseSpec(kind="additive", eps_additive=0.1)
+        assert skersize(pairs_of(x[:1], y[:1]), [[1.0, 1.0]], noise, EUCLID).skersize > 0
+        for rows in ([1], [0, 1]):
+            with pytest.raises(DataError, match=f"pair {len(rows) - 1} is infeasible") as info:
+                skersize(pairs_of(x[rows], y[rows]), [[1.0, 1.0]], noise, EUCLID)
+            shown = re.search(r"\|e\|=(\S+) > eps=(\S+)\)", str(info.value))
+            assert float(shown[1]) > float(shown[2]) == 0.1
+
     def test_multiplicative_noise_rejected(self):
         with pytest.raises(UsageError):
             skersize(self.single_pair(), AVG,
@@ -497,8 +513,16 @@ class TestSkersize:
         np.testing.assert_array_equal(via_model.symmetrized.x, via_matrix.symmetrized.x)
         assert via_model.skersize == via_matrix.skersize
 
+    @pytest.mark.parametrize("mode", ["signal_only", "joint"])
+    @pytest.mark.parametrize("d1, d2, message", [
+        (15, 4, "16 columns, pairs have d1=15"),
+        (16, 3, "4 rows, pairs have d2=3"),
+        (16, 5, "4 rows, pairs have d2=5"),
+    ], ids=["d1", "d2-short", "d2-long"])
     @pytest.mark.parametrize("operator", ["matrix", "linear", "downsample"])
-    def test_signal_length_mismatch_is_usage_error(self, operator):
+    def test_pair_length_mismatch_is_usage_error(self, operator, d1, d2, message, mode):
+        """Pairs that do not fit the 4 x 16 operator are refused, where y - A x
+        would broadcast or fail inside numpy."""
         noise = NoiseSpec(kind="additive", eps_additive=0.05)
         model = DownsampleModel(bands=1, height=4, width=4, factor=2, r_max=1.0, noise=noise)
         op = {
@@ -506,10 +530,10 @@ class TestSkersize:
             "linear": LinearModel(dense_matrix(model), noise, np.tile([0.0, 1.0], (16, 1))),
             "downsample": model,
         }[operator]
-        pairs = PairedDataset(x=np.full((2, 15), 0.5), y=np.full((2, 4), 0.5),
+        pairs = PairedDataset(x=np.full((2, d1), 0.5), y=np.full((2, d2), 0.5),
                               group=[0, 1], group_ids=("a", "b"))
-        with pytest.raises(UsageError, match="16 columns, pairs have d1=15"):
-            skersize(pairs, op, noise, EUCLID)
+        with pytest.raises(UsageError, match=message):
+            skersize(pairs, op, noise, EUCLID, mode=mode)
 
     @pytest.mark.parametrize("operator", [[0.5, 0.5], 2.0], ids=["vector", "scalar"])
     def test_operator_that_is_not_a_matrix_is_usage_error(self, operator):
@@ -620,11 +644,10 @@ class TestSkersize:
 
     @pytest.mark.parametrize("path", ["band", "linear", "joint"])
     def test_streamed_reflections_over_ragged_row_blocks(self, monkeypatch, path):
-        """With row blocks of 7 rows (the last one shorter), every path gives
-        the reflections of the whole product with the P kernel_projection
-        assembles from the same blocks: bit for bit for the band einsum, to
-        rounding for the BLAS products of the linear and joint paths, which
-        OpenBLAS may sum in another order for a narrow block."""
+        """With row blocks of 7 rows (the last one shorter), every path gives,
+        bit for bit, the reflections of one whole band einsum with the P
+        kernel_projection assembles from the same blocks: a linear operator
+        is one band."""
         seen = self.spy_on_v(monkeypatch)
         rng = np.random.default_rng(34)
         if path == "band":
@@ -639,23 +662,21 @@ class TestSkersize:
             mode = "joint" if path == "joint" else "signal_only"
             operator = LinearModel(A, noise, np.tile([-10.0, 10.0], (41, 1)))
             x = rng.normal(size=(4, 41))
-            y = x @ A.T + rng.uniform(-0.1, 0.1, size=(4, 9))
-        n = A.shape[1] + (A.shape[0] if mode == "joint" else 0)
+            y = operator.noiseless_batch(x) + rng.uniform(-0.1, 0.1, size=(4, 9))
+        d = A.shape[1]  # a band's signal coordinates
+        n = d + (A.shape[0] if mode == "joint" else 0)
         monkeypatch.setattr(symmetric, "_ROW_BLOCK", 7 * n)
         last = symmetric._row_blocks(n)[-1]
         assert last.stop - last.start < 7
         res = skersize(pairs_of(x, y), operator, noise, EUCLID, mode=mode)
-        P = kernel_projection(A, mode=mode)
-        if path == "band":
-            v = np.einsum("ij,nbj->nbi", P, x.reshape(4, 3, -1)).reshape(4, -1)
-            np.testing.assert_array_equal(seen[0].view(np.uint64), v.view(np.uint64))
-            np.testing.assert_array_equal(res.symmetrized.x[4:], x - 2.0 * v)
-        else:
-            vectors = np.hstack([x, y - x @ A.T]) if mode == "joint" else x
-            projected = vectors @ P.T
-            np.testing.assert_allclose(seen[0], projected[:, :41], rtol=0, atol=1e-13)
-            np.testing.assert_allclose(res.symmetrized.x[4:], (vectors - 2.0 * projected)[:, :41],
-                                       rtol=0, atol=1e-13)
+        vectors = x.reshape(4, -1, d)
+        if mode == "joint":
+            vectors = np.concatenate([vectors, (y - operator.noiseless_batch(x))[:, None]], axis=-1)
+        projected = np.einsum("ij,nbj->nbi", kernel_projection(A, mode=mode), vectors)
+        v = projected[..., :d].reshape(4, -1)
+        np.testing.assert_array_equal(seen[0].view(np.uint64), v.view(np.uint64))
+        np.testing.assert_array_equal(res.symmetrized.x[4:].view(np.uint64),
+                                      (x - 2.0 * v).view(np.uint64))
 
     def test_peak_memory_below_half_a_band_projector(self):
         """skersize holds no n x n array: at the benchmark's 48 x 48 x 3 its
