@@ -450,6 +450,18 @@ class TestSkersize:
             shown = re.search(r"\|e\|=(\S+) > eps=(\S+)\)", str(info.value))
             assert float(shown[1]) > float(shown[2]) == 0.1
 
+    def test_joint_noise_flag_uses_each_pairs_tolerance(self):
+        """In joint mode under A = [[1, 1]], e' = 2y/3 - e. Pair 1's reflected
+        noise leaves the ball by 1e-5: it is flagged beside a pair measuring
+        1e6 as it is alone."""
+        x = np.array([[1e6, 0.0], [0.175015, 0.0]])
+        y = np.array([[1e6 + 0.05], [0.225015]])
+        noise = NoiseSpec(kind="additive", eps_additive=0.1)
+        for rows, flagged in (([1], [0]), ([0, 1], [0, 1])):
+            res = skersize(pairs_of(x[rows], y[rows]), [[1.0, 1.0]], noise, EUCLID,
+                           mode="joint")
+            assert res.noise_violations == flagged
+
     def test_multiplicative_noise_rejected(self):
         with pytest.raises(UsageError):
             skersize(self.single_pair(), AVG,
@@ -512,6 +524,50 @@ class TestSkersize:
         np.testing.assert_array_equal(via_model.v_norms, via_matrix.v_norms)
         np.testing.assert_array_equal(via_model.symmetrized.x, via_matrix.symmetrized.x)
         assert via_model.skersize == via_matrix.skersize
+
+    @pytest.mark.parametrize("mode", ["signal_only", "joint"])
+    @pytest.mark.parametrize("operator", ["matrix 3x6", "linear 3x6", "linear 7x11",
+                                          "downsample 1", "downsample 3"])
+    def test_each_pair_is_its_lone_call(self, operator, mode):
+        """Each pair's kernel norm, reflection and noise and box verdicts are,
+        bit for bit, those of skersize on that pair alone, and permuting the
+        pairs permutes them and keeps skersize's bits. The pairs' scales span
+        1e-3 to 10, so some reflections leave the box or the noise ball."""
+        rng = np.random.default_rng(36)
+        M = 12
+        scale = rng.permutation(np.logspace(-3, 1, M))[:, None]
+        kind, size = operator.split()
+        if kind == "downsample":
+            noise = NoiseSpec(kind="additive", eps_additive=0.2)
+            op = DownsampleModel(bands=int(size), height=8, width=8, factor=4, r_max=1.0,
+                                 noise=noise)
+            x = 0.1 + scale * rng.uniform(-0.1, 0.1, size=(M, op.d1))
+        else:
+            m, n = map(int, size.split("x"))
+            A = rng.normal(size=(m, n))
+            noise = NoiseSpec(kind="additive", eps_additive=0.1)
+            op = A if kind == "matrix" else LinearModel(A, noise, np.tile([-1.0, 1.0], (n, 1)))
+            x = scale * rng.uniform(-1.0, 1.0, size=(M, n))
+        clean = x @ A.T if kind == "matrix" else op.noiseless_batch(x)
+        e = rng.uniform(-1.0, 1.0, size=clean.shape) * noise.eps_additive
+        y = clean + np.minimum(scale, 1.0) * e
+
+        def outputs(res, rows):
+            """The bits of each row's kernel norm and reflection, and its verdicts."""
+            half = res.symmetrized.size // 2
+            return [(res.v_norms[m].tobytes(), res.symmetrized.x[half + m].tobytes(),
+                     m in res.noise_violations, m in res.bounds_violations) for m in rows]
+
+        full = skersize(pairs_of(x, y), op, noise, EUCLID, mode=mode)
+        lone = [outputs(skersize(pairs_of(x[m:m + 1], y[m:m + 1]), op, noise, EUCLID,
+                                 mode=mode), [0])[0] for m in range(M)]
+        assert outputs(full, range(M)) == lone
+        if mode == "joint":
+            assert 0 < len(full.noise_violations) < M
+        order = rng.permutation(M)
+        permuted = skersize(pairs_of(x[order], y[order]), op, noise, EUCLID, mode=mode)
+        assert outputs(permuted, range(M)) == [lone[m] for m in order]
+        assert permuted.skersize == full.skersize
 
     @pytest.mark.parametrize("mode", ["signal_only", "joint"])
     @pytest.mark.parametrize("d1, d2, message", [
