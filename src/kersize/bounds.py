@@ -646,23 +646,15 @@ class BoundReport:
     per_measurement: list
 
     def to_dict(self) -> dict:
-        return {
-            "kersize": self.kersize,
-            "half_kersize": self.half_kersize,
-            "p": self.p,
-            "q": "inf" if self.q == np.inf else self.q,
-            "mask": self.mask,
-            "uniform": self.uniform,
-            "losses": self.losses,
-            "theta_loss": self.theta_loss,
-            "inequality_flags": {
-                "lower_ok": self.lower_ok,
-                "theta_upper_ok": self.theta_upper_ok,
-                "lower_ok_by_map": self.lower_ok_by_map,
-            },
-            "note": self.note,
-            "per_measurement": [m.to_dict() for m in self.per_measurement],
-        }
+        """The ``bounds.json`` document: every field, with q = inf as "inf",
+        the three inequality flags under "inequality_flags" and each
+        per-measurement row as its own document."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["q"] = "inf" if self.q == np.inf else self.q
+        d["inequality_flags"] = {k: d.pop(k)
+                                 for k in ("lower_ok", "theta_upper_ok", "lower_ok_by_map")}
+        d["per_measurement"] = [m.to_dict() for m in self.per_measurement]
+        return d
 
 
 def verify_bounds(c: FeasibleSetCollection, predictions: Mapping[str, Mapping],

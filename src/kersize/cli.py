@@ -8,7 +8,8 @@ Subcommands chain the library into complete bound-computation pipelines::
     kersize validate  COLLECTION [PREDICTIONS ...] [--strict] [norm flags]
     kersize skersize  COLLECTION (--matrix A.csv | --model model.json)
                       [--mode signal|joint] [--eps-additive E] [norm flags]
-    kersize demo      {microscopy,superres} [--out DIR] [--seed N] ...
+    kersize demo      microscopy [--out DIR] [--seed N] [--k K] [--n-max N]
+    kersize demo      superres [--out DIR] [--seed N]
 
 Exit codes: 0 success, 1 usage error, 2 data/schema error, 3 bound violation
 under --strict.
@@ -207,13 +208,27 @@ def _cmd_loss(args) -> int:
     return EXIT_OK
 
 
+def _prediction_names(pred_dirs) -> dict:
+    """Each prediction directory by the name of its map: the directory's
+    name, with "_ext" added to a built-in map's name (median, zero, theta).
+    Two directories of one name are a UsageError."""
+    dirs = {}
+    for pred_dir in pred_dirs:
+        name = Path(pred_dir).name
+        if name in ("median", "zero", "theta"):
+            name = f"{name}_ext"
+        if name in dirs:
+            raise UsageError(f"prediction directories {dirs[name]} and {pred_dir} "
+                             f"both name the map {name!r}")
+        dirs[name] = pred_dir
+    return dirs
+
+
 def _cmd_validate(args) -> int:
+    pred_dirs = _prediction_names(args.predictions)
     collection, norm, out = _inputs(args)
     maps = {"median": median_map(collection), "zero": zero_map(collection)}
-    for pred_dir in args.predictions:
-        name = Path(pred_dir).name
-        if name in maps:
-            name = f"{name}_ext"
+    for name, pred_dir in pred_dirs.items():
         maps[name] = io.read_predictions_dir(pred_dir, collection.stacked[2])
     report = verify_bounds(collection, maps, norm)
     io.write_bound_report(out, report)
@@ -229,13 +244,16 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_skersize(args) -> int:
+    if args.model and args.eps_additive is not None:
+        raise UsageError("--eps-additive sets the noise of --matrix; a model has its own")
     collection, norm, out = _inputs(args)
     if args.model:
         operator = _load_model(io.read_json(args.model), Path(args.model).parent)
         noise = operator.noise
     else:
         operator = io.read_vectors_csv(args.matrix)
-        noise = NoiseSpec(kind="additive", eps_additive=args.eps_additive)
+        eps = 0.0 if args.eps_additive is None else args.eps_additive
+        noise = NoiseSpec(kind="additive", eps_additive=eps)
     mode = "signal_only" if args.mode == "signal" else "joint"
     result = compute_skersize(dataset_from_collection(collection), operator, noise, norm,
                               mode=mode)
@@ -255,11 +273,14 @@ def _cmd_demo(args) -> int:
 
     if args.seed < 0:
         raise UsageError("seed must be >= 0")
-    if args.k < 1:
+    sizes = {key: getattr(args, key) for key in ("k", "n_max") if getattr(args, key) is not None}
+    if args.name == "superres" and sizes:
+        raise UsageError("demo superres takes no --k or --n-max")
+    if args.k is not None and args.k < 1:
         raise UsageError("k must be >= 1")
     out = Path(args.out) if args.out else Path(f"demo_{args.name}")
     if args.name == "microscopy":
-        result = microscopy_demo(out_dir=out, k=args.k, n_max=args.n_max, seed=args.seed)
+        result = microscopy_demo(out_dir=out, seed=args.seed, **sizes)
         for s in result["setups"]:
             r = s["report"]
             print(
@@ -309,14 +330,16 @@ def build_parser() -> _Parser:
     group.add_argument("--matrix", default=None, help="operator as CSV")
     group.add_argument("--model", default=None, help="forward-model JSON")
     s.add_argument("--mode", choices=("signal", "joint"), default="signal")
-    s.add_argument("--eps-additive", type=float, default=0.0, dest="eps_additive")
+    s.add_argument("--eps-additive", type=float, default=None, dest="eps_additive",
+                   help="additive noise radius of --matrix (default 0)")
 
     s = sub.add_parser("demo", help="run a full pipeline demo")
     s.add_argument("name", help="microscopy or superres")
     s.add_argument("--out", default=None)
     s.add_argument("--seed", type=int, default=1)
-    s.add_argument("--k", type=int, default=10)
-    s.add_argument("--n-max", type=int, default=200, dest="n_max")
+    s.add_argument("--k", type=int, default=None, help="microscopy only (default 10)")
+    s.add_argument("--n-max", type=int, default=None, dest="n_max",
+                   help="microscopy only (default 200)")
     s.set_defaults(func=_cmd_demo)
 
     return parser

@@ -251,7 +251,19 @@ class ForwardModel:
         return ((X >= b[:, 0]) & (X <= b[:, 1])).all(axis=1)
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The model's document: its variant, its noise and each field that
+        ``model_from_dict`` reads for that variant (``_MODEL_FIELDS``), arrays
+        as nested lists, so ``model_from_dict(m.to_dict())`` rebuilds m."""
+        for variant, (model_cls, types) in _MODEL_FIELDS.items():
+            if isinstance(self, model_cls):
+                break
+        else:
+            raise UsageError(f"{type(self).__name__} is no model variant and has no document")
+        doc = {"variant": variant, "noise": self.noise.to_dict()}
+        for name in types:
+            value = getattr(self, name)
+            doc[name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return doc
 
 
 class LinearModel(ForwardModel):
@@ -298,14 +310,6 @@ class LinearModel(ForwardModel):
             s = (e_a + e_x - 1022)[:, None]
             g[lost] = np.ldexp(np.einsum("nj,ij->ni", np.ldexp(X[lost], -s), self.matrix), s)
         return g
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": "linear_additive",
-            "matrix": self.matrix.tolist(),
-            "noise": self.noise.to_dict(),
-            "signal_bounds": self._bounds.tolist(),
-        }
 
 
 def downsample_matrix_1d(n: int, factor: int) -> np.ndarray:
@@ -389,17 +393,6 @@ class DownsampleModel(ForwardModel):
         """Explicit downsampling matrix of a single band (dense)."""
         return np.kron(self._dh, self._dw)
 
-    def to_dict(self) -> dict:
-        return {
-            "variant": "downsample_additive",
-            "bands": self.bands,
-            "height": self.height,
-            "width": self.width,
-            "factor": self.factor,
-            "r_max": self.r_max,
-            "noise": self.noise.to_dict(),
-        }
-
 
 class MicroscopyModel(ForwardModel):
     """Single-emitter localization camera model.
@@ -448,6 +441,14 @@ class MicroscopyModel(ForwardModel):
     def signal_bounds(self) -> np.ndarray:
         return self._bounds
 
+    @property
+    def pixels(self) -> list:
+        return [self.npx, self.npy]
+
+    @property
+    def volume(self) -> np.ndarray:
+        return self._bounds[:3]
+
     def psf_sigma(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
         return self.psf_sigma0 * np.sqrt(1.0 + (z / self.psf_z0) ** 2)
@@ -474,20 +475,6 @@ class MicroscopyModel(ForwardModel):
         mu = c[:, None, None] * t + (h[:, None, None] * t) * (mx[:, :, None] * my[:, None, :])
         return mu.reshape(T.shape[0], self.d2)
 
-    def to_dict(self) -> dict:
-        return {
-            "variant": "microscopy",
-            "pixels": [self.npx, self.npy],
-            "pixel_size": self.pixel_size,
-            "psf_sigma0": self.psf_sigma0,
-            "psf_z0": self.psf_z0,
-            "c_max": self.c_max,
-            "h_max": self.h_max,
-            "exposure": self.exposure,
-            "volume": self._bounds[:3].tolist(),
-            "noise": self.noise.to_dict(),
-        }
-
 
 def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
@@ -499,7 +486,8 @@ def _pixels(value) -> tuple:
 
 
 # Per variant: the model class and the type of each required field of its
-# document. The constructors check the values; "noise" is optional.
+# document, which ``ForwardModel.to_dict`` writes from the model's attribute
+# of the same name. The constructors check the values; "noise" is optional.
 _MODEL_FIELDS = {
     "linear_additive": (LinearModel, {"matrix": _floats, "signal_bounds": _floats}),
     "downsample_additive": (DownsampleModel, {

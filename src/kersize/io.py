@@ -158,6 +158,8 @@ def read_json(path):
 
 def write_collection(directory, c: FeasibleSetCollection, norm: NormSpec) -> None:
     """Write a collection directory: manifest.json + per-measurement CSVs."""
+    for e in c.entries:  # before any file is written
+        _name(e.id)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -188,8 +190,14 @@ def _size(value) -> int:
 
 
 def _name(value) -> str:
+    """A ``check_keys`` converter for a measurement id, which must be a plain
+    file name, so that ``y_<id>.csv`` and ``fs_<id>.csv`` stay in their
+    directory."""
     if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__}")
+        raise DataError(f"expected a string, got {type(value).__name__}")
+    if value in ("", ".", "..") or any(c in value for c in "/\\\0"):
+        raise DataError(f"measurement id {value!r} is not a plain file name: "
+                        f"it is empty, '.' or '..', or holds '/', '\\' or NUL")
     return value
 
 

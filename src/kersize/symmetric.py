@@ -290,8 +290,10 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
     the noise set by more than the pair's tolerance is flagged. Either way
     the reflection is an involution: reflecting (x', y) gives back (x, y).
 
-    A raw matrix A is ``LinearModel(A, noise, box)`` with the box [-inf, inf]
-    in every coordinate. A downsampling model applies its one-band projector
+    A ``LinearModel`` or ``DownsampleModel`` operator brings its own noise,
+    and a ``noise`` whose fields differ from it is a UsageError; a raw matrix
+    A is ``LinearModel(A, noise, box)`` with the box [-inf, inf] in every
+    coordinate. A downsampling model applies its one-band projector
     to each band's n_b signal coordinates, or in joint mode to its n_b signal
     and m_b noise coordinates, split back into band-major x' and e'; a linear
     operator is one band of all d1 (and d2) coordinates.
@@ -306,6 +308,9 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
     pairs permutes them. A p-th power ‖v_m‖^p or their sum past the float64
     range raises DataError.
     """
+    if (isinstance(operator, (LinearModel, DownsampleModel))
+            and noise.to_dict() != operator.noise.to_dict()):
+        raise UsageError(f"{noise!r} differs from the operator's own noise {operator.noise!r}")
     if noise.kind != "additive":
         raise UsageError("the symmetric bound requires additive noise (y = A x + e)")
     if mode not in ("signal_only", "joint"):

@@ -21,6 +21,8 @@ from kersize.core import (
 )
 from kersize import bounds
 from kersize.bounds import (
+    BoundReport,
+    MeasurementReport,
     _dual_gap,
     kersize,
     optimal_map_value,
@@ -499,6 +501,32 @@ class TestVerifyBounds:
             assert json.dumps(d) == json.dumps(asdict(row))
             d["losses"]["zero"] = -1.0
             assert row.losses["zero"] != -1.0
+
+
+    def test_report_document_is_its_fields(self):
+        """bounds.json is the report's fields: q = inf as "inf", the three
+        flags under inequality_flags and each row as its own document."""
+        row = MeasurementReport(id="m0", n_k=2, v_k=2.0, half_kersize_single=0.5,
+                                losses={"theta": 1.0, "zero": 1.5}, theta_objective=1.0,
+                                theta_gap=0.0, theta_iterations=3)
+        report = BoundReport(kersize=1.0, half_kersize=0.5, p=2.0, q=np.inf, mask=[0, 1],
+                             uniform=True, losses={"zero": 1.5}, theta_loss=1.0, lower_ok=True,
+                             theta_upper_ok=False, lower_ok_by_map={"theta": True, "zero": True},
+                             note="", per_measurement=[row])
+        assert report.to_dict() == {
+            "kersize": 1.0, "half_kersize": 0.5, "p": 2.0, "q": "inf", "mask": [0, 1],
+            "uniform": True, "losses": {"zero": 1.5}, "theta_loss": 1.0,
+            "inequality_flags": {"lower_ok": True, "theta_upper_ok": False,
+                                 "lower_ok_by_map": {"theta": True, "zero": True}},
+            "note": "",
+            "per_measurement": [{
+                "id": "m0", "n_k": 2, "v_k": 2.0, "half_kersize_single": 0.5,
+                "losses": {"theta": 1.0, "zero": 1.5}, "theta_objective": 1.0,
+                "theta_gap": 0.0, "theta_iterations": 3,
+            }],
+        }
+        report.q = 2.0
+        assert report.to_dict()["q"] == 2.0
 
 
 class TestBatchedTheta:

@@ -1,6 +1,7 @@
 """Tests for the forward models and their feasibility predicates."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from scipy import integrate
 from kersize.core import DataError, UsageError
 from kersize.forward import (
     DownsampleModel,
+    ForwardModel,
     LinearModel,
     MicroscopyModel,
     NoiseSpec,
@@ -750,6 +752,50 @@ class TestSerialization:
             x = np.asarray(m.signal_bounds).mean(axis=1)
             np.testing.assert_allclose(m2.noiseless_batch([x]), m.noiseless_batch([x]),
                                        rtol=1e-15)
+
+    @pytest.mark.parametrize("model, document", [
+        (averaging_model(eps=0.25), {
+            "variant": "linear_additive",
+            "matrix": [[0.5, 0.5]],
+            "noise": {"kind": "additive", "eps_additive": 0.25, "eps_multiplicative": 0.0,
+                      "ball": "inf"},
+            "signal_bounds": [[-10.0, 10.0], [-10.0, 10.0]],
+        }),
+        (DownsampleModel(bands=2, height=8, width=8, factor=2, r_max=3.0,
+                         noise=NoiseSpec(kind="additive", eps_additive=0.1)), {
+            "variant": "downsample_additive",
+            "bands": 2, "height": 8, "width": 8, "factor": 2, "r_max": 3.0,
+            "noise": {"kind": "additive", "eps_additive": 0.1, "eps_multiplicative": 0.0,
+                      "ball": "inf"},
+        }),
+        (small_microscope(), {
+            "variant": "microscopy",
+            "pixels": [4, 4], "pixel_size": 100.0, "psf_sigma0": 150.0, "psf_z0": 400.0,
+            "c_max": 10.0, "h_max": 1000.0, "exposure": 1.0,
+            "volume": [[100.0, 300.0], [100.0, 300.0], [-100.0, 100.0]],
+            "noise": {"kind": "mixed", "eps_additive": 1.0, "eps_multiplicative": 0.05,
+                      "ball": "inf"},
+        }),
+    ], ids=["linear", "downsample", "microscopy"])
+    def test_document_of_each_variant(self, model, document):
+        """A model's document is the literal one, to the JSON text (so 3 is
+        not written for 3.0), and reads back as the same model."""
+        assert json.dumps(model.to_dict(), sort_keys=True) == json.dumps(document, sort_keys=True)
+        again = model_from_dict(document)
+        assert type(again) is type(model)
+        assert again.to_dict() == document
+        x = np.asarray(model.signal_bounds).mean(axis=1)[None, :]
+        assert again.noiseless_batch(x).tobytes() == model.noiseless_batch(x).tobytes()
+
+    def test_model_outside_the_variants_has_no_document(self):
+        class Identity(ForwardModel):
+            noise, d1, d2 = NoiseSpec(), 1, 1
+
+            def noiseless_batch(self, X):
+                return np.atleast_2d(X)
+
+        with pytest.raises(UsageError, match="Identity is no model variant"):
+            Identity().to_dict()
 
     def test_unknown_variant(self):
         with pytest.raises(DataError):

@@ -1,5 +1,6 @@
 """Tests for file formats and the command-line interface."""
 
+import inspect
 import json
 import os
 import re
@@ -170,6 +171,16 @@ class TestCollectionRoundtrip:
         (d / "manifest.json").write_text("{\"version\": 1}")
         with pytest.raises(DataError):
             read_collection(d)
+
+    @pytest.mark.parametrize("ident", ["a/b", "../escaped", "", ".", "..", "a\\b", "a\0b", 3])
+    def test_id_that_is_not_a_file_name_writes_nothing(self, tmp_path, ident):
+        good = FeasibleSet(id="m0", measurement=[1.0], members=[[0, 0]])
+        bad = FeasibleSet(id=ident, measurement=[1.0], members=[[0, 2]])
+        c = FeasibleSetCollection(d1=2, d2=1, entries=(good, bad))
+        (tmp_path / "out").mkdir()
+        with pytest.raises(DataError, match="is not a plain file name|expected a string"):
+            write_collection(tmp_path / "out" / "c", c, NormSpec())
+        assert [p.name for p in tmp_path.rglob("*")] == ["out"]
 
 
 class TestAtomicWrite:
@@ -432,8 +443,12 @@ class TestCliKersize:
             lambda m: (m.update(d1=-1),
                        m["entries"][0].update(count=0, feasible="fs_empty.csv")),
             lambda m: m["entries"][0].update(id=["a"]),
+            *(lambda m, i=i: m["entries"][0].update(id=i)
+              for i in ["a/b", "../../escaped", "", ".", "..", "a\\b", "a\0b"]),
         ],
-        ids=["d1_x", "count_x", "entries_5", "d1_negative_empty_set", "id_list"],
+        ids=["d1_x", "count_x", "entries_5", "d1_negative_empty_set", "id_list",
+             "id_slash", "id_escaping", "id_empty", "id_dot", "id_dotdot", "id_backslash",
+             "id_nul"],
     )
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, edit):
         d = two_point_collection_dir(tmp_path)
@@ -520,6 +535,39 @@ class TestCliValidate:
         assert main(["validate", str(d), str(pred)]) == 0
         payload = json.loads((d / "bounds.json").read_text())
         assert "ext" in payload["losses"]
+
+    @pytest.mark.parametrize("dirs, clash", [
+        (["r1/p", "r2/p", "r3/p"], ("r1/p", "r2/p", "p")),
+        (["s1/median", "s2/median"], ("s1/median", "s2/median", "median_ext")),
+        (["median", "x/median_ext"], ("median", "x/median_ext", "median_ext")),
+    ], ids=["repeated", "repeated-built-in", "renamed-onto-taken"])
+    def test_prediction_name_taken_twice_exits_1(self, tmp_path, capsys, dirs, clash):
+        """Two directories that give one map name are refused, naming both,
+        before any prediction file is read (these directories hold none)."""
+        d = two_point_collection_dir(tmp_path)
+        paths = [tmp_path / name for name in dirs]
+        for path in paths:
+            path.mkdir(parents=True)
+        assert main(["validate", str(d), *map(str, paths), "--strict"]) == 1
+        first, second, name = clash
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: prediction directories {tmp_path / first} and {tmp_path / second} "
+            f"both name the map {name!r}"]
+        assert not (d / "bounds.json").exists()
+
+    def test_built_in_map_names_are_renamed(self, tmp_path):
+        """A directory named theta, median or zero joins as <name>_ext, so
+        --strict checks every map it is given."""
+        d = two_point_collection_dir(tmp_path)
+        for name, value in [("theta", "0.0,1.0"), ("median", "0.0,2.0"), ("zero", "0.0,0.5")]:
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "pred_m0.csv").write_text(value + "\n")
+        assert main(["validate", str(d), *(str(tmp_path / n) for n in ("theta", "median", "zero")),
+                     "--strict"]) == 0
+        payload = json.loads((d / "bounds.json").read_text())
+        assert payload["losses"] == {"median": 1.0, "zero": 1.4142135623730951,
+                                     "theta_ext": 1.0, "median_ext": 1.4142135623730951,
+                                     "zero_ext": 1.118033988749895}
 
     def test_wrong_width_prediction_exit_1(self, tmp_path, capsys):
         """A prediction of the wrong length is a usage error, as in ``loss``."""
@@ -675,6 +723,21 @@ class TestCliSkersize:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: eps_additive must be finite and nonnegative, got {eps}"]
 
+    def test_eps_additive_beside_a_model_exits_1(self, tmp_path, capsys):
+        """A model brings its own noise; --eps-additive would be ignored."""
+        from kersize.forward import LinearModel, NoiseSpec
+
+        model = LinearModel([[0.5, 0.5]], NoiseSpec(kind="additive", eps_additive=1.0),
+                            [[-5, 5], [-5, 5]])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model.to_dict()))
+        d = two_point_collection_dir(tmp_path)
+        assert main(["skersize", str(d), "--model", str(path), "--eps-additive", "5"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --eps-additive sets the noise of --matrix; a model has its own"]
+        assert not (d / "symmetrized").exists()
+        assert main(["skersize", str(d), "--model", str(path)]) == 0
+
     def test_tiny_matrix_exits_2(self, tmp_path, capsys):
         """1/sigma overflows: one error line naming the operator, no warning."""
         mat = tmp_path / "A.csv"
@@ -759,6 +822,14 @@ class TestCliDemo:
         assert capsys.readouterr().err == "error: k must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--k", "5"], ["--n-max", "3"], ["--k", "0"],
+                                       ["--k", "5", "--n-max", "3"]])
+    def test_superres_refuses_microscopy_sizes(self, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        assert main(["demo", "superres", "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == "error: demo superres takes no --k or --n-max\n"
+        assert not out.exists()
+
     def test_unknown_demo_exit_1(self):
         assert main(["demo", "nosuch"]) == 1
 
@@ -771,6 +842,24 @@ class TestCliDemo:
         )
         assert main(["demo", "microscopy", "--out", str(tmp_path), *argv]) == 0
         assert calls[0]["seed"] == seed
+
+    @pytest.mark.parametrize("argv, sizes", [
+        ([], {}), (["--k", "3"], {"k": 3}), (["--k", "3", "--n-max", "7"], {"k": 3, "n_max": 7}),
+    ])
+    def test_microscopy_sizes_passed_through(self, monkeypatch, tmp_path, argv, sizes):
+        """Only the sizes given reach the demo, which keeps its defaults
+        (k = 10, n_max = 200) for the others."""
+        from kersize import demo
+
+        params = inspect.signature(demo.microscopy_demo).parameters
+        assert (params["k"].default, params["n_max"].default) == (10, 200)
+        calls = []
+        monkeypatch.setattr(
+            "kersize.demo.microscopy_demo",
+            lambda **kw: calls.append(kw) or {"setups": []},
+        )
+        assert main(["demo", "microscopy", "--out", str(tmp_path), *argv]) == 0
+        assert calls == [{"out_dir": tmp_path, "seed": 1, **sizes}]
 
 
 class TestExitCodes:

@@ -591,6 +591,57 @@ class TestSkersize:
         with pytest.raises(UsageError, match=message):
             skersize(pairs, op, noise, EUCLID, mode=mode)
 
+    @pytest.mark.parametrize("mode", ["signal_only", "joint"])
+    @pytest.mark.parametrize("operator, own, given", [
+        ("linear", NoiseSpec(kind="multiplicative", eps_multiplicative=0.5),
+         NoiseSpec(kind="additive", eps_additive=1.0)),
+        ("linear", NoiseSpec(kind="additive", eps_additive=0.1),
+         NoiseSpec(kind="additive", eps_additive=1.0)),
+        ("linear", NoiseSpec(kind="additive", eps_additive=1.0),
+         NoiseSpec(kind="additive", eps_additive=1.0, ball="l2")),
+        ("downsample", NoiseSpec(kind="additive", eps_additive=0.1),
+         NoiseSpec(kind="additive", eps_additive=1.0)),
+        ("downsample", NoiseSpec(kind="additive", eps_additive=1.0),
+         NoiseSpec(kind="additive", eps_additive=1.0, ball="l2")),
+    ], ids=["linear-multiplicative", "linear-smaller-radius", "linear-other-ball",
+            "downsample-smaller-radius", "downsample-other-ball"])
+    def test_noise_other_than_the_model_s_is_usage_error(self, operator, own, given, mode):
+        """A model's own noise decides feasibility: the pair x = (0.2, 0.3),
+        y = 0.9 has noise 0.4, which the given noise admits and the model's
+        noise need not."""
+        if operator == "linear":
+            model = LinearModel([[1.0, 1.0]], own, [[-1.0, 1.0]] * 2)
+            pairs = pairs_of(np.array([[0.2, 0.3]]), np.array([[0.9]]))
+        else:
+            model = DownsampleModel(bands=1, height=2, width=2, factor=2, r_max=1.0, noise=own)
+            pairs = pairs_of(np.full((1, 4), 0.5), np.array([[0.9]]))
+        with pytest.raises(UsageError, match="differs from the operator's own noise"):
+            skersize(pairs, model, given, EUCLID, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["signal_only", "joint"])
+    @pytest.mark.parametrize("operator", ["matrix", "linear", "downsample"])
+    def test_equal_noise_is_the_model_s(self, operator, mode):
+        """A separate but equal NoiseSpec is accepted and gives the model's
+        result; a raw matrix takes ``noise`` as its noise."""
+        own = NoiseSpec(kind="additive", eps_additive=0.05)
+        model = DownsampleModel(bands=1, height=4, width=4, factor=2, r_max=1.0, noise=own)
+        op = {
+            "matrix": dense_matrix(model),
+            "linear": LinearModel(dense_matrix(model), own, np.tile([0.0, 1.0], (16, 1))),
+            "downsample": model,
+        }[operator]
+        x = np.random.default_rng(5).uniform(0.2, 0.8, size=(3, 16))
+        pairs = pairs_of(x, model.noiseless_batch(x) + 0.04)
+        same = skersize(pairs, op, NoiseSpec(kind="additive", eps_additive=0.05), EUCLID,
+                        mode=mode)
+        ref = skersize(pairs, op, own, EUCLID, mode=mode)
+        assert same.skersize == ref.skersize and same.skersize > 0
+        assert same.symmetrized.x.tobytes() == ref.symmetrized.x.tobytes()
+        if operator == "matrix":
+            with pytest.raises(DataError, match="pair 0 is infeasible"):
+                skersize(pairs, op, NoiseSpec(kind="additive", eps_additive=0.01), EUCLID,
+                         mode=mode)
+
     @pytest.mark.parametrize("operator", [[0.5, 0.5], 2.0], ids=["vector", "scalar"])
     def test_operator_that_is_not_a_matrix_is_usage_error(self, operator):
         with pytest.raises(UsageError, match="operator must be a matrix"):
