@@ -11,6 +11,7 @@ import numpy as np
 from kersize import (
     FeasibleSet,
     FeasibleSetCollection,
+    LinearModel,
     NoiseSpec,
     NormSpec,
     PairedDataset,
@@ -58,7 +59,8 @@ print("Kernel projector P = I - A^+ A :")
 print(np.round(P, 12))
 
 pairs = PairedDataset(x=[[1.0, 3.0]], y=[[2.0]], group=[0], group_ids=("y2",))
-res = skersize(pairs, A, NoiseSpec(kind="additive"), norm)
+model = LinearModel(A, NoiseSpec(kind="additive"), [[-np.inf, np.inf]] * 2)  # no signal box
+res = skersize(pairs, model, norm)
 x_refl = res.symmetrized.x[1]
 print(f"Reflection of (1, 3)           : {np.round(x_refl, 12)}   (same measurement)")
 print(f"Symmetric kernel size          : {res.skersize:.8f}")

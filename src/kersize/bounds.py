@@ -88,8 +88,12 @@ REL_TOL = 1e-9
 
 
 def at_most(a: float, b: float) -> bool:
-    """``a <= b`` up to floating-point accumulation, ``REL_TOL * max(1, b)``."""
-    return bool(a <= b + REL_TOL * max(1.0, b))
+    """``a <= b`` up to floating-point accumulation, ``REL_TOL * max(|a|, |b|)``:
+    scaling a and b by a power of two scales the tolerance with them and keeps
+    the verdict. An infinite side is compared exactly."""
+    if math.isinf(a) or math.isinf(b):
+        return bool(a <= b)
+    return bool(a <= b + REL_TOL * max(abs(a), abs(b)))
 
 
 def _block_size(n: int, d: int) -> int:

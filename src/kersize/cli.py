@@ -53,7 +53,7 @@ from .core import (
     nullable,
     whole,
 )
-from .forward import NoiseSpec, model_from_dict
+from .forward import LinearModel, NoiseSpec, model_from_dict
 from .predictors import median_map, zero_map
 from .sampling import SamplerSpec, build_feasible_sets
 from .symmetric import skersize as compute_skersize
@@ -197,10 +197,10 @@ def _cmd_kersize(args) -> int:
 
 
 def _cmd_loss(args) -> int:
+    name = args.name or _map_name(args.predictions)
     collection, norm, out = _inputs(args)
     preds = io.read_predictions_dir(args.predictions, collection.stacked[2])
     value = loss(dataset_from_collection(collection), preds, norm)
-    name = args.name or Path(args.predictions).name
     payload = _bounds_json(out, norm)
     payload.setdefault("losses", {})[name] = value
     io.write_json(out / "bounds.json", payload)
@@ -208,13 +208,24 @@ def _cmd_loss(args) -> int:
     return EXIT_OK
 
 
+def _map_name(pred_dir) -> str:
+    """The name of the map in a prediction directory: the last component of
+    its absolute, lexically normalised path, so "." and "p/.." are named after
+    the directories they stand for; symlinks are not followed. The root,
+    which has no name, is a UsageError."""
+    name = Path(os.path.abspath(pred_dir)).name
+    if not name:
+        raise UsageError(f"prediction directory {pred_dir} has no name for its map")
+    return name
+
+
 def _prediction_names(pred_dirs) -> dict:
-    """Each prediction directory by the name of its map: the directory's
-    name, with "_ext" added to a built-in map's name (median, zero, theta).
-    Two directories of one name are a UsageError."""
+    """Each prediction directory by the name of its map (``_map_name``), with
+    "_ext" added to a built-in map's name (median, zero, theta). Two
+    directories of one name are a UsageError."""
     dirs = {}
     for pred_dir in pred_dirs:
-        name = Path(pred_dir).name
+        name = _map_name(pred_dir)
         if name in ("median", "zero", "theta"):
             name = f"{name}_ext"
         if name in dirs:
@@ -248,15 +259,14 @@ def _cmd_skersize(args) -> int:
         raise UsageError("--eps-additive sets the noise of --matrix; a model has its own")
     collection, norm, out = _inputs(args)
     if args.model:
-        operator = _load_model(io.read_json(args.model), Path(args.model).parent)
-        noise = operator.noise
-    else:
-        operator = io.read_vectors_csv(args.matrix)
+        model = _load_model(io.read_json(args.model), Path(args.model).parent)
+    else:  # a bare matrix bounds no signal coordinate
+        A = io.read_vectors_csv(args.matrix)
         eps = 0.0 if args.eps_additive is None else args.eps_additive
-        noise = NoiseSpec(kind="additive", eps_additive=eps)
+        model = LinearModel(A, NoiseSpec(kind="additive", eps_additive=eps),
+                            np.tile([-np.inf, np.inf], (A.shape[1], 1)))
     mode = "signal_only" if args.mode == "signal" else "joint"
-    result = compute_skersize(dataset_from_collection(collection), operator, noise, norm,
-                              mode=mode)
+    result = compute_skersize(dataset_from_collection(collection), model, norm, mode=mode)
     io.write_symmetric_report(out, result, norm)
     io.write_json(out / "skersize.json", result.to_dict())
     print(f"skersize={result.skersize:.8f} half_skersize={0.5 * result.skersize:.8f}")

@@ -204,7 +204,8 @@ def l2_overflow_rescaled(norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def vector_norms(diffs: np.ndarray, norm: NormSpec) -> np.ndarray:
-    """Masked q-norms of the rows of ``diffs`` (shape (n, d) -> (n,))."""
+    """Masked q-norms of the rows of ``diffs`` (shape (n, d) -> (n,)); a norm
+    past the float64 range is +inf, with no warning, for the caller to report."""
     d = np.atleast_2d(diffs)
     if norm.mask is not None:
         norm.check_dim(d.shape[1])
@@ -213,7 +214,8 @@ def vector_norms(diffs: np.ndarray, norm: NormSpec) -> np.ndarray:
         return l2_overflow_rescaled(np.sqrt(np.einsum("ij,ij->i", d, d)), d)
     d = np.abs(d)
     if norm.q == 1:
-        return d.sum(axis=1)
+        with np.errstate(over="ignore"):  # a sum past the float range is inf
+            return d.sum(axis=1)
     return d.max(axis=1) if d.shape[1] else np.zeros(d.shape[0])
 
 
@@ -221,13 +223,18 @@ def p_dist(a, b, norm: NormSpec) -> float:
     """Pseudo-distance ``‖a - b‖`` under the masked inner q-norm.
 
     Symmetric and zero exactly when the masked coordinates agree; a
-    pseudo-metric because unmasked coordinates are invisible to it.
+    pseudo-metric because unmasked coordinates are invisible to it. A
+    distance past the float64 range raises DataError.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise UsageError(f"p_dist needs equal-length vectors, got {a.shape} vs {b.shape}")
-    return float(vector_norms((a - b)[None, :], norm)[0])
+    with np.errstate(over="ignore"):  # an infinite difference is reported just below
+        dist = float(vector_norms((a - b)[None, :], norm)[0])
+    if math.isinf(dist):
+        raise DataError("the distance overflows float64")
+    return dist
 
 
 def norm_powers(norms: np.ndarray, p: float, what: str) -> np.ndarray:

@@ -181,7 +181,7 @@ def superres_demo(out_dir=None, n_images: int = 12, size: int = 32, bands: int =
     ids = tuple(f"img{i:0{width}d}" for i in range(n_images))
     pairs = PairedDataset(x=x, y=y, group=np.arange(n_images), group_ids=ids)
 
-    result = skersize(pairs, model, model.noise, norm, mode="signal_only")
+    result = skersize(pairs, model, norm, mode="signal_only")
     sym_collection = collection_from_dataset(result.symmetrized)
 
     maps = {

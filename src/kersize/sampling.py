@@ -134,7 +134,8 @@ _SAMPLER_TYPES = {
 
 def _box(model: ForwardModel) -> np.ndarray:
     """The signal box, for a sampler that draws from it: one with an
-    infinite side (a raw matrix's model) has no uniform points or lattice."""
+    infinite side (the model of `kersize skersize --matrix`) has no uniform
+    points or lattice."""
     b = model.signal_bounds
     if not np.isfinite(b).all():
         raise UsageError("signal_bounds has an infinite side, which a sampler cannot draw from")

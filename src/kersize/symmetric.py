@@ -14,9 +14,11 @@ bound.
 Two projection readings are supported: ``signal_only`` projects the signal
 space (the reflected pair keeps its noise admissible by construction), and
 ``joint`` projects (signal, noise) jointly through B = [A | I]; reflected
-noise escaping the noise set is flagged, not rejected. The operator is a
-``LinearModel``, a ``DownsampleModel`` or a raw matrix A, which is taken as a
-linear model with no signal box (every coordinate in [-inf, inf]).
+noise escaping the noise set is flagged, not rejected. The forward model is
+a ``LinearModel`` or a ``DownsampleModel`` with additive noise, and it is the
+one owner of the noise: ``skersize`` reads the noise set from ``model.noise``.
+A bare matrix A is ``LinearModel(A, noise, box)`` with the box [-inf, inf] in
+every coordinate, built by the caller.
 
 A downsampling model is block diagonal over its bands, and so is its kernel
 projector (Penrose 1955): one band's projector, of size n_b or, in joint
@@ -60,7 +62,7 @@ from .core import (
     power_mean,
     vector_norms,
 )
-from .forward import DownsampleModel, LinearModel, NoiseSpec
+from .forward import DownsampleModel, LinearModel
 
 __all__ = [
     "pseudoinverse",
@@ -244,8 +246,8 @@ class SkersizeResult:
 
     ``noise_violations`` lists pairs whose joint-mode reflected noise left the
     noise set; ``bounds_violations`` lists pairs whose reflected signal left
-    the signal box of the operator's model (never for a raw matrix, which has
-    no box). Both are informational: flagged pairs are kept.
+    the model's signal box (never for a box of [-inf, inf] in every
+    coordinate). Both are informational: flagged pairs are kept.
     """
 
     skersize: float
@@ -266,8 +268,8 @@ class SkersizeResult:
         }
 
 
-def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
-             norm: NormSpec, mode: str = "signal_only") -> SkersizeResult:
+def skersize(pairs: PairedDataset, model, norm: NormSpec,
+             mode: str = "signal_only") -> SkersizeResult:
     """Average symmetric kernel size of a paired dataset under y = A x + e.
 
     Recovers each pair's noise as e_m = y_m - A x_m, rejecting a pair whose
@@ -290,10 +292,9 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
     the noise set by more than the pair's tolerance is flagged. Either way
     the reflection is an involution: reflecting (x', y) gives back (x, y).
 
-    A ``LinearModel`` or ``DownsampleModel`` operator brings its own noise,
-    and a ``noise`` whose fields differ from it is a UsageError; a raw matrix
-    A is ``LinearModel(A, noise, box)`` with the box [-inf, inf] in every
-    coordinate. A downsampling model applies its one-band projector
+    The model is a ``LinearModel`` or a ``DownsampleModel``, and its
+    ``noise`` is the noise set; any other model, or a bare matrix, is a
+    UsageError. A downsampling model applies its one-band projector
     to each band's n_b signal coordinates, or in joint mode to its n_b signal
     and m_b noise coordinates, split back into band-major x' and e'; a linear
     operator is one band of all d1 (and d2) coordinates.
@@ -308,24 +309,16 @@ def skersize(pairs: PairedDataset, operator, noise: NoiseSpec,
     pairs permutes them. A p-th power ‖v_m‖^p or their sum past the float64
     range raises DataError.
     """
-    if (isinstance(operator, (LinearModel, DownsampleModel))
-            and noise.to_dict() != operator.noise.to_dict()):
-        raise UsageError(f"{noise!r} differs from the operator's own noise {operator.noise!r}")
+    if not isinstance(model, (LinearModel, DownsampleModel)):
+        raise UsageError(f"the model must be a LinearModel or a DownsampleModel, "
+                         f"not {type(model).__name__}")
+    noise = model.noise
     if noise.kind != "additive":
         raise UsageError("the symmetric bound requires additive noise (y = A x + e)")
     if mode not in ("signal_only", "joint"):
         raise UsageError(f"unknown projection mode {mode!r}")
     if pairs.size == 0:
         raise DataError("empty dataset")
-    model = operator
-    if not isinstance(model, (LinearModel, DownsampleModel)):
-        try:  # any other forward model is not a matrix either
-            A = np.asarray(operator, dtype=np.float64)
-        except (TypeError, ValueError):
-            A = None
-        if A is None or A.ndim != 2:
-            raise UsageError("operator must be a matrix, a LinearModel or a DownsampleModel")
-        model = LinearModel(A, noise, np.tile([-np.inf, np.inf], (A.shape[1], 1)))
     if model.d1 != pairs.d1:
         raise UsageError(f"operator has {model.d1} columns, pairs have d1={pairs.d1}")
     if model.d2 != pairs.y.shape[1]:

@@ -37,6 +37,11 @@ def leq(a, b, rel=REL):
     return a <= b + rel * max(1.0, b)
 
 
+def unbounded(A, noise=NoiseSpec(kind="additive")):
+    """A with ``noise`` as a linear model with no signal box."""
+    return LinearModel(A, noise, np.tile([-np.inf, np.inf], (np.shape(A)[1], 1)))
+
+
 def random_linear(rng, mixed=False):
     d1 = int(rng.integers(1, 9))
     d2 = int(rng.integers(1, 7))
@@ -204,22 +209,20 @@ def test_criterion_4_symmetric_bound():
             e = rng.uniform(-0.02, 0.02, size=(m_pairs, model.d2))
             y = model.noiseless_batch(x) + e
             A_dense = None
-            eps = 0.02
         else:
             d1 = int(rng.integers(3, 11))
             d2 = int(rng.integers(1, d1))
             A_dense = rng.normal(size=(d2, d1))
-            operator = A_dense
             model = None
             m_pairs = int(rng.integers(1, 7))
             eps = float(rng.uniform(0.01, 0.2))
+            operator = unbounded(A_dense, NoiseSpec(kind="additive", eps_additive=eps))
             x = rng.normal(size=(m_pairs, d1)) * 2
             e = rng.uniform(-eps, eps, size=(m_pairs, d2))
             y = x @ A_dense.T + e
         ids = tuple(f"m{i}" for i in range(m_pairs))
         pairs = PairedDataset(x=x, y=y, group=np.arange(m_pairs), group_ids=ids)
-        noise = NoiseSpec(kind="additive", eps_additive=eps)
-        res = skersize(pairs, operator, noise, norm, mode="signal_only")
+        res = skersize(pairs, operator, norm, mode="signal_only")
 
         # reflected pairs keep their measurements
         if model is not None:
@@ -289,7 +292,7 @@ def test_criterion_6_cross_bound_identity(p):
         y = x @ A.T
         ids = tuple(f"m{i}" for i in range(m_pairs))
         pairs = PairedDataset(x=x, y=y, group=np.arange(m_pairs), group_ids=ids)
-        res = skersize(pairs, A, NoiseSpec(kind="additive"), norm)
+        res = skersize(pairs, unbounded(A), norm)
         entries = tuple(
             FeasibleSet(id=ids[i], measurement=y[i],
                         members=np.vstack([x[i], res.symmetrized.x[m_pairs + i]]))
@@ -309,7 +312,7 @@ def test_criterion_7_worked_numeric_case():
     np.testing.assert_allclose(P, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-10)
     pairs = PairedDataset(x=[[1.0, 3.0]], y=[[2.0]], group=[0], group_ids=("m0",))
     norm = NormSpec(p=2.0, q=2.0)
-    res = skersize(pairs, A, NoiseSpec(kind="additive"), norm)
+    res = skersize(pairs, unbounded(A), norm)
     np.testing.assert_allclose(res.symmetrized.x[1], [3.0, 1.0], atol=1e-10)
     assert abs(res.skersize - math.sqrt(2)) < 1e-10
     mean_loss = loss(res.symmetrized, {"m0": np.array([2.0, 2.0])}, norm)
@@ -361,7 +364,7 @@ def test_criterion_9_complexity_signatures():
     d1, d2 = 32, 8
     A = rng.normal(size=(d2, d1))
     norm = NormSpec(p=2.0, q=2.0)
-    noise = NoiseSpec(kind="additive")
+    model = unbounded(A)
 
     def make_pairs(m):
         x = rng.normal(size=(m, d1))
@@ -369,11 +372,11 @@ def test_criterion_9_complexity_signatures():
                              group_ids=tuple(map(str, range(m))))
 
     def time_skersize(pairs, reps):
-        skersize(pairs, A, noise, norm)  # warm-up
+        skersize(pairs, model, norm)  # warm-up
         best = math.inf
         for _ in range(reps):
             t0 = time.perf_counter()
-            skersize(pairs, A, noise, norm)
+            skersize(pairs, model, norm)
             best = min(best, time.perf_counter() - t0)
         return best
 

@@ -481,6 +481,43 @@ class TestVerifyBounds:
             assert 0.0 <= row.theta_gap <= 1e-9 * max(row.theta_objective, 1e-300) or (
                 e.count == 1 and row.theta_gap == 0.0)
 
+    @pytest.mark.parametrize("a, b, ok", [
+        (1e-10, 1e-12, False),  # a 100x violation in small units
+        (1.0 + 1e-10, 1.0, True),
+        (1e-12 * (1 + 1e-10), 1e-12, True),
+        (1.0 + 1e-8, 1.0, False),
+        (-1e-10, -1e-12, True),
+        (np.inf, 5.0, False),
+        (5.0, np.inf, True),
+        (np.inf, np.inf, True),
+    ])
+    def test_at_most_tolerance_is_relative(self, a, b, ok):
+        assert bounds.at_most(a, b) is ok
+
+    @pytest.mark.parametrize("k", [-40, 40])
+    @pytest.mark.parametrize("p, q", [(2, 2), (1, 1), (2, 1), (2, np.inf)])
+    def test_power_of_two_scaling_scales_values_and_keeps_flags(self, p, q, k):
+        """A collection and its predictions scaled by 2^k give every value
+        scaled by exactly 2^k and the same flags. The 60-point set makes some
+        flag fail, which at 2^-40 lies within an absolute 1e-9."""
+        rng = np.random.default_rng(19)
+        big = np.column_stack([np.full(60, 5.0), np.linspace(0, 1e-9, 60)])
+        sets = [[[0.0, 0.0], [0.0, 1.0]], big, rng.normal(size=(5, 2))]
+        guess = {f"m{i}": rng.normal(size=2) for i in range(3)}
+        norm = NormSpec(p=p, q=q)
+        reports = [
+            verify_bounds(make_collection([np.ldexp(s, j) for s in sets]),
+                          {"guess": {i: np.ldexp(g, j) for i, g in guess.items()}}, norm)
+            for j in (0, k)
+        ]
+        one, scaled = reports
+        assert not all([one.lower_ok, one.theta_upper_ok])
+        for name in ("kersize", "half_kersize", "theta_loss"):
+            assert getattr(scaled, name) == math.ldexp(getattr(one, name), k), name
+        assert scaled.losses == {n: math.ldexp(v, k) for n, v in one.losses.items()}
+        assert ((scaled.lower_ok, scaled.theta_upper_ok, scaled.lower_ok_by_map)
+                == (one.lower_ok, one.theta_upper_ok, one.lower_ok_by_map))
+
     def test_per_measurement_rows(self):
         c = make_collection([[[0, 0], [0, 2]], [[1, 1]]])
         report = verify_bounds(c, {"zero": zero_map(c)}, EUCLID)

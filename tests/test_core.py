@@ -90,6 +90,15 @@ class TestPDist:
         masked = NormSpec(p=2, q=2, mask=[1, 0, 1])
         assert p_dist([3e200, 7.0, -4e200], [0.0, 0.0, 0.0], masked) == pytest.approx(5e200)
 
+    def test_q1_distance_past_the_float_range_is_data_error(self):
+        """Each difference overflows, and so would the sum of finite ones: a
+        DataError, with no overflow warning first."""
+        with pytest.raises(DataError, match="the distance overflows float64"):
+            p_dist([1e308, 1e308], [-1e308, -1e308], NormSpec(q=1))
+        with pytest.raises(DataError, match="the distance overflows float64"):
+            p_dist([1e308, 1e308], [0.0, 0.0], NormSpec(q=1))
+        assert vector_norms(np.array([[1e308, 1e308]]), NormSpec(q=1))[0] == np.inf
+
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
             p_dist([1, 2], [1, 2, 3], EUCLID)
@@ -311,6 +320,10 @@ class TestContainers:
             PairedDataset(
                 x=[[0.0], [1.0]], y=[[0.0], [1.0]], group=[0, 0], group_ids=("a",)
             )
+
+    def test_rejects_no_entries(self):
+        with pytest.raises(UsageError, match="a collection needs at least one measurement"):
+            FeasibleSetCollection(d1=1, d2=1, entries=())
 
     def test_rejects_duplicate_ids(self):
         e = FeasibleSet(id="a", measurement=[0.0], members=[[1.0]])

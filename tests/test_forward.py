@@ -57,6 +57,14 @@ class TestNoiseSpec:
         with pytest.raises(UsageError, match=f"{field} must be finite and nonnegative"):
             NoiseSpec(kind=kind, **{field: eps})
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "poisson"}, "unknown noise kind 'poisson'"),
+        ({"ball": "l1"}, "unknown noise ball 'l1'"),
+    ], ids=["kind", "ball"])
+    def test_unknown_kind_or_ball_is_usage_error(self, fields, message):
+        with pytest.raises(UsageError, match=message):
+            NoiseSpec(**fields)
+
     def test_mixed_requires_inf_ball(self):
         with pytest.raises(UsageError):
             NoiseSpec(kind="mixed", eps_additive=0.1, eps_multiplicative=0.1, ball="l2")

@@ -517,6 +517,27 @@ class TestCliLoss:
         pred.mkdir()
         assert main(["loss", str(d), str(pred)]) == 2
 
+    @pytest.mark.parametrize("arg", [".", "sub/.."])
+    def test_map_is_named_after_the_directory_it_stands_for(self, tmp_path, capsys,
+                                                            monkeypatch, arg):
+        d = two_point_collection_dir(tmp_path)
+        pred = tmp_path / "preds"
+        (pred / "sub").mkdir(parents=True)
+        (pred / "pred_m0.csv").write_text("0.0,1.0\n")
+        monkeypatch.chdir(pred)
+        assert main(["loss", str(d), arg, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().out == "loss[preds]=1.00000000\n"
+
+    def test_root_directory_names_no_map(self, tmp_path, capsys):
+        """The root has no name: exit 1 before any file is read, unless
+        --name gives one (then its missing prediction file is exit 2)."""
+        d = two_point_collection_dir(tmp_path)
+        assert main(["loss", str(d), "/"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: prediction directory / has no name for its map"]
+        assert main(["loss", str(d), "/", "--name", "root"]) == 2
+        assert not (d / "bounds.json").exists()
+
 
 class TestCliValidate:
     def test_correct_collection_exits_zero(self, tmp_path, capsys):
@@ -553,6 +574,30 @@ class TestCliValidate:
         assert capsys.readouterr().err.splitlines() == [
             f"error: prediction directories {tmp_path / first} and {tmp_path / second} "
             f"both name the map {name!r}"]
+        assert not (d / "bounds.json").exists()
+
+    @pytest.mark.parametrize("arg", [".", "sub/..", "link"])
+    def test_map_is_named_after_the_directory_it_stands_for(self, tmp_path, monkeypatch, arg):
+        """"." and "sub/.." name the map after the predictions directory; a
+        symlink to it keeps its own name."""
+        d = two_point_collection_dir(tmp_path)
+        pred = tmp_path / "preds"
+        (pred / "sub").mkdir(parents=True)
+        (pred / "pred_m0.csv").write_text("0.0,1.0\n")
+        (pred / "link").symlink_to(pred)
+        monkeypatch.chdir(pred)
+        assert main(["validate", str(d), arg]) == 0
+        name = "link" if arg == "link" else "preds"
+        assert set(json.loads((d / "bounds.json").read_text())["losses"]) == {
+            "median", "zero", name}
+        header = (d / "scatter.csv").read_text().splitlines()[0].split(",")
+        assert f"{name}_loss" in header and "_loss" not in header
+
+    def test_root_directory_names_no_map(self, tmp_path, capsys):
+        d = two_point_collection_dir(tmp_path)
+        assert main(["validate", str(d), "/"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: prediction directory / has no name for its map"]
         assert not (d / "bounds.json").exists()
 
     def test_built_in_map_names_are_renamed(self, tmp_path):
@@ -689,6 +734,37 @@ class TestCliSkersize:
         main(["skersize", str(d), "--matrix", str(mat), "--eps-additive", "1e-6"])
         assert "skersize=0.00000000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode", ["signal", "joint"])
+    def test_matrix_is_a_linear_model_with_no_signal_box(self, tmp_path, mode):
+        """--matrix A.csv --eps-additive E is the linear model of A with noise
+        E and no signal box: it writes the kernel norms and reflections of
+        --model with the same A and noise and the box [-1, 1]², byte for
+        byte, and flags no reflection, where the model flags pair 0's."""
+        A = np.array([[0.5, 0.5]])
+        x = np.array([[1e6, -1e6], [0.2, 0.4]])  # pair 0 reflects to (-1e6, 1e6)
+        entries = tuple(FeasibleSet(id=f"m{i}", measurement=A @ x[i] + 0.05, members=x[i:i + 1])
+                        for i in range(2))
+        d = tmp_path / "pairs"
+        write_collection(d, FeasibleSetCollection(d1=2, d2=1, entries=entries), NormSpec())
+        mat, model_path = tmp_path / "A.csv", tmp_path / "model.json"
+        write_vectors_csv(mat, A)
+        from kersize.forward import LinearModel, NoiseSpec
+
+        model = LinearModel(A, NoiseSpec(kind="additive", eps_additive=0.1), [[-1, 1]] * 2)
+        model_path.write_text(json.dumps(model.to_dict()))
+        outs = {operator: tmp_path / operator for operator in ("matrix", "model")}
+        assert main(["skersize", str(d), "--matrix", str(mat), "--eps-additive", "0.1",
+                     "--mode", mode, "--out", str(outs["matrix"])]) == 0
+        assert main(["skersize", str(d), "--model", str(model_path), "--mode", mode,
+                     "--out", str(outs["model"])]) == 0
+        matrix_files, model_files = dir_bytes(outs["matrix"]), dir_bytes(outs["model"])
+        assert matrix_files.keys() == model_files.keys()
+        assert [k for k in matrix_files if matrix_files[k] != model_files[k]] == ["skersize.json"]
+        docs = {k: json.loads((out / "skersize.json").read_text()) for k, out in outs.items()}
+        assert (docs["matrix"].pop("bounds_violations"), docs["model"].pop("bounds_violations")
+                ) == ([], [0])
+        assert docs["matrix"] == docs["model"]
+
     def test_downsample_model_reflections_preserve_measurements(self, tmp_path):
         from kersize.forward import DownsampleModel, NoiseSpec
 
@@ -758,7 +834,8 @@ class TestCliSkersize:
         model_path.write_text(json.dumps(model.to_dict()))
         assert main(["skersize", str(two_point_collection_dir(tmp_path)),
                      "--model", str(model_path)]) == 1
-        assert "error: operator must be a matrix" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the model must be a LinearModel or a DownsampleModel, not MicroscopyModel"]
 
     @pytest.mark.parametrize("operator, mode, message", [
         ("model", "signal", "operator has 16 columns, pairs have d1=2"),

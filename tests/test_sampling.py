@@ -547,6 +547,15 @@ class TestBuildFeasibleSets:
         assert c.k == 2
         assert c.ids == ("m00", "m01")
 
+    @pytest.mark.parametrize("request_, message", [
+        ({"generate": 0}, "generate must request at least one measurement"),
+        ({"ground_truths": []}, "need at least one ground truth"),
+        ({"measurements": []}, "need at least one measurement"),
+    ], ids=["generate-0", "no-ground-truths", "no-measurements"])
+    def test_empty_request_is_usage_error(self, request_, message):
+        with pytest.raises(UsageError, match=message):
+            build_feasible_sets(identity_model(), sampler=SamplerSpec(n_max=2), **request_)
+
     def test_mode_arguments_are_exclusive(self):
         m = identity_model()
         s = SamplerSpec(kind="rejection", n_max=2, budget=10)

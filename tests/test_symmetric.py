@@ -42,6 +42,12 @@ def pairs_of(x, y):
                          group_ids=tuple(f"m{i}" for i in range(n)))
 
 
+def unbounded(A, noise=NoiseSpec(kind="additive")):
+    """A with ``noise`` as a linear model with no signal box: every
+    coordinate in [-inf, inf]."""
+    return LinearModel(A, noise, np.tile([-np.inf, np.inf], (np.shape(A)[1], 1)))
+
+
 def dense_matrix(model):
     """Test-side oracle: the whole multi-band downsampling matrix, block
     diagonal over the bands."""
@@ -189,6 +195,18 @@ class TestKernelProjection:
         # 1/sigma overflows float64: an error naming the operator, no warning
         with pytest.raises(DataError, match="operator"):
             kernel_projection([[1e-320, 0.0]])
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: pseudoinverse([0.5, 0.5]), UsageError, "pseudoinverse expects a matrix"),
+        (lambda: pseudoinverse([[0.5, np.inf]]), DataError, "matrix has non-finite entries"),
+        (lambda: kernel_projection([0.5, 0.5]), UsageError,
+         "kernel_projection expects a matrix"),
+        (lambda: kernel_projection(AVG, mode="signal"), UsageError,
+         "unknown projection mode 'signal'"),
+    ], ids=["pinv-vector", "pinv-non-finite", "projection-vector", "projection-mode"])
+    def test_operator_that_is_no_finite_matrix_is_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
 
 def dense_residuals(B, L):
@@ -359,12 +377,11 @@ class TestReflect:
 
     def test_row_space_signal_is_fixed_point(self):
         x = np.array([[2.0, 2.0]])  # multiple of A^T
-        res = skersize(pairs_of(x, x @ AVG.T), AVG, NoiseSpec(kind="additive"), EUCLID)
+        res = skersize(pairs_of(x, x @ AVG.T), unbounded(AVG), EUCLID)
         np.testing.assert_allclose(res.symmetrized.x[1], x[0], atol=1e-12)
 
     def test_worked_example(self):
-        res = skersize(pairs_of([[1.0, 3.0]], [[2.0]]), AVG, NoiseSpec(kind="additive"),
-                       EUCLID)
+        res = skersize(pairs_of([[1.0, 3.0]], [[2.0]]), unbounded(AVG), EUCLID)
         x_refl = res.symmetrized.x[1]
         np.testing.assert_allclose(x_refl, [3.0, 1.0], atol=1e-10)
         # same measurement: A x' = A x = 2
@@ -376,9 +393,9 @@ class TestReflect:
         for mode in ("signal_only", "joint"):
             x, e = rng.normal(size=(4, 5)), rng.normal(size=(4, 2))
             y = x @ A.T + e
-            once = skersize(pairs_of(x, y), A, self.WIDE, EUCLID, mode=mode)
-            twice = skersize(pairs_of(once.symmetrized.x[4:], y), A, self.WIDE, EUCLID,
-                             mode=mode)
+            once = skersize(pairs_of(x, y), unbounded(A, self.WIDE), EUCLID, mode=mode)
+            twice = skersize(pairs_of(once.symmetrized.x[4:], y), unbounded(A, self.WIDE),
+                             EUCLID, mode=mode)
             x_twice = twice.symmetrized.x[4:]
             np.testing.assert_allclose(x_twice, x, atol=1e-10)
             np.testing.assert_allclose(y - x_twice @ A.T, e, atol=1e-10)
@@ -387,7 +404,8 @@ class TestReflect:
         rng = np.random.default_rng(13)
         A = rng.normal(size=(3, 6))
         x, e = rng.normal(size=6), rng.normal(size=3)
-        res = skersize(pairs_of([x], [A @ x + e]), A, self.WIDE, EUCLID, mode="joint")
+        res = skersize(pairs_of([x], [A @ x + e]), unbounded(A, self.WIDE), EUCLID,
+                       mode="joint")
         # the reflected noise e' is the noise half of (x, e) - 2 P (x, e)
         v = np.concatenate([x, e])
         w = v - 2.0 * kernel_projection(A, mode="joint") @ v
@@ -399,7 +417,7 @@ class TestReflect:
         A = rng.normal(size=(2, 4))
         tight = NoiseSpec(kind="additive", eps_additive=1e-12)
         x = rng.normal(size=(1, 4)) * 5  # noise-free: e = 0
-        res = skersize(pairs_of(x, x @ A.T), A, tight, EUCLID, mode="joint")
+        res = skersize(pairs_of(x, x @ A.T), unbounded(A, tight), EUCLID, mode="joint")
         # the reflected noise is generically nonzero, far beyond the tiny ball
         assert res.noise_violations == [0]
 
@@ -409,7 +427,7 @@ class TestSkersize:
         return PairedDataset(x=[[1.0, 3.0]], y=[[2.0]], group=[0], group_ids=("m0",))
 
     def test_worked_example(self):
-        res = skersize(self.single_pair(), AVG, NoiseSpec(kind="additive"), EUCLID)
+        res = skersize(self.single_pair(), unbounded(AVG), EUCLID)
         assert res.skersize == pytest.approx(np.sqrt(2), rel=1e-12)
         assert res.symmetrized.size == 2
         np.testing.assert_allclose(res.symmetrized.x[1], [3.0, 1.0], atol=1e-10)
@@ -425,7 +443,7 @@ class TestSkersize:
         y = x @ A.T
         pairs = PairedDataset(x=x, y=y, group=np.arange(5),
                               group_ids=tuple(f"m{i}" for i in range(5)))
-        res = skersize(pairs, A, NoiseSpec(kind="additive"), EUCLID)
+        res = skersize(pairs, unbounded(A), EUCLID)
         assert res.skersize == pytest.approx(0.0, abs=1e-9)
         np.testing.assert_allclose(res.symmetrized.x[5:], x, atol=1e-8)
 
@@ -433,7 +451,7 @@ class TestSkersize:
         pairs = PairedDataset(x=[[1.0, 3.0], [0.0, 0.0]], y=[[2.0], [5.0]],
                               group=[0, 1], group_ids=("m0", "m1"))
         with pytest.raises(DataError, match="pair 1"):
-            skersize(pairs, AVG, NoiseSpec(kind="additive", eps_additive=0.5), EUCLID)
+            skersize(pairs, unbounded(AVG, NoiseSpec(kind="additive", eps_additive=0.5)), EUCLID)
 
     def test_feasibility_tolerance_is_each_pairs_own(self):
         """Pair 1's noise leaves the ball by 1e-5. The roundoff tolerance is
@@ -443,10 +461,10 @@ class TestSkersize:
         x = np.array([[1e6, 0.0], [0.2, 0.3]])
         y = np.array([[1e6 + 0.05], [0.6 + 1e-5]])
         noise = NoiseSpec(kind="additive", eps_additive=0.1)
-        assert skersize(pairs_of(x[:1], y[:1]), [[1.0, 1.0]], noise, EUCLID).skersize > 0
+        assert skersize(pairs_of(x[:1], y[:1]), unbounded([[1.0, 1.0]], noise), EUCLID).skersize > 0
         for rows in ([1], [0, 1]):
             with pytest.raises(DataError, match=f"pair {len(rows) - 1} is infeasible") as info:
-                skersize(pairs_of(x[rows], y[rows]), [[1.0, 1.0]], noise, EUCLID)
+                skersize(pairs_of(x[rows], y[rows]), unbounded([[1.0, 1.0]], noise), EUCLID)
             shown = re.search(r"\|e\|=(\S+) > eps=(\S+)\)", str(info.value))
             assert float(shown[1]) > float(shown[2]) == 0.1
 
@@ -458,14 +476,17 @@ class TestSkersize:
         y = np.array([[1e6 + 0.05], [0.225015]])
         noise = NoiseSpec(kind="additive", eps_additive=0.1)
         for rows, flagged in (([1], [0]), ([0, 1], [0, 1])):
-            res = skersize(pairs_of(x[rows], y[rows]), [[1.0, 1.0]], noise, EUCLID,
+            res = skersize(pairs_of(x[rows], y[rows]), unbounded([[1.0, 1.0]], noise), EUCLID,
                            mode="joint")
             assert res.noise_violations == flagged
 
-    def test_multiplicative_noise_rejected(self):
-        with pytest.raises(UsageError):
-            skersize(self.single_pair(), AVG,
-                     NoiseSpec(kind="multiplicative", eps_multiplicative=0.1), EUCLID)
+    @pytest.mark.parametrize("noise", [
+        NoiseSpec(kind="multiplicative", eps_multiplicative=0.1),
+        NoiseSpec(kind="mixed", eps_additive=0.1, eps_multiplicative=0.1),
+    ], ids=["multiplicative", "mixed"])
+    def test_multiplicative_noise_rejected(self, noise):
+        with pytest.raises(UsageError, match="requires additive noise"):
+            skersize(self.single_pair(), unbounded(AVG, noise), EUCLID)
 
     def test_measurement_preservation_signal_mode(self):
         rng = np.random.default_rng(16)
@@ -475,7 +496,7 @@ class TestSkersize:
         y = x @ A.T + e
         pairs = PairedDataset(x=x, y=y, group=np.arange(6),
                               group_ids=tuple(f"m{i}" for i in range(6)))
-        res = skersize(pairs, A, NoiseSpec(kind="additive", eps_additive=0.1), EUCLID)
+        res = skersize(pairs, unbounded(A, NoiseSpec(kind="additive", eps_additive=0.1)), EUCLID)
         resid = res.symmetrized.x[6:] @ A.T + e - y
         assert np.max(np.abs(resid)) < 1e-10
 
@@ -486,7 +507,7 @@ class TestSkersize:
         y = x @ A.T
         ids = tuple(f"m{i}" for i in range(8))
         pairs = PairedDataset(x=x, y=y, group=np.arange(8), group_ids=ids)
-        res = skersize(pairs, A, NoiseSpec(kind="additive"), EUCLID)
+        res = skersize(pairs, unbounded(A), EUCLID)
         for trial in range(10):
             preds = {i: rng.normal(size=5) for i in ids}
             assert res.skersize <= loss(res.symmetrized, preds, EUCLID) * (1 + 1e-9) + 1e-12
@@ -499,7 +520,7 @@ class TestSkersize:
         y = x @ A.T + e
         ids = tuple(f"m{i}" for i in range(4))
         pairs = PairedDataset(x=x, y=y, group=np.arange(4), group_ids=ids)
-        res = skersize(pairs, A, NoiseSpec(kind="additive", eps_additive=0.05),
+        res = skersize(pairs, unbounded(A, NoiseSpec(kind="additive", eps_additive=0.05)),
                        EUCLID, mode="joint")
         assert res.mode == "joint"
         # reflected pairs keep their measurements even in joint mode
@@ -510,23 +531,7 @@ class TestSkersize:
                 assert np.max(np.abs(e_refl[m])) <= 0.05 + 1e-9
 
     @pytest.mark.parametrize("mode", ["signal_only", "joint"])
-    def test_linear_model_matches_raw_matrix_bitwise(self, mode):
-        rng = np.random.default_rng(21)
-        A = rng.normal(size=(3, 6))
-        model = LinearModel(A, NoiseSpec(kind="additive", eps_additive=0.1),
-                            np.tile([-1.0, 1.0], (6, 1)))
-        x = rng.uniform(-0.5, 0.5, size=(5, 6))
-        y = x @ A.T + rng.uniform(-0.1, 0.1, size=(5, 3))
-        pairs = PairedDataset(x=x, y=y, group=np.arange(5),
-                              group_ids=tuple(f"m{i}" for i in range(5)))
-        via_model = skersize(pairs, model, model.noise, EUCLID, mode=mode)
-        via_matrix = skersize(pairs, A, model.noise, EUCLID, mode=mode)
-        np.testing.assert_array_equal(via_model.v_norms, via_matrix.v_norms)
-        np.testing.assert_array_equal(via_model.symmetrized.x, via_matrix.symmetrized.x)
-        assert via_model.skersize == via_matrix.skersize
-
-    @pytest.mark.parametrize("mode", ["signal_only", "joint"])
-    @pytest.mark.parametrize("operator", ["matrix 3x6", "linear 3x6", "linear 7x11",
+    @pytest.mark.parametrize("operator", ["unbounded 3x6", "linear 3x6", "linear 7x11",
                                           "downsample 1", "downsample 3"])
     def test_each_pair_is_its_lone_call(self, operator, mode):
         """Each pair's kernel norm, reflection and noise and box verdicts are,
@@ -546,9 +551,10 @@ class TestSkersize:
             m, n = map(int, size.split("x"))
             A = rng.normal(size=(m, n))
             noise = NoiseSpec(kind="additive", eps_additive=0.1)
-            op = A if kind == "matrix" else LinearModel(A, noise, np.tile([-1.0, 1.0], (n, 1)))
+            op = (unbounded(A, noise) if kind == "unbounded"
+                  else LinearModel(A, noise, np.tile([-1.0, 1.0], (n, 1))))
             x = scale * rng.uniform(-1.0, 1.0, size=(M, n))
-        clean = x @ A.T if kind == "matrix" else op.noiseless_batch(x)
+        clean = op.noiseless_batch(x)
         e = rng.uniform(-1.0, 1.0, size=clean.shape) * noise.eps_additive
         y = clean + np.minimum(scale, 1.0) * e
 
@@ -558,14 +564,14 @@ class TestSkersize:
             return [(res.v_norms[m].tobytes(), res.symmetrized.x[half + m].tobytes(),
                      m in res.noise_violations, m in res.bounds_violations) for m in rows]
 
-        full = skersize(pairs_of(x, y), op, noise, EUCLID, mode=mode)
-        lone = [outputs(skersize(pairs_of(x[m:m + 1], y[m:m + 1]), op, noise, EUCLID,
-                                 mode=mode), [0])[0] for m in range(M)]
+        full = skersize(pairs_of(x, y), op, EUCLID, mode=mode)
+        lone = [outputs(skersize(pairs_of(x[m:m + 1], y[m:m + 1]), op, EUCLID, mode=mode),
+                        [0])[0] for m in range(M)]
         assert outputs(full, range(M)) == lone
         if mode == "joint":
             assert 0 < len(full.noise_violations) < M
         order = rng.permutation(M)
-        permuted = skersize(pairs_of(x[order], y[order]), op, noise, EUCLID, mode=mode)
+        permuted = skersize(pairs_of(x[order], y[order]), op, EUCLID, mode=mode)
         assert outputs(permuted, range(M)) == [lone[m] for m in order]
         assert permuted.skersize == full.skersize
 
@@ -575,96 +581,44 @@ class TestSkersize:
         (16, 3, "4 rows, pairs have d2=3"),
         (16, 5, "4 rows, pairs have d2=5"),
     ], ids=["d1", "d2-short", "d2-long"])
-    @pytest.mark.parametrize("operator", ["matrix", "linear", "downsample"])
+    @pytest.mark.parametrize("operator", ["linear", "downsample"])
     def test_pair_length_mismatch_is_usage_error(self, operator, d1, d2, message, mode):
         """Pairs that do not fit the 4 x 16 operator are refused, where y - A x
         would broadcast or fail inside numpy."""
         noise = NoiseSpec(kind="additive", eps_additive=0.05)
         model = DownsampleModel(bands=1, height=4, width=4, factor=2, r_max=1.0, noise=noise)
         op = {
-            "matrix": dense_matrix(model),
             "linear": LinearModel(dense_matrix(model), noise, np.tile([0.0, 1.0], (16, 1))),
             "downsample": model,
         }[operator]
         pairs = PairedDataset(x=np.full((2, d1), 0.5), y=np.full((2, d2), 0.5),
                               group=[0, 1], group_ids=("a", "b"))
         with pytest.raises(UsageError, match=message):
-            skersize(pairs, op, noise, EUCLID, mode=mode)
+            skersize(pairs, op, EUCLID, mode=mode)
 
-    @pytest.mark.parametrize("mode", ["signal_only", "joint"])
-    @pytest.mark.parametrize("operator, own, given", [
-        ("linear", NoiseSpec(kind="multiplicative", eps_multiplicative=0.5),
-         NoiseSpec(kind="additive", eps_additive=1.0)),
-        ("linear", NoiseSpec(kind="additive", eps_additive=0.1),
-         NoiseSpec(kind="additive", eps_additive=1.0)),
-        ("linear", NoiseSpec(kind="additive", eps_additive=1.0),
-         NoiseSpec(kind="additive", eps_additive=1.0, ball="l2")),
-        ("downsample", NoiseSpec(kind="additive", eps_additive=0.1),
-         NoiseSpec(kind="additive", eps_additive=1.0)),
-        ("downsample", NoiseSpec(kind="additive", eps_additive=1.0),
-         NoiseSpec(kind="additive", eps_additive=1.0, ball="l2")),
-    ], ids=["linear-multiplicative", "linear-smaller-radius", "linear-other-ball",
-            "downsample-smaller-radius", "downsample-other-ball"])
-    def test_noise_other_than_the_model_s_is_usage_error(self, operator, own, given, mode):
-        """A model's own noise decides feasibility: the pair x = (0.2, 0.3),
-        y = 0.9 has noise 0.4, which the given noise admits and the model's
-        noise need not."""
-        if operator == "linear":
-            model = LinearModel([[1.0, 1.0]], own, [[-1.0, 1.0]] * 2)
-            pairs = pairs_of(np.array([[0.2, 0.3]]), np.array([[0.9]]))
-        else:
-            model = DownsampleModel(bands=1, height=2, width=2, factor=2, r_max=1.0, noise=own)
-            pairs = pairs_of(np.full((1, 4), 0.5), np.array([[0.9]]))
-        with pytest.raises(UsageError, match="differs from the operator's own noise"):
-            skersize(pairs, model, given, EUCLID, mode=mode)
+    @pytest.mark.parametrize("model", [
+        AVG, AVG.tolist(), [0.5, 0.5], 2.0, None, "microscopy",
+    ], ids=["array", "list", "vector", "scalar", "none", "microscopy"])
+    def test_model_other_than_linear_or_downsample_is_usage_error(self, model):
+        """A bare matrix brings no noise set, and a microscopy model is not linear."""
+        if isinstance(model, str):
+            from kersize.forward import MicroscopyModel
 
-    @pytest.mark.parametrize("mode", ["signal_only", "joint"])
-    @pytest.mark.parametrize("operator", ["matrix", "linear", "downsample"])
-    def test_equal_noise_is_the_model_s(self, operator, mode):
-        """A separate but equal NoiseSpec is accepted and gives the model's
-        result; a raw matrix takes ``noise`` as its noise."""
-        own = NoiseSpec(kind="additive", eps_additive=0.05)
-        model = DownsampleModel(bands=1, height=4, width=4, factor=2, r_max=1.0, noise=own)
-        op = {
-            "matrix": dense_matrix(model),
-            "linear": LinearModel(dense_matrix(model), own, np.tile([0.0, 1.0], (16, 1))),
-            "downsample": model,
-        }[operator]
-        x = np.random.default_rng(5).uniform(0.2, 0.8, size=(3, 16))
-        pairs = pairs_of(x, model.noiseless_batch(x) + 0.04)
-        same = skersize(pairs, op, NoiseSpec(kind="additive", eps_additive=0.05), EUCLID,
-                        mode=mode)
-        ref = skersize(pairs, op, own, EUCLID, mode=mode)
-        assert same.skersize == ref.skersize and same.skersize > 0
-        assert same.symmetrized.x.tobytes() == ref.symmetrized.x.tobytes()
-        if operator == "matrix":
-            with pytest.raises(DataError, match="pair 0 is infeasible"):
-                skersize(pairs, op, NoiseSpec(kind="additive", eps_additive=0.01), EUCLID,
-                         mode=mode)
-
-    @pytest.mark.parametrize("operator", [[0.5, 0.5], 2.0], ids=["vector", "scalar"])
-    def test_operator_that_is_not_a_matrix_is_usage_error(self, operator):
-        with pytest.raises(UsageError, match="operator must be a matrix"):
-            skersize(self.single_pair(), operator, NoiseSpec(kind="additive"), EUCLID)
-
-    def test_microscopy_model_is_usage_error(self):
-        from kersize.forward import MicroscopyModel
-
-        noise = NoiseSpec(kind="additive", eps_additive=1.0)
-        model = MicroscopyModel(pixels=(2, 2), pixel_size=100.0, psf_sigma0=150.0,
-                                psf_z0=400.0, c_max=10.0, h_max=1000.0, exposure=1.0,
-                                volume=[[0, 200], [0, 200], [-100, 100]], noise=noise)
-        pairs = pairs_of(np.full((1, 5), 1.0), np.full((1, 4), 1.0))
-        with pytest.raises(UsageError, match="operator must be a matrix"):
-            skersize(pairs, model, noise, EUCLID)
+            model = MicroscopyModel(pixels=(2, 2), pixel_size=100.0, psf_sigma0=150.0,
+                                    psf_z0=400.0, c_max=10.0, h_max=1000.0, exposure=1.0,
+                                    volume=[[0, 200], [0, 200], [-100, 100]],
+                                    noise=NoiseSpec(kind="additive", eps_additive=1.0))
+        with pytest.raises(UsageError, match="must be a LinearModel or a DownsampleModel"):
+            skersize(self.single_pair(), model, EUCLID)
 
     def test_noise_recovery_past_the_float_range(self):
         """A x overflows: the pair is reported infeasible, with no overflow
         warning first."""
         x = np.array([[1.7e308, 1.7e308]])
         with pytest.raises(DataError, match=r"pair 0 is infeasible.*\|e\|=inf"):
-            skersize(pairs_of(x, np.zeros((1, 1))), [[1.0, 1.0]],
-                     NoiseSpec(kind="additive", eps_additive=1e308), EUCLID)
+            skersize(pairs_of(x, np.zeros((1, 1))),
+                     unbounded([[1.0, 1.0]], NoiseSpec(kind="additive", eps_additive=1e308)),
+                     EUCLID)
 
     @pytest.mark.parametrize("A, x, y, refl", [
         ([[2.0, -2.0]], [1.7e308, 1.7e308], 0.0, [-1.7e308, -1.7e308]),  # A x = 0
@@ -675,7 +629,7 @@ class TestSkersize:
         """A x overflows in float64 but its exact value fits: the pair is
         feasible and reflected, with no warning."""
         pairs = pairs_of(np.array([x]), np.array([[y]]))
-        res = skersize(pairs, A, NoiseSpec(kind="additive", eps_additive=1e300),
+        res = skersize(pairs, unbounded(A, NoiseSpec(kind="additive", eps_additive=1e300)),
                        NormSpec(p=1, q=np.inf))
         x_refl = res.symmetrized.x[1]
         assert np.isfinite(x_refl).all() and np.isfinite(res.skersize)
@@ -685,19 +639,27 @@ class TestSkersize:
             assert res.skersize == 1.7e308
             assert x_refl.tolist() == refl
 
+    @pytest.mark.parametrize("q, message", [
+        (1, "the p-th power of a kernel component overflows float64"),
+        (np.inf, "the reflection of pair 0 overflows float64"),
+    ])
+    def test_kernel_component_past_the_float_range_is_data_error(self, q, message):
+        """Under A = ones(1, 6), x = (-1.5e308, 1.5e308, 1.5e308, 0, 0, 0) has a
+        kernel component whose 1-norm leaves the float range, and so does its
+        reflection: each is a DataError, with no overflow warning first."""
+        x = np.array([[-1.5e308, 1.5e308, 1.5e308, 0.0, 0.0, 0.0]])
+        with pytest.raises(DataError, match=message):
+            skersize(pairs_of(x, np.array([[1.5e308]])), unbounded(np.ones((1, 6))),
+                     NormSpec(p=1, q=q))
+
     def test_reflection_past_overflowing_doubled_projection(self):
         """2Px overflows where x - 2Px fits: with the zero operator P = I and
         the reflection is -x, and skersize ‖x‖ fits float64 (no warning)."""
         x = np.array([[5e307, 1.7e308]])
-        res = skersize(pairs_of(x, np.zeros((1, 1))), np.zeros((1, 2)),
-                       NoiseSpec(kind="additive"), NormSpec(p=1))
+        res = skersize(pairs_of(x, np.zeros((1, 1))), unbounded(np.zeros((1, 2))),
+                       NormSpec(p=1))
         assert res.skersize == pytest.approx(1.77200451e308, rel=1e-8)
         assert res.symmetrized.x[1].tobytes() == (-x[0]).tobytes()
-
-    def test_raw_matrix_has_no_signal_box(self):
-        x = np.array([[1e6, -1e6]])
-        res = skersize(pairs_of(x, x @ AVG.T), AVG, NoiseSpec(kind="additive"), EUCLID)
-        assert res.bounds_violations == []
 
     def test_downsample_band_projector_matches_dense(self):
         rng = np.random.default_rng(19)
@@ -710,8 +672,8 @@ class TestSkersize:
             y = model.noiseless_batch(x) + e
             ids = ("a", "b", "c")
             pairs = PairedDataset(x=x, y=y, group=np.arange(3), group_ids=ids)
-            via_model = skersize(pairs, model, model.noise, EUCLID)
-            via_dense = skersize(pairs, dense_matrix(model), model.noise, EUCLID)
+            via_model = skersize(pairs, model, EUCLID)
+            via_dense = skersize(pairs, unbounded(dense_matrix(model), model.noise), EUCLID)
             assert via_model.skersize == pytest.approx(via_dense.skersize, rel=1e-10)
             np.testing.assert_allclose(via_model.v_norms, via_dense.v_norms, rtol=1e-10)
             np.testing.assert_allclose(via_model.symmetrized.x, via_dense.symmetrized.x,
@@ -740,7 +702,7 @@ class TestSkersize:
         model = DownsampleModel(bands=3, height=side, width=side, factor=4, r_max=1.0,
                                 noise=NoiseSpec(kind="additive", eps_additive=0.05))
         x = np.random.default_rng(side).uniform(0.2, 0.8, size=(5, model.d1))
-        res = skersize(pairs_of(x, model.noiseless_batch(x)), model, model.noise, EUCLID)
+        res = skersize(pairs_of(x, model.noiseless_batch(x)), model, EUCLID)
         B = model.band_matrix()
         P0 = np.eye(B.shape[1]) - pseudoinverse(B) @ B
         v = np.einsum("ij,nbj->nbi", 0.5 * (P0 + P0.T), x.reshape(5, 3, -1)).reshape(5, -1)
@@ -775,7 +737,7 @@ class TestSkersize:
         monkeypatch.setattr(symmetric, "_ROW_BLOCK", 7 * n)
         last = symmetric._row_blocks(n)[-1]
         assert last.stop - last.start < 7
-        res = skersize(pairs_of(x, y), operator, noise, EUCLID, mode=mode)
+        res = skersize(pairs_of(x, y), operator, EUCLID, mode=mode)
         vectors = x.reshape(4, -1, d)
         if mode == "joint":
             vectors = np.concatenate([vectors, (y - operator.noiseless_batch(x))[:, None]], axis=-1)
@@ -795,7 +757,7 @@ class TestSkersize:
         n = model.band_matrix().shape[1]
         tracemalloc.start()
         try:
-            skersize(pairs, model, model.noise, EUCLID)
+            skersize(pairs, model, EUCLID)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -814,7 +776,7 @@ class TestSkersize:
         e = rng.uniform(-0.05, 0.05, size=(2, model.d2))
         y = model.noiseless_batch(x) + e
         pairs = PairedDataset(x=x, y=y, group=np.arange(2), group_ids=("a", "b"))
-        res = skersize(pairs, model, model.noise, EUCLID, mode="joint")
+        res = skersize(pairs, model, EUCLID, mode="joint")
         # measurements preserved under the joint reflection
         A = dense_matrix(model)
         e_refl = res.symmetrized.y[2:] - res.symmetrized.x[2:] @ A.T
@@ -837,7 +799,7 @@ class TestSkersize:
         e = rng.uniform(-0.05, 0.05, size=(6, model.d2))
         x[::2] = e[::2] @ A  # (x, e) = (Aᵀz, z)
         y = x @ A.T + e
-        res = skersize(pairs_of(x, y), model, model.noise, NormSpec(p=p, q=2), mode="joint")
+        res = skersize(pairs_of(x, y), model, NormSpec(p=p, q=2), mode="joint")
 
         B = np.hstack([A, np.eye(model.d2)])
         P = np.eye(B.shape[1]) - np.linalg.pinv(B) @ B
@@ -863,7 +825,7 @@ class TestSkersize:
         pairs = pairs_of(x, model.noiseless_batch(x))
         tracemalloc.start()
         try:
-            skersize(pairs, model, model.noise, EUCLID, mode="joint")
+            skersize(pairs, model, EUCLID, mode="joint")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -878,7 +840,7 @@ class TestSkersize:
         x[0, 5] = 1.0  # sharp spike: kernel component pushes past the box
         y = model.noiseless_batch(x)
         pairs = PairedDataset(x=x, y=y, group=[0], group_ids=("m0",))
-        res = skersize(pairs, model, model.noise, EUCLID)
+        res = skersize(pairs, model, EUCLID)
         assert res.symmetrized.size == 2
         refl = res.symmetrized.x[1]
         outside = np.any(refl < 0.0) or np.any(refl > 1.0)
@@ -905,7 +867,7 @@ class TestCrossBoundIdentity:
             y = x @ A.T
             ids = tuple(f"m{i}" for i in range(m_pairs))
             pairs = PairedDataset(x=x, y=y, group=np.arange(m_pairs), group_ids=ids)
-            res = skersize(pairs, A, NoiseSpec(kind="additive"), norm)
+            res = skersize(pairs, unbounded(A), norm)
             entries = tuple(
                 FeasibleSet(id=ids[i], measurement=y[i],
                             members=np.vstack([x[i], res.symmetrized.x[m_pairs + i]]))
