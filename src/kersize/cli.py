@@ -49,8 +49,8 @@ from .core import (
     UsageError,
     check_keys,
     dataset_from_collection,
-    loss,
     nullable,
+    set_losses,
     whole,
 )
 from .forward import LinearModel, NoiseSpec, model_from_dict
@@ -197,10 +197,10 @@ def _cmd_kersize(args) -> int:
 
 
 def _cmd_loss(args) -> int:
-    name = args.name or _map_name(args.predictions)
+    name = _map_name(args.predictions, args.name)
     collection, norm, out = _inputs(args)
     preds = io.read_predictions_dir(args.predictions, collection.stacked[2])
-    value = loss(dataset_from_collection(collection), preds, norm)
+    value = set_losses(*collection.stacked, {name: preds}, norm)[1][name]
     payload = _bounds_json(out, norm)
     payload.setdefault("losses", {})[name] = value
     io.write_json(out / "bounds.json", payload)
@@ -208,26 +208,25 @@ def _cmd_loss(args) -> int:
     return EXIT_OK
 
 
-def _map_name(pred_dir) -> str:
-    """The name of the map in a prediction directory: the last component of
-    its absolute, lexically normalised path, so "." and "p/.." are named after
-    the directories they stand for; symlinks are not followed. The root,
+def _map_name(pred_dir, name=None) -> str:
+    """The name of the map in a prediction directory: ``name`` if given, else
+    the last component of its absolute, lexically normalised path, so "." and
+    "p/.." are named after the directories they stand for (symlinks are not
+    followed); "_ext" is added to a built-in map's name (median, zero, theta),
+    so the map never takes a built-in map's place in bounds.json. The root,
     which has no name, is a UsageError."""
-    name = Path(os.path.abspath(pred_dir)).name
+    name = name or Path(os.path.abspath(pred_dir)).name
     if not name:
         raise UsageError(f"prediction directory {pred_dir} has no name for its map")
-    return name
+    return f"{name}_ext" if name in ("median", "zero", "theta") else name
 
 
 def _prediction_names(pred_dirs) -> dict:
-    """Each prediction directory by the name of its map (``_map_name``), with
-    "_ext" added to a built-in map's name (median, zero, theta). Two
+    """Each prediction directory by the name of its map (``_map_name``). Two
     directories of one name are a UsageError."""
     dirs = {}
     for pred_dir in pred_dirs:
         name = _map_name(pred_dir)
-        if name in ("median", "zero", "theta"):
-            name = f"{name}_ext"
         if name in dirs:
             raise UsageError(f"prediction directories {dirs[name]} and {pred_dir} "
                              f"both name the map {name!r}")

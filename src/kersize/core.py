@@ -3,8 +3,10 @@
 Signals and measurements are plain 1-D float64 numpy arrays; the containers
 below validate and freeze them. All types are immutable after construction and
 all operations are pure functions, so everything here is safe to share across
-threads. Every p-th power of a distance is taken by ``distance_powers`` (or
-``norm_powers``) and every exact sum by ``exact_sum``: a value past the
+threads. Every row norm (of a loss, a kernel component or a
+``forward.NoiseSpec`` noise ball) is taken by ``vector_norms``, whose l2
+branch rescues a sum of squares that overflows; every checked p-th power
+by ``norm_powers`` and every exact sum by ``exact_sum``: a value past the
 float64 range raises DataError, never a RuntimeWarning or an infinite result.
 
 Per-set quantities are computed over all sets at once. ``Sets`` is the row
@@ -16,10 +18,11 @@ sorts (``Sets.reduce``, ``Sets.centres``) group the sets by size and let
 numpy reduce each group's (G, s, ...) stack over its set axis: numpy
 reduces every set of such a stack in the order it reduces the set alone, so
 each set gets the same bits, which a reduceat sum over the stacked rows does
-not give. ``set_losses`` and ``loss`` take each map's p-th powers for all
-rows in one pass (the unchecked form of ``distance_powers``), sum each set
-exactly, and raise the error of the first failing set, in collection order,
-that a per-set loop would raise.
+not give. ``set_losses`` and ``loss`` take each map's p-th powers
+``vector_norms(...) ** p`` for all rows in one pass, leave an overflowing
+power infinite for the set it fails, sum each set exactly, and raise the
+error of the first failing set, in collection order, that a per-set loop
+would raise.
 """
 
 from __future__ import annotations
@@ -190,28 +193,25 @@ def whole(value) -> int:
     return n
 
 
-def l2_overflow_rescaled(norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``norms`` (the l2 norms of ``rows``) with each infinite norm of a finite
-    row recomputed from the row scaled by its largest entry, since its sum of
-    squares overflowed; every other entry keeps its bits. Updates ``norms``."""
-    big = np.isinf(norms)
-    if big.any():
-        big &= np.isfinite(rows).all(axis=1)
-        top = np.abs(rows[big]).max(axis=1)
-        with np.errstate(over="ignore"):  # a norm past the float range stays inf
-            norms[big] = top * np.sqrt(((rows[big] / top[:, None]) ** 2).sum(axis=1))
-    return norms
-
-
 def vector_norms(diffs: np.ndarray, norm: NormSpec) -> np.ndarray:
     """Masked q-norms of the rows of ``diffs`` (shape (n, d) -> (n,)); a norm
-    past the float64 range is +inf, with no warning, for the caller to report."""
+    past the float64 range is +inf, with no warning, for the caller to report.
+    At q = 2 an infinite norm of a finite row, whose sum of squares
+    overflowed, is taken again from the row scaled by its largest entry; every
+    other norm keeps its bits."""
     d = np.atleast_2d(diffs)
     if norm.mask is not None:
         norm.check_dim(d.shape[1])
         d = d[:, norm.mask]
     if norm.q == 2:  # squares need no absolute values
-        return l2_overflow_rescaled(np.sqrt(np.einsum("ij,ij->i", d, d)), d)
+        norms = np.sqrt(np.einsum("ij,ij->i", d, d))
+        big = np.isinf(norms)
+        if big.any():
+            big &= np.isfinite(d).all(axis=1)
+            top = np.abs(d[big]).max(axis=1)
+            with np.errstate(over="ignore"):  # a norm past the float range stays inf
+                norms[big] = top * np.sqrt(((d[big] / top[:, None]) ** 2).sum(axis=1))
+        return norms
     d = np.abs(d)
     if norm.q == 1:
         with np.errstate(over="ignore"):  # a sum past the float range is inf
@@ -247,25 +247,16 @@ def norm_powers(norms: np.ndarray, p: float, what: str) -> np.ndarray:
     return powers
 
 
-def _difference_powers(diff: np.ndarray, norm: NormSpec) -> np.ndarray:
-    """``‖r‖^p`` for each row r of the (n, d) array ``diff``, +inf past the
-    float64 range, for the caller to report."""
-    with np.errstate(over="ignore"):  # an infinite difference has an infinite power
-        return vector_norms(diff, norm) ** norm.p
-
-
 def distance_powers(a, b, norm: NormSpec, what: str) -> np.ndarray:
     """``‖a - b‖^p`` for each row of the broadcast difference ``a - b`` (shape
-    (..., d) -> (...)), through ``vector_norms`` and so with its l2 rescue.
-    A difference or power past the float64 range raises
+    (..., d) -> (...)), through ``vector_norms`` and ``norm_powers``. A
+    difference or power past the float64 range raises
     DataError("<what> overflows float64") instead of a RuntimeWarning."""
     with np.errstate(over="ignore"):  # an infinite difference has an infinite power
         diff = np.subtract(a, b)
     rows = diff.shape[:-1]
-    powers = _difference_powers(diff.reshape(math.prod(rows), diff.shape[-1]), norm)
-    if not np.isfinite(powers).all():
-        raise DataError(f"{what} overflows float64")
-    return powers.reshape(rows)
+    norms = vector_norms(diff.reshape(math.prod(rows), diff.shape[-1]), norm)
+    return norm_powers(norms, norm.p, what).reshape(rows)
 
 
 def exact_sum(values, what: str) -> float:
@@ -573,7 +564,7 @@ def _prediction_powers(sets: Sets, X: np.ndarray, ids, maps: Mapping, norm: Norm
         diff = Phi[sets.sid]
         with np.errstate(over="ignore"):  # an overflow fails its set, just below
             np.subtract(X, diff, out=diff)
-        powers[j] = _difference_powers(diff, norm)
+            powers[j] = vector_norms(diff, norm) ** norm.p
         over = np.flatnonzero(~np.isfinite(powers[j]))
         if over.size and sets.sid[over[0]] < k:
             k = int(sets.sid[over[0]])

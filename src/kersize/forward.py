@@ -17,7 +17,8 @@ row whose exact image leaves the range is non-finite (a downsampling model's
 rows are weighted means of the signal, which stay in range).
 ``NoiseSpec`` owns how noise enters: additively (g + e), multiplicatively
 (g * e) or mixed, g * (1 + e1) + e2, in componentwise (inf-norm) balls by
-default or an l2 ball for the pure kinds. It tests noise membership, composes
+default or an l2 ball for the pure kinds, whose norm is ``core.vector_norms``
+(with its l2 overflow rescue). It tests noise membership, composes
 measurements and decides feasibility -- "does some admissible noise map g
 onto y exactly" -- by closed-form interval tests with no tolerance, so
 sampler acceptance is exact rather than tolerance-fragile.
@@ -32,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import DataError, UsageError, check_keys, l2_overflow_rescaled, whole
+from .core import DataError, NormSpec, UsageError, check_keys, vector_norms, whole
 
 __all__ = [
     "NoiseSpec",
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_BALL_NORMS = {"inf": NormSpec(q=np.inf), "l2": NormSpec(q=2)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,13 +84,9 @@ class NoiseSpec:
         return 2 * d2 if self.kind == "mixed" else d2
 
     def row_norms(self, E: np.ndarray) -> np.ndarray:
-        """Ball norm of each row of the (n, d) array E: max |e| for the inf
-        ball, the square root of the sum of squares for the l2 ball."""
-        if self.ball == "inf":
-            return np.abs(E).max(axis=1, initial=0.0)
-        with np.errstate(over="ignore"):  # squares beyond the float range: rescaled
-            norms = np.sqrt((E * E).sum(axis=1))
-        return l2_overflow_rescaled(norms, E)
+        """Ball norm of each row of the (n, d) array E, by ``core.vector_norms``
+        (q = inf or 2, with its l2 overflow rescue)."""
+        return vector_norms(E, _BALL_NORMS[self.ball])
 
     def contains(self, E: np.ndarray) -> np.ndarray:
         """True for each row of the (n, d3) noise E that lies in the noise

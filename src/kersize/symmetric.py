@@ -40,11 +40,12 @@ array but, for n <= 2m, one the size of at most two copies of B;
 before the first block, and P's checks raise after the last, before
 anything is returned.
 
-The p-th powers of the kernel components go through ``core.norm_powers``
-and their sum through ``core.power_mean``: a value past the float64 range
-is a DataError, never an infinite skersize. A reflection x - 2Px whose
-2Px overflows is recomputed as (x - Px) - Px, and one past the float64
-range is a DataError as well.
+The norms of the kernel components are taken by ``core.vector_norms``,
+their p-th powers by ``core.norm_powers`` and their sum by
+``core.power_mean``: a norm, power or sum past the float64 range is a
+DataError that names it, never an infinite skersize. A reflection x - 2Px
+whose 2Px overflows is recomputed as (x - Px) - Px, and one past the
+float64 range is a DataError as well.
 """
 
 from __future__ import annotations
@@ -306,8 +307,8 @@ def skersize(pairs: PairedDataset, model, norm: NormSpec,
     bit for bit one whole einsum with the assembled P, and it sums each entry
     in the same order whatever the other pairs: each pair's v_m, x'_m and
     noise and box verdicts are those of its lone call, and permuting the
-    pairs permutes them. A p-th power ‖v_m‖^p or their sum past the float64
-    range raises DataError.
+    pairs permutes them. A norm ‖v_m‖, its p-th power or their sum past the
+    float64 range raises DataError.
     """
     if not isinstance(model, (LinearModel, DownsampleModel)):
         raise UsageError(f"the model must be a LinearModel or a DownsampleModel, "
@@ -364,6 +365,10 @@ def skersize(pairs: PairedDataset, model, norm: NormSpec,
         noise_violations = [int(i) for i in np.flatnonzero(viol)]
 
     v_norms = vector_norms(v, norm)
+    over = np.flatnonzero(~np.isfinite(v_norms))
+    if over.size:
+        raise DataError(f"the norm of the kernel component of pair {int(over[0])} "
+                        f"overflows float64")
     value = power_mean([norm_powers(v_norms, norm.p, "the p-th power of a kernel component")],
                        norm.p)
     lost = np.flatnonzero(~np.isfinite(refl.reshape(pairs.size, -1)).all(axis=1))

@@ -269,6 +269,10 @@ class TestOptimalMapValue:
         with pytest.raises(UsageError):
             optimal_map_value([[0, 0], [1, 1]], NormSpec(p=0.5, q=2))
 
+    def test_no_members_is_usage_error(self):
+        with pytest.raises(UsageError, match="^optimal_map_value needs at least one member$"):
+            optimal_map_value(np.zeros((0, 2)), EUCLID)
+
     def test_masked_coordinates_from_mean(self):
         norm = NormSpec(p=1, q=2, mask=[1, 0])
         members = np.array([[0.0, 10.0], [0.0, 20.0], [3.0, 30.0]])
@@ -414,6 +418,12 @@ class TestVerifyBounds:
         assert report.kersize == pytest.approx(np.sqrt(2), rel=1e-12)
         assert report.lower_ok and report.theta_upper_ok
         assert report.uniform
+
+    def test_collection_with_no_members_is_data_error(self):
+        c = FeasibleSetCollection(d1=2, d2=1, entries=(
+            FeasibleSet(id="m0", measurement=[0.0], members=np.zeros((0, 2))),))
+        with pytest.raises(DataError, match="^collection has no members; bounds are vacuous$"):
+            verify_bounds(c, {}, EUCLID)
 
     def test_singleton_sets_perfect_map(self):
         c = make_collection([[[1, 1]], [[2, 0]]])

@@ -1,6 +1,7 @@
 """Tests for the evaluation pseudo-norm, empirical loss, and containers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from kersize.core import (
     NormSpec,
     PairedDataset,
     UsageError,
+    as_vector,
     collection_from_dataset,
     dataset_from_collection,
     distance_powers,
@@ -324,6 +326,37 @@ class TestContainers:
     def test_rejects_no_entries(self):
         with pytest.raises(UsageError, match="a collection needs at least one measurement"):
             FeasibleSetCollection(d1=1, d2=1, entries=())
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: as_vector([[1.0]]), UsageError, "vector must be 1-D, got shape (1, 1)"),
+        (lambda: as_vector([1.0, np.inf], "y"), DataError, "y contains non-finite entries"),
+        (lambda: FeasibleSet(id="a", measurement=[0.0], members=np.zeros((1, 1, 2))),
+         UsageError, "members must be a 2-D array, got shape (1, 1, 2)"),
+        (lambda: FeasibleSetCollection(d1=1, d2=2, entries=(
+            FeasibleSet(id="a", measurement=[0.0], members=[[1.0]]),)),
+         DataError, "set 'a': measurement length != d2=2"),
+        (lambda: FeasibleSetCollection(d1=2, d2=1, entries=(
+            FeasibleSet(id="a", measurement=[0.0], members=[[1.0]]),)),
+         DataError, "set 'a': member length != d1=2"),
+        (lambda: PairedDataset(x=np.zeros((1, 1, 1)), y=[[0.0]], group=[0], group_ids=("a",)),
+         UsageError, "x must be 2-D, got shape (1, 1, 1)"),
+        (lambda: PairedDataset(x=[[0.0]], y=[[np.nan]], group=[0], group_ids=("a",)),
+         DataError, "y contains non-finite entries"),
+        (lambda: PairedDataset(x=[[0.0]], y=[[0.0], [1.0]], group=[0, 0], group_ids=("a",)),
+         UsageError, "x, y and group must have one row per pair"),
+        (lambda: PairedDataset(x=[[0.0]], y=[[0.0]], group=[1], group_ids=("a",)),
+         DataError, "group index out of range"),
+    ], ids=["vector-2d", "vector-inf", "members-3d", "measurement-length", "member-length",
+            "pairs-3d", "pairs-nan", "pairs-rows", "pairs-group"])
+    def test_malformed_input_is_refused(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_one_dimensional_members(self):
+        """An empty list is a set with no members, a flat vector one member."""
+        assert FeasibleSet(id="a", measurement=[0.0], members=[]).count == 0
+        one = FeasibleSet(id="a", measurement=[0.0], members=[1.0, 2.0])
+        assert one.members.tolist() == [[1.0, 2.0]]
 
     def test_rejects_duplicate_ids(self):
         e = FeasibleSet(id="a", measurement=[0.0], members=[[1.0]])

@@ -3,13 +3,14 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from kersize.core import DataError, UsageError
+from kersize.core import DataError, NormSpec, UsageError, vector_norms
 from kersize.forward import (
     DownsampleModel,
     ForwardModel,
@@ -104,14 +105,30 @@ class TestNoiseSpec:
         np.testing.assert_allclose(norms[:2], [5e200, np.sqrt(2) * 1e308], rtol=1e-15)
         np.testing.assert_array_equal(norms[2:], [5.0, np.inf, 0.0])
 
+    @pytest.mark.parametrize("E", [
+        np.random.default_rng(4).normal(scale=1e3, size=(64, 5)),
+        np.array([[np.nan, 1.0], [-np.inf, 2.0], [np.inf, np.nan], [-0.0, 0.0], [-3.0, np.inf]]),
+        np.zeros((3, 0)),
+        np.zeros((0, 4)),
+    ], ids=["random", "nan-inf", "zero-width", "no-rows"])
+    def test_inf_ball_row_norms_are_the_largest_magnitude(self, E):
+        norms = NoiseSpec(kind="additive", eps_additive=1.0).row_norms(E)
+        expected = np.abs(E).max(axis=1, initial=0.0)
+        assert norms.shape == expected.shape
+        assert norms.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("ball", ["inf", "l2"])
     def test_row_norms_agree_with_contains(self, ball):
         spec = NoiseSpec(kind="additive", eps_additive=0.3, ball=ball)
         rng = np.random.default_rng(9)
         E = rng.uniform(-0.4, 0.4, size=(200, 4))
         norms = spec.row_norms(E)
-        expected = np.abs(E).max(axis=1) if ball == "inf" else np.linalg.norm(E, axis=1)
-        np.testing.assert_array_equal(norms, expected)
+        q = {"inf": np.inf, "l2": 2}[ball]
+        np.testing.assert_array_equal(norms, vector_norms(E, NormSpec(q=q)))
+        if ball == "inf":
+            np.testing.assert_array_equal(norms, np.abs(E).max(axis=1))
+        else:  # an independent sum of squares, which may round the last bit otherwise
+            np.testing.assert_allclose(norms, np.linalg.norm(E, axis=1), rtol=1e-15, atol=0)
         m = LinearModel(np.eye(4), spec, [[-1, 1]] * 4)
         inside = []
         for e in E:
@@ -335,6 +352,21 @@ class TestApply:
         m = averaging_model(eps=0.5)
         with pytest.raises(DataError):
             m.apply_batch([[1, 3]], [[0.6]])
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda m: m.apply_batch([[1.0, np.nan]], [[0.0]]), DataError,
+         "signal contains non-finite entries"),
+        (lambda m: m.apply_batch([[1.0, 3.0]], [[np.inf]]), DataError,
+         "noise contains non-finite entries"),
+        (lambda m: m.apply_batch([[1.0, 3.0, 0.0]], [[0.0]]), UsageError,
+         "signal length 3 != d1=2"),
+        (lambda m: m.feasible_batch([[1.0]], [2.0]), UsageError, "signal length 1 != d1=2"),
+        (lambda m: small_microscope().noiseless_batch([[1.0, 2.0, 0.0, 1.0]]), UsageError,
+         "microscopy signals have 5 components (x, y, z, C, h)"),
+    ], ids=["signal-nan", "noise-inf", "apply-length", "feasible-length", "microscopy-4"])
+    def test_malformed_batch_is_refused(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(averaging_model(eps=0.5))
 
     def test_noise_of_wrong_length_is_usage_error(self):
         m = averaging_model(eps=0.5)  # d2 = 1
@@ -665,6 +697,14 @@ class TestDownsample:
                 assert preds[f"m{i}"].shape == (m.d1,)
                 np.testing.assert_array_equal(preds[f"m{i}"], upscale(m, ys[i], order=order))
 
+    def test_upscale_refuses_a_measurement_of_the_wrong_length(self):
+        from kersize.predictors import upscale
+
+        m = DownsampleModel(bands=1, height=4, width=4, factor=2, r_max=1.0,
+                            noise=NoiseSpec(kind="additive"))
+        with pytest.raises(UsageError, match=re.escape("measurement length (3,) != d2=4")):
+            upscale(m, np.zeros(3))
+
     def test_constant_low_res_upscales_to_constant(self):
         from kersize.predictors import upscale
 
@@ -744,6 +784,29 @@ class TestModelParameters:
         refuses it."""
         with pytest.raises(UsageError):
             build(float("nan"))
+
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: LinearModel([1.0, 2.0], NoiseSpec(), [[-1, 1]]), UsageError,
+         "matrix must be 2-D"),
+        (lambda: LinearModel([[1.0, np.inf]], NoiseSpec(), [[-1, 1]] * 2), DataError,
+         "matrix has non-finite entries"),
+        (lambda: LinearModel([[1.0, 2.0]], NoiseSpec(), [[-1, 1]]), UsageError,
+         "signal_bounds must have shape (2, 2)"),
+        (lambda: DownsampleModel(1, 4, 4, 1, 1.0, NoiseSpec()), UsageError,
+         "factor must be an integer >= 2"),
+        (lambda: DownsampleModel(0, 4, 4, 2, 1.0, NoiseSpec()), UsageError,
+         "bands, height, width must be positive"),
+        (lambda: DownsampleModel(1, 4, 4, 2, 1.0,
+                                 NoiseSpec(kind="multiplicative", eps_multiplicative=0.1)),
+         UsageError, "the downsampling model uses additive noise"),
+        (lambda: MicroscopyModel(**dict(TestModelParameters.MICROSCOPE, pixels=(4, 0))),
+         UsageError, "pixel counts must be positive"),
+    ], ids=["matrix-1d", "matrix-inf", "bounds-shape", "factor-1", "bands-0",
+            "downsample-multiplicative", "pixels-0"])
+    def test_malformed_model_is_refused(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestSerialization:

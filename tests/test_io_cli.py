@@ -142,6 +142,19 @@ class TestVectorCsv:
             warnings.simplefilter("error")
             assert read_vectors_csv(path).shape == (0, 0)
 
+    def test_loadtxt_error_that_names_no_row_keeps_its_message(self, tmp_path, monkeypatch):
+        """numpy's messages for a line it cannot split (an embedded carriage
+        return, which text mode never passes on) name no row: the path and
+        the message are reported as they are."""
+        def fail(*args, **kwargs):
+            raise ValueError("Found an unquoted embedded newline within a single line")
+
+        monkeypatch.setattr(np, "loadtxt", fail)
+        path = tmp_path / "a.csv"
+        path.write_text("1,2\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: Found an unquoted"):
+            read_vectors_csv(path)
+
     def test_bad_token_names_file_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n\n  \n3,abc\n5,6\n")
@@ -170,6 +183,13 @@ class TestCollectionRoundtrip:
         d.mkdir()
         (d / "manifest.json").write_text("{\"version\": 1}")
         with pytest.raises(DataError):
+            read_collection(d)
+
+    def test_manifest_that_is_no_json_is_data_error(self, tmp_path):
+        d = tmp_path / "c"
+        d.mkdir()
+        (d / "manifest.json").write_text("{\"version\": 1")
+        with pytest.raises(DataError, match=re.escape(f"{d / 'manifest.json'}: invalid JSON")):
             read_collection(d)
 
     @pytest.mark.parametrize("ident", ["a/b", "../escaped", "", ".", "..", "a\\b", "a\0b", 3])
@@ -374,6 +394,60 @@ class TestCliSample:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {y}: expected exactly one measurement row"]
 
+    def test_matrix_csv_path_is_read_relative_to_the_config(self, tmp_path, monkeypatch):
+        """A linear model's "matrix" may name a CSV file, read from the
+        config's directory, not the working one; it samples as the inline
+        matrix does."""
+        cfg = json.loads(sample_config(tmp_path).read_text())
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "A.csv").write_text("0.5,0.5\n")
+        cfg["model"]["matrix"] = "A.csv"
+        (tmp_path / "run" / "run.json").write_text(json.dumps(cfg))
+        monkeypatch.chdir(tmp_path)
+        assert main(["sample", "--config", "run/run.json", "--out", "by_path"]) == 0
+        assert main(["sample", "--config", "run.json", "--out", "inline"]) == 0
+        assert dir_bytes(tmp_path / "by_path") == dir_bytes(tmp_path / "inline")
+
+    def test_measurements_from_the_input_directory(self, tmp_path, capsys):
+        """``paths.input`` gives one feasible set per y_*.csv file, in file
+        name order, each of members that reach its measurement."""
+        cfg = json.loads(sample_config(tmp_path).read_text())
+        cfg["paths"]["input"] = "meas"
+        cfg["options"]["generate"] = None
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(cfg))
+        (tmp_path / "meas").mkdir()
+        (tmp_path / "meas" / "y_b.csv").write_text("0.25\n")
+        (tmp_path / "meas" / "y_a.csv").write_text("-0.5\n")
+        assert main(["sample", "--config", str(path), "--out", str(tmp_path / "x")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "K=2 N=[8, 8] uniform=True"
+        c, _ = read_collection(tmp_path / "x")
+        assert [e.measurement.tolist() for e in c.entries] == [[-0.5], [0.25]]
+        for e in c.entries:
+            assert np.all(np.abs(e.members.mean(axis=1) - e.measurement[0]) <= 0.2)
+
+    @pytest.mark.parametrize("edit, flags, code, message", [
+        (lambda cfg: cfg["paths"].update(output=None), [], 1,
+         "no output directory (set paths.output or --out)"),
+        (lambda cfg: (cfg["paths"].update(input="meas"), cfg["options"].update(generate=None)),
+         ["--out", "x"], 2, "no y_*.csv measurement files in {}"),
+        (lambda cfg: cfg["options"].update(generate=None), ["--out", "x"], 2,
+         "config needs options.generate or paths.input"),
+    ], ids=["no-output", "no-measurement-files", "no-input"])
+    def test_config_without_output_or_input_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                       edit, flags, code, message):
+        cfg = json.loads(sample_config(tmp_path).read_text())
+        edit(cfg)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        (tmp_path / "meas").mkdir()
+        (tmp_path / "meas" / "x_a.csv").write_text("0.25\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["sample", "--config", str(path), *flags]) == code
+        assert capsys.readouterr().err.splitlines() == [
+            "error: " + message.format(tmp_path / "meas")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "meas", "run.json"]
+
     def test_singleton_warning_printed(self, tmp_path, capsys):
         cfg = json.loads(sample_config(tmp_path).read_text())
         cfg["model"]["matrix"] = [[1.0, 0.0], [0.0, 1.0]]
@@ -445,10 +519,14 @@ class TestCliKersize:
             lambda m: m["entries"][0].update(id=["a"]),
             *(lambda m, i=i: m["entries"][0].update(id=i)
               for i in ["a/b", "../../escaped", "", ".", "..", "a\\b", "a\0b"]),
+            lambda m: m.update(version=2),
+            lambda m: m["entries"][0].update(count=3),
+            lambda m: m.update(d1=3),
+            lambda m: m.update(d2=2),
         ],
         ids=["d1_x", "count_x", "entries_5", "d1_negative_empty_set", "id_list",
              "id_slash", "id_escaping", "id_empty", "id_dot", "id_dotdot", "id_backslash",
-             "id_nul"],
+             "id_nul", "version_2", "count_3", "d1_3", "d2_2"],
     )
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, edit):
         d = two_point_collection_dir(tmp_path)
@@ -527,6 +605,25 @@ class TestCliLoss:
         monkeypatch.chdir(pred)
         assert main(["loss", str(d), arg, "--out", str(tmp_path / "o")]) == 0
         assert capsys.readouterr().out == "loss[preds]=1.00000000\n"
+
+    @pytest.mark.parametrize("argv", [["median"], ["p", "--name", "median"]],
+                             ids=["directory", "name-flag"])
+    def test_built_in_map_name_is_renamed(self, tmp_path, capsys, argv):
+        """After validate, a map named median, by its directory or by --name,
+        joins bounds.json as median_ext, as in validate, and leaves the
+        built-in median's loss and flags as they were."""
+        d = two_point_collection_dir(tmp_path)
+        assert main(["validate", str(d)]) == 0
+        before = json.loads((d / "bounds.json").read_text())
+        pred = tmp_path / argv[0]
+        pred.mkdir()
+        (pred / "pred_m0.csv").write_text("0.0,7.0\n")
+        assert main(["loss", str(d), str(pred), *argv[1:]]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "loss[median_ext]=6.08276253"
+        after = json.loads((d / "bounds.json").read_text())
+        assert after["losses"] == {**before["losses"], "median_ext": pytest.approx(37**0.5)}
+        assert after["losses"]["median"] == 1.0
+        assert after["inequality_flags"] == before["inequality_flags"]
 
     def test_root_directory_names_no_map(self, tmp_path, capsys):
         """The root has no name: exit 1 before any file is read, unless
@@ -636,8 +733,7 @@ class TestCliValidate:
         (pred / "pred_m0.csv").write_text(f"0.0,{value}\n")
         assert main([argv[0], str(d), str(pred), *argv[1:]]) == 2
         err = capsys.readouterr().err.splitlines()
-        of_map = "" if argv[0] == "loss" else " from map 'pred'"
-        assert err == [f"error: prediction for 'm0'{of_map} is not finite"]
+        assert err == ["error: prediction for 'm0' from map 'pred' is not finite"]
         assert not (d / "bounds.json").exists()
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -798,6 +894,23 @@ class TestCliSkersize:
                      "--eps-additive", eps]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: eps_additive must be finite and nonnegative, got {eps}"]
+
+    def test_model_matrix_csv_path_is_read_relative_to_the_model(self, tmp_path, monkeypatch):
+        """--model's "matrix" may name a CSV file beside the model document;
+        the bound is that of the inline matrix."""
+        from kersize.forward import LinearModel, NoiseSpec
+
+        d = two_point_collection_dir(tmp_path)
+        doc = LinearModel([[0.5, 0.5]], NoiseSpec(kind="additive", eps_additive=1.0),
+                          [[-5, 5], [-5, 5]]).to_dict()
+        (tmp_path / "inline.json").write_text(json.dumps(doc))
+        (tmp_path / "models").mkdir()
+        (tmp_path / "models" / "A.csv").write_text("0.5,0.5\n")
+        (tmp_path / "models" / "model.json").write_text(json.dumps({**doc, "matrix": "A.csv"}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["skersize", str(d), "--model", "models/model.json", "--out", "by_path"]) == 0
+        assert main(["skersize", str(d), "--model", "inline.json", "--out", "inline"]) == 0
+        assert dir_bytes(tmp_path / "by_path") == dir_bytes(tmp_path / "inline")
 
     def test_eps_additive_beside_a_model_exits_1(self, tmp_path, capsys):
         """A model brings its own noise; --eps-additive would be ignored."""

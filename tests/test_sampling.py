@@ -117,6 +117,18 @@ class TestSamplerSpec:
         with pytest.raises(UsageError, match=f"^{name}: "):
             call()
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "mcmc"}, "unknown sampler kind 'mcmc'"),
+        ({"kind": "grid", "grid_resolution": 3},
+         "grid_resolution must give a positive count per coordinate"),
+        ({"n_max": 0}, "n_max must be >= 1"),
+        ({"burn_in": -1}, "burn_in must be >= 0 and thinning >= 1"),
+        ({"thinning": 0}, "burn_in must be >= 0 and thinning >= 1"),
+    ], ids=["kind", "grid_resolution-scalar", "n_max-0", "burn_in-negative", "thinning-0"])
+    def test_invalid_field_is_usage_error(self, fields, message):
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            SamplerSpec(**fields)
+
     def test_whole_integer_fields_are_normalised(self):
         s = SamplerSpec(kind="grid", n_max=np.int64(3), seed=2.0, budget=np.float64(10),
                         grid_resolution=np.array([2, 3]), burn_in=0.0, thinning=1.0)
@@ -554,6 +566,14 @@ class TestBuildFeasibleSets:
     ], ids=["generate-0", "no-ground-truths", "no-measurements"])
     def test_empty_request_is_usage_error(self, request_, message):
         with pytest.raises(UsageError, match=message):
+            build_feasible_sets(identity_model(), sampler=SamplerSpec(n_max=2), **request_)
+
+    @pytest.mark.parametrize("request_, message", [
+        ({"measurements": [[0.0]]}, "measurement 0 has length 1 != d2=2"),
+        ({"ground_truths": [[0.0]]}, "signal length 1 != d1=2"),
+    ], ids=["measurement", "ground-truth"])
+    def test_request_of_the_wrong_length_is_usage_error(self, request_, message):
+        with pytest.raises(UsageError, match=f"^{message}$"):
             build_feasible_sets(identity_model(), sampler=SamplerSpec(n_max=2), **request_)
 
     def test_mode_arguments_are_exclusive(self):

@@ -132,6 +132,15 @@ class TestSetsReduce:
     def test_no_sets(self):
         assert Sets([]).reduce(np.zeros((0, 4)), np.mean).shape == (0, 4)
 
+    def test_fsums_past_the_float_range_and_undefined(self):
+        """An exact sum past the float64 range is +inf, inf - inf is NaN, and
+        a set that ``which`` leaves out is NaN."""
+        A = np.array([1e308, 1e308, np.inf, -np.inf, 3.0])
+        assert Sets([2, 2, 1]).fsums(A).tolist()[::2] == [np.inf, 3.0]
+        assert np.isnan(Sets([2, 2, 1]).fsums(A)[1])
+        chosen = Sets([2, 2, 1]).fsums(A, np.array([True, False, False]))
+        assert chosen[0] == np.inf and np.isnan(chosen[1:]).all()
+
 
 class TestStackedPass:
     @pytest.mark.parametrize("d, masked", [(1, False), (5, False), (5, True)])

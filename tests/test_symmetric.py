@@ -596,6 +596,16 @@ class TestSkersize:
         with pytest.raises(UsageError, match=message):
             skersize(pairs, op, EUCLID, mode=mode)
 
+    @pytest.mark.parametrize("pairs, mode, error, message", [
+        (None, "dual", UsageError, "unknown projection mode 'dual'"),
+        (PairedDataset(x=[], y=[], group=[], group_ids=()), "signal_only", DataError,
+         "empty dataset"),
+    ], ids=["mode", "no-pairs"])
+    def test_unknown_mode_or_no_pairs_is_refused(self, pairs, mode, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            skersize(self.single_pair() if pairs is None else pairs, unbounded(AVG), EUCLID,
+                     mode=mode)
+
     @pytest.mark.parametrize("model", [
         AVG, AVG.tolist(), [0.5, 0.5], 2.0, None, "microscopy",
     ], ids=["array", "list", "vector", "scalar", "none", "microscopy"])
@@ -640,13 +650,15 @@ class TestSkersize:
             assert x_refl.tolist() == refl
 
     @pytest.mark.parametrize("q, message", [
-        (1, "the p-th power of a kernel component overflows float64"),
+        (1, "the norm of the kernel component of pair 0 overflows float64"),
+        (2, "the norm of the kernel component of pair 0 overflows float64"),
         (np.inf, "the reflection of pair 0 overflows float64"),
     ])
     def test_kernel_component_past_the_float_range_is_data_error(self, q, message):
         """Under A = ones(1, 6), x = (-1.5e308, 1.5e308, 1.5e308, 0, 0, 0) has a
-        kernel component whose 1-norm leaves the float range, and so does its
-        reflection: each is a DataError, with no overflow warning first."""
+        kernel component whose 1- and 2-norms leave the float range, and so
+        does its reflection: each is a DataError that names what overflowed,
+        with no overflow warning first."""
         x = np.array([[-1.5e308, 1.5e308, 1.5e308, 0.0, 0.0, 0.0]])
         with pytest.raises(DataError, match=message):
             skersize(pairs_of(x, np.array([[1.5e308]])), unbounded(np.ones((1, 6))),
