@@ -32,19 +32,22 @@ or sum past the float64 range is a DataError, never an infinite kernel size.
 coordinatewise median at p = q = 1), taken for all sets at once on the
 collection's stacked members (``core.Sets.centres``, which groups the sets
 by size so that each keeps the bits of its own ``core.member_centre``).
-Every other p ≥ 1 goes to a numpy-only
-log-barrier interior-point method on the epigraph form of the objective,
-which stops at a relative duality gap of 1e-10. ``verify_bounds`` hands all
-sets to one call of it, which steps every set in lockstep: each set keeps its
-own barrier weight, step length and stopping test, comes out bit for bit as
-if solved alone, and drops out when it converges or its Newton system breaks
-down, without affecting the others. At p = 1, q = 2 the geometric median
-often sits on a member, which the barrier's point never reaches; there the
-member nearest it is tried too, certified by Kuhn's test. Each θ comes with
-a certificate: its objective (the mean of θ's loss powers), an upper bound
-on its distance to the minimum (from a Fenchel dual point built from the
-barrier multipliers, or from Kuhn's dual points) and the set's own
-iteration count. ``verify_bounds`` evaluates every map on every set in one
+Every other p ≥ 1 goes to a numpy-only log-barrier interior-point method on
+the epigraph form of the objective, which stops at a relative duality gap of
+1e-10. ``_optimal_maps`` alone prepares a set for it: centred on its
+``core.member_centre`` mean, scaled by its spread, and, where two members'
+difference may leave the float range, taken at a quarter of its size. A set
+of one member, or of identical members, is that member. ``verify_bounds``
+hands all sets to one call of it, which steps every set in lockstep: each set
+keeps its own barrier weight, step length and stopping test, comes out bit
+for bit as if solved alone, and drops out when it converges or its Newton
+system breaks down, without affecting the others. At p = 1, q = 2 the
+geometric median often sits on a member, which the barrier's point never
+reaches; there the member nearest it is tried too, certified by Kuhn's test.
+Each θ comes with a certificate: its objective (the mean of θ's loss
+powers), an upper bound on its distance to the minimum (from a Fenchel dual
+point built from the barrier multipliers, or from Kuhn's dual points) and
+the set's own iteration count. ``verify_bounds`` evaluates every map on every set in one
 stacked pass (``core.set_losses``); only the kernel size still runs set by
 set, one ``pair_power_sum`` call per set.
 """
@@ -66,6 +69,7 @@ from .core import (
     distance_powers,
     exact_sum,
     member_centre,
+    member_rows,
     power_mean,
     set_losses,
     vector_norms,
@@ -407,7 +411,14 @@ def _line_search(change, t, dt, weight, p, lam2, sets, search):
     return taken, rel_taken
 
 
-def _interior_point(P: np.ndarray, sets: Sets, p: float, q: float) -> tuple:
+def _spread(P: np.ndarray, centre: np.ndarray, sets: Sets) -> np.ndarray:
+    """Each set's largest |x_ni - c_i| (0 at d = 0, +inf past the float range)."""
+    with np.errstate(over="ignore"):
+        return np.maximum.reduceat(np.abs(P - centre[sets.sid]).max(1, initial=0.0), sets.starts)
+
+
+def _interior_point(P: np.ndarray, sets: Sets, centre: np.ndarray, scale: np.ndarray,
+                    p: float, q: float) -> tuple:
     """Barrier method (Boyd & Vandenberghe 2004, ch. 11) for
     min_z (1/N) Σ_n ‖x_n - z‖_q^p, p ≥ 1, on every set at once, in epigraph
     form:
@@ -420,9 +431,9 @@ def _interior_point(P: np.ndarray, sets: Sets, p: float, q: float) -> tuple:
     Every member has the same constraint rows, so each Newton step eliminates
     the members' own variables (t_n, u_n) in closed form and solves one d×d
     system per set for z: O(M d²) per joint step for M members in all, with
-    no loop over members or sets. Each set is centred and scaled on its own,
-    and its slacks are tracked multiplicatively, keeping their relative
-    precision when they are far smaller than the data.
+    no loop over members or sets. Set k is solved in its caller's frame,
+    (x_n - centre[k]) / scale[k], and its slacks are tracked multiplicatively,
+    keeping their relative precision when they are far smaller than the data.
 
     A set stops when the Fenchel bound of ``_dual_gap``, built from the
     barrier multipliers, is within ``THETA_TOL`` of its objective, when
@@ -433,23 +444,8 @@ def _interior_point(P: np.ndarray, sets: Sets, p: float, q: float) -> tuple:
     number of Newton steps (K,).
     """
     K, d = sets.n.size, P.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):  # rescued just below
-        centre = sets.sums(P) / sets.n[:, None]
-    big = ~np.isfinite(centre).all(axis=1)
-    if big.any():  # a sum past the float range: the set's mean, without overflow
-        centre[big] = Sets(sets.n[big]).centres(P[big[sets.sid]], np.mean)
-    with np.errstate(over="ignore"):  # a set spanning the float range: rescaled just below
-        scale = np.maximum.reduceat(np.abs(P - centre[sets.sid]).max(axis=1), sets.starts)
-    wide = ~np.isfinite(scale)
-    if wide.any():  # solve such a set at a quarter of its size, where its spread is a float
-        theta, lower, steps = _interior_point(
-            np.where(wide[sets.sid, None], np.ldexp(P, -2), P), sets, p, q)
-        theta[wide] = np.ldexp(theta[wide], 2)
-        with np.errstate(over="ignore"):  # an objective past the float range
-            lower[wide] *= 4.0**p
-        return theta, lower, steps
     theta, lower_out, steps_out = P[sets.starts].copy(), np.zeros(K), np.zeros(K, dtype=int)
-    live = scale != 0.0  # a set of identical members is solved: θ is that member
+    live = _spread(P, theta, sets) != 0.0  # one member, or identical ones: θ is that member
     ids = np.flatnonzero(live)
     if ids.size == 0:
         return theta, lower_out, steps_out
@@ -527,12 +523,8 @@ def _vertex_step(X: np.ndarray, z: np.ndarray, lower: float) -> tuple:
     with dual points y_n = (x_n - x_j)/‖x_n - x_j‖ and the copies of x_j sharing
     -Σ y_n; by Kuhn's test (Kuhn 1973) x_j is optimal, with a zero gap, when
     ‖Σ y_n‖ ≤ its multiplicity. Returns x_j if f(x_j) ≤ f(z), else z, and the
-    larger of ``lower`` and the Fenchel bound at x_j."""
-    with np.errstate(over="ignore"):
-        wide = not np.isfinite(X.max(axis=0) - X.min(axis=0)).all()
-    if wide:  # a set spanning the float range, at a quarter of its size (f scales by 4)
-        v, lower = _vertex_step(np.ldexp(X, -2), np.ldexp(z, -2), lower / 4.0)
-        return np.ldexp(v, 2), 4.0 * lower
+    larger of ``lower`` and the Fenchel bound at x_j. Every difference of two
+    members must be a float (``_optimal_maps`` rescues a set where it is not)."""
     to_z = _q_norms(X - z, 2.0)
     v = X[np.argmin(to_z)].copy()
     R = X - v
@@ -548,36 +540,38 @@ def _vertex_step(X: np.ndarray, z: np.ndarray, lower: float) -> tuple:
 def _optimal_maps(sets: Sets, X: np.ndarray, norm: NormSpec) -> tuple:
     """θ (K, d), the lower bound on min f (None where θ is exact) and the
     iteration count of each set of the stacked members X, in the row layout
-    ``sets``. The closed forms run over all sets at once; every set the
-    interior-point method serves goes into one call of it."""
+    ``sets``, of one member or many: the closed forms run over all sets at
+    once, and the interior-point method serves all sets in one call, each
+    centred on its member mean c and scaled by its spread max |x_ni - c_i|. A
+    set spread past half the float range, where two members' difference may
+    overflow, is solved at a quarter of its size, barrier and Kuhn's test alike."""
+    if norm.p < 1 and (sets.n > 1).any():
+        raise UsageError("optimal map for p < 1 is unsupported (objective is non-convex)")
+    norm.check_dim(X.shape[1])
     thetas = sets.centres(X, np.mean)
     lowers, iterations = [None] * sets.n.size, [0] * sets.n.size
-    many = sets.n > 1
-    multi = np.flatnonzero(many)
-    if multi.size and norm.p < 1:
-        raise UsageError("optimal map for p < 1 is unsupported (objective is non-convex)")
-    if multi.size:
-        norm.check_dim(X.shape[1])
-    if multi.size == 0 or (norm.p == 2 and norm.q == 2):
+    if norm.p == 2 and norm.q == 2:
         return thetas, lowers, iterations
-    some, P = Sets(sets.n[multi]), X[many[sets.sid]]
-    if norm.mask is not None:
-        P = P[:, norm.mask]
+    cols = slice(None) if norm.mask is None else norm.mask
+    P, centre = X[:, cols], thetas[:, cols]
     if norm.p == 1 and norm.q == 1:
-        Z = some.centres(P, np.median)
-    else:
-        Z, low, its = _interior_point(P, some, norm.p, norm.q)
-        low = low.tolist()
-        if norm.p == 1 and norm.q == 2:
-            Z, low = zip(*(_vertex_step(P[a:b], z, lower)
-                           for (a, b), z, lower in zip(some.bounds, Z, low)))
-        for k, lower, n in zip(multi.tolist(), low, its.tolist()):
-            lowers[k], iterations[k] = lower, n
-    if norm.mask is None:
-        thetas[multi] = np.array(Z)
-    else:
-        thetas[np.ix_(multi, np.flatnonzero(norm.mask))] = np.array(Z)
-    return thetas, lowers, iterations
+        thetas[:, cols] = sets.centres(P, np.median)
+        return thetas, lowers, iterations
+    scale = _spread(P, centre, sets)
+    wide = scale > 0.5 * np.finfo(float).max
+    if wide.any():  # at a quarter of its size, where two members' difference is a float
+        P = np.where(wide[sets.sid, None], np.ldexp(P, -2), P)
+        centre = np.where(wide[:, None], np.ldexp(centre, -2), centre)
+        scale = _spread(P, centre, sets)
+    Z, lower, steps = _interior_point(P, sets, centre, scale, norm.p, norm.q)
+    if norm.p == 1 and norm.q == 2:
+        for k, (a, b) in enumerate(sets.bounds):
+            Z[k], lower[k] = _vertex_step(P[a:b], Z[k], lower[k])
+    Z[wide] = np.ldexp(Z[wide], 2)
+    with np.errstate(over="ignore"):  # an objective past the float range
+        lower[wide] *= 4.0**norm.p
+    thetas[:, cols] = Z
+    return thetas, lower.tolist(), steps.tolist()
 
 
 def _certificate(objective: float, lower: float | None, iterations: int) -> ThetaCertificate:
@@ -599,7 +593,7 @@ def optimal_map_value(members, norm: NormSpec, certificate: bool = False):
     the solver's iteration count; an f(θ) past the float64 range raises
     DataError.
     """
-    X = np.atleast_2d(np.asarray(members, dtype=np.float64))
+    X = member_rows(members)
     if X.shape[0] == 0:
         raise UsageError("optimal_map_value needs at least one member")
     thetas, (lower,), (iterations,) = _optimal_maps(Sets([X.shape[0]]), X, norm)

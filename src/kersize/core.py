@@ -289,6 +289,17 @@ def member_centre(members: np.ndarray, reduce, axis: int = 0) -> np.ndarray:
     return out
 
 
+def member_rows(members) -> np.ndarray:
+    """``members`` as a float64 (n, d) array: a 1-D input is one member, or no
+    member when it is empty."""
+    m = np.asarray(members, dtype=np.float64)
+    if m.ndim == 1:
+        m = m.reshape(0, 0) if m.size == 0 else m[None, :]
+    if m.ndim != 2:
+        raise UsageError(f"members must be a 2-D array, got shape {m.shape}")
+    return m
+
+
 class Sets:
     """Row layout of non-empty sets stacked into one array: set k owns the
     ``n[k]`` rows from ``starts[k]`` on, and ``sid`` maps each row to its set.
@@ -368,11 +379,7 @@ class FeasibleSet:
 
     def __post_init__(self):
         object.__setattr__(self, "measurement", as_vector(self.measurement, "measurement"))
-        m = np.asarray(self.members, dtype=np.float64)
-        if m.ndim == 1:
-            m = m.reshape(0, 0) if m.size == 0 else m[None, :]
-        if m.ndim != 2:
-            raise UsageError(f"members must be a 2-D array, got shape {m.shape}")
+        m = member_rows(self.members)
         if not np.all(np.isfinite(m)):
             raise DataError(f"feasible set {self.id!r} has non-finite members")
         m = m.copy()

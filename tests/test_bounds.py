@@ -269,9 +269,35 @@ class TestOptimalMapValue:
         with pytest.raises(UsageError):
             optimal_map_value([[0, 0], [1, 1]], NormSpec(p=0.5, q=2))
 
-    def test_no_members_is_usage_error(self):
+    SOLVERS = [(2, 2), (1, 1), (2, 1), (1, 2), (2, np.inf), (1.5, 2)]
+
+    @pytest.mark.parametrize("members", [np.zeros((0, 2)), []], ids=["no-rows", "empty-list"])
+    @pytest.mark.parametrize("p, q", SOLVERS)
+    def test_no_members_is_usage_error(self, members, p, q):
+        """An empty list is no member, as ``FeasibleSet`` reads it, not one
+        member of dimension 0."""
         with pytest.raises(UsageError, match="^optimal_map_value needs at least one member$"):
-            optimal_map_value(np.zeros((0, 2)), EUCLID)
+            optimal_map_value(members, NormSpec(p=p, q=q))
+
+    @pytest.mark.parametrize("p, q", SOLVERS)
+    def test_members_of_no_coordinate(self, p, q):
+        """Members of dimension 0 spread by 0: θ is the empty member with a
+        zero certificate, alone and in a collection."""
+        norm = NormSpec(p=p, q=q)
+        z, cert = optimal_map_value(np.zeros((3, 0)), norm, certificate=True)
+        assert z.shape == (0,)
+        assert (cert.objective, cert.gap, cert.iterations) == (0.0, 0.0, 0)
+        c = FeasibleSetCollection(d1=0, d2=1, entries=tuple(
+            FeasibleSet(id=f"m{n}", measurement=[0.0], members=np.zeros((n, 0))) for n in (3, 1)))
+        report = verify_bounds(c, {}, norm)
+        assert report.theta_loss == 0.0
+        assert [(m.theta_objective, m.theta_gap, m.theta_iterations)
+                for m in report.per_measurement] == [(0.0, 0.0, 0)] * 2
+
+    @pytest.mark.parametrize("p, q", [(2, 2), (1, 1), (2, 1), (0.5, 2)])
+    def test_one_member_of_the_wrong_dimension_is_refused(self, p, q):
+        with pytest.raises(UsageError, match="^mask length 2 does not match dimension 3$"):
+            optimal_map_value(np.ones((1, 3)), NormSpec(p=p, q=q, mask=[1, 0]))
 
     def test_masked_coordinates_from_mean(self):
         norm = NormSpec(p=1, q=2, mask=[1, 0])
@@ -608,6 +634,24 @@ class TestBatchedTheta:
         assert iterations[0] == iterations[4] == 0  # a single member; identical members
         assert min(iterations[1:4] + iterations[5:]) > 0
         assert len(set(iterations)) > 2  # counted per set, not per joint step
+
+    @pytest.mark.parametrize("p,q", [(2, 1), (1, 2), (2, np.inf), (1.5, 2), (1, 1)])
+    def test_trivial_sets_are_their_member(self, p, q):
+        """A single member and three identical members (0.1, whose mean is not
+        0.1) take the path every set takes: θ is the member, bit for bit, with
+        a zero gap and no iteration, alone and beside other sets."""
+        norm = NormSpec(p=p, q=q)
+        trivial = [np.array([[0.1, -2.0, 3.0]]), np.full((3, 3), 0.1)]
+        c = make_collection(self._members() + trivial, d1=3)
+        sets, X, _ = c.stacked
+        thetas = bounds._optimal_maps(sets, X, norm)[0]
+        report = verify_bounds(c, {}, norm)
+        for k, T in zip((-2, -1), trivial):
+            z, cert = optimal_map_value(T, norm, certificate=True)
+            assert z.tobytes() == T[0].tobytes() == thetas[k].tobytes()
+            assert (cert.objective, cert.gap, cert.iterations) == (0.0, 0.0, 0)
+            row = report.per_measurement[k]
+            assert (row.theta_objective, row.theta_gap, row.theta_iterations) == (0.0, 0.0, 0)
 
     def test_gram_in_blocks_changes_no_bit(self, monkeypatch):
         """The Schur matrices built one row of the product at a time (the

@@ -329,6 +329,16 @@ class TestThetaOverflow:
         else:  # between the mean and the median
             assert 1.7e308 / 3 < z[0] < 1.7e308
 
+    @pytest.mark.parametrize("X", [[[1e308], [-1e308], [0.0]],
+                                   [[1e308, 0.0], [-1e308, 1.0], [0.0, 2.0]]])
+    def test_set_whose_member_differences_overflow(self, X):
+        """Members at ±1e308 about 0: the spread about the centre is a float
+        but a difference of two members, which Kuhn's test at p = 1, q = 2
+        takes, is not. The set is solved at a quarter of its size (no
+        warning), and θ is the member at 0."""
+        X = np.array(X)
+        assert bits(optimal_map_value(X, NormSpec(p=1, q=2))) == bits(X[-1])
+
     def test_spanning_set_leaves_other_sets_bits(self):
         """Solved beside a spanning set, another set's θ keeps the bits it
         has alone."""
