@@ -44,12 +44,13 @@ for bit as if solved alone, and drops out when it converges or its Newton
 system breaks down, without affecting the others. At p = 1, q = 2 the
 geometric median often sits on a member, which the barrier's point never
 reaches; there the member nearest it is tried too, certified by Kuhn's test.
-Each θ comes with a certificate: its objective (the mean of θ's loss
-powers), an upper bound on its distance to the minimum (from a Fenchel dual
-point built from the barrier multipliers, or from Kuhn's dual points) and
-the set's own iteration count. ``verify_bounds`` evaluates every map on every set in one
-stacked pass (``core.set_losses``); only the kernel size still runs set by
-set, one ``pair_power_sum`` call per set.
+Each θ comes with a certificate: its objective (the exact mean of θ's loss
+powers, whose p-th root is θ's loss on the set), an upper bound on its
+distance to the minimum (from a Fenchel dual point built from the barrier
+multipliers, or from Kuhn's dual points) and the set's own iteration count.
+``verify_bounds`` evaluates every map on every set, θ's objective included,
+in one stacked pass (``core.set_losses``); only the kernel size still runs
+set by set, one ``pair_power_sum`` call per set.
 """
 
 from __future__ import annotations
@@ -201,8 +202,6 @@ def _gram(U: np.ndarray, V: np.ndarray, sets: Sets) -> np.ndarray:
     leaves every entry's sum, and so its rounding, unchanged."""
     m, d = U.shape
     step = max(1, _GRAM_BLOCK // max(1, m * d))
-    if step >= d:
-        return sets.sums(U[:, :, None] * V[:, None, :])
     out = np.empty((sets.n.size, d, d))
     for i in range(0, d, step):
         out[:, i : i + step] = sets.sums(U[:, i : i + step, None] * V[:, None, :])
@@ -575,7 +574,7 @@ def _optimal_maps(sets: Sets, X: np.ndarray, norm: NormSpec) -> tuple:
 
 
 def _certificate(objective: float, lower: float | None, iterations: int) -> ThetaCertificate:
-    """θ's certificate from its objective (the mean of its loss powers
+    """θ's certificate from its objective (the exact mean of its loss powers
     ‖x_n - θ‖^p) and ``_optimal_maps``' lower bound and iteration count."""
     gap = 0.0 if lower is None else max(0.0, objective - lower)
     return ThetaCertificate(objective, gap, iterations)
@@ -588,10 +587,11 @@ def optimal_map_value(members, norm: NormSpec, certificate: bool = False):
     a collection at once.
 
     Coordinates outside the norm's mask are copied from the member mean. With
-    ``certificate=True`` returns ``(θ, ThetaCertificate)``: f(θ), an upper
-    bound on f(θ) - min f (0 for the exact forms and a single member) and
-    the solver's iteration count; an f(θ) past the float64 range raises
-    DataError.
+    ``certificate=True`` returns ``(θ, ThetaCertificate)``: f(θ) (the exact
+    sum of the powers over N, as ``verify_bounds`` takes it), an upper bound
+    on f(θ) - min f (0 for the exact forms and a single member) and the
+    solver's iteration count. A non-finite member, or a power or sum past
+    the float64 range, raises DataError.
     """
     X = member_rows(members)
     if X.shape[0] == 0:
@@ -601,7 +601,8 @@ def optimal_map_value(members, norm: NormSpec, certificate: bool = False):
     if not certificate:
         return z
     powers = distance_powers(X, z, norm, "the objective of theta")
-    return z, _certificate(float(np.mean(powers)), lower, iterations)
+    objective = exact_sum(powers.tolist(), "the objective of theta") / X.shape[0]
+    return z, _certificate(objective, lower, iterations)
 
 
 @dataclass
@@ -665,10 +666,10 @@ def verify_bounds(c: FeasibleSetCollection, predictions: Mapping[str, Mapping],
     certified only for collections with uniformly sized feasible sets.
     Every set is evaluated in one stacked pass (``core.set_losses``): θ of
     all sets from one ``_optimal_maps`` call, then every map's per-set and
-    aggregate losses (the ``core.loss`` value) from one array of p-th powers
-    of all members. A fault raises the error of the first failing set in
-    collection order and, within it, of the first failing map ('theta',
-    then ``predictions`` in order).
+    aggregate losses (the ``core.loss`` value) and θ's objectives from one
+    array of p-th powers of all members. A fault raises the error of the
+    first failing set in collection order and, within it, of the first
+    failing map ('theta', then ``predictions`` in order).
     """
     if not any(c.counts):
         raise DataError("collection has no members; bounds are vacuous")
@@ -680,9 +681,7 @@ def verify_bounds(c: FeasibleSetCollection, predictions: Mapping[str, Mapping],
     sets, X, ids = c.stacked
     thetas, lowers, iterations = _optimal_maps(sets, X, norm)
     named = {"theta": dict(zip(ids, thetas)), **predictions}
-    per_set, losses, powers = set_losses(sets, X, ids, named, norm)
-    # θ's certificate comes from θ's loss powers
-    objectives = sets.reduce(powers[0], np.mean).tolist()
+    per_set, losses, means = set_losses(sets, X, ids, named, norm)
 
     per_meas, j = [], 0
     for k, e in enumerate(c.entries):
@@ -693,7 +692,7 @@ def verify_bounds(c: FeasibleSetCollection, predictions: Mapping[str, Mapping],
             row.losses = dict.fromkeys(named)
             continue
         row.losses = {name: per_set[name][j] for name in named}
-        cert = _certificate(objectives[j], lowers[j], iterations[j])
+        cert = _certificate(means["theta"][j], lowers[j], iterations[j])
         row.theta_objective, row.theta_gap, row.theta_iterations = (
             cert.objective, cert.gap, cert.iterations)
         j += 1

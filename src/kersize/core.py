@@ -22,7 +22,8 @@ not give. ``set_losses`` and ``loss`` take each map's p-th powers
 ``vector_norms(...) ** p`` for all rows in one pass, leave an overflowing
 power infinite for the set it fails, sum each set exactly, and raise the
 error of the first failing set, in collection order, that a per-set loop
-would raise.
+would raise. A set's loss is the p-th root of its mean p-th power, that
+exact sum over n_k, which ``bounds.verify_bounds`` reports as θ's objective.
 """
 
 from __future__ import annotations
@@ -224,12 +225,15 @@ def p_dist(a, b, norm: NormSpec) -> float:
 
     Symmetric and zero exactly when the masked coordinates agree; a
     pseudo-metric because unmasked coordinates are invisible to it. A
-    distance past the float64 range raises DataError.
+    non-finite entry of ``a`` or ``b``, or a distance past the float64
+    range, raises DataError.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise UsageError(f"p_dist needs equal-length vectors, got {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DataError("p_dist needs finite vectors")
     with np.errstate(over="ignore"):  # an infinite difference is reported just below
         dist = float(vector_norms((a - b)[None, :], norm)[0])
     if math.isinf(dist):
@@ -289,14 +293,17 @@ def member_centre(members: np.ndarray, reduce, axis: int = 0) -> np.ndarray:
     return out
 
 
-def member_rows(members) -> np.ndarray:
+def member_rows(members, owner: str = "the set") -> np.ndarray:
     """``members`` as a float64 (n, d) array: a 1-D input is one member, or no
-    member when it is empty."""
+    member when it is empty. A non-finite entry raises
+    DataError("<owner> has non-finite members")."""
     m = np.asarray(members, dtype=np.float64)
     if m.ndim == 1:
         m = m.reshape(0, 0) if m.size == 0 else m[None, :]
     if m.ndim != 2:
         raise UsageError(f"members must be a 2-D array, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise DataError(f"{owner} has non-finite members")
     return m
 
 
@@ -379,10 +386,7 @@ class FeasibleSet:
 
     def __post_init__(self):
         object.__setattr__(self, "measurement", as_vector(self.measurement, "measurement"))
-        m = member_rows(self.members)
-        if not np.all(np.isfinite(m)):
-            raise DataError(f"feasible set {self.id!r} has non-finite members")
-        m = m.copy()
+        m = member_rows(self.members, f"feasible set {self.id!r}").copy()
         m.setflags(write=False)
         object.__setattr__(self, "members", m)
 
@@ -595,11 +599,11 @@ def set_losses(sets: Sets, X: np.ndarray, ids, maps: Mapping[str, Mapping],
     """Each map's loss on every stacked set and on all of them together.
 
     ``maps`` maps a name to per-set predictions keyed by the ids ``ids`` of
-    the sets of X. Returns ``(per_set, total, powers)``: ``per_set[name]``
-    lists the sets' losses ((1/n_k) Σ ‖x - φ‖^p)^(1/p), ``total[name]`` is
-    the loss over all M rows (the ``loss`` value) and ``powers`` the (J, M)
-    array of p-th powers in map order. Every power comes from one pass over
-    all maps and rows, and every sum is exact.
+    the sets of X. Returns ``(per_set, total, means)``: ``means[name]``
+    lists each set's exact sum of ‖x - φ‖^p divided by n_k, ``per_set[name]``
+    their p-th roots, the sets' losses, and ``total[name]`` the loss over all
+    M rows (the ``loss`` value). Every power comes from one pass over all
+    maps and rows, and every sum is exact.
 
     A fault raises the error of the first failing set in collection order
     and, within it, of the first failing map in ``maps`` order (a missing,
@@ -620,9 +624,10 @@ def set_losses(sets: Sets, X: np.ndarray, ids, maps: Mapping[str, Mapping],
     if k < sets.n.size:
         raise failed[j][1]
     n, root = sets.n.tolist(), 1.0 / norm.p
-    per_set = {name: [(t / m) ** root for t, m in zip(s, n)] for name, s in zip(maps, sums)}
+    means = {name: [t / m for t, m in zip(s, n)] for name, s in zip(maps, sums)}
+    per_set = {name: [t**root for t in ts] for name, ts in means.items()}
     total = {name: power_mean([pw], norm.p) for name, pw in zip(maps, powers)}
-    return per_set, total, powers
+    return per_set, total, means
 
 
 def loss(dataset: PairedDataset, predictions: Mapping[str, Sequence], norm: NormSpec) -> float:

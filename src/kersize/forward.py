@@ -15,6 +15,8 @@ each row as its one-row call does. ``LinearModel`` takes a row whose product
 overflows float64 again from the signal scaled by a power of two, so only a
 row whose exact image leaves the range is non-finite (a downsampling model's
 rows are weighted means of the signal, which stay in range).
+Each model keeps its (d1, 2) signal box of [lo, hi] rows as the read-only
+attribute ``signal_bounds``, which ``_signal_box`` alone checks and copies.
 ``NoiseSpec`` owns how noise enters: additively (g + e), multiplicatively
 (g * e) or mixed, g * (1 + e1) + e2, in componentwise (inf-norm) balls by
 default or an l2 ball for the pure kinds, whose norm is ``core.vector_norms``
@@ -179,11 +181,24 @@ class NoiseSpec:
         return cls(**d)
 
 
+def _signal_box(bounds, d1: int) -> np.ndarray:
+    """The signal box ``bounds`` as a read-only float64 copy of shape (d1, 2),
+    one [lo, hi] row per signal coordinate."""
+    b = np.array(bounds, dtype=np.float64)
+    if b.shape != (d1, 2):
+        raise UsageError(f"signal_bounds must have shape ({d1}, 2)")
+    if not np.all(b[:, 0] <= b[:, 1]):  # NaN fails too
+        raise UsageError("signal_bounds must satisfy lo <= hi, with no NaN")
+    b.setflags(write=False)
+    return b
+
+
 class ForwardModel:
     """Base class: measurement and feasibility through ``noise``, bounds bookkeeping.
 
-    Subclasses provide the noise-free component via ``noiseless_batch`` and
-    the dimensions/bounds; everything else is shared. A subclass keeps the
+    Subclasses provide the noise-free component via ``noiseless_batch``, the
+    dimensions and the signal box ``signal_bounds`` (the built-in models set
+    it from ``_signal_box``); everything else is shared. A subclass keeps the
     row contract of ``noiseless_batch``, which every built-in model keeps:
     row i is bit for bit the one-row call on X[i], whatever the batch and
     the memory layout of X. So row i of ``apply_batch`` and of
@@ -193,6 +208,7 @@ class ForwardModel:
     noise: NoiseSpec
     d1: int
     d2: int
+    signal_bounds: np.ndarray
 
     def noiseless_batch(self, X: np.ndarray) -> np.ndarray:
         """Noise-free measurement of each row of the (n, d1) signals X; row i
@@ -239,10 +255,6 @@ class ForwardModel:
 
     # -- signal bounds ---------------------------------------------------------
 
-    @property
-    def signal_bounds(self) -> np.ndarray:
-        raise NotImplementedError
-
     def within_bounds(self, X: np.ndarray) -> np.ndarray:
         """True for each row of the (n, d1) array X that lies in the signal box."""
         b = self.signal_bounds
@@ -273,21 +285,11 @@ class LinearModel(ForwardModel):
             raise UsageError("matrix must be 2-D")
         if not np.all(np.isfinite(A)):
             raise DataError("matrix has non-finite entries")
-        b = np.asarray(signal_bounds, dtype=np.float64)
-        if b.shape != (A.shape[1], 2):
-            raise UsageError(f"signal_bounds must have shape ({A.shape[1]}, 2)")
-        if not np.all(b[:, 0] <= b[:, 1]):  # NaN fails too
-            raise UsageError("signal_bounds must satisfy lo <= hi, with no NaN")
+        self.signal_bounds = _signal_box(signal_bounds, A.shape[1])
         self.matrix = A.copy()
         self.matrix.setflags(write=False)
-        self._bounds = b.copy()
-        self._bounds.setflags(write=False)
         self.noise = noise
         self.d2, self.d1 = A.shape
-
-    @property
-    def signal_bounds(self) -> np.ndarray:
-        return self._bounds
 
     def noiseless_batch(self, X: np.ndarray) -> np.ndarray:
         """A x for each row x of X, one einsum sum per entry. On a C-ordered
@@ -367,14 +369,7 @@ class DownsampleModel(ForwardModel):
         self._dw = downsample_matrix_1d(self.width, self.factor)
         self.d1 = self.bands * self.height * self.width
         self.d2 = self.bands * (self.height // self.factor) * (self.width // self.factor)
-        b = np.zeros((self.d1, 2))
-        b[:, 1] = self.r_max
-        b.setflags(write=False)
-        self._bounds = b
-
-    @property
-    def signal_bounds(self) -> np.ndarray:
-        return self._bounds
+        self.signal_bounds = _signal_box(np.broadcast_to([0.0, self.r_max], (self.d1, 2)), self.d1)
 
     @property
     def out_shape(self) -> tuple:
@@ -429,15 +424,10 @@ class MicroscopyModel(ForwardModel):
         self.noise = noise
         self.d1 = 5
         self.d2 = self.npx * self.npy
-        b = np.vstack([vol, [0.0, self.c_max], [0.0, self.h_max]])
-        b.setflags(write=False)
-        self._bounds = b
+        self.signal_bounds = _signal_box(
+            np.vstack([vol, [0.0, self.c_max], [0.0, self.h_max]]), self.d1)
         self._edges_x = self.pixel_size * np.arange(self.npx + 1)
         self._edges_y = self.pixel_size * np.arange(self.npy + 1)
-
-    @property
-    def signal_bounds(self) -> np.ndarray:
-        return self._bounds
 
     @property
     def pixels(self) -> list:
@@ -445,7 +435,7 @@ class MicroscopyModel(ForwardModel):
 
     @property
     def volume(self) -> np.ndarray:
-        return self._bounds[:3]
+        return self.signal_bounds[:3]
 
     def psf_sigma(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)

@@ -294,6 +294,25 @@ class TestOptimalMapValue:
         assert [(m.theta_objective, m.theta_gap, m.theta_iterations)
                 for m in report.per_measurement] == [(0.0, 0.0, 0)] * 2
 
+    @pytest.mark.parametrize("members, p, q, certificate", [
+        ([[np.nan, 0.0], [1.0, 1.0]], 2, 2, False),
+        ([[np.nan, 0.0], [1.0, 1.0]], 2, 1, True),
+        ([[np.inf, 0.0], [1.0, 1.0]], 2, 2, True),
+    ], ids=["nan", "nan-certificate", "inf-certificate"])
+    def test_non_finite_member_is_data_error(self, members, p, q, certificate):
+        """Refused as ``FeasibleSet`` refuses it, not solved into a NaN θ or
+        reported as an overflow."""
+        with pytest.raises(DataError, match="^the set has non-finite members$"):
+            optimal_map_value(members, NormSpec(p=p, q=q), certificate=certificate)
+
+    def test_objective_whose_sum_overflows_is_data_error(self):
+        """The mean of θ's powers, about 6.7e307, is a float, but their exact
+        sum is not: the certificate is refused; θ alone is still given."""
+        members, norm = [[1e308, 0.0], [-1e308, 1.0], [0.0, 2.0]], NormSpec(p=1, q=2)
+        with pytest.raises(DataError, match="^the objective of theta overflows float64$"):
+            optimal_map_value(members, norm, certificate=True)
+        np.testing.assert_array_equal(optimal_map_value(members, norm), [0.0, 2.0])
+
     @pytest.mark.parametrize("p, q", [(2, 2), (1, 1), (2, 1), (0.5, 2)])
     def test_one_member_of_the_wrong_dimension_is_refused(self, p, q):
         with pytest.raises(UsageError, match="^mask length 2 does not match dimension 3$"):
@@ -325,7 +344,7 @@ class TestOptimalMapValue:
         rng = np.random.default_rng(23)
         for (p, q), parent in self.PARENT_OBJECTIVES.items():
             norm = NormSpec(p=p, q=q)
-            obj = lambda pt: float(np.mean(vector_norms(members - pt, norm) ** p))
+            obj = lambda pt: math.fsum((vector_norms(members - pt, norm) ** p).tolist()) / 6
             z, cert = optimal_map_value(members, norm, certificate=True)
             assert cert.objective == obj(z)
             # rounding-level slack: where the old solver was already optimal
@@ -411,7 +430,7 @@ class TestOptimalMapValue:
         z, cert = optimal_map_value(members, norm, certificate=True)
         np.testing.assert_array_equal(z, [2.0, 2.25])
         assert cert.gap == 0.0 and cert.iterations == 0
-        obj = lambda pt: float(np.mean(vector_norms(members - pt, norm)))
+        obj = lambda pt: math.fsum(vector_norms(members - pt, norm).tolist()) / 4
         assert cert.objective == obj(z)
         for pt in ([1.0, 2.0], [3.0, 2.5], [2.0, 2.0]):  # the median interval is flat
             assert obj(z) <= obj(np.array(pt)) + 1e-15
@@ -627,8 +646,8 @@ class TestBatchedTheta:
         iterations = []
         for X, row in zip(members, report.per_measurement):
             z, cert = optimal_map_value(X, norm, certificate=True)
-            assert row.theta_objective == pytest.approx(cert.objective, rel=1e-12, abs=0.0)
-            assert row.theta_iterations == cert.iterations
+            assert (row.theta_objective, row.theta_gap, row.theta_iterations) == (
+                cert.objective, cert.gap, cert.iterations)
             assert 0.0 <= row.theta_gap <= 1e-9 * row.theta_objective
             iterations.append(row.theta_iterations)
         assert iterations[0] == iterations[4] == 0  # a single member; identical members

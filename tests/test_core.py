@@ -105,6 +105,13 @@ class TestPDist:
         with pytest.raises(UsageError):
             p_dist([1, 2], [1, 2, 3], EUCLID)
 
+    @pytest.mark.parametrize("a, b", [([np.nan], [0.0]), ([0.0], [np.inf]),
+                                      ([1.0, -np.inf], [1.0, 2.0])])
+    def test_non_finite_vector_is_data_error(self, a, b):
+        """A NaN or infinite entry is refused, not turned into a NaN distance."""
+        with pytest.raises(DataError, match="^p_dist needs finite vectors$"):
+            p_dist(a, b, NormSpec())
+
     def test_mask_length_mismatch(self):
         with pytest.raises(UsageError):
             p_dist([1, 2], [0, 0], NormSpec(mask=[1, 0, 1]))
@@ -314,7 +321,7 @@ class TestContainers:
         assert not c.uniform
 
     def test_rejects_nonfinite_members(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^feasible set 'a' has non-finite members$"):
             FeasibleSet(id="a", measurement=[0.0], members=[[np.nan, 0.0]])
 
     def test_rejects_mixed_measurements_in_group(self):

@@ -808,6 +808,25 @@ class TestModelParameters:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             build()
 
+    @pytest.mark.parametrize("build, box", [
+        (averaging_model, [[-10.0, 10.0], [-10.0, 10.0]]),
+        (lambda: DownsampleModel(1, 4, 4, 2, 3.0, NoiseSpec()), [[0.0, 3.0]] * 16),
+        (small_microscope, [[100.0, 300.0], [100.0, 300.0], [-100.0, 100.0],
+                            [0.0, 10.0], [0.0, 1000.0]]),
+    ], ids=["linear", "downsample", "microscopy"])
+    def test_signal_box_is_a_read_only_copy(self, build, box):
+        m = build()
+        assert m.signal_bounds.dtype == np.float64 and m.signal_bounds.tolist() == box
+        with pytest.raises(ValueError, match="read-only"):
+            m.signal_bounds[0, 0] = -1e9
+        assert m.signal_bounds.tolist() == box
+
+    def test_linear_box_is_not_the_callers_array(self):
+        given = np.array([[-1.0, 1.0], [-2.0, 2.0]])
+        m = LinearModel(np.eye(2), NoiseSpec(), given)
+        given[0] = [5.0, 6.0]
+        assert m.signal_bounds.tolist() == [[-1.0, 1.0], [-2.0, 2.0]]
+
 
 class TestSerialization:
     def test_roundtrip_all_variants(self):

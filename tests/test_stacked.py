@@ -77,7 +77,7 @@ def oracle_report(c, maps, norm):
             pw = oracle_loss_powers(e.members, preds, e.id, norm, name)
             powers[name].append(pw)
             row[name] = power_mean([pw], norm.p)
-        row["objective"] = float(np.mean(powers["theta"][-1]))
+        row["objective"] = math.fsum(powers["theta"][-1].tolist()) / e.count
         row["v"] = 2.0 * pair_power_sum(e.members, norm) / e.count**2
         rows.append(row)
     totals = {name: power_mean(pws, norm.p) for name, pws in powers.items()}
@@ -172,6 +172,18 @@ class TestStackedPass:
         for name in maps:
             assert bits(report.losses[name]) == bits(totals[name])
             assert bits(loss(dataset_from_collection(c), maps[name], norm)) == bits(totals[name])
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("p, q", [*NORMS, (1.5, 2)])
+    def test_theta_loss_is_the_root_of_its_objective(self, p, q, masked):
+        """Each row's θ loss and θ objective come from one exact per-set sum:
+        the loss is the objective's p-th root, bit for bit."""
+        c = ragged_collection(5, seed=7)
+        norm = NormSpec(p=p, q=q, mask=[1, 0, 1, 1, 0] if masked else None)
+        report = verify_bounds(c, {"zero": zero_map(c)}, norm)
+        for row in report.per_measurement:
+            if row.n_k:
+                assert bits(row.losses["theta"]) == bits(row.theta_objective ** (1 / norm.p))
 
     @pytest.mark.parametrize("p, q", [(2, 2), (1, 1)])
     def test_closed_form_theta_is_the_per_set_centre(self, p, q):
