@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -12,6 +13,7 @@ from kersize.core import (
     FeasibleSet,
     FeasibleSetCollection,
     NormSpec,
+    Sets,
     UsageError,
     dataset_from_collection,
     distance_powers,
@@ -31,6 +33,7 @@ from kersize.bounds import (
 )
 from kersize.forward import LinearModel, NoiseSpec
 from kersize.predictors import (
+    mean_map,
     median_map,
     zero_map,
 )
@@ -421,7 +424,7 @@ class TestOptimalMapValue:
             # dual points that do not sum to zero: a shared pull towards the
             # mean residual plus noise
             Y = R.mean(axis=0) * rng.uniform(0.2, 2) + rng.normal(size=R.shape) * 0.3
-            lower = obj(z) - _dual_gap(R, Y, float(p), float(q))[0]
+            lower = obj(z) - _dual_gap(R, Y, float(p), float(q), Sets([8]))[0]
             assert lower <= best * (1 + 1e-12)
 
     def test_coordinatewise_median_for_p1_q1(self):
@@ -493,6 +496,18 @@ class TestVerifyBounds:
         report = verify_bounds(c, {}, EUCLID)
         assert not report.uniform
         assert "not certified" in report.note
+
+    def test_ragged_note_certifies_neither_bound(self):
+        """The kernel size weights each set equally and the losses weight
+        each member equally, so on ragged sets half the kernel size can exceed
+        every map's loss, θ's included: the note claims neither bound."""
+        c = make_collection([[0.0, 10.0], np.zeros(1000)], d1=1)
+        report = verify_bounds(c, {"mean": mean_map(c), "zero": zero_map(c)}, EUCLID)
+        assert report.half_kersize == 2.5
+        assert report.theta_loss == pytest.approx(math.sqrt(50 / 1002), rel=1e-12)
+        assert report.lower_ok_by_map == {"mean": False, "zero": False, "theta": False}
+        assert "lower bound and theta upper bound reported but not certified" in report.note
+        assert "weights sets equally" in report.note
 
     def test_non_uniform_lower_bound_can_fail(self):
         """Negative control: with very unequal set sizes a map that is perfect
@@ -717,6 +732,77 @@ class TestBatchedTheta:
         assert best.theta_objective < row.theta_objective
         assert 0.0 <= row.theta_gap
         assert row.theta_objective - row.theta_gap <= best.theta_objective
+
+    @pytest.mark.parametrize("p,q", [(1.5, 2), (2, 1), (2, np.inf)])
+    def test_certified_at_sixty_coordinates(self, p, q):
+        """Six sets of 20 members in 60-D: every set converges to a certified
+        gap within 1e-9 of its objective. At q = ∞ this needs the Newton
+        systems solved at unit diagonal."""
+        rng = np.random.default_rng(60)
+        members = [rng.normal(size=(20, 60)) * rng.uniform(0.5, 2) for _ in range(6)]
+        report = verify_bounds(make_collection(members, d1=60), {}, NormSpec(p=p, q=q))
+        for row in report.per_measurement:
+            assert row.theta_iterations > 0
+            assert 0.0 <= row.theta_gap <= 1e-9 * row.theta_objective
+
+
+class TestSolvePsd:
+    """``bounds._solve_psd``: every set's Newton system from one batched
+    eigendecomposition at unit diagonal."""
+
+    def test_rank_deficient_system_gets_the_pseudo_solve(self):
+        """With a constant diagonal the solve is A⁺b: no component along the
+        null directions, whatever b holds there."""
+        H = np.array([[1.0]])
+        for _ in range(3):
+            H = np.block([[H, H], [H, -H]])
+        Q = H / math.sqrt(8.0)  # orthogonal; Q diag(λ) Qᵀ has a constant diagonal
+        rng = np.random.default_rng(5)
+        lams = [[0, 0, 1, 2, 3, 4, 5, 6], [3, 0, 1, 7, 0.5, 2, 0, 1], [1, 2, 3, 4, 5, 6, 7, 0]]
+        A = np.stack([(Q * np.asarray(lam, dtype=float)) @ Q.T for lam in lams])
+        b = rng.normal(size=(3, 8))
+        x = bounds._solve_psd(A, b)
+        for k, lam in enumerate(lams):
+            scale = np.linalg.norm(x[k])
+            null = Q[:, np.asarray(lam) == 0]
+            assert np.abs(null.T @ x[k]).max() <= 1e-12 * scale
+            np.testing.assert_allclose(x[k], np.linalg.pinv(A[k]) @ b[k], rtol=0, atol=1e-12 * scale)
+
+    def test_badly_scaled_system_keeps_its_digits(self):
+        """A = D M D with M well conditioned and D spanning 12 decades, as a
+        barrier's curvatures do: the solve keeps the digits of M's."""
+        rng = np.random.default_rng(6)
+        G = rng.normal(size=(12, 24))
+        M = G @ G.T
+        M /= np.sqrt(np.outer(np.diag(M), np.diag(M)))
+        D = 10.0 ** np.linspace(-6, 6, 12)
+        y = rng.normal(size=12)
+        A = D[:, None] * M * D[None, :]
+        x = bounds._solve_psd(A[None], (A @ (y / D))[None])[0]
+        assert np.abs(D * x - y).max() <= 1e-12 * np.abs(y).max()
+
+    def test_non_finite_set_gets_a_nan_step_alone(self):
+        """A NaN in one set's matrix and an inf in another's right-hand side
+        give those sets NaN steps, with no error and no warning; every other
+        set's step equals its lone solve, bit for bit."""
+        rng = np.random.default_rng(7)
+        G = rng.normal(size=(4, 5, 7))
+        A, b = G @ G.transpose(0, 2, 1), rng.normal(size=(4, 5))
+        A[1, 2, 3] = A[1, 3, 2] = np.nan
+        b[2, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = bounds._solve_psd(A, b)
+            lone = [bounds._solve_psd(A[k : k + 1], b[k : k + 1])[0] for k in (0, 3)]
+        assert np.isnan(x[1]).all() and np.isnan(x[2]).all()
+        for k, xk in zip((0, 3), lone):
+            assert x[k].tobytes() == xk.tobytes()
+            np.testing.assert_allclose(A[k] @ x[k], b[k], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("k,d", [(0, 3), (2, 0), (0, 0)])
+    def test_empty_stack_or_no_coordinates(self, k, d):
+        x = bounds._solve_psd(np.zeros((k, d, d)), np.zeros((k, d)))
+        assert x.shape == (k, d)
 
 
 class TestBoundGuarantees:
