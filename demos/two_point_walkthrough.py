@@ -14,7 +14,6 @@ from kersize import (
     LinearModel,
     NoiseSpec,
     NormSpec,
-    PairedDataset,
     kernel_projection,
     kersize,
     loss,
@@ -22,8 +21,6 @@ from kersize import (
     skersize,
     verify_bounds,
 )
-from kersize.core import dataset_from_collection
-
 norm = NormSpec(p=2, q=2)
 A = np.array([[0.5, 0.5]])
 
@@ -44,8 +41,7 @@ print(f"Half of it (the lower bound)   : {value / 2:.8f}")
 theta = optimal_map_value(collection.entries[0].members, norm)
 print(f"Optimal map value theta(y)     : {theta}   (the member mean)")
 
-dataset = dataset_from_collection(collection)
-theta_loss = loss(dataset, {"y2": theta}, norm)
+theta_loss = loss(collection, {"y2": theta}, norm)
 print(f"Loss of theta                  : {theta_loss:.8f}")
 print(f"Sandwich: {value/2:.6f} <= {theta_loss:.6f} <= {value:.6f}\n")
 
@@ -58,10 +54,12 @@ P = kernel_projection(A)
 print("Kernel projector P = I - A^+ A :")
 print(np.round(P, 12))
 
-pairs = PairedDataset(x=[[1.0, 3.0]], y=[[2.0]], group=[0], group_ids=("y2",))
+pairs = FeasibleSetCollection(
+    d1=2, d2=1, entries=(FeasibleSet(id="y2", measurement=[2.0], members=[[1.0, 3.0]]),),
+)
 model = LinearModel(A, NoiseSpec(kind="additive"), [[-np.inf, np.inf]] * 2)  # no signal box
 res = skersize(pairs, model, norm)
-x_refl = res.symmetrized.x[1]
+x_refl = res.reflections[0]
 print(f"Reflection of (1, 3)           : {np.round(x_refl, 12)}   (same measurement)")
 print(f"Symmetric kernel size          : {res.skersize:.8f}")
 mean_loss = loss(res.symmetrized, {"y2": np.array([2.0, 2.0])}, norm)

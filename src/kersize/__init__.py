@@ -13,7 +13,6 @@ from .core import (
     FeasibleSet,
     FeasibleSetCollection,
     NormSpec,
-    PairedDataset,
     UsageError,
     collection_from_dataset,
     dataset_from_collection,
@@ -53,7 +52,6 @@ __all__ = [
     "MicroscopyModel",
     "NoiseSpec",
     "NormSpec",
-    "PairedDataset",
     "SamplerSpec",
     "SkersizeResult",
     "UsageError",

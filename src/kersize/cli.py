@@ -48,7 +48,6 @@ from .core import (
     NormSpec,
     UsageError,
     check_keys,
-    dataset_from_collection,
     nullable,
     set_losses,
     whole,
@@ -265,7 +264,7 @@ def _cmd_skersize(args) -> int:
         model = LinearModel(A, NoiseSpec(kind="additive", eps_additive=eps),
                             np.tile([-np.inf, np.inf], (A.shape[1], 1)))
     mode = "signal_only" if args.mode == "signal" else "joint"
-    result = compute_skersize(dataset_from_collection(collection), model, norm, mode=mode)
+    result = compute_skersize(collection, model, norm, mode=mode)
     io.write_symmetric_report(out, result, norm)
     io.write_json(out / "skersize.json", result.to_dict())
     print(f"skersize={result.skersize:.8f} half_skersize={0.5 * result.skersize:.8f}")

@@ -1,4 +1,4 @@
-"""Domain types, the evaluation pseudo-norm, the empirical loss, and dataset containers.
+"""Domain types, the evaluation pseudo-norm, the empirical loss, and the dataset container.
 
 Signals and measurements are plain 1-D float64 numpy arrays; the containers
 below validate and freeze them. All types are immutable after construction and
@@ -9,11 +9,15 @@ branch rescues a sum of squares that overflows; every checked p-th power
 by ``norm_powers`` and every exact sum by ``exact_sum``: a value past the
 float64 range raises DataError, never a RuntimeWarning or an infinite result.
 
+The dataset is a ``FeasibleSetCollection``: each member of a set is a pair
+with the set's measurement. ``dataset_from_collection`` and
+``collection_from_dataset`` convert it to and from flat (x, y) pairs, the
+interchange of methods that work on pairs.
+
 Per-set quantities are computed over all sets at once. ``Sets`` is the row
 layout of non-empty sets stacked into one array. A collection stacks its
-members in it once (``FeasibleSetCollection.stacked``), and a
-``PairedDataset`` groups its pairs into it once, at construction, so both
-give ``set_losses`` the same ``stacked`` triple. Per-set means, medians and
+members in it once (``FeasibleSetCollection.stacked``), the triple that
+``set_losses`` and ``loss`` take. Per-set means, medians and
 sorts (``Sets.reduce``, ``Sets.centres``) group the sets by size and let
 numpy reduce each group's (G, s, ...) stack over its set axis: numpy
 reduces every set of such a stack in the order it reduces the set alone, so
@@ -32,7 +36,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,7 +47,6 @@ __all__ = [
     "NormSpec",
     "FeasibleSet",
     "FeasibleSetCollection",
-    "PairedDataset",
     "as_vector",
     "p_dist",
     "check_keys",
@@ -76,19 +79,6 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     v = v.copy()
     v.setflags(write=False)
     return v
-
-
-def _empty_ok_matrix(values, name: str) -> np.ndarray:
-    m = np.asarray(values, dtype=np.float64)
-    if m.ndim == 1 and m.size == 0:
-        m = m.reshape(0, 0)
-    if m.ndim != 2:
-        raise UsageError(f"{name} must be 2-D, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
-        raise DataError(f"{name} contains non-finite entries")
-    m = m.copy()
-    m.setflags(write=False)
-    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,90 +434,56 @@ class FeasibleSetCollection:
         ``Sets``) and their ids."""
         filled = [e for e in self.entries if e.count > 0]
         X = np.vstack([e.members for e in filled]) if filled else np.zeros((0, self.d1))
+        X.setflags(write=False)
         return Sets([e.count for e in filled]), X, tuple(e.id for e in filled)
-
-
-@dataclass(frozen=True, eq=False)
-class PairedDataset:
-    """Flat list of (x, y) pairs with the index of the originating set.
-
-    ``group_ids[group[m]]`` names the measurement pair m came from; all pairs
-    in one group carry the identical measurement vector.
-
-    The pairs are grouped once, at construction, by a stable sort by group:
-    ``sets`` is the ``Sets`` layout of the groups present (ascending),
-    ``order`` takes the pairs into it, keeping their order within a group,
-    and ``present_ids`` names those groups. No sorted copy of x is kept.
-    """
-
-    x: np.ndarray  # (M, d1)
-    y: np.ndarray  # (M, d2)
-    group: np.ndarray  # (M,) int
-    group_ids: tuple
-    sets: Sets = field(init=False, repr=False)
-    order: np.ndarray = field(init=False, repr=False)
-    present_ids: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        x = _empty_ok_matrix(self.x, "x")
-        y = _empty_ok_matrix(self.y, "y")
-        g = np.asarray(self.group, dtype=np.intp).copy()
-        if x.shape[0] != y.shape[0] or x.shape[0] != g.shape[0]:
-            raise UsageError("x, y and group must have one row per pair")
-        if g.size and (g.min() < 0 or g.max() >= len(self.group_ids)):
-            raise DataError("group index out of range")
-        order = np.argsort(g, kind="stable")
-        gs, ys = g[order], y[order]
-        same_group = gs[1:] == gs[:-1]
-        # equal consecutive rows per group imply a constant group
-        bad = np.flatnonzero(same_group & np.any(ys[1:] != ys[:-1], axis=1))
-        if bad.size:
-            k = int(gs[bad[0]])
-            raise DataError(f"pairs in group {self.group_ids[k]!r} disagree on the measurement")
-        starts = np.flatnonzero(np.concatenate([[g.size > 0], ~same_group]))
-        g.setflags(write=False)
-        order.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "group", g)
-        object.__setattr__(self, "group_ids", tuple(self.group_ids))
-        object.__setattr__(self, "sets", Sets(np.diff(np.append(starts, g.size))))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "present_ids", tuple(self.group_ids[k] for k in gs[starts]))
 
     @property
     def size(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def d1(self) -> int:
-        return self.x.shape[1]
-
-    @property
-    def stacked(self) -> tuple:
-        """``(sets, x[order], present_ids)``: the ``FeasibleSetCollection.stacked``
-        triple of the groups, with x[order] built on each access."""
-        return self.sets, self.x[self.order], self.present_ids
+        """M, the number of members of all sets (the rows of ``stacked``'s X)."""
+        return self.stacked[1].shape[0]
 
 
-def dataset_from_collection(c: FeasibleSetCollection) -> PairedDataset:
-    """Flatten a collection into (x, y) pairs, set-major then member order."""
+def dataset_from_collection(c: FeasibleSetCollection) -> tuple:
+    """``(x, y)``: the collection as flat pairs, each member with its set's
+    measurement, in collection then member order (``c.stacked``'s rows).
+    x is ``c.stacked``'s read-only (M, d1) array and y a new (M, d2) one."""
     sets, x, _ = c.stacked
-    filled = np.array([k for k, e in enumerate(c.entries) if e.count], dtype=np.intp)
-    y = np.array([c.entries[k].measurement for k in filled.tolist()]).reshape(-1, c.d2)
-    return PairedDataset(x=x, y=y[sets.sid], group=filled[sets.sid], group_ids=c.ids)
+    y = np.array([e.measurement for e in c.entries if e.count]).reshape(-1, c.d2)
+    return x, y[sets.sid]
 
 
-def collection_from_dataset(c: PairedDataset) -> FeasibleSetCollection:
-    """Regroup a paired dataset into feasible sets, one per present group,
-    slicing each group's members from x in turn."""
-    if c.size == 0:
+def collection_from_dataset(x, y, group, group_ids) -> FeasibleSetCollection:
+    """Regroup flat (x, y) pairs into feasible sets: pair m belongs to the set
+    named ``group_ids[group[m]]``, and every pair of a group must carry the
+    same measurement. The sets follow ``group_ids`` order, keep their pairs'
+    order, and leave out the groups with no pair."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    for name, m in (("x", x), ("y", y)):
+        if m.ndim != 2 and not (m.ndim == 1 and m.size == 0):
+            raise UsageError(f"{name} must be 2-D, got shape {m.shape}")
+    g = np.asarray(group, dtype=np.intp)
+    if not len(x) == len(y) == len(g):
+        raise UsageError("x, y and group must have one row per pair")
+    if g.size == 0:
         raise DataError("dataset has no pairs to regroup")
+    if g.min() < 0 or g.max() >= len(group_ids):
+        raise DataError("group index out of range")
+    order = np.argsort(g, kind="stable")
+    gs, ys = g[order], y[order]
+    same_group = gs[1:] == gs[:-1]
+    starts = np.flatnonzero(np.concatenate([[True], ~same_group])).tolist()
+    # a group's first measurement is checked finite here, before the others are
+    # compared with it
     entries = tuple(
-        FeasibleSet(id=i, measurement=c.y[c.order[a]], members=c.x[c.order[a:b]])
-        for i, (a, b) in zip(c.present_ids, c.sets.bounds)
+        FeasibleSet(id=group_ids[gs[a]], measurement=ys[a], members=x[order[a:b]])
+        for a, b in zip(starts, [*starts[1:], g.size])
     )
-    return FeasibleSetCollection(d1=c.x.shape[1], d2=c.y.shape[1], entries=entries)
+    # equal consecutive rows per group imply a constant group
+    bad = np.flatnonzero(same_group & np.any(ys[1:] != ys[:-1], axis=1))
+    if bad.size:
+        raise DataError(f"pairs in group {group_ids[gs[bad[0]]]!r} disagree on the measurement")
+    return FeasibleSetCollection(d1=x.shape[1], d2=y.shape[1], entries=entries)
 
 
 def _stack_predictions(ids, d: int, predictions: Mapping, of_map: str) -> tuple:
@@ -630,17 +586,18 @@ def set_losses(sets: Sets, X: np.ndarray, ids, maps: Mapping[str, Mapping],
     return per_set, total, means
 
 
-def loss(dataset: PairedDataset, predictions: Mapping[str, Sequence], norm: NormSpec) -> float:
-    """Empirical reconstruction loss ``((1/M) Σ ‖x_m - φ(y_m)‖^p)^(1/p)``.
+def loss(c: FeasibleSetCollection, predictions: Mapping[str, Sequence], norm: NormSpec) -> float:
+    """Empirical reconstruction loss ``((1/M) Σ ‖x_m - φ(y_m)‖^p)^(1/p)`` over
+    the M members x_m of the collection, each with its set's measurement y_m.
 
-    ``predictions`` assigns one signal estimate per measurement id present in
-    the dataset. For p = 2 with the Euclidean norm this is the RMSE. All
-    pairs are evaluated in one pass over the dataset's grouping; a fault
-    raises the error of the first failing measurement in group order.
+    ``predictions`` assigns one signal estimate per id of a non-empty set.
+    For p = 2 with the Euclidean norm this is the RMSE. All members are
+    evaluated in one pass over ``c.stacked``; a fault raises the error of the
+    first failing set in collection order.
     """
-    if dataset.size == 0:
+    if c.size == 0:
         raise DataError("loss is undefined on an empty dataset")
-    powers, ((_, error),) = _prediction_powers(*dataset.stacked, {None: predictions}, norm)
+    powers, ((_, error),) = _prediction_powers(*c.stacked, {None: predictions}, norm)
     if error is not None:
         raise error
     return power_mean([powers[0]], norm.p)

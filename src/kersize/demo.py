@@ -22,7 +22,7 @@ from scipy import ndimage
 
 from . import io
 from .bounds import at_most, verify_bounds
-from .core import NormSpec, PairedDataset, collection_from_dataset, set_losses
+from .core import NormSpec, Sets, collection_from_dataset, set_losses
 from .forward import DownsampleModel, MicroscopyModel, NoiseSpec
 from .predictors import mean_map, median_map, upscale, zero_map
 from .sampling import SamplerSpec, build_feasible_sets_many
@@ -115,13 +115,9 @@ def microscopy_demo(out_dir=None, k: int = 10, n_max: int = 200, seed: int = 1) 
             "zero": zero_map(collection),
         }
         report = verify_bounds(collection, maps, norm)
-        truth_dataset = PairedDataset(
-            x=job["ground_truths"],
-            y=np.vstack([e.measurement for e in collection.entries]),
-            group=np.arange(k),
-            group_ids=collection.ids,
-        )
-        _, truth_losses, _ = set_losses(*truth_dataset.stacked, maps, norm)
+        # each ground truth is the one member of its measurement's set
+        _, truth_losses, _ = set_losses(Sets([1] * k), job["ground_truths"], collection.ids,
+                                        maps, norm)
         setups.append({"name": name, "c_flux": c_flux, "h_rate": h_rate, "collection": collection,
                        "report": report, "truth_losses": truth_losses})
 
@@ -179,10 +175,10 @@ def superres_demo(out_dir=None, n_images: int = 12, size: int = 32, bands: int =
     y = model.apply_batch(x, e)
     width = max(2, len(str(n_images - 1)))
     ids = tuple(f"img{i:0{width}d}" for i in range(n_images))
-    pairs = PairedDataset(x=x, y=y, group=np.arange(n_images), group_ids=ids)
+    pairs = collection_from_dataset(x, y, np.arange(n_images), ids)
 
     result = skersize(pairs, model, norm, mode="signal_only")
-    sym_collection = collection_from_dataset(result.symmetrized)
+    sym_collection = result.symmetrized
 
     maps = {
         "bilinear": {ids[i]: upscale(model, y[i], order=1) for i in range(n_images)},

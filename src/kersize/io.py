@@ -24,8 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (DataError, FeasibleSet, FeasibleSetCollection, NormSpec, check_keys,
-                   collection_from_dataset, whole)
+from .core import DataError, FeasibleSet, FeasibleSetCollection, NormSpec, check_keys, whole
 
 __all__ = [
     "write_vectors_csv",
@@ -164,8 +163,7 @@ def write_collection(directory, c: FeasibleSetCollection, norm: NormSpec) -> Non
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for e in c.entries:
-        y_name = f"y_{e.id}.csv"
-        fs_name = f"fs_{e.id}.csv"
+        y_name, fs_name = _file_names(e.id)
         write_vectors_csv(directory / y_name, e.measurement[None, :])
         write_vectors_csv(directory / fs_name, e.members)
         entries.append(
@@ -201,12 +199,19 @@ def _name(value) -> str:
     return value
 
 
+def _file_names(ident: str) -> tuple:
+    """(measurement file, feasible-set file) of the set ``ident``: the one
+    pair of names a collection directory gives it."""
+    return f"y_{ident}.csv", f"fs_{ident}.csv"
+
+
 def read_collection(directory) -> tuple:
     """Read a collection directory; returns (collection, norm).
 
     A malformed manifest (a missing or unknown key, a d1, d2 or count that is
-    not a non-negative integer, an id that is not a string, entries that are
-    not a list of objects) raises DataError.
+    not a non-negative integer, an id that is not a string, a file name other
+    than ``y_<id>.csv`` and ``fs_<id>.csv``, entries that are not a list of
+    objects) raises DataError, so no entry reads a file outside the directory.
     """
     directory = Path(directory)
     keys = ("version", "d1", "d2", "norm", "entries")
@@ -220,9 +225,10 @@ def read_collection(directory) -> tuple:
     entries = []
     for i, rec in enumerate(manifest["entries"]):
         rec = check_keys(rec, entry_keys, f"manifest.entries[{i}]",
-                         {"id": _name, "measurement": os.fspath, "feasible": os.fspath,
-                          "count": _size},
-                         required=entry_keys)
+                         {"id": _name, "count": _size}, required=entry_keys)
+        if (rec["measurement"], rec["feasible"]) != _file_names(rec["id"]):
+            raise DataError(f"manifest.entries[{i}]: the files of {rec['id']!r} must be "
+                            f"named {' and '.join(_file_names(rec['id']))}")
         y = read_row_csv(directory / rec["measurement"], "measurement")
         members = read_vectors_csv(directory / rec["feasible"])
         if members.shape == (0, 0):
@@ -252,7 +258,7 @@ def write_bound_report(directory, report) -> None:
 def write_symmetric_report(directory, result, norm: NormSpec) -> None:
     """Write ``v_norms.csv`` and ``symmetrized/`` of a ``symmetric.SkersizeResult``."""
     directory = Path(directory)
-    write_collection(directory / "symmetrized", collection_from_dataset(result.symmetrized), norm)
+    write_collection(directory / "symmetrized", result.symmetrized, norm)
     rows = [[i, float(v)] for i, v in enumerate(result.v_norms)]
     write_table_csv(directory / "v_norms.csv", ["id", "v_norm"], rows)
 

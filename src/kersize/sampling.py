@@ -19,8 +19,8 @@ that one lockstep spans the sets of several jobs (samplers and measurement
 lists) on the same model. Each job's sets are bit for bit those of its lone
 ``build_feasible_sets`` call, since a model's feasibility test decides each
 row as its one-row call does (the row contract of ``ForwardModel``). Both
-builders return collections only; a caller that wants the flat (x, y) pairs
-calls ``core.dataset_from_collection``.
+builders return collections, the one dataset type every bound takes; a
+caller that wants flat (x, y) pairs calls ``core.dataset_from_collection``.
 """
 
 from __future__ import annotations

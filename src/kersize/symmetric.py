@@ -6,10 +6,11 @@ signal through the orthogonal complement of the kernel,
     x' = x - 2 P x,      P = I - A^+ A,
 
 yields a second signal with the identical measurement. The average symmetric
-kernel size is the p-mean of the kernel components ‖P x_m‖ over a paired
-dataset; it lower-bounds every reconstruction map's loss on the dataset
-symmetrized with the reflections, at O(M) cost instead of the O(M^2) pairwise
-bound.
+kernel size is the p-mean of the kernel components ‖P x_m‖ over the M
+members of a feasible-set collection, each a pair with its set's
+measurement; it lower-bounds every reconstruction map's loss on the
+collection symmetrized with the reflections, at O(M) cost instead of the
+O(M^2) pairwise bound.
 
 Two projection readings are supported: ``signal_only`` projects the signal
 space (the reflected pair keeps its noise admissible by construction), and
@@ -50,15 +51,18 @@ float64 range is a DataError as well.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     DataError,
+    FeasibleSet,
+    FeasibleSetCollection,
     NormSpec,
-    PairedDataset,
     UsageError,
+    dataset_from_collection,
     norm_powers,
     power_mean,
     vector_norms,
@@ -245,6 +249,9 @@ def kernel_projection(A, mode: str = "signal_only") -> np.ndarray:
 class SkersizeResult:
     """Average symmetric kernel size plus the symmetrized dataset.
 
+    Pair m is member m of the input ``collection`` in ``stacked`` order:
+    ``v_norms[m]`` is the norm of its kernel component and
+    ``reflections[m]`` (shape (M, d1)) its reflected signal.
     ``noise_violations`` lists pairs whose joint-mode reflected noise left the
     noise set; ``bounds_violations`` lists pairs whose reflected signal left
     the model's signal box (never for a box of [-inf, inf] in every
@@ -253,10 +260,26 @@ class SkersizeResult:
 
     skersize: float
     v_norms: np.ndarray
-    symmetrized: PairedDataset
+    reflections: np.ndarray
+    collection: FeasibleSetCollection
     noise_violations: list = field(default_factory=list)
     bounds_violations: list = field(default_factory=list)
     mode: str = "signal_only"
+
+    @functools.cached_property
+    def symmetrized(self) -> FeasibleSetCollection:
+        """The collection the bound certifies: each non-empty set with its id
+        and measurement, its members followed by their reflections. Empty
+        sets are left out. Built on first access."""
+        sets, _, _ = self.collection.stacked
+        filled = [e for e in self.collection.entries if e.count]
+        entries = tuple(
+            FeasibleSet(id=e.id, measurement=e.measurement,
+                        members=np.vstack([e.members, self.reflections[a:b]]))
+            for e, (a, b) in zip(filled, sets.bounds)
+        )
+        return FeasibleSetCollection(d1=self.collection.d1, d2=self.collection.d2,
+                                     entries=entries)
 
     def to_dict(self) -> dict:
         return {
@@ -269,10 +292,12 @@ class SkersizeResult:
         }
 
 
-def skersize(pairs: PairedDataset, model, norm: NormSpec,
+def skersize(c: FeasibleSetCollection, model, norm: NormSpec,
              mode: str = "signal_only") -> SkersizeResult:
-    """Average symmetric kernel size of a paired dataset under y = A x + e.
+    """Average symmetric kernel size of a collection under y = A x + e.
 
+    Each member x_m of a set is a pair (x_m, y_m) with the set's measurement
+    y_m, numbered m in ``c.stacked`` order; empty sets give no pair.
     Recovers each pair's noise as e_m = y_m - A x_m, rejecting a pair whose
     noise leaves the noise set by more than the roundoff of re-deriving it,
     1e-9·max(1, max |y_m|) of the pair's own measurement
@@ -283,7 +308,8 @@ def skersize(pairs: PairedDataset, model, norm: NormSpec,
         skersize = ( (1/M') Σ_m ‖v_m‖^p )^(1/p)
 
     with v_m = P x_m (signal_only) or the signal part of P (x_m, e_m) (joint),
-    together with the dataset extended by the reflected pairs (x'_m, y_m).
+    together with the reflected pairs (x'_m, y_m) and, built from them on
+    first access, the symmetrized collection (``SkersizeResult.symmetrized``).
 
     The reflection through the orthogonal complement of the kernel is
     x' = x - 2 P x. In signal_only mode the noise is untouched, so
@@ -318,22 +344,23 @@ def skersize(pairs: PairedDataset, model, norm: NormSpec,
         raise UsageError("the symmetric bound requires additive noise (y = A x + e)")
     if mode not in ("signal_only", "joint"):
         raise UsageError(f"unknown projection mode {mode!r}")
-    if pairs.size == 0:
+    M = c.size
+    if M == 0:
         raise DataError("empty dataset")
-    if model.d1 != pairs.d1:
-        raise UsageError(f"operator has {model.d1} columns, pairs have d1={pairs.d1}")
-    if model.d2 != pairs.y.shape[1]:
-        raise UsageError(f"operator has {model.d2} rows, pairs have d2={pairs.y.shape[1]}")
+    if model.d1 != c.d1:
+        raise UsageError(f"operator has {model.d1} columns, pairs have d1={c.d1}")
+    if model.d2 != c.d2:
+        raise UsageError(f"operator has {model.d2} rows, pairs have d2={c.d2}")
 
     if isinstance(model, DownsampleModel):  # one band's projector serves every band
-        kernel_of, shape = model.band_matrix(), (pairs.size, model.bands, -1)
+        kernel_of, shape = model.band_matrix(), (M, model.bands, -1)
     else:  # a linear operator is one band
-        kernel_of, shape = model.matrix, (pairs.size, 1, -1)
-    x = pairs.x
+        kernel_of, shape = model.matrix, (M, 1, -1)
+    x, y = dataset_from_collection(c)
     g = model.noiseless_batch(x)
     with np.errstate(over="ignore"):  # noise past the float range is infeasible,
-        e = pairs.y - g  # which is raised just below
-    feas_atol = 1e-9 * np.maximum(1.0, np.abs(pairs.y).max(axis=1, initial=0.0))
+        e = y - g  # which is raised just below
+    feas_atol = 1e-9 * np.maximum(1.0, np.abs(y).max(axis=1, initial=0.0))
     e_norms = noise.row_norms(e)
     bad = np.flatnonzero(e_norms > noise.eps_additive + feas_atol)
     if bad.size:
@@ -356,11 +383,11 @@ def skersize(pairs: PairedDataset, model, norm: NormSpec,
         if lost.any():
             refl[lost] = (vectors[lost] - projected[lost]) - projected[lost]
     n = kernel_of.shape[1]  # the signal coordinates of a band, or of the whole pair
-    v = projected[..., :n].reshape(pairs.size, -1)
-    x_refl = refl[..., :n].reshape(pairs.size, -1)
+    v = projected[..., :n].reshape(M, -1)
+    x_refl = refl[..., :n].reshape(M, -1)
     noise_violations: list = []
     if mode == "joint":
-        e_refl = refl[..., n:].reshape(pairs.size, -1)
+        e_refl = refl[..., n:].reshape(M, -1)
         viol = noise.row_norms(e_refl) > noise.eps_additive + feas_atol
         noise_violations = [int(i) for i in np.flatnonzero(viol)]
 
@@ -371,20 +398,15 @@ def skersize(pairs: PairedDataset, model, norm: NormSpec,
                         f"overflows float64")
     value = power_mean([norm_powers(v_norms, norm.p, "the p-th power of a kernel component")],
                        norm.p)
-    lost = np.flatnonzero(~np.isfinite(refl.reshape(pairs.size, -1)).all(axis=1))
+    lost = np.flatnonzero(~np.isfinite(refl.reshape(M, -1)).all(axis=1))
     if lost.size:
         raise DataError(f"the reflection of pair {int(lost[0])} overflows float64")
     outside = np.flatnonzero(~model.within_bounds(x_refl))
-    symmetrized = PairedDataset(
-        x=np.vstack([x, x_refl]),
-        y=np.vstack([pairs.y, pairs.y]),
-        group=np.concatenate([pairs.group, pairs.group]),
-        group_ids=pairs.group_ids,
-    )
     return SkersizeResult(
         skersize=value,
         v_norms=v_norms,
-        symmetrized=symmetrized,
+        reflections=x_refl,
+        collection=c,
         noise_violations=noise_violations,
         bounds_violations=[int(i) for i in outside],
         mode=mode,

@@ -16,7 +16,7 @@ from kersize.core import (
     FeasibleSet,
     FeasibleSetCollection,
     NormSpec,
-    PairedDataset,
+    collection_from_dataset,
     loss,
     p_dist,
 )
@@ -221,20 +221,20 @@ def test_criterion_4_symmetric_bound():
             e = rng.uniform(-eps, eps, size=(m_pairs, d2))
             y = x @ A_dense.T + e
         ids = tuple(f"m{i}" for i in range(m_pairs))
-        pairs = PairedDataset(x=x, y=y, group=np.arange(m_pairs), group_ids=ids)
+        pairs = collection_from_dataset(x, y, np.arange(m_pairs), ids)
         res = skersize(pairs, operator, norm, mode="signal_only")
 
         # reflected pairs keep their measurements
         if model is not None:
-            g_refl = model.noiseless_batch(res.symmetrized.x[m_pairs:])
+            g_refl = model.noiseless_batch(res.reflections)
         else:
-            g_refl = res.symmetrized.x[m_pairs:] @ A_dense.T
+            g_refl = res.reflections @ A_dense.T
         assert np.max(np.abs(g_refl + e - y)) < 1e-8
 
         sym = res.symmetrized
         mean_theta = {}
         for i, ident in enumerate(ids):
-            mean_theta[ident] = 0.5 * (sym.x[i] + sym.x[m_pairs + i])
+            mean_theta[ident] = 0.5 * (x[i] + res.reflections[i])
         maps = {"zero": {i: np.zeros(pairs.d1) for i in ids}, "mean": mean_theta}
         if model is not None:
             maps["bilinear"] = {ids[i]: upscale(model, y[i], order=1) for i in range(m_pairs)}
@@ -291,11 +291,11 @@ def test_criterion_6_cross_bound_identity(p):
         x = rng.normal(size=(m_pairs, d1)) * 3
         y = x @ A.T
         ids = tuple(f"m{i}" for i in range(m_pairs))
-        pairs = PairedDataset(x=x, y=y, group=np.arange(m_pairs), group_ids=ids)
+        pairs = collection_from_dataset(x, y, np.arange(m_pairs), ids)
         res = skersize(pairs, unbounded(A), norm)
         entries = tuple(
             FeasibleSet(id=ids[i], measurement=y[i],
-                        members=np.vstack([x[i], res.symmetrized.x[m_pairs + i]]))
+                        members=np.vstack([x[i], res.reflections[i]]))
             for i in range(m_pairs)
         )
         c = FeasibleSetCollection(d1=d1, d2=d2, entries=entries)
@@ -310,10 +310,11 @@ def test_criterion_7_worked_numeric_case():
     A = np.array([[0.5, 0.5]])
     P = kernel_projection(A)
     np.testing.assert_allclose(P, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-10)
-    pairs = PairedDataset(x=[[1.0, 3.0]], y=[[2.0]], group=[0], group_ids=("m0",))
+    pairs = FeasibleSetCollection(d1=2, d2=1, entries=(
+        FeasibleSet(id="m0", measurement=[2.0], members=[[1.0, 3.0]]),))
     norm = NormSpec(p=2.0, q=2.0)
     res = skersize(pairs, unbounded(A), norm)
-    np.testing.assert_allclose(res.symmetrized.x[1], [3.0, 1.0], atol=1e-10)
+    np.testing.assert_allclose(res.reflections[0], [3.0, 1.0], atol=1e-10)
     assert abs(res.skersize - math.sqrt(2)) < 1e-10
     mean_loss = loss(res.symmetrized, {"m0": np.array([2.0, 2.0])}, norm)
     assert abs(mean_loss - res.skersize) < 1e-10
@@ -368,8 +369,7 @@ def test_criterion_9_complexity_signatures():
 
     def make_pairs(m):
         x = rng.normal(size=(m, d1))
-        return PairedDataset(x=x, y=x @ A.T, group=np.arange(m),
-                             group_ids=tuple(map(str, range(m))))
+        return collection_from_dataset(x, x @ A.T, np.arange(m), tuple(map(str, range(m))))
 
     def time_skersize(pairs, reps):
         skersize(pairs, model, norm)  # warm-up

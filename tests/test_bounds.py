@@ -15,7 +15,6 @@ from kersize.core import (
     NormSpec,
     Sets,
     UsageError,
-    dataset_from_collection,
     distance_powers,
     loss,
     p_dist,
@@ -533,16 +532,16 @@ class TestVerifyBounds:
                 "const": dict.fromkeys(filled, rng.normal(size=4))}
         report = verify_bounds(c, maps, norm)
         theta = {e.id: optimal_map_value(e.members, norm) for e in c.entries if e.count}
-        assert report.theta_loss == loss(dataset_from_collection(c), theta, norm)
+        assert report.theta_loss == loss(c, theta, norm)
         for name, preds in {**maps, "theta": theta}.items():
             if name != "theta":
-                assert report.losses[name] == loss(dataset_from_collection(c), preds, norm)
+                assert report.losses[name] == loss(c, preds, norm)
             for e, row in zip(c.entries, report.per_measurement):
                 if e.count == 0:
                     assert row.losses[name] is None
                     continue
                 alone = FeasibleSetCollection(d1=4, d2=1, entries=(e,))
-                assert row.losses[name] == loss(dataset_from_collection(alone), preds, norm)
+                assert row.losses[name] == loss(alone, preds, norm)
         for e, row in zip(c.entries, report.per_measurement):
             if e.count == 0:
                 assert row.theta_objective is row.theta_gap is row.theta_iterations is None
@@ -831,11 +830,10 @@ class TestBoundGuarantees:
         rng = np.random.default_rng(77)
         for _ in range(20):
             c, norm = self._random_uniform_collection(rng, 2)
-            d = dataset_from_collection(c)
             theta_loss = verify_bounds(c, {}, norm).theta_loss
             const = dict.fromkeys(c.ids, rng.normal(size=c.d1))
             for other in (median_map(c), zero_map(c), const):
-                assert theta_loss <= loss(d, other, norm) * (1 + 1e-9) + 1e-12
+                assert theta_loss <= loss(c, other, norm) * (1 + 1e-9) + 1e-12
 
     def test_sandwich_p2(self):
         rng = np.random.default_rng(99)

@@ -11,7 +11,6 @@ from kersize.core import (
     FeasibleSet,
     FeasibleSetCollection,
     NormSpec,
-    PairedDataset,
     UsageError,
     as_vector,
     collection_from_dataset,
@@ -29,9 +28,7 @@ EUCLID = NormSpec(p=2, q=2)
 
 
 def two_point_dataset():
-    return PairedDataset(
-        x=[[0.0, 0.0], [0.0, 2.0]], y=[[1.0], [1.0]], group=[0, 0], group_ids=("y1",)
-    )
+    return collection_from_dataset([[0.0, 0.0], [0.0, 2.0]], [[1.0], [1.0]], [0, 0], ("y1",))
 
 
 class TestNormSpec:
@@ -149,9 +146,8 @@ class TestLoss:
                 FeasibleSet(id="b", measurement=[4.0], members=[[0.0, -1.0]]),
             ),
         )
-        d = dataset_from_collection(c)
         preds = {"a": np.array([2.0, 3.0]), "b": np.array([0.0, -1.0])}
-        assert loss(d, preds, EUCLID) == 0.0
+        assert loss(c, preds, EUCLID) == 0.0
 
     def test_p1_mean_absolute(self):
         d = two_point_dataset()
@@ -180,8 +176,9 @@ class TestLoss:
             loss(d, {"y1": np.array([0.0, 1e154])}, EUCLID)
 
     def test_empty_dataset(self):
-        d = PairedDataset(x=np.zeros((0, 2)), y=np.zeros((0, 1)), group=[], group_ids=("a",))
-        with pytest.raises(DataError):
+        d = FeasibleSetCollection(d1=2, d2=1, entries=(
+            FeasibleSet(id="a", measurement=[0.0], members=np.zeros((0, 2))),))
+        with pytest.raises(DataError, match="^loss is undefined on an empty dataset$"):
             loss(d, {"a": np.zeros(2)}, EUCLID)
 
     def test_permutation_invariance(self):
@@ -191,9 +188,9 @@ class TestLoss:
         g = np.repeat(np.arange(4), 3)
         ids = tuple("m%d" % i for i in range(4))
         preds = {i: rng.normal(size=3) for i in ids}
-        base = PairedDataset(x=x, y=y, group=g, group_ids=ids)
+        base = collection_from_dataset(x, y, g, ids)
         perm = rng.permutation(12)
-        shuffled = PairedDataset(x=x[perm], y=y[perm], group=g[perm], group_ids=ids)
+        shuffled = collection_from_dataset(x[perm], y[perm], g[perm], ids)
         for p in (0.5, 1, 2, 3):
             n = NormSpec(p=p, q=2)
             assert loss(base, preds, n) == pytest.approx(loss(shuffled, preds, n), rel=1e-12)
@@ -240,10 +237,10 @@ class TestLoss:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(9, 4))
         y = np.repeat(rng.normal(size=(3, 2)), 3, axis=0)
-        d = PairedDataset(x=x, y=y, group=np.repeat(np.arange(3), 3), group_ids=("a", "b", "c"))
+        d = collection_from_dataset(x, y, np.repeat(np.arange(3), 3), ("a", "b", "c"))
         for p in (1, 1.5, 2, 4):
             n = NormSpec(p=p, q=2)
-            preds = {i: rng.normal(size=4) for i in d.group_ids}
+            preds = {i: rng.normal(size=4) for i in d.ids}
             delta = 0.37
             shift = rng.normal(size=4)
             shift *= delta / np.linalg.norm(shift)
@@ -261,10 +258,11 @@ class TestDatasetFromCollection:
                 FeasibleSet(id="b", measurement=[2.0], members=[[1, 1]]),
             ),
         )
-        d = dataset_from_collection(c)
-        assert d.size == 3
-        assert d.group.tolist() == [0, 0, 1]
-        assert d.group_ids == ("a", "b")
+        x, y = dataset_from_collection(c)
+        assert c.size == 3
+        assert x.tolist() == [[0, 0], [0, 2], [1, 1]]
+        assert y.tolist() == [[1.0], [1.0], [2.0]]  # each member with its set's measurement
+        assert not x.flags.writeable  # the collection's own stacked members
 
     def test_empty_members_everywhere(self):
         c = FeasibleSetCollection(
@@ -272,7 +270,9 @@ class TestDatasetFromCollection:
             d2=1,
             entries=(FeasibleSet(id="a", measurement=[1.0], members=np.zeros((0, 2))),),
         )
-        assert dataset_from_collection(c).size == 0
+        x, y = dataset_from_collection(c)
+        assert c.size == 0
+        assert x.shape == (0, 2) and y.shape == (0, 1)
 
     def test_single_measurement_at_reported_scale(self):
         # one measurement with 1501 members gives 1501 pairs
@@ -280,9 +280,10 @@ class TestDatasetFromCollection:
         c = FeasibleSetCollection(
             d1=2, d2=1, entries=(FeasibleSet(id="a", measurement=[0.0], members=members),)
         )
-        d = dataset_from_collection(c)
-        assert d.size == 1501
-        np.testing.assert_array_equal(d.x, members)
+        x, y = dataset_from_collection(c)
+        assert c.size == 1501
+        np.testing.assert_array_equal(x, members)
+        np.testing.assert_array_equal(y, np.zeros((1501, 1)))
 
     def test_deterministic_set_major_order(self):
         c = FeasibleSetCollection(
@@ -293,8 +294,8 @@ class TestDatasetFromCollection:
                 FeasibleSet(id="b", measurement=[1.0], members=[[3.0]]),
             ),
         )
-        d = dataset_from_collection(c)
-        assert d.x[:, 0].tolist() == [1.0, 2.0, 3.0]
+        x, _ = dataset_from_collection(c)
+        assert x[:, 0].tolist() == [1.0, 2.0, 3.0]
 
     def test_collection_roundtrip_through_dataset(self):
         c = FeasibleSetCollection(
@@ -305,7 +306,8 @@ class TestDatasetFromCollection:
                 FeasibleSet(id="b", measurement=[2.0], members=[[1, 1]]),
             ),
         )
-        c2 = collection_from_dataset(dataset_from_collection(c))
+        c2 = collection_from_dataset(*dataset_from_collection(c),
+                                     np.repeat(np.arange(c.k), c.counts), c.ids)
         assert c2.ids == c.ids
         for e1, e2 in zip(c.entries, c2.entries):
             np.testing.assert_array_equal(e1.members, e2.members)
@@ -325,10 +327,8 @@ class TestContainers:
             FeasibleSet(id="a", measurement=[0.0], members=[[np.nan, 0.0]])
 
     def test_rejects_mixed_measurements_in_group(self):
-        with pytest.raises(DataError):
-            PairedDataset(
-                x=[[0.0], [1.0]], y=[[0.0], [1.0]], group=[0, 0], group_ids=("a",)
-            )
+        with pytest.raises(DataError, match="^pairs in group 'a' disagree on the measurement$"):
+            collection_from_dataset([[0.0], [1.0]], [[0.0], [1.0]], [0, 0], ("a",))
 
     def test_rejects_no_entries(self):
         with pytest.raises(UsageError, match="a collection needs at least one measurement"):
@@ -345,16 +345,18 @@ class TestContainers:
         (lambda: FeasibleSetCollection(d1=2, d2=1, entries=(
             FeasibleSet(id="a", measurement=[0.0], members=[[1.0]]),)),
          DataError, "set 'a': member length != d1=2"),
-        (lambda: PairedDataset(x=np.zeros((1, 1, 1)), y=[[0.0]], group=[0], group_ids=("a",)),
+        (lambda: collection_from_dataset(np.zeros((1, 1, 1)), [[0.0]], [0], ("a",)),
          UsageError, "x must be 2-D, got shape (1, 1, 1)"),
-        (lambda: PairedDataset(x=[[0.0]], y=[[np.nan]], group=[0], group_ids=("a",)),
-         DataError, "y contains non-finite entries"),
-        (lambda: PairedDataset(x=[[0.0]], y=[[0.0], [1.0]], group=[0, 0], group_ids=("a",)),
+        (lambda: collection_from_dataset([[0.0]], [[np.nan]], [0], ("a",)),
+         DataError, "measurement contains non-finite entries"),
+        (lambda: collection_from_dataset([[np.inf]], [[0.0]], [0], ("a",)),
+         DataError, "feasible set 'a' has non-finite members"),
+        (lambda: collection_from_dataset([[0.0]], [[0.0], [1.0]], [0, 0], ("a",)),
          UsageError, "x, y and group must have one row per pair"),
-        (lambda: PairedDataset(x=[[0.0]], y=[[0.0]], group=[1], group_ids=("a",)),
+        (lambda: collection_from_dataset([[0.0]], [[0.0]], [1], ("a",)),
          DataError, "group index out of range"),
     ], ids=["vector-2d", "vector-inf", "members-3d", "measurement-length", "member-length",
-            "pairs-3d", "pairs-nan", "pairs-rows", "pairs-group"])
+            "pairs-3d", "pairs-nan", "pairs-x-inf", "pairs-rows", "pairs-group"])
     def test_malformed_input_is_refused(self, call, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call()

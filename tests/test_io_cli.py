@@ -523,14 +523,21 @@ class TestCliKersize:
             lambda m: m["entries"][0].update(count=3),
             lambda m: m.update(d1=3),
             lambda m: m.update(d2=2),
+            # files outside the directory that hold a valid set
+            lambda m: m["entries"][0].update(feasible=os.path.abspath("outside_fs.csv")),
+            lambda m: m["entries"][0].update(measurement="../outside_y.csv"),
         ],
         ids=["d1_x", "count_x", "entries_5", "d1_negative_empty_set", "id_list",
              "id_slash", "id_escaping", "id_empty", "id_dot", "id_dotdot", "id_backslash",
-             "id_nul", "version_2", "count_3", "d1_3", "d2_2"],
+             "id_nul", "version_2", "count_3", "d1_3", "d2_2", "feasible_absolute",
+             "measurement_parent"],
     )
-    def test_malformed_manifest_exits_2(self, tmp_path, capsys, edit):
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, monkeypatch, edit):
         d = two_point_collection_dir(tmp_path)
         (d / "fs_empty.csv").write_text("")
+        (tmp_path / "outside_fs.csv").write_text("0.0,0.0\n0.0,2.0\n")
+        (tmp_path / "outside_y.csv").write_text("1.0\n")
+        monkeypatch.chdir(tmp_path)  # where an edit's absolute path points
         manifest = json.loads((d / "manifest.json").read_text())
         edit(manifest)
         (d / "manifest.json").write_text(json.dumps(manifest))
@@ -829,6 +836,38 @@ class TestCliSkersize:
         write_vectors_csv(mat, A)
         main(["skersize", str(d), "--matrix", str(mat), "--eps-additive", "1e-6"])
         assert "skersize=0.00000000" in capsys.readouterr().out
+
+    def test_ragged_collection_symmetrized_layout(self, tmp_path, capsys):
+        """Sets of 1, 0 and 3 members: symmetrized/ leaves the empty set out,
+        keeps each other set's id and measurement and lists its members then
+        their reflections; v_norms.csv numbers the pairs in member order."""
+        rng = np.random.default_rng(44)
+        A = rng.normal(size=(2, 4))
+        members = {"a": rng.normal(size=(1, 4)), "b": np.zeros((0, 4)),
+                   "c": rng.normal(size=(3, 4))}
+        measurement = {"a": rng.normal(size=2), "b": rng.normal(size=2), "c": rng.normal(size=2)}
+        entries = tuple(FeasibleSet(id=i, measurement=measurement[i], members=members[i])
+                        for i in members)
+        d = tmp_path / "ragged"
+        write_collection(d, FeasibleSetCollection(d1=4, d2=2, entries=entries), NormSpec())
+        mat = tmp_path / "A.csv"
+        write_vectors_csv(mat, A)
+        out = tmp_path / "out"
+        assert main(["skersize", str(d), "--matrix", str(mat), "--eps-additive", "1e3",
+                     "--out", str(out)]) == 0
+        P = np.eye(4) - np.linalg.pinv(A) @ A
+        sym, _ = read_collection(out / "symmetrized")
+        assert sym.ids == ("a", "c") and sym.counts == (2, 6)
+        for e in sym.entries:
+            x = members[e.id]
+            assert e.measurement.tobytes() == measurement[e.id].tobytes()
+            assert e.members[:len(x)].tobytes() == x.tobytes()
+            np.testing.assert_allclose(e.members[len(x):], x - 2.0 * x @ P.T, rtol=0, atol=1e-12)
+        lines = (out / "v_norms.csv").read_text().splitlines()
+        assert lines[0] == "id,v_norm" and [ln.split(",")[0] for ln in lines[1:]] == list("0123")
+        pairs = np.vstack([members["a"], members["c"]])
+        np.testing.assert_allclose([float(ln.split(",")[1]) for ln in lines[1:]],
+                                   np.linalg.norm(pairs @ P.T, axis=1), rtol=1e-12)
 
     @pytest.mark.parametrize("mode", ["signal", "joint"])
     def test_matrix_is_a_linear_model_with_no_signal_box(self, tmp_path, mode):

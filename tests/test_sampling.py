@@ -329,7 +329,7 @@ class TestBuildFeasibleSets:
         with pytest.warns(UserWarning):
             c = build_feasible_sets(m, generate=1, sampler=s)
         assert c.counts == (1,)
-        assert dataset_from_collection(c).size == 1
+        assert c.size == 1
 
     def test_generated_truth_is_first_member_and_feasible(self):
         m = LinearModel([[0.5, 0.5]], NoiseSpec(kind="additive", eps_additive=0.2),
@@ -415,8 +415,8 @@ class TestBuildFeasibleSets:
                 assert e.measurement.tobytes() == f.measurement.tobytes()
                 assert e.members.shape == f.members.shape
                 assert e.members.tobytes() == f.members.tobytes()
-            d, lone_d = dataset_from_collection(c), dataset_from_collection(lone)
-            assert d.x.tobytes() == lone_d.x.tobytes() and d.y.tobytes() == lone_d.y.tobytes()
+            (x, y), (lone_x, lone_y) = dataset_from_collection(c), dataset_from_collection(lone)
+            assert x.tobytes() == lone_x.tobytes() and y.tobytes() == lone_y.tobytes()
             counts += c.counts
         assert min(counts) < max(counts) == 12
 
@@ -550,7 +550,7 @@ class TestBuildFeasibleSets:
         c = build_feasible_sets(m, generate=25, sampler=s)
         assert c.uniform
         assert c.counts == (1501,) * 25
-        assert dataset_from_collection(c).size == 25 * 1501
+        assert c.size == 25 * 1501
 
     def test_measurement_mode(self):
         m = identity_model(eps=0.3)

@@ -15,7 +15,6 @@ from kersize.core import (
     FeasibleSet,
     FeasibleSetCollection,
     NormSpec,
-    PairedDataset,
     Sets,
     UsageError,
     collection_from_dataset,
@@ -171,7 +170,7 @@ class TestStackedPass:
         assert bits(report.theta_loss) == bits(totals["theta"])
         for name in maps:
             assert bits(report.losses[name]) == bits(totals[name])
-            assert bits(loss(dataset_from_collection(c), maps[name], norm)) == bits(totals[name])
+            assert bits(loss(c, maps[name], norm)) == bits(totals[name])
 
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("p, q", [*NORMS, (1.5, 2)])
@@ -198,10 +197,10 @@ class TestStackedPass:
         """``loss`` on a dataset whose rows are not grouped gives the bits of
         the per-group loop."""
         c = ragged_collection(3, seed=6)
-        d = dataset_from_collection(c)
-        perm = np.random.default_rng(6).permutation(d.size)
-        shuffled = PairedDataset(x=d.x[perm], y=d.y[perm], group=d.group[perm],
-                                 group_ids=d.group_ids)
+        x, y = dataset_from_collection(c)
+        group = np.repeat(np.arange(c.k), c.counts)
+        perm = np.random.default_rng(6).permutation(c.size)
+        shuffled = collection_from_dataset(x[perm], y[perm], group[perm], c.ids)
         preds = median_map(c)
         norm = NormSpec(p=1.5, q=1)
         want = power_mean([oracle_loss_powers(e.members, preds, e.id, norm)
@@ -288,7 +287,7 @@ class TestFaults:
         except (DataError, UsageError) as exc:
             want = exc
         with pytest.raises(type(want)) as got:
-            loss(dataset_from_collection(c), maps["b"], self.NORM)
+            loss(c, maps["b"], self.NORM)
         assert str(got.value) == str(want)
 
     @pytest.mark.parametrize("first", KINDS)
@@ -368,15 +367,21 @@ def sets_bits(sets):
     return (sets.n.tobytes(), sets.starts.tobytes(), sets.sid.tobytes(), sets.bounds)
 
 
+def flat_groups(c):
+    """The index into ``c.ids`` of each pair ``dataset_from_collection`` gives."""
+    return np.repeat(np.arange(c.k), c.counts)
+
+
 class TestDatasetGrouping:
-    """``PairedDataset`` groups its pairs once; ``stacked``, ``loss`` and
-    ``collection_from_dataset`` read that grouping."""
+    """``collection_from_dataset`` groups flat pairs into sets, and
+    ``dataset_from_collection`` flattens a collection into them."""
 
     @pytest.mark.parametrize("d", [1, 5])
     def test_flattened_collection_stacks_like_the_collection(self, d):
         c = ragged_collection(d, seed=7)
         assert 0 in c.counts
-        sets, X, ids = dataset_from_collection(c).stacked
+        sets, X, ids = collection_from_dataset(*dataset_from_collection(c), flat_groups(c),
+                                               c.ids).stacked
         want_sets, want_X, want_ids = c.stacked
         assert sets_bits(sets) == sets_bits(want_sets)
         assert X.shape == want_X.shape and bits(X) == bits(want_X)
@@ -390,16 +395,13 @@ class TestDatasetGrouping:
         group = rng.choice([0, 2, 3, 5, 8], size=40)  # groups 1, 4, 6 and 7 absent
         y = np.column_stack([group, -group]).astype(float)
         x = rng.normal(size=(40, 3))
-        ds = PairedDataset(x=x, y=y, group=group, group_ids=group_ids)
+        regrouped = collection_from_dataset(x, y, group, group_ids)
         rows = [[m for m in range(40) if group[m] == k] for k in range(len(group_ids))]
         present = [k for k in range(len(group_ids)) if rows[k]]
-        assert ds.sets.n.tolist() == [len(rows[k]) for k in present]
-        assert ds.order.tolist() == [m for k in present for m in rows[k]]
-        assert ds.present_ids == tuple(group_ids[k] for k in present)
-        sets, X, ids = ds.stacked
+        sets, X, ids = regrouped.stacked
+        assert sets.n.tolist() == [len(rows[k]) for k in present]
         assert bits(X) == bits(x[[m for k in present for m in rows[k]]])
-        regrouped = collection_from_dataset(ds)
-        assert regrouped.ids == ids == ds.present_ids
+        assert regrouped.ids == ids == tuple(group_ids[k] for k in present)
         for e, k in zip(regrouped.entries, present):
             assert bits(e.measurement) == bits(y[rows[k][0]])
             assert e.members.shape == (len(rows[k]), 3)
@@ -408,7 +410,7 @@ class TestDatasetGrouping:
     @pytest.mark.parametrize("d", [1, 5])
     def test_roundtrip_gives_back_the_non_empty_sets(self, d):
         c = ragged_collection(d, seed=9)
-        back = collection_from_dataset(dataset_from_collection(c))
+        back = collection_from_dataset(*dataset_from_collection(c), flat_groups(c), c.ids)
         filled = [e for e in c.entries if e.count]
         assert (back.d1, back.d2) == (c.d1, c.d2)
         assert back.ids == tuple(e.id for e in filled)
@@ -418,11 +420,14 @@ class TestDatasetGrouping:
             assert bits(got.members) == bits(want.members)
 
     def test_empty_dataset_has_no_groups(self):
-        ds = PairedDataset(x=np.zeros((0, 2)), y=np.zeros((0, 1)), group=[], group_ids=("a",))
-        sets, X, ids = ds.stacked
+        c = FeasibleSetCollection(d1=2, d2=1, entries=(
+            FeasibleSet(id="a", measurement=[0.0], members=np.zeros((0, 2))),))
+        sets, X, ids = c.stacked
         assert sets.n.size == 0 and X.shape == (0, 2) and ids == ()
+        x, y = dataset_from_collection(c)
+        assert x.shape == (0, 2) and y.shape == (0, 1)
         with pytest.raises(DataError, match="no pairs to regroup"):
-            collection_from_dataset(ds)
+            collection_from_dataset(x, y, [], c.ids)
 
 
 class TestDemoLosses:
@@ -437,9 +442,9 @@ class TestDemoLosses:
         for setup in result["setups"]:
             c = setup["collection"]
             # the ground truth anchors its walk, so it is each set's first member
-            truths = PairedDataset(x=[e.members[0] for e in c.entries],
-                                   y=[e.measurement for e in c.entries],
-                                   group=np.arange(c.k), group_ids=c.ids)
+            truths = collection_from_dataset([e.members[0] for e in c.entries],
+                                             [e.measurement for e in c.entries],
+                                             np.arange(c.k), c.ids)
             maps = {"mean": mean_map(c), "median": median_map(c), "zero": zero_map(c)}
             assert list(setup["truth_losses"]) == list(maps)
             for name, preds in maps.items():
@@ -452,12 +457,12 @@ class TestDemoLosses:
         out = demo.superres_demo(n_images=3, size=16, bands=2, factor=4, seed=3)
         model, norm, pairs = out["model"], out["norm"], out["pairs"]
         sym = out["result"].symmetrized
-        sym_collection = collection_from_dataset(sym)
+        _, ys = dataset_from_collection(pairs)
         maps = {
-            "bilinear": {i: upscale(model, y, order=1) for i, y in zip(out["ids"], pairs.y)},
-            "bicubic": {i: upscale(model, y, order=3) for i, y in zip(out["ids"], pairs.y)},
-            "zero": zero_map(sym_collection),
-            "mean": mean_map(sym_collection),
+            "bilinear": {i: upscale(model, y, order=1) for i, y in zip(out["ids"], ys)},
+            "bicubic": {i: upscale(model, y, order=3) for i, y in zip(out["ids"], ys)},
+            "zero": zero_map(sym),
+            "mean": mean_map(sym),
         }
         assert list(out["losses_original"]) == list(out["losses_symmetrized"]) == list(maps)
         for name, preds in maps.items():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from kersize import symmetric
-from kersize.core import DataError, NormSpec, PairedDataset, UsageError, loss
+from kersize.core import (DataError, FeasibleSet, FeasibleSetCollection, NormSpec, UsageError,
+                          collection_from_dataset, dataset_from_collection, loss)
 from kersize.forward import DownsampleModel, LinearModel, NoiseSpec
 from kersize.symmetric import kernel_projection, pseudoinverse, skersize
 
@@ -38,8 +39,7 @@ def assert_projector(P, operator):
 def pairs_of(x, y):
     """One feasible set per (signal, measurement) row."""
     n = len(x)
-    return PairedDataset(x=x, y=y, group=np.arange(n),
-                         group_ids=tuple(f"m{i}" for i in range(n)))
+    return collection_from_dataset(x, y, np.arange(n), tuple(f"m{i}" for i in range(n)))
 
 
 def unbounded(A, noise=NoiseSpec(kind="additive")):
@@ -371,18 +371,18 @@ class TestAnnihilationScale:
 
 
 class TestReflect:
-    """The reflection of each pair, read from the symmetrized dataset."""
+    """The reflection of each pair."""
 
     WIDE = NoiseSpec(kind="additive", eps_additive=1e3)  # admits any joint noise here
 
     def test_row_space_signal_is_fixed_point(self):
         x = np.array([[2.0, 2.0]])  # multiple of A^T
         res = skersize(pairs_of(x, x @ AVG.T), unbounded(AVG), EUCLID)
-        np.testing.assert_allclose(res.symmetrized.x[1], x[0], atol=1e-12)
+        np.testing.assert_allclose(res.reflections[0], x[0], atol=1e-12)
 
     def test_worked_example(self):
         res = skersize(pairs_of([[1.0, 3.0]], [[2.0]]), unbounded(AVG), EUCLID)
-        x_refl = res.symmetrized.x[1]
+        x_refl = res.reflections[0]
         np.testing.assert_allclose(x_refl, [3.0, 1.0], atol=1e-10)
         # same measurement: A x' = A x = 2
         np.testing.assert_allclose(AVG @ x_refl, [2.0], atol=1e-12)
@@ -394,9 +394,9 @@ class TestReflect:
             x, e = rng.normal(size=(4, 5)), rng.normal(size=(4, 2))
             y = x @ A.T + e
             once = skersize(pairs_of(x, y), unbounded(A, self.WIDE), EUCLID, mode=mode)
-            twice = skersize(pairs_of(once.symmetrized.x[4:], y), unbounded(A, self.WIDE),
+            twice = skersize(pairs_of(once.reflections, y), unbounded(A, self.WIDE),
                              EUCLID, mode=mode)
-            x_twice = twice.symmetrized.x[4:]
+            x_twice = twice.reflections
             np.testing.assert_allclose(x_twice, x, atol=1e-10)
             np.testing.assert_allclose(y - x_twice @ A.T, e, atol=1e-10)
 
@@ -409,8 +409,8 @@ class TestReflect:
         # the reflected noise e' is the noise half of (x, e) - 2 P (x, e)
         v = np.concatenate([x, e])
         w = v - 2.0 * kernel_projection(A, mode="joint") @ v
-        np.testing.assert_allclose(res.symmetrized.x[1], w[:6], atol=1e-12)
-        np.testing.assert_allclose(A @ res.symmetrized.x[1] + w[6:], A @ x + e, atol=1e-10)
+        np.testing.assert_allclose(res.reflections[0], w[:6], atol=1e-12)
+        np.testing.assert_allclose(A @ res.reflections[0] + w[6:], A @ x + e, atol=1e-10)
 
     def test_noise_violation_flag(self):
         rng = np.random.default_rng(14)
@@ -424,16 +424,40 @@ class TestReflect:
 
 class TestSkersize:
     def single_pair(self):
-        return PairedDataset(x=[[1.0, 3.0]], y=[[2.0]], group=[0], group_ids=("m0",))
+        return pairs_of([[1.0, 3.0]], [[2.0]])
 
     def test_worked_example(self):
         res = skersize(self.single_pair(), unbounded(AVG), EUCLID)
         assert res.skersize == pytest.approx(np.sqrt(2), rel=1e-12)
         assert res.symmetrized.size == 2
-        np.testing.assert_allclose(res.symmetrized.x[1], [3.0, 1.0], atol=1e-10)
+        np.testing.assert_allclose(res.symmetrized.entries[0].members, [[1.0, 3.0], [3.0, 1.0]],
+                                   atol=1e-10)
         # the mean map attains the bound on the symmetrized dataset
         mean_loss = loss(res.symmetrized, {"m0": np.array([2.0, 2.0])}, EUCLID)
         assert mean_loss == pytest.approx(res.skersize, rel=1e-12)
+
+    def test_ragged_collection_symmetrized_layout(self):
+        """Sets of 0, 1 and 3 members: each member is a pair, numbered in
+        collection order, and the symmetrized collection leaves the empty set
+        out, keeps each other set's id and measurement and lists its members
+        then their reflections."""
+        rng = np.random.default_rng(45)
+        A = rng.normal(size=(2, 4))
+        c = FeasibleSetCollection(d1=4, d2=2, entries=tuple(
+            FeasibleSet(id=i, measurement=rng.normal(size=2), members=rng.normal(size=(n, 4)))
+            for i, n in (("empty", 0), ("one", 1), ("three", 3))))
+        res = skersize(c, unbounded(A, NoiseSpec(kind="additive", eps_additive=1e3)), EUCLID)
+        P = np.eye(4) - np.linalg.pinv(A) @ A
+        x = np.vstack([e.members for e in c.entries])
+        np.testing.assert_allclose(res.v_norms, np.linalg.norm(x @ P.T, axis=1), rtol=1e-12)
+        sym = res.symmetrized
+        assert sym.ids == ("one", "three") and sym.counts == (2, 6) and sym.size == 8
+        assert (sym.d1, sym.d2) == (4, 2)
+        for e, want in zip(sym.entries, c.entries[1:]):
+            assert e.measurement.tobytes() == want.measurement.tobytes()
+            assert e.members[:want.count].tobytes() == want.members.tobytes()
+            refl = want.members - 2.0 * want.members @ P.T
+            np.testing.assert_allclose(e.members[want.count:], refl, rtol=0, atol=1e-12)
 
     def test_row_space_dataset_gives_zero(self):
         rng = np.random.default_rng(15)
@@ -441,15 +465,12 @@ class TestSkersize:
         w = rng.normal(size=(5, 2))
         x = w @ A  # all rows in the row space of A
         y = x @ A.T
-        pairs = PairedDataset(x=x, y=y, group=np.arange(5),
-                              group_ids=tuple(f"m{i}" for i in range(5)))
-        res = skersize(pairs, unbounded(A), EUCLID)
+        res = skersize(pairs_of(x, y), unbounded(A), EUCLID)
         assert res.skersize == pytest.approx(0.0, abs=1e-9)
-        np.testing.assert_allclose(res.symmetrized.x[5:], x, atol=1e-8)
+        np.testing.assert_allclose(res.reflections, x, atol=1e-8)
 
     def test_infeasible_pair_named(self):
-        pairs = PairedDataset(x=[[1.0, 3.0], [0.0, 0.0]], y=[[2.0], [5.0]],
-                              group=[0, 1], group_ids=("m0", "m1"))
+        pairs = pairs_of([[1.0, 3.0], [0.0, 0.0]], [[2.0], [5.0]])
         with pytest.raises(DataError, match="pair 1"):
             skersize(pairs, unbounded(AVG, NoiseSpec(kind="additive", eps_additive=0.5)), EUCLID)
 
@@ -494,10 +515,9 @@ class TestSkersize:
         x = rng.normal(size=(6, 7))
         e = rng.uniform(-0.1, 0.1, size=(6, 3))
         y = x @ A.T + e
-        pairs = PairedDataset(x=x, y=y, group=np.arange(6),
-                              group_ids=tuple(f"m{i}" for i in range(6)))
-        res = skersize(pairs, unbounded(A, NoiseSpec(kind="additive", eps_additive=0.1)), EUCLID)
-        resid = res.symmetrized.x[6:] @ A.T + e - y
+        res = skersize(pairs_of(x, y), unbounded(A, NoiseSpec(kind="additive", eps_additive=0.1)),
+                       EUCLID)
+        resid = res.reflections @ A.T + e - y
         assert np.max(np.abs(resid)) < 1e-10
 
     def test_lower_bound_on_symmetrized_dataset(self):
@@ -505,8 +525,8 @@ class TestSkersize:
         A = rng.normal(size=(2, 5))
         x = rng.normal(size=(8, 5))
         y = x @ A.T
-        ids = tuple(f"m{i}" for i in range(8))
-        pairs = PairedDataset(x=x, y=y, group=np.arange(8), group_ids=ids)
+        pairs = pairs_of(x, y)
+        ids = pairs.ids
         res = skersize(pairs, unbounded(A), EUCLID)
         for trial in range(10):
             preds = {i: rng.normal(size=5) for i in ids}
@@ -518,13 +538,11 @@ class TestSkersize:
         x = rng.normal(size=(4, 5))
         e = rng.uniform(-0.05, 0.05, size=(4, 2))
         y = x @ A.T + e
-        ids = tuple(f"m{i}" for i in range(4))
-        pairs = PairedDataset(x=x, y=y, group=np.arange(4), group_ids=ids)
-        res = skersize(pairs, unbounded(A, NoiseSpec(kind="additive", eps_additive=0.05)),
+        res = skersize(pairs_of(x, y), unbounded(A, NoiseSpec(kind="additive", eps_additive=0.05)),
                        EUCLID, mode="joint")
         assert res.mode == "joint"
         # reflected pairs keep their measurements even in joint mode
-        e_refl = res.symmetrized.y[4:] - res.symmetrized.x[4:] @ A.T
+        e_refl = y - res.reflections @ A.T
         assert isinstance(res.noise_violations, list)
         for m in range(4):
             if m not in res.noise_violations:
@@ -560,8 +578,7 @@ class TestSkersize:
 
         def outputs(res, rows):
             """The bits of each row's kernel norm and reflection, and its verdicts."""
-            half = res.symmetrized.size // 2
-            return [(res.v_norms[m].tobytes(), res.symmetrized.x[half + m].tobytes(),
+            return [(res.v_norms[m].tobytes(), res.reflections[m].tobytes(),
                      m in res.noise_violations, m in res.bounds_violations) for m in rows]
 
         full = skersize(pairs_of(x, y), op, EUCLID, mode=mode)
@@ -591,14 +608,14 @@ class TestSkersize:
             "linear": LinearModel(dense_matrix(model), noise, np.tile([0.0, 1.0], (16, 1))),
             "downsample": model,
         }[operator]
-        pairs = PairedDataset(x=np.full((2, d1), 0.5), y=np.full((2, d2), 0.5),
-                              group=[0, 1], group_ids=("a", "b"))
+        pairs = pairs_of(np.full((2, d1), 0.5), np.full((2, d2), 0.5))
         with pytest.raises(UsageError, match=message):
             skersize(pairs, op, EUCLID, mode=mode)
 
     @pytest.mark.parametrize("pairs, mode, error, message", [
         (None, "dual", UsageError, "unknown projection mode 'dual'"),
-        (PairedDataset(x=[], y=[], group=[], group_ids=()), "signal_only", DataError,
+        (FeasibleSetCollection(d1=2, d2=1, entries=(
+            FeasibleSet(id="m0", measurement=[2.0], members=[]),)), "signal_only", DataError,
          "empty dataset"),
     ], ids=["mode", "no-pairs"])
     def test_unknown_mode_or_no_pairs_is_refused(self, pairs, mode, error, message):
@@ -641,7 +658,7 @@ class TestSkersize:
         pairs = pairs_of(np.array([x]), np.array([[y]]))
         res = skersize(pairs, unbounded(A, NoiseSpec(kind="additive", eps_additive=1e300)),
                        NormSpec(p=1, q=np.inf))
-        x_refl = res.symmetrized.x[1]
+        x_refl = res.reflections[0]
         assert np.isfinite(x_refl).all() and np.isfinite(res.skersize)
         w = 4 * np.abs(A).sum()  # A x' = A x = y, scaled to stay in range
         assert (np.asarray(A) / w) @ x_refl == pytest.approx(y / w, rel=1e-12)
@@ -671,7 +688,7 @@ class TestSkersize:
         res = skersize(pairs_of(x, np.zeros((1, 1))), unbounded(np.zeros((1, 2))),
                        NormSpec(p=1))
         assert res.skersize == pytest.approx(1.77200451e308, rel=1e-8)
-        assert res.symmetrized.x[1].tobytes() == (-x[0]).tobytes()
+        assert res.reflections[0].tobytes() == (-x[0]).tobytes()
 
     def test_downsample_band_projector_matches_dense(self):
         rng = np.random.default_rng(19)
@@ -682,14 +699,12 @@ class TestSkersize:
             x = rng.uniform(0.2, 0.8, size=(3, model.d1))
             e = rng.uniform(-0.05, 0.05, size=(3, model.d2))
             y = model.noiseless_batch(x) + e
-            ids = ("a", "b", "c")
-            pairs = PairedDataset(x=x, y=y, group=np.arange(3), group_ids=ids)
+            pairs = pairs_of(x, y)
             via_model = skersize(pairs, model, EUCLID)
             via_dense = skersize(pairs, unbounded(dense_matrix(model), model.noise), EUCLID)
             assert via_model.skersize == pytest.approx(via_dense.skersize, rel=1e-10)
             np.testing.assert_allclose(via_model.v_norms, via_dense.v_norms, rtol=1e-10)
-            np.testing.assert_allclose(via_model.symmetrized.x, via_dense.symmetrized.x,
-                                       atol=1e-9)
+            np.testing.assert_allclose(via_model.reflections, via_dense.reflections, atol=1e-9)
 
     @staticmethod
     def spy_on_v(monkeypatch):
@@ -720,7 +735,7 @@ class TestSkersize:
         v = np.einsum("ij,nbj->nbi", 0.5 * (P0 + P0.T), x.reshape(5, 3, -1)).reshape(5, -1)
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0].view(np.uint64), v.view(np.uint64))
-        np.testing.assert_array_equal(res.symmetrized.x[5:].view(np.uint64),
+        np.testing.assert_array_equal(res.reflections.view(np.uint64),
                                       (x - 2.0 * v).view(np.uint64))
 
     @pytest.mark.parametrize("path", ["band", "linear", "joint"])
@@ -756,7 +771,7 @@ class TestSkersize:
         projected = np.einsum("ij,nbj->nbi", kernel_projection(A, mode=mode), vectors)
         v = projected[..., :d].reshape(4, -1)
         np.testing.assert_array_equal(seen[0].view(np.uint64), v.view(np.uint64))
-        np.testing.assert_array_equal(res.symmetrized.x[4:].view(np.uint64),
+        np.testing.assert_array_equal(res.reflections.view(np.uint64),
                                       (x - 2.0 * v).view(np.uint64))
 
     def test_peak_memory_below_half_a_band_projector(self):
@@ -787,12 +802,11 @@ class TestSkersize:
         x = rng.uniform(0.2, 0.8, size=(2, model.d1))
         e = rng.uniform(-0.05, 0.05, size=(2, model.d2))
         y = model.noiseless_batch(x) + e
-        pairs = PairedDataset(x=x, y=y, group=np.arange(2), group_ids=("a", "b"))
-        res = skersize(pairs, model, EUCLID, mode="joint")
+        res = skersize(pairs_of(x, y), model, EUCLID, mode="joint")
         # measurements preserved under the joint reflection
         A = dense_matrix(model)
-        e_refl = res.symmetrized.y[2:] - res.symmetrized.x[2:] @ A.T
-        np.testing.assert_allclose(res.symmetrized.x[2:] @ A.T + e_refl, y, atol=1e-9)
+        e_refl = y - res.reflections @ A.T
+        np.testing.assert_allclose(res.reflections @ A.T + e_refl, y, atol=1e-9)
         assert res.skersize >= 0.0
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -820,9 +834,11 @@ class TestSkersize:
         refl = vectors - 2.0 * projected
         atol = 1e-12 * np.abs(vectors).max()
         np.testing.assert_allclose(seen[0], projected[:, :model.d1], rtol=0, atol=atol)
-        np.testing.assert_allclose(res.symmetrized.x[6:], refl[:, :model.d1], rtol=0, atol=atol)
-        np.testing.assert_array_equal(res.symmetrized.y, np.vstack([y, y]))
-        np.testing.assert_allclose(res.symmetrized.x[6:] @ A.T + refl[:, model.d1:], y,
+        np.testing.assert_allclose(res.reflections, refl[:, :model.d1], rtol=0, atol=atol)
+        # one-member sets: each pair is followed by its reflection, with its measurement
+        np.testing.assert_array_equal(dataset_from_collection(res.symmetrized)[1],
+                                      np.repeat(y, 2, axis=0))
+        np.testing.assert_allclose(res.reflections @ A.T + refl[:, model.d1:], y,
                                    rtol=0, atol=atol)
         outside = np.abs(refl[:, model.d1:]).max(axis=1) > 0.05 + 1e-9 * np.abs(y).max()
         assert res.noise_violations == [1, 3, 5] == list(np.flatnonzero(outside))
@@ -851,10 +867,9 @@ class TestSkersize:
         x = np.zeros((1, 16))
         x[0, 5] = 1.0  # sharp spike: kernel component pushes past the box
         y = model.noiseless_batch(x)
-        pairs = PairedDataset(x=x, y=y, group=[0], group_ids=("m0",))
-        res = skersize(pairs, model, EUCLID)
+        res = skersize(pairs_of(x, y), model, EUCLID)
         assert res.symmetrized.size == 2
-        refl = res.symmetrized.x[1]
+        refl = res.reflections[0]
         outside = np.any(refl < 0.0) or np.any(refl > 1.0)
         assert outside == (0 in res.bounds_violations)
         assert outside  # this construction does leave the box
@@ -866,7 +881,6 @@ class TestCrossBoundIdentity:
         """Kersize of the two-point symmetric sets equals
         2^(1-1/p) * SKersize."""
         from kersize.bounds import kersize as compute_kersize
-        from kersize.core import FeasibleSet, FeasibleSetCollection
 
         rng = np.random.default_rng(20 + p)
         norm = NormSpec(p=p, q=2)
@@ -877,12 +891,11 @@ class TestCrossBoundIdentity:
             m_pairs = int(rng.integers(1, 5))
             x = rng.normal(size=(m_pairs, d1))
             y = x @ A.T
-            ids = tuple(f"m{i}" for i in range(m_pairs))
-            pairs = PairedDataset(x=x, y=y, group=np.arange(m_pairs), group_ids=ids)
+            pairs = pairs_of(x, y)
             res = skersize(pairs, unbounded(A), norm)
             entries = tuple(
-                FeasibleSet(id=ids[i], measurement=y[i],
-                            members=np.vstack([x[i], res.symmetrized.x[m_pairs + i]]))
+                FeasibleSet(id=pairs.ids[i], measurement=y[i],
+                            members=np.vstack([x[i], res.reflections[i]]))
                 for i in range(m_pairs)
             )
             c = FeasibleSetCollection(d1=d1, d2=d2, entries=entries)
