@@ -52,6 +52,8 @@ __all__ = [
     "check_keys",
     "nullable",
     "whole",
+    "number",
+    "numbers",
     "Sets",
     "set_losses",
     "power_mean",
@@ -127,11 +129,13 @@ class NormSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "NormSpec":
-        d = check_keys(d, [f.name for f in fields(cls)], "norm", {"p": float})
-        q = d.get("q", 2)
-        if q in ("inf", "Inf", "infinity"):
-            q = np.inf
-        return cls(p=d.get("p", 2.0), q=q, mask=d.get("mask"))
+        d = check_keys(d, [f.name for f in fields(cls)], "norm", {"p": number, "q": _exponent})
+        return cls(p=d.get("p", 2.0), q=d.get("q", 2), mask=d.get("mask"))
+
+
+def _exponent(value) -> float:
+    """A norm's q: a ``number``, or inf spelled "inf", "Inf" or "infinity"."""
+    return np.inf if value in ("inf", "Inf", "infinity") else number(value)
 
 
 def check_keys(doc, allowed, where: str, convert: Mapping | None = None,
@@ -140,7 +144,7 @@ def check_keys(doc, allowed, where: str, convert: Mapping | None = None,
 
     A non-object, a key outside ``allowed``, a missing ``required`` key or a
     value its converter rejects raises DataError. Converters are plain type
-    coercions (``whole``, ``float``, ``np.asarray``), so what is caught here
+    coercions (``whole``, ``number``, ``numbers``), so what is caught here
     is never a constructor's UsageError.
     """
     if not isinstance(doc, Mapping):
@@ -182,6 +186,28 @@ def whole(value) -> int:
     if abs(n) > 2**53:
         raise ValueError(f"{value!r} is out of range (above 2^53 in magnitude)")
     return n
+
+
+def number(value) -> float:
+    """A ``check_keys`` converter for a float field: a number as a Python
+    float. A string or a bool is refused, as ``whole`` refuses one, rather
+    than read as its text or as 0 or 1."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def numbers(value) -> np.ndarray:
+    """A ``check_keys`` converter for an array field: a number or nested lists
+    of numbers, each read by ``number``, or an array of a numeric dtype, as a
+    float64 array. So a string or a bool anywhere in it is refused."""
+    if isinstance(value, np.ndarray):
+        if not np.issubdtype(value.dtype, np.number):
+            raise TypeError(f"expected numbers, got an array of {value.dtype}")
+    else:
+        for v in np.asarray(value, dtype=object).flat:
+            number(v)
+    return np.asarray(value, dtype=np.float64)
 
 
 def vector_norms(diffs: np.ndarray, norm: NormSpec) -> np.ndarray:
@@ -565,8 +591,11 @@ def set_losses(sets: Sets, X: np.ndarray, ids, maps: Mapping[str, Mapping],
     and, within it, of the first failing map in ``maps`` order (a missing,
     misshapen or non-finite prediction, an overflowing power, then an
     overflowing set sum); a total past the float64 range raises for the
-    first such map.
+    first such map. A stack with no rows raises ``loss``'s DataError: no
+    loss is defined on it.
     """
+    if X.shape[0] == 0:
+        raise DataError("loss is undefined on an empty dataset")
     powers, failed = _prediction_powers(sets, X, ids, maps, norm)
     sums = []
     for j, (k_fail, _) in enumerate(failed):

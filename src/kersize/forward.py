@@ -35,7 +35,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import DataError, NormSpec, UsageError, check_keys, vector_norms, whole
+from .core import DataError, NormSpec, UsageError, check_keys, number, numbers, vector_norms, whole
 
 __all__ = [
     "NoiseSpec",
@@ -176,7 +176,7 @@ class NoiseSpec:
         """Noise set from its document; every field is optional."""
         d = check_keys(
             d, [f.name for f in fields(cls)], "model.noise",
-            {"eps_additive": float, "eps_multiplicative": float},
+            {"eps_additive": number, "eps_multiplicative": number},
         )
         return cls(**d)
 
@@ -464,10 +464,6 @@ class MicroscopyModel(ForwardModel):
         return mu.reshape(T.shape[0], self.d2)
 
 
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
-
-
 def _pixels(value) -> tuple:
     npx, npy = value
     return whole(npx), whole(npy)
@@ -477,13 +473,13 @@ def _pixels(value) -> tuple:
 # document, which ``ForwardModel.to_dict`` writes from the model's attribute
 # of the same name. The constructors check the values; "noise" is optional.
 _MODEL_FIELDS = {
-    "linear_additive": (LinearModel, {"matrix": _floats, "signal_bounds": _floats}),
+    "linear_additive": (LinearModel, {"matrix": numbers, "signal_bounds": numbers}),
     "downsample_additive": (DownsampleModel, {
-        "bands": whole, "height": whole, "width": whole, "factor": whole, "r_max": float,
+        "bands": whole, "height": whole, "width": whole, "factor": whole, "r_max": number,
     }),
     "microscopy": (MicroscopyModel, {
-        "pixels": _pixels, "pixel_size": float, "psf_sigma0": float, "psf_z0": float,
-        "c_max": float, "h_max": float, "exposure": float, "volume": _floats,
+        "pixels": _pixels, "pixel_size": number, "psf_sigma0": number, "psf_z0": number,
+        "c_max": number, "h_max": number, "exposure": number, "volume": numbers,
     }),
 }
 

@@ -42,6 +42,7 @@ from .core import (
     as_vector,
     check_keys,
     nullable,
+    numbers,
     whole,
 )
 from .forward import ForwardModel
@@ -127,7 +128,7 @@ class SamplerSpec:
 _SAMPLER_TYPES = {
     "n_max": whole, "seed": whole, "budget": nullable(whole), "burn_in": whole,
     "thinning": whole,
-    "step_scale": nullable(lambda v: np.asarray(v, dtype=np.float64).tolist()),
+    "step_scale": nullable(lambda v: numbers(v).tolist()),
     "grid_resolution": nullable(lambda v: [whole(n) for n in v]),
 }
 
@@ -199,15 +200,16 @@ def _half_step(model, sampler) -> np.ndarray:
     return half
 
 
-def _random_walks(model, Y, rngs, anchors, half, budget, n_target, burn_in, thinning,
-                  labels=None) -> list:
-    """Run one feasibility-constrained random walk per row of Y, in lockstep.
+def _random_walks(model, walks, labels=None) -> list:
+    """Run one feasibility-constrained random walk per set of the ``_Job``s
+    ``walks``, in lockstep; chain k is the k-th set in job order.
 
-    Chain k starts at ``anchors[k]``, or, where that is None, at the first
-    feasible point of a uniform search of the signal box. Its proposal
-    half-widths are ``half[k]`` and its limits ``budget[k]``, ``n_target[k]``,
-    ``burn_in[k]`` and ``thinning[k]``, so chains of different samplers share
-    one lockstep. Chain k draws only from ``rngs[k]``, in the order a lone
+    Chain k starts at its set's anchor, or, in a job without anchors, at the
+    first feasible point of a uniform search of the signal box. Its proposal
+    half-widths are its job's ``half`` and its limits the job's ``n_target``
+    and its sampler's budget, ``burn_in`` and ``thinning``, so chains of
+    different samplers share one lockstep. Chain k draws only from its
+    set's proposal stream in its job's ``rngs``, in the order a lone
     walk would: the uniform search when there is no anchor, then d1 values
     per proposal. Proposals are drawn in blocks of up to ``_BLOCK`` (fewer
     when K * d1 is large, to bound memory), which gives the same values as
@@ -219,9 +221,18 @@ def _random_walks(model, Y, rngs, anchors, half, budget, n_target, burn_in, thin
     after an acceptance stay in its block and are proposed from the new
     state in the next step. Each kept state is the same ``state + delta``
     as in a one-proposal-at-a-time walk, and a proposal that leaves the
-    signal box counts against the chain's budget. Returns one (n, d1) array
-    per chain.
+    signal box counts against the chain's budget. ``labels[k]`` names chain
+    k's set when its anchor is infeasible. Returns one (n, d1) array per
+    chain.
     """
+    Y = np.vstack([y for j in walks for y in j.ys])
+    rngs = [rng for j in walks for rng in j.rngs]
+    anchors = [a for j in walks for a in (j.anchors or [None] * len(j.ys))]
+    counts = [len(j.ys) for j in walks]
+    half = np.repeat([j.half for j in walks], counts, axis=0)
+    budget, n_target, burn_in, thinning = np.repeat(
+        [(j.sampler.effective_budget, j.n_target, j.sampler.burn_in, j.sampler.thinning)
+         for j in walks], counts, axis=0).T
     k_total, d1 = len(rngs), model.d1
     spent = np.zeros(k_total, dtype=np.int64)
     n_accepted = np.zeros(k_total, dtype=np.int64)
@@ -324,21 +335,11 @@ def sample_feasible(model: ForwardModel, y, sampler: SamplerSpec,
     elif sampler.kind == "rejection":
         out, _ = _search(model, y, _uniform_draw(model, rng), sampler.effective_budget, n_target)
     else:
-        anchors = [None if anchor is None else as_vector(anchor, "anchor")]
-        walk = (sampler, _half_step(model, sampler), n_target)
-        out = _random_walks(model, y[None, :], [rng], anchors, *_per_chain([walk], [1]))[0]
+        anchors = None if anchor is None else [as_vector(anchor, "anchor")]
+        walk = _Job(sampler, None, [y], anchors, [rng], _half_step(model, sampler), n_target)
+        out = _random_walks(model, [walk])[0]
     _warn_if_empty(out, n_target)
     return out
-
-
-def _per_chain(walks, counts) -> tuple:
-    """``_random_walks``' per-chain arrays (half, budget, n_target, burn_in,
-    thinning) of walks given as (sampler, half, n_target), ``counts[j]``
-    chains each."""
-    half = np.repeat([h for _, h, _ in walks], counts, axis=0)
-    limits = np.repeat([(s.effective_budget, n, s.burn_in, s.thinning) for s, _, n in walks],
-                       counts, axis=0)
-    return (half, *limits.T)
 
 
 def _entry_rngs(seed: int, k: int) -> tuple:
@@ -351,7 +352,8 @@ def _entry_rngs(seed: int, k: int) -> tuple:
 # One checked job of build_feasible_sets_many: its sampler, set ids and
 # measurements, the anchors (None in measurement mode), the per-set proposal
 # streams, the random walk's half step (None for the other kinds) and the
-# members to sample per set (an anchor is the first member of its set).
+# members to sample per set (an anchor is the first member of its set). A
+# random walk of sample_feasible is a one-set job with no ids.
 _Job = namedtuple("_Job", "sampler ids ys anchors rngs half n_target")
 
 
@@ -428,16 +430,9 @@ def build_feasible_sets_many(model: ForwardModel, jobs) -> list:
     walks = [j for j in plans if j.half is not None]
     walked = iter(())
     if walks:
-        counts = [len(j.ys) for j in walks]
         labels = [repr(i) if len(plans) == 1 else f"{i!r} of job {n}"
                   for n, j in enumerate(plans) if j.half is not None for i in j.ids]
-        walked = iter(_random_walks(
-            model, np.vstack([y for j in walks for y in j.ys]),
-            [rng for j in walks for rng in j.rngs],
-            [a for j in walks for a in (j.anchors or [None] * len(j.ys))],
-            *_per_chain([(j.sampler, j.half, j.n_target) for j in walks], counts),
-            labels,
-        ))
+        walked = iter(_random_walks(model, walks, labels))
     out = []
     for job in plans:
         if job.half is not None:

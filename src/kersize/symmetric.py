@@ -170,19 +170,20 @@ def _projector_residuals(B: np.ndarray, L: np.ndarray) -> tuple:
             0.5 * float(np.sqrt(np.maximum(sq, 0.0))))
 
 
-def _kernel_operator(A: np.ndarray, mode: str) -> tuple:
-    """The operator B whose kernel the projector of A in ``mode`` spans (A, or
-    [A | I] in joint mode) and the pseudoinverse tolerance: max(m, n) times
-    the float64 machine epsilon for the m x n matrix A."""
-    B = np.hstack([A, np.eye(A.shape[0])]) if mode == "joint" else A
-    return B, max(A.shape) * np.finfo(np.float64).eps
+def _kernel_operator(A: np.ndarray, mode: str) -> np.ndarray:
+    """The operator B whose kernel the projector of A in ``mode`` spans: A,
+    or [A | I] in joint mode. Every singular value of [A | I] is at least 1,
+    since B Bᵀ = A Aᵀ + I, so ``pseudoinverse``'s default tolerance cuts none
+    of them unless ‖A‖₂ nears 1 / ((m + n)·eps) for the m x n matrix A."""
+    return np.hstack([A, np.eye(A.shape[0])]) if mode == "joint" else A
 
 
-def _projector_rows(B: np.ndarray, tol: float | None):
+def _projector_rows(B: np.ndarray):
     """Yield (I, P[I]) for each ``_row_blocks`` slice I of the kernel projector
-    P = ½(P0 + P0ᵀ), P0 = I - L B, L = B^+; raise ``DataError`` after the last
-    block unless P is finite, idempotent (‖P² - P‖_F <= 1e-8) and
-    annihilated by B (max |B P| <= 1e-8 max |B|).
+    P = ½(P0 + P0ᵀ), P0 = I - L B, L = B^+ at ``pseudoinverse``'s default
+    tolerance; raise ``DataError`` after the last block unless P is finite,
+    idempotent (‖P² - P‖_F <= 1e-8) and annihilated by B
+    (max |B P| <= 1e-8 max |B|).
 
     Rows I of L B are L[I] @ B and rows I of (L B)ᵀ are (L @ B[:, I])ᵀ; the
     off-diagonal entries are 0.5·(0 - (LB[i,j] + LB[j,i])), which equals
@@ -196,7 +197,7 @@ def _projector_rows(B: np.ndarray, tol: float | None):
     ``_projector_residuals``), so no check temporary lives while the blocks
     are applied. A yielded block is the caller's to keep.
     """
-    L = pseudoinverse(B, tol)
+    L = pseudoinverse(B)
     annihilation, idempotency = _projector_residuals(B, L)
     scale = float(np.abs(B).max(initial=0.0))
     finite = True
@@ -237,9 +238,9 @@ def kernel_projection(A, mode: str = "signal_only") -> np.ndarray:
         raise UsageError("kernel_projection expects a matrix")
     if mode not in ("signal_only", "joint"):
         raise UsageError(f"unknown projection mode {mode!r}")
-    B, tol = _kernel_operator(A, mode)
+    B = _kernel_operator(A, mode)
     P = np.empty((B.shape[1], B.shape[1]))
-    for I, block in _projector_rows(B, tol):
+    for I, block in _projector_rows(B):
         P[I] = block
     P.setflags(write=False)
     return P
@@ -373,9 +374,9 @@ def skersize(c: FeasibleSetCollection, model, norm: NormSpec,
     vectors = x.reshape(shape)
     if mode == "joint":
         vectors = np.concatenate([vectors, e.reshape(shape)], axis=-1)
-    B, tol = _kernel_operator(kernel_of, mode)
+    B = _kernel_operator(kernel_of, mode)
     projected = np.empty_like(vectors)
-    for I, block in _projector_rows(B, tol):
+    for I, block in _projector_rows(B):
         np.einsum("ij,nbj->nbi", block, vectors, out=projected[:, :, I])
     with np.errstate(over="ignore"):  # 2Px may overflow where x - 2Px fits
         refl = vectors - 2.0 * projected

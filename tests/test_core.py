@@ -11,6 +11,7 @@ from kersize.core import (
     FeasibleSet,
     FeasibleSetCollection,
     NormSpec,
+    Sets,
     UsageError,
     as_vector,
     collection_from_dataset,
@@ -19,8 +20,11 @@ from kersize.core import (
     exact_sum,
     loss,
     member_centre,
+    number,
+    numbers,
     p_dist,
     power_mean,
+    set_losses,
     vector_norms,
 )
 
@@ -55,6 +59,26 @@ class TestNormSpec:
         n2 = NormSpec.from_dict(n.to_dict())
         assert n2.p == n.p and n2.q == n.q
         assert np.array_equal(n2.mask, n.mask)
+
+
+class TestNumberConverters:
+    @pytest.mark.parametrize("value", ["0.2", True, None, [0.2]])
+    def test_number_refuses_what_is_no_number(self, value):
+        with pytest.raises(TypeError):
+            number(value)
+
+    @pytest.mark.parametrize("value", [[["1", 2]], [[1, True]], np.array([True]),
+                                       np.array(["1"]), [[1, 2], [3]]])
+    def test_numbers_refuses_what_is_no_array_of_numbers(self, value):
+        with pytest.raises((TypeError, ValueError)):
+            numbers(value)
+
+    def test_numbers_reads_ints_past_int64(self):
+        """JSON integers past the int64 range are numbers too, as float64
+        read them before."""
+        got = numbers([[-10**20, 10**20], [0, 0.5]])
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, [[-1e20, 1e20], [0.0, 0.5]])
 
 
 class TestPDist:
@@ -180,6 +204,8 @@ class TestLoss:
             FeasibleSet(id="a", measurement=[0.0], members=np.zeros((0, 2))),))
         with pytest.raises(DataError, match="^loss is undefined on an empty dataset$"):
             loss(d, {"a": np.zeros(2)}, EUCLID)
+        with pytest.raises(DataError, match="^loss is undefined on an empty dataset$"):
+            set_losses(Sets([]), np.zeros((0, 2)), (), {"m": {}}, NormSpec())
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)

@@ -289,11 +289,19 @@ class TestCliSample:
                                           "height": 4, "width": 4, "factor": 2.5,
                                           "r_max": 1.0}),
             lambda cfg: cfg["model"]["noise"].update(eps_additive=10**400),
+            lambda cfg: cfg["model"]["noise"].update(eps_additive="0.2"),
+            lambda cfg: cfg["norm"].update(p=True),
+            lambda cfg: cfg["norm"].update(q=True),
+            lambda cfg: cfg["norm"].update(q="2"),
+            lambda cfg: cfg["model"].update(signal_bounds=[["-1", "1"], ["-1", "1"]]),
+            lambda cfg: cfg["model"].update(matrix=[[True, 0.5]]),
+            lambda cfg: cfg["sampler"].update(kind="random_walk", step_scale=["0.1", "0.1"]),
         ],
         ids=["missing_bands", "pixel_size_abc", "eps_additive_x", "noise_3",
              "ragged_matrix", "n_max_x", "sampler_5", "n_max_inf", "grid_resolution_1e20",
              "grid_resolution_2.5", "burn_in_1.5", "pixels_4.7", "factor_2.5",
-             "eps_additive_10^400"],
+             "eps_additive_10^400", "eps_additive_string", "p_true", "q_true", "q_string",
+             "signal_bounds_strings", "matrix_with_bool", "step_scale_strings"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, edit):
         cfg = json.loads(sample_config(tmp_path).read_text())
@@ -455,13 +463,32 @@ class TestCliSample:
         cfg["sampler"]["budget"] = 200
         path = tmp_path / "inj.json"
         path.write_text(json.dumps(cfg))
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with pytest.warns(UserWarning, match="sampling budget exhausted"):
             code = main(["sample", "--config", str(path), "--out", str(tmp_path / "c")])
         assert code == 0
-        assert "singleton" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == "K=4 N=[1, 1, 1, 1] uniform=True\n"
+        assert captured.err.splitlines() == [
+            "warning: all feasible sets are singletons; kernel-size bounds will be zero"]
+
+    def test_empty_sets_warning_printed(self, tmp_path, capsys):
+        """A measurement no signal of the box reaches gives an empty set, not
+        a singleton; validate refuses the collection."""
+        cfg = json.loads(sample_config(tmp_path).read_text())
+        cfg["sampler"]["budget"] = 200
+        cfg["paths"]["input"], cfg["options"]["generate"] = "meas", None
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(cfg))
+        (tmp_path / "meas").mkdir()
+        (tmp_path / "meas" / "y_a.csv").write_text("5.0\n")
+        with pytest.warns(UserWarning, match="sampling budget exhausted"):
+            code = main(["sample", "--config", str(path), "--out", str(tmp_path / "c")])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out == "K=1 N=[0] uniform=True\n"
+        assert captured.err.splitlines() == [
+            "warning: every feasible set is empty; validate will refuse the collection"]
+        assert main(["validate", str(tmp_path / "c")]) == 2
 
 
 class TestCliKersize:
@@ -526,11 +553,12 @@ class TestCliKersize:
             # files outside the directory that hold a valid set
             lambda m: m["entries"][0].update(feasible=os.path.abspath("outside_fs.csv")),
             lambda m: m["entries"][0].update(measurement="../outside_y.csv"),
+            lambda m: m["norm"].update(p="2"),
         ],
         ids=["d1_x", "count_x", "entries_5", "d1_negative_empty_set", "id_list",
              "id_slash", "id_escaping", "id_empty", "id_dot", "id_dotdot", "id_backslash",
              "id_nul", "version_2", "count_3", "d1_3", "d2_2", "feasible_absolute",
-             "measurement_parent"],
+             "measurement_parent", "norm_p_string"],
     )
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, monkeypatch, edit):
         d = two_point_collection_dir(tmp_path)
@@ -1152,6 +1180,39 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["kersize"], ["loss", "preds"], ["validate"], ["validate", "--p", "2", "--q", "1"],
+        ["skersize", "--matrix", "A.csv"],
+    ], ids=["kersize", "loss", "validate", "validate_p2_q1", "skersize"])
+    @pytest.mark.parametrize("counts", [(0, 0), (0, 2, 3), (1, 1)],
+                             ids=["memberless", "one_empty", "singletons"])
+    def test_degenerate_collection_never_raises(self, tmp_path, capsys, argv, counts):
+        """Every collection command on a collection with no members, with an
+        empty set beside filled ones, or of one-member sets ends in an exit
+        code, with one error line when it refuses the collection."""
+        rng = np.random.default_rng(len(counts))
+        entries = []
+        for k, n in enumerate(counts):
+            y = rng.uniform(-1.0, 1.0)
+            t = rng.uniform(-1.0, 1.0, n)
+            members = np.column_stack([y + t, y - t])  # 0.5·(x1 + x2) = y
+            entries.append(FeasibleSet(id=f"m{k}", measurement=[y], members=members))
+        d = tmp_path / "c"
+        write_collection(d, FeasibleSetCollection(d1=2, d2=1, entries=tuple(entries)),
+                         NormSpec())
+        (tmp_path / "preds").mkdir()
+        for k in range(len(counts)):
+            (tmp_path / "preds" / f"pred_m{k}.csv").write_text("0.0,0.0\n")
+        (tmp_path / "A.csv").write_text("0.5,0.5\n")
+        command, *flags = argv
+        flags = [str(tmp_path / f) if f in ("preds", "A.csv") else f for f in flags]
+        out = tmp_path / "out"
+        code = main([command, str(d), *flags, "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        if code != 0:
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert not (out / "bounds.json").exists()
 
     OPPOSITE = [[1e200, -1e200], [-1e200, 1e200]]
 

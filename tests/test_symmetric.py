@@ -159,8 +159,8 @@ class TestKernelProjection:
         verified row blocks of _projector_rows: no second copy of P."""
         seen = []
 
-        def spy(B, tol):
-            for I, block in rows(B, tol):
+        def spy(B):
+            for I, block in rows(B):
                 seen.append((I, block))
                 yield I, block
 
@@ -293,7 +293,7 @@ class TestProjectorVerification:
         monkeypatch.setattr(symmetric, "_projector_residuals", nan_first_row)
         blocks = []
         with pytest.raises(DataError, match="projector is not idempotent"):
-            for _, block in symmetric._projector_rows(B, None):
+            for _, block in symmetric._projector_rows(B):
                 blocks.append(block)
         assert len(blocks) == 3 and all(np.isfinite(b).all() for b in blocks)
 
