@@ -64,7 +64,6 @@ from typing import Mapping
 import numpy as np
 
 from .core import (
-    DataError,
     FeasibleSetCollection,
     NormSpec,
     Sets,
@@ -74,6 +73,7 @@ from .core import (
     member_centre,
     member_rows,
     power_mean,
+    require_members,
     set_losses,
     vector_norms,
 )
@@ -149,8 +149,10 @@ def kersize(c: FeasibleSetCollection, norm: NormSpec) -> tuple:
 
     Returns ``(value, v)`` where ``v[k]`` is the mean ordered-pair p-th-power
     distance within set k (zero for empty sets) and
-    ``value = ((1/K) Σ v_k)^(1/p)``.
+    ``value = ((1/K) Σ v_k)^(1/p)``. A collection with no members is a
+    DataError (``core.require_members``): its kernel size is vacuous.
     """
+    require_members(c)
     v = [2.0 * pair_power_sum(e.members, norm) / (e.count**2) if e.count else 0.0
          for e in c.entries]
     return power_mean([v], norm.p), v
@@ -210,9 +212,11 @@ def _gram(U: np.ndarray, V: np.ndarray, sets: Sets) -> np.ndarray:
     return out
 
 
-def _dual_gap(R: np.ndarray, Y: np.ndarray, p: float, q: float, sets: Sets) -> np.ndarray:
+def _dual_gap(R: np.ndarray, powers: np.ndarray, Y: np.ndarray, p: float, q: float,
+              sets: Sets) -> np.ndarray:
     """Upper bound on f(z) - min f for each set, from dual points ``Y``, one per
-    member; ``R`` and ``Y`` are stacked as ``sets``.
+    member; ``R``, its rows' loss powers ``powers`` = ‖r_n‖_q^p and ``Y`` are
+    stacked as ``sets``.
 
     With h = ‖·‖_q^p, any y_n summing to zero give the Fenchel lower bound
     (1/N) Σ_n (⟨y_n, x_n⟩ - h*(y_n)) ≤ min f, where
@@ -230,7 +234,7 @@ def _dual_gap(R: np.ndarray, Y: np.ndarray, p: float, q: float, sets: Sets) -> n
     else:
         with np.errstate(over="ignore"):  # far from the centre: a useless, infinite gap
             conj = (p - 1.0) * (dual / p) ** (p / (p - 1.0))
-    terms = _q_norms(R, q) ** p + conj - np.einsum("ij,ij->i", Y, R)
+    terms = powers + conj - np.einsum("ij,ij->i", Y, R)
     return np.maximum(0.0, sets.fsums(terms) / sets.n)
 
 
@@ -473,8 +477,9 @@ def _interior_point(P: np.ndarray, sets: Sets, centre: np.ndarray, scale: np.nda
             grad = wr * p * t ** (p - 1.0)
             curv = wr * p * (p - 1.0) * t ** (p - 2.0)
             dz, dt, change, dual, lam2 = step(R, t, S, grad, curv, sets)
-            f = sets.sums(_q_norms(R, q) ** p) / sets.n
-            gap = _dual_gap(R, dual / wr[:, None], p, q, sets)
+            powers = _q_norms(R, q) ** p
+            f = sets.sums(powers) / sets.n
+            gap = _dual_gap(R, powers, dual / wr[:, None], p, q, sets)
             better = f < best_f
             best_f = np.where(better, f, best_f)
             best_z = np.where(better[:, None], z, best_z)
@@ -529,7 +534,7 @@ def _vertex_step(X: np.ndarray, z: np.ndarray, lower: float) -> tuple:
     copies = dist == 0.0
     Y[copies] = -Y.sum(axis=0) / np.count_nonzero(copies)
     f = float(np.mean(dist))
-    lower = max(lower, f - float(_dual_gap(R, Y, 1.0, 2.0, Sets([X.shape[0]]))[0]))
+    lower = max(lower, f - float(_dual_gap(R, dist, Y, 1.0, 2.0, Sets([X.shape[0]]))[0]))
     return (v if f <= np.mean(to_z) else z), lower
 
 
@@ -668,10 +673,9 @@ def verify_bounds(c: FeasibleSetCollection, predictions: Mapping[str, Mapping],
     aggregate losses (the ``core.loss`` value) and θ's objectives from one
     array of p-th powers of all members. A fault raises the error of the
     first failing set in collection order and, within it, of the first
-    failing map ('theta', then ``predictions`` in order).
+    failing map ('theta', then ``predictions`` in order); a collection with
+    no members is refused by ``kersize``, the first computation.
     """
-    if not any(c.counts):
-        raise DataError("collection has no members; bounds are vacuous")
     value, v = kersize(c, norm)
     half = value / 2.0
 

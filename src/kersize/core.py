@@ -47,13 +47,16 @@ __all__ = [
     "NormSpec",
     "FeasibleSet",
     "FeasibleSetCollection",
+    "require_members",
     "as_vector",
     "p_dist",
     "check_keys",
     "nullable",
     "whole",
+    "wholes",
     "number",
     "numbers",
+    "text",
     "Sets",
     "set_losses",
     "power_mean",
@@ -129,7 +132,8 @@ class NormSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "NormSpec":
-        d = check_keys(d, [f.name for f in fields(cls)], "norm", {"p": number, "q": _exponent})
+        d = check_keys(d, [f.name for f in fields(cls)], "norm",
+                       {"p": number, "q": _exponent, "mask": nullable(wholes)})
         return cls(p=d.get("p", 2.0), q=d.get("q", 2), mask=d.get("mask"))
 
 
@@ -144,8 +148,8 @@ def check_keys(doc, allowed, where: str, convert: Mapping | None = None,
 
     A non-object, a key outside ``allowed``, a missing ``required`` key or a
     value its converter rejects raises DataError. Converters are plain type
-    coercions (``whole``, ``number``, ``numbers``), so what is caught here
-    is never a constructor's UsageError.
+    coercions (``whole``, ``wholes``, ``number``, ``numbers``, ``text``), so
+    what is caught here is never a constructor's UsageError.
     """
     if not isinstance(doc, Mapping):
         raise DataError(f"{where} must be an object, got {type(doc).__name__}")
@@ -188,6 +192,15 @@ def whole(value) -> int:
     return n
 
 
+def wholes(value) -> list:
+    """A ``check_keys`` converter for a list of integers: a list (or tuple or
+    1-D array) with each entry read by ``whole``, so a bool, a string or a
+    nested list in it is refused, and so is a string or number in its place."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise TypeError(f"expected a list of whole numbers, got {value!r}")
+    return [whole(n) for n in value]
+
+
 def number(value) -> float:
     """A ``check_keys`` converter for a float field: a number as a Python
     float. A string or a bool is refused, as ``whole`` refuses one, rather
@@ -208,6 +221,15 @@ def numbers(value) -> np.ndarray:
         for v in np.asarray(value, dtype=object).flat:
             number(v)
     return np.asarray(value, dtype=np.float64)
+
+
+def text(value) -> str:
+    """A ``check_keys`` converter for a text field: the string itself. A
+    number, a bool, a list or null is refused, as ``whole`` refuses a bool,
+    rather than compared with the field's names."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 def vector_norms(diffs: np.ndarray, norm: NormSpec) -> np.ndarray:
@@ -467,6 +489,13 @@ class FeasibleSetCollection:
     def size(self) -> int:
         """M, the number of members of all sets (the rows of ``stacked``'s X)."""
         return self.stacked[1].shape[0]
+
+
+def require_members(c: FeasibleSetCollection) -> None:
+    """Refuse a collection with no members (every set empty): it has no pair
+    to bound, so every bound on it is vacuous."""
+    if not any(c.counts):
+        raise DataError("collection has no members; bounds are vacuous")
 
 
 def dataset_from_collection(c: FeasibleSetCollection) -> tuple:

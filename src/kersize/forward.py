@@ -35,7 +35,17 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import DataError, NormSpec, UsageError, check_keys, number, numbers, vector_norms, whole
+from .core import (
+    DataError,
+    NormSpec,
+    UsageError,
+    check_keys,
+    number,
+    numbers,
+    text,
+    vector_norms,
+    whole,
+)
 
 __all__ = [
     "NoiseSpec",
@@ -176,7 +186,7 @@ class NoiseSpec:
         """Noise set from its document; every field is optional."""
         d = check_keys(
             d, [f.name for f in fields(cls)], "model.noise",
-            {"eps_additive": number, "eps_multiplicative": number},
+            {"kind": text, "ball": text, "eps_additive": number, "eps_multiplicative": number},
         )
         return cls(**d)
 

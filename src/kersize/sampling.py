@@ -43,7 +43,9 @@ from .core import (
     check_keys,
     nullable,
     numbers,
+    text,
     whole,
+    wholes,
 )
 from .forward import ForwardModel
 
@@ -126,10 +128,10 @@ class SamplerSpec:
 
 
 _SAMPLER_TYPES = {
-    "n_max": whole, "seed": whole, "budget": nullable(whole), "burn_in": whole,
+    "kind": text, "n_max": whole, "seed": whole, "budget": nullable(whole), "burn_in": whole,
     "thinning": whole,
     "step_scale": nullable(lambda v: numbers(v).tolist()),
-    "grid_resolution": nullable(lambda v: [whole(n) for n in v]),
+    "grid_resolution": nullable(wholes),
 }
 
 

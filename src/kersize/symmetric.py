@@ -65,6 +65,7 @@ from .core import (
     dataset_from_collection,
     norm_powers,
     power_mean,
+    require_members,
     vector_norms,
 )
 from .forward import DownsampleModel, LinearModel
@@ -298,7 +299,8 @@ def skersize(c: FeasibleSetCollection, model, norm: NormSpec,
     """Average symmetric kernel size of a collection under y = A x + e.
 
     Each member x_m of a set is a pair (x_m, y_m) with the set's measurement
-    y_m, numbered m in ``c.stacked`` order; empty sets give no pair.
+    y_m, numbered m in ``c.stacked`` order; empty sets give no pair, and a
+    collection with none at all is refused first (``core.require_members``).
     Recovers each pair's noise as e_m = y_m - A x_m, rejecting a pair whose
     noise leaves the noise set by more than the roundoff of re-deriving it,
     1e-9·max(1, max |y_m|) of the pair's own measurement
@@ -337,6 +339,7 @@ def skersize(c: FeasibleSetCollection, model, norm: NormSpec,
     pairs permutes them. A norm ‖v_m‖, its p-th power or their sum past the
     float64 range raises DataError.
     """
+    require_members(c)
     if not isinstance(model, (LinearModel, DownsampleModel)):
         raise UsageError(f"the model must be a LinearModel or a DownsampleModel, "
                          f"not {type(model).__name__}")
@@ -346,8 +349,6 @@ def skersize(c: FeasibleSetCollection, model, norm: NormSpec,
     if mode not in ("signal_only", "joint"):
         raise UsageError(f"unknown projection mode {mode!r}")
     M = c.size
-    if M == 0:
-        raise DataError("empty dataset")
     if model.d1 != c.d1:
         raise UsageError(f"operator has {model.d1} columns, pairs have d1={c.d1}")
     if model.d2 != c.d2:

@@ -13,6 +13,7 @@ import pytest
 
 from kersize.bounds import kersize, verify_bounds
 from kersize.core import (
+    DataError,
     FeasibleSet,
     FeasibleSetCollection,
     NormSpec,
@@ -178,6 +179,10 @@ def test_criterion_3_oracle_equivalence():
             mask = np.zeros(d1, dtype=int)
             mask[rng.choice(d1, size=int(rng.integers(1, d1 + 1)), replace=False)] = 1
         norm = NormSpec(p=p, q=q, mask=mask)
+        if c.size == 0:  # no members: no kernel size to compare
+            with pytest.raises(DataError, match="^collection has no members"):
+                kersize(c, norm)
+            continue
         got, _ = kersize(c, norm)
         want = _kersize_triple_loop(c, norm)
         err = abs(got - want) / max(1e-300, abs(want)) if want else abs(got)

@@ -37,6 +37,7 @@ from kersize.predictors import (
     zero_map,
 )
 from kersize.sampling import SamplerSpec, sample_feasible
+from kersize.symmetric import skersize
 
 EUCLID = NormSpec(p=2, q=2)
 
@@ -121,6 +122,10 @@ class TestKersize:
                  for _ in range(int(rng.integers(1, 5)))],
                 d1=d1,
             )
+            if c.size == 0:  # no members: no kernel size to compare
+                with pytest.raises(DataError, match="^collection has no members"):
+                    kersize(c, norm)
+                continue
             got, _ = kersize(c, norm)
             want = kersize_oracle(c, norm)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
@@ -423,7 +428,8 @@ class TestOptimalMapValue:
             # dual points that do not sum to zero: a shared pull towards the
             # mean residual plus noise
             Y = R.mean(axis=0) * rng.uniform(0.2, 2) + rng.normal(size=R.shape) * 0.3
-            lower = obj(z) - _dual_gap(R, Y, float(p), float(q), Sets([8]))[0]
+            powers = vector_norms(R, norm) ** p
+            lower = obj(z) - _dual_gap(R, powers, Y, float(p), float(q), Sets([8]))[0]
             assert lower <= best * (1 + 1e-12)
 
     def test_coordinatewise_median_for_p1_q1(self):
@@ -471,6 +477,22 @@ class TestVerifyBounds:
             FeasibleSet(id="m0", measurement=[0.0], members=np.zeros((0, 2))),))
         with pytest.raises(DataError, match="^collection has no members; bounds are vacuous$"):
             verify_bounds(c, {}, EUCLID)
+
+    def test_every_bound_refuses_a_memberless_collection(self):
+        """A collection whose every set is empty has no pair to bound: the
+        kernel size, the bound report and the symmetric bound all refuse it
+        with one message, rather than report a vacuous 0."""
+        c = FeasibleSetCollection(d1=2, d2=1, entries=tuple(
+            FeasibleSet(id=f"m{k}", measurement=[float(k)], members=np.zeros((0, 2)))
+            for k in range(3)))
+        model = LinearModel(np.array([[0.5, 0.5]]),
+                            NoiseSpec(kind="additive", eps_additive=0.1),
+                            np.tile([-1.0, 1.0], (2, 1)))
+        for bound in (lambda: kersize(c, EUCLID), lambda: verify_bounds(c, {}, EUCLID),
+                      lambda: skersize(c, model, EUCLID)):
+            with pytest.raises(DataError,
+                               match="^collection has no members; bounds are vacuous$"):
+                bound()
 
     def test_singleton_sets_perfect_map(self):
         c = make_collection([[[1, 1]], [[2, 0]]])

@@ -296,12 +296,20 @@ class TestCliSample:
             lambda cfg: cfg["model"].update(signal_bounds=[["-1", "1"], ["-1", "1"]]),
             lambda cfg: cfg["model"].update(matrix=[[True, 0.5]]),
             lambda cfg: cfg["sampler"].update(kind="random_walk", step_scale=["0.1", "0.1"]),
+            lambda cfg: cfg["model"]["noise"].update(kind=5),
+            lambda cfg: cfg["model"]["noise"].update(ball=["inf"]),
+            lambda cfg: cfg["sampler"].update(kind=5),
+            lambda cfg: cfg["norm"].update(mask="abc"),
+            lambda cfg: cfg["norm"].update(mask=5),
+            lambda cfg: cfg["norm"].update(mask=[True, False]),
         ],
         ids=["missing_bands", "pixel_size_abc", "eps_additive_x", "noise_3",
              "ragged_matrix", "n_max_x", "sampler_5", "n_max_inf", "grid_resolution_1e20",
              "grid_resolution_2.5", "burn_in_1.5", "pixels_4.7", "factor_2.5",
              "eps_additive_10^400", "eps_additive_string", "p_true", "q_true", "q_string",
-             "signal_bounds_strings", "matrix_with_bool", "step_scale_strings"],
+             "signal_bounds_strings", "matrix_with_bool", "step_scale_strings",
+             "noise_kind_5", "noise_ball_list", "sampler_kind_5", "mask_abc", "mask_5",
+             "mask_bools"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, edit):
         cfg = json.loads(sample_config(tmp_path).read_text())
@@ -316,6 +324,7 @@ class TestCliSample:
         "edit",
         [
             lambda cfg: cfg["norm"].update(mask=[1]),
+            lambda cfg: cfg["norm"].update(mask=[1, 2]),
             lambda cfg: cfg["sampler"].update(kind="random_walk", step_scale=[0.1, 0.1, 0.1]),
             lambda cfg: cfg["sampler"].update(kind="random_walk", step_scale=-0.1),
             lambda cfg: cfg["sampler"].update(kind="random_walk",
@@ -325,8 +334,9 @@ class TestCliSample:
             lambda cfg: cfg["model"].update(signal_bounds=[[-1, float("nan")], [-1, 1]]),
             lambda cfg: cfg["model"].update(signal_bounds=[[-1, float("inf")], [-1, 1]]),
         ],
-        ids=["mask_length", "step_scale_length", "step_scale_negative", "step_scale_nan",
-             "step_scale_inf", "lattice_2^64", "signal_bounds_nan", "signal_bounds_inf"],
+        ids=["mask_length", "mask_entry_2", "step_scale_length", "step_scale_negative",
+             "step_scale_nan", "step_scale_inf", "lattice_2^64", "signal_bounds_nan",
+             "signal_bounds_inf"],
     )
     def test_config_dimension_mismatch_exits_1(self, tmp_path, capsys, edit):
         cfg = json.loads(sample_config(tmp_path).read_text())
@@ -554,11 +564,12 @@ class TestCliKersize:
             lambda m: m["entries"][0].update(feasible=os.path.abspath("outside_fs.csv")),
             lambda m: m["entries"][0].update(measurement="../outside_y.csv"),
             lambda m: m["norm"].update(p="2"),
+            lambda m: m["norm"].update(mask=[True, False]),
         ],
         ids=["d1_x", "count_x", "entries_5", "d1_negative_empty_set", "id_list",
              "id_slash", "id_escaping", "id_empty", "id_dot", "id_dotdot", "id_backslash",
              "id_nul", "version_2", "count_3", "d1_3", "d2_2", "feasible_absolute",
-             "measurement_parent", "norm_p_string"],
+             "measurement_parent", "norm_p_string", "norm_mask_bools"],
     )
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, monkeypatch, edit):
         d = two_point_collection_dir(tmp_path)
@@ -587,6 +598,21 @@ class TestCliKersize:
         write_collection(d, c, NormSpec())
         main(["kersize", str(d)])
         assert "kersize=0.00000000" in capsys.readouterr().out
+
+    def test_memberless_collection_exits_2(self, tmp_path, capsys):
+        """Every set empty: no kernel size, so no vacuous 0 and no report."""
+        c = FeasibleSetCollection(d1=2, d2=1, entries=tuple(
+            FeasibleSet(id=f"m{k}", measurement=[1.0], members=np.zeros((0, 2)))
+            for k in range(2)))
+        d = tmp_path / "memberless"
+        write_collection(d, c, NormSpec())
+        assert main(["kersize", str(d)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: collection has no members; bounds are vacuous"]
+        assert not (d / "bounds.json").exists()
+        assert not (d / "per_measurement.csv").exists()
 
 
 class TestCliLoss:

@@ -616,7 +616,7 @@ class TestSkersize:
         (None, "dual", UsageError, "unknown projection mode 'dual'"),
         (FeasibleSetCollection(d1=2, d2=1, entries=(
             FeasibleSet(id="m0", measurement=[2.0], members=[]),)), "signal_only", DataError,
-         "empty dataset"),
+         "collection has no members; bounds are vacuous"),
     ], ids=["mode", "no-pairs"])
     def test_unknown_mode_or_no_pairs_is_refused(self, pairs, mode, error, message):
         with pytest.raises(error, match=f"^{message}$"):
