@@ -49,6 +49,7 @@ from .core import (
     UsageError,
     check_keys,
     nullable,
+    require_members,
     set_losses,
     whole,
 )
@@ -155,12 +156,14 @@ def _cmd_sample(args) -> int:
     io.write_collection(out, collection, norm)
     counts = collection.counts
     print(f"K={collection.k} N={list(counts)} uniform={collection.uniform}")
-    if max(counts) == 0:
-        print("warning: every feasible set is empty; validate will refuse the collection",
-              file=sys.stderr)
-    elif max(counts) == 1:
-        print("warning: all feasible sets are singletons; kernel-size bounds will be zero",
-              file=sys.stderr)
+    try:
+        require_members(collection)
+    except DataError as exc:  # every bound command refuses it; sample only warns
+        print(f"warning: {exc}", file=sys.stderr)
+    else:
+        if max(counts) == 1:
+            print("warning: all feasible sets are singletons; kernel-size bounds will be zero",
+                  file=sys.stderr)
     return EXIT_OK
 
 

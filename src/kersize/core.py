@@ -400,13 +400,11 @@ class Sets:
         """Exact sum (math.fsum) of every entry of each set's rows of A, for
         the sets chosen by the mask ``which`` (all by default): +inf where it
         overflows, NaN where it is undefined or not chosen."""
-        w = A[0].size
-        values = A.ravel().tolist()
         out = [math.nan] * self.n.size
         for k in range(self.n.size) if which is None else np.flatnonzero(which).tolist():
             a, b = self.bounds[k]
             try:
-                out[k] = math.fsum(values[a * w : b * w])
+                out[k] = math.fsum(A[a:b].ravel().tolist())
             except OverflowError:
                 out[k] = math.inf
             except ValueError:  # inf - inf

@@ -18,7 +18,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from . import io
 from .bounds import at_most, verify_bounds
@@ -145,6 +144,10 @@ def _write_microscopy_outputs(out: Path, result: dict) -> None:
 def _smooth_images(rng: np.random.Generator, n: int, bands: int, h: int, w: int,
                    r_max: float) -> np.ndarray:
     """Smooth random reflectance fields in (0.05, 0.95) * r_max."""
+    # ndimage is imported here, this module's only use of it, so that importing
+    # the module (and running the microscopy demo) never loads it.
+    from scipy import ndimage
+
     imgs = np.empty((n, bands, h, w))
     for i in range(n):
         sigma = rng.uniform(1.5, 3.0)

@@ -175,7 +175,10 @@ def _kernel_operator(A: np.ndarray, mode: str) -> np.ndarray:
     """The operator B whose kernel the projector of A in ``mode`` spans: A,
     or [A | I] in joint mode. Every singular value of [A | I] is at least 1,
     since B Bᵀ = A Aᵀ + I, so ``pseudoinverse``'s default tolerance cuts none
-    of them unless ‖A‖₂ nears 1 / ((m + n)·eps) for the m x n matrix A."""
+    of them unless ‖A‖₂ nears 1 / ((m + n)·eps) for the m x n matrix A. Any
+    mode but "signal_only" and "joint" is a UsageError."""
+    if mode not in ("signal_only", "joint"):
+        raise UsageError(f"unknown projection mode {mode!r}")
     return np.hstack([A, np.eye(A.shape[0])]) if mode == "joint" else A
 
 
@@ -237,8 +240,6 @@ def kernel_projection(A, mode: str = "signal_only") -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise UsageError("kernel_projection expects a matrix")
-    if mode not in ("signal_only", "joint"):
-        raise UsageError(f"unknown projection mode {mode!r}")
     B = _kernel_operator(A, mode)
     P = np.empty((B.shape[1], B.shape[1]))
     for I, block in _projector_rows(B):
@@ -346,18 +347,17 @@ def skersize(c: FeasibleSetCollection, model, norm: NormSpec,
     noise = model.noise
     if noise.kind != "additive":
         raise UsageError("the symmetric bound requires additive noise (y = A x + e)")
-    if mode not in ("signal_only", "joint"):
-        raise UsageError(f"unknown projection mode {mode!r}")
     M = c.size
+    if isinstance(model, DownsampleModel):  # one band's projector serves every band
+        kernel_of, shape = model.band_matrix(), (M, model.bands, -1)
+    else:  # a linear operator is one band
+        kernel_of, shape = model.matrix, (M, 1, -1)
+    B = _kernel_operator(kernel_of, mode)
     if model.d1 != c.d1:
         raise UsageError(f"operator has {model.d1} columns, pairs have d1={c.d1}")
     if model.d2 != c.d2:
         raise UsageError(f"operator has {model.d2} rows, pairs have d2={c.d2}")
 
-    if isinstance(model, DownsampleModel):  # one band's projector serves every band
-        kernel_of, shape = model.band_matrix(), (M, model.bands, -1)
-    else:  # a linear operator is one band
-        kernel_of, shape = model.matrix, (M, 1, -1)
     x, y = dataset_from_collection(c)
     g = model.noiseless_batch(x)
     with np.errstate(over="ignore"):  # noise past the float range is infeasible,
@@ -375,7 +375,6 @@ def skersize(c: FeasibleSetCollection, model, norm: NormSpec,
     vectors = x.reshape(shape)
     if mode == "joint":
         vectors = np.concatenate([vectors, e.reshape(shape)], axis=-1)
-    B = _kernel_operator(kernel_of, mode)
     projected = np.empty_like(vectors)
     for I, block in _projector_rows(B):
         np.einsum("ij,nbj->nbi", block, vectors, out=projected[:, :, I])

@@ -376,42 +376,44 @@ def test_criterion_9_complexity_signatures():
         x = rng.normal(size=(m, d1))
         return collection_from_dataset(x, x @ A.T, np.arange(m), tuple(map(str, range(m))))
 
-    def time_skersize(pairs, reps):
-        skersize(pairs, model, norm)  # warm-up
-        best = math.inf
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            skersize(pairs, model, norm)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    def time_kersize(n, reps, kernel_norm):
+    def make_set(n):
         members = rng.normal(size=(n, 4))
-        c = FeasibleSetCollection(
+        return FeasibleSetCollection(
             d1=4, d2=1,
             entries=(FeasibleSet(id="a", measurement=[0.0], members=members),),
         )
-        best = math.inf
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            kersize(c, kernel_norm)
-            best = min(best, time.perf_counter() - t0)
+
+    def best_times(small, big, reps_small, reps_big):
+        """Best wall times of the calls ``small`` and ``big``, timed in
+        alternating rounds so that a burst of load on the box falls on both
+        sizes alike; each call runs in its first ``reps_*`` rounds."""
+        best = [math.inf, math.inf]
+        for r in range(max(reps_small, reps_big)):
+            for i, (call, reps) in enumerate(((small, reps_small), (big, reps_big))):
+                if r < reps:
+                    t0 = time.perf_counter()
+                    call()
+                    best[i] = min(best[i], time.perf_counter() - t0)
         return best
 
-    t_lin_small = time_skersize(make_pairs(2000), reps=5)
-    t_lin_big = time_skersize(make_pairs(20000), reps=3)
+    lin_small, lin_big = make_pairs(2000), make_pairs(20000)
+    skersize(lin_small, model, norm)  # warm-up
+    skersize(lin_big, model, norm)
+    t_lin_small, t_lin_big = best_times(lambda: skersize(lin_small, model, norm),
+                                        lambda: skersize(lin_big, model, norm), 5, 5)
     lin_ratio = t_lin_big / t_lin_small
     assert lin_ratio < 15.0, f"skersize 10x ratio {lin_ratio:.1f}"
 
-    t_closed_small = time_kersize(2000, reps=20, kernel_norm=norm)
-    t_closed_big = time_kersize(20000, reps=5, kernel_norm=norm)
+    set_small, set_big = make_set(2000), make_set(20000)
+    t_closed_small, t_closed_big = best_times(lambda: kersize(set_small, norm),
+                                              lambda: kersize(set_big, norm), 20, 20)
     closed_ratio = t_closed_big / t_closed_small
     assert closed_ratio < 15.0, f"kersize p=q=2 10x ratio {closed_ratio:.1f}"
 
     # p = 2, q = 1 has no closed form, so it sums every pair
     pairwise = NormSpec(p=2.0, q=1.0)
-    t_quad_small = time_kersize(2000, reps=3, kernel_norm=pairwise)
-    t_quad_big = time_kersize(20000, reps=1, kernel_norm=pairwise)
+    t_quad_small, t_quad_big = best_times(lambda: kersize(set_small, pairwise),
+                                          lambda: kersize(set_big, pairwise), 3, 1)
     quad_ratio = t_quad_big / t_quad_small
     assert quad_ratio > 40.0, f"kersize p=2 q=1 10x ratio {quad_ratio:.1f}"
     print(f"\n[criterion 9] PASS - skersize 10x data -> {lin_ratio:.1f}x time; "

@@ -483,7 +483,8 @@ class TestCliSample:
 
     def test_empty_sets_warning_printed(self, tmp_path, capsys):
         """A measurement no signal of the box reaches gives an empty set, not
-        a singleton; validate refuses the collection."""
+        a singleton; sample warns in the words of every bound command's
+        refusal, and validate refuses the collection."""
         cfg = json.loads(sample_config(tmp_path).read_text())
         cfg["sampler"]["budget"] = 200
         cfg["paths"]["input"], cfg["options"]["generate"] = "meas", None
@@ -497,7 +498,7 @@ class TestCliSample:
         captured = capsys.readouterr()
         assert captured.out == "K=1 N=[0] uniform=True\n"
         assert captured.err.splitlines() == [
-            "warning: every feasible set is empty; validate will refuse the collection"]
+            "warning: collection has no members; bounds are vacuous"]
         assert main(["validate", str(tmp_path / "c")]) == 2
 
 
@@ -1312,6 +1313,14 @@ class TestFreshInterpreter:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
         assert "K=2" in done.stdout and "loss[pred]=" in done.stdout and "skersize=" in done.stdout
+
+    def test_demo_import_leaves_ndimage_unloaded(self):
+        """Importing kersize.demo loads no scipy.ndimage: only the superres
+        demo's image smoothing uses it, and it is imported there."""
+        done = run_fresh("-W", "error", "-c",
+                         "import sys, kersize.demo; print('scipy.ndimage' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
     def test_python_m_kersize_runs_the_cli(self, tmp_path):
         done = run_fresh("-m", "kersize", "kersize", str(two_point_collection_dir(tmp_path)))

@@ -139,6 +139,7 @@ class TestSetsReduce:
         assert np.isnan(Sets([2, 2, 1]).fsums(A)[1])
         chosen = Sets([2, 2, 1]).fsums(A, np.array([True, False, False]))
         assert chosen[0] == np.inf and np.isnan(chosen[1:]).all()
+        assert Sets([]).fsums(np.zeros((0, 3))).shape == (0,)
 
 
 class TestStackedPass:
